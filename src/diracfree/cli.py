@@ -27,14 +27,17 @@ import sys
 import numpy as np
 
 from . import __version__
-from .errors import DiracFreeError
+from .errors import DiracFreeError, ZeroMomentum
 from .gamma import helicity_operator
 from .kinematics import (
     EnergyBranch,
     MomentumState,
     PhysicalConstants,
     PolarAngles,
+    angles_of,
     from_eta,
+    rapidity,
+    to_eta,
 )
 from .density import density4
 from .smallmat import max_abs
@@ -157,12 +160,6 @@ def _state_inputs(args, state: MomentumState) -> dict:
     }
 
 
-def _direction_angles(state: MomentumState) -> PolarAngles:
-    from .kinematics import angles_of
-
-    return angles_of(state.p)
-
-
 # --------------------------------------------------------------------------
 # subcommands
 
@@ -236,15 +233,13 @@ def _emit(args, inputs: dict, outputs: dict) -> None:
 
 
 def _cmd_spinor(args) -> int:
-    from .errors import ZeroMomentum
-
     state = _state_from_args(args)
     branch = _BRANCHES[args.branch]
     lam = _HELICITIES[args.lam]
     if state.p_abs == 0.0:
         raise ZeroMomentum("helicity spinor requires |p| > 0")
-    angles = _direction_angles(state)
-    phi = helicity_spinor(lam if branch is EnergyBranch.POSITIVE else _flip(lam), angles)
+    angles = angles_of(state.p)
+    phi = helicity_spinor(lam if branch is EnergyBranch.POSITIVE else lam.flipped, angles)
     u = bispinor_block(phi, state, branch, _NORMS[args.norm], args.volume)
     lam_op = helicity_operator(state)
     sign = 1.0 if branch is EnergyBranch.POSITIVE else -1.0
@@ -265,10 +260,6 @@ def _cmd_spinor(args) -> int:
     }
     _emit(args, inputs, outputs)
     return 0
-
-
-def _flip(lam: Helicity) -> Helicity:
-    return Helicity.MINUS if lam is Helicity.PLUS else Helicity.PLUS
 
 
 def _cmd_density(args) -> int:
@@ -295,8 +286,6 @@ def _cmd_density(args) -> int:
 
 
 def _cmd_boost(args) -> int:
-    from .kinematics import rapidity, to_eta
-
     state = _state_from_args(args)
     if args.spinor is not None:
         raw = [float(x) for x in args.spinor.split(",")]

@@ -88,14 +88,10 @@ def density4_outer(state: MomentumState, branch: EnergyBranch, lam: Helicity, n)
     -rho_-, hence the overall sign flip.
     """
     n = _check_unit(n)
-    phi_label = lam if branch is EnergyBranch.POSITIVE else _flip(lam)
+    phi_label = lam if branch is EnergyBranch.POSITIVE else lam.flipped
     phi = helicity_spinor(phi_label, angles_of(n))
     u = bispinor_block(phi, state, branch, Normalization.INVARIANT_2MC)
     return branch.sign * outer_with_adjoint(u)
-
-
-def _flip(lam: Helicity) -> Helicity:
-    return Helicity.MINUS if lam is Helicity.PLUS else Helicity.PLUS
 
 
 def density_block_form(eta: float, angles: PolarAngles, branch: EnergyBranch,
@@ -112,7 +108,7 @@ def density_block_form(eta: float, angles: PolarAngles, branch: EnergyBranch,
     diag(rho, 0).
     """
     state = from_eta(m, c, eta, angles)
-    phi_label = lam if branch is EnergyBranch.POSITIVE else _flip(lam)
+    phi_label = lam if branch is EnergyBranch.POSITIVE else lam.flipped
     phi = helicity_spinor(phi_label, angles)
     u = bispinor_block(phi, state, branch, Normalization.INVARIANT_2MC)
     norm = complex(dirac_adjoint(u) @ u).real

@@ -65,6 +65,11 @@ class Helicity(Enum):
     def half(self) -> float:
         return 0.5 * self.value
 
+    @property
+    def flipped(self) -> "Helicity":
+        """The opposite helicity."""
+        return Helicity(-self.value)
+
 
 class Normalization(Enum):
     UNIT = "unit"

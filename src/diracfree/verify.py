@@ -1,10 +1,19 @@
 """Identity registry and verification engine.
 
 Every matrix identity the library relies on is registered here as a named
-check that sweeps a parameter grid and reports a max-abs residual.  The
-registry is the machine-checkable contract of the package: ``run_suite``
-executes a suite (or all of them) and returns a ``VerificationReport``
-whose pass/fail verdict feeds the CLI exit code.
+check that reports a max-abs residual.  A registry row has the shape
+``(id, suite, description, domain, residual)``:
+
+* the *domain* maps a ``GridSpec`` to the points the check samples: the
+  angle list, all states, the strided states, the strided
+  ``(eta, angles, state)`` points (optionally with a rotated partner
+  direction), ``n`` seeded random draws, or a single evaluation;
+* the *residual* maps one point to the residuals measured there.
+
+``_sweep`` takes the max over the whole domain and becomes the entry's
+``fn(grid) -> float``.  The registry is the machine-checkable contract of
+the package: ``run_suite`` executes a suite (or all of them) and returns a
+``VerificationReport`` whose pass/fail verdict feeds the CLI exit code.
 
 Three checks are *documented deviations*: places where a printed source
 formula disagrees with the mathematics that every other identity pins
@@ -17,7 +26,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from functools import partial
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -30,27 +40,35 @@ from . import smallmat as sm
 from . import spinors as sp
 from .errors import UnknownSuite
 from .kinematics import EnergyBranch, MomentumState, PolarAngles
-from .smallmat import max_abs
+from .smallmat import DEFAULT_TOL, max_abs
 from .spinors import Helicity, Normalization
 
 SUITES = ("algebra", "spinors", "covariant", "density", "fermi")
-DEFAULT_TOL = 1e-12
 _SEED = 20240801
 
 _POS = EnergyBranch.POSITIVE
 _NEG = EnergyBranch.NEGATIVE
+_BRANCHES = (_POS, _NEG)
 _LAMBDAS = (Helicity.PLUS, Helicity.MINUS)
 
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Parameter grid swept by the checks."""
+    """Parameter grid swept by the checks; at least one eta and one angle."""
 
     eta_values: tuple[float, ...] = (0.1, 0.3, 0.5, 0.7, 0.9)
     theta_count: int = 8
     phi_count: int = 8
     mass: float = 1.0
     c: float = 1.0
+
+    def __post_init__(self):
+        if len(self.eta_values) == 0:
+            raise ValueError("grid needs at least one eta value")
+        if self.theta_count < 1 or self.phi_count < 1:
+            raise ValueError(
+                f"angle counts must be positive, got {self.theta_count}x{self.phi_count}"
+            )
 
     def angle_list(self) -> list[PolarAngles]:
         thetas = [math.pi * (j + 0.5) / self.theta_count for j in range(self.theta_count)]
@@ -115,6 +133,105 @@ class VerificationReport:
 
 
 # --------------------------------------------------------------------------
+# sample domains and the sweep
+#
+# A domain maps the grid to an iterable of point tuples; a residual takes
+# one point's items as arguments and yields the residuals measured there.
+
+_Domain = Callable[[GridSpec], Iterable[tuple]]
+
+
+def _sweep(domain: _Domain, residual: Callable[..., Iterable[float]]) -> Callable[[GridSpec], float]:
+    """The check ``fn``: the max residual over every point of the domain."""
+
+    def fn(grid: GridSpec) -> float:
+        worst = 0.0
+        for point in domain(grid):
+            for r in residual(*point):
+                worst = max(worst, r)
+        return worst
+
+    return fn
+
+
+def _once(grid: GridSpec):
+    return ((),)
+
+
+def _angles(grid: GridSpec):
+    return ((ang,) for ang in grid.angle_list())
+
+
+def _states(grid: GridSpec):
+    return ((state,) for state in grid.states())
+
+
+def _sampled(grid: GridSpec):
+    return ((state,) for state in grid.sample_states())
+
+
+def _points(per_eta: int = 8, partner: tuple[int, int] | None = None) -> _Domain:
+    """Strided ``(eta, angles, state)`` points of ``grid.sample_points``.
+
+    With ``partner = (k, j)`` the i-th point also carries the rotated
+    direction ``angles[(k i + j) % len(angles)]`` of the angle list.
+    """
+
+    def domain(grid: GridSpec):
+        angles = grid.angle_list()
+        for i, (eta, ang) in enumerate(grid.sample_points(per_eta)):
+            point = (eta, ang, ki.from_eta(grid.mass, grid.c, eta, ang))
+            if partner is not None:
+                point += (angles[(partner[0] * i + partner[1]) % len(angles)],)
+            yield point
+
+    return domain
+
+
+def _draws(n: int, draw: Callable[[np.random.Generator, GridSpec], tuple]) -> _Domain:
+    """``n`` seeded random points; ``draw(rng, grid)`` makes one."""
+
+    def domain(grid: GridSpec):
+        rng = _rng()
+        return (draw(rng, grid) for _ in range(n))
+
+    return domain
+
+
+def _with_spinor(domain: _Domain) -> _Domain:
+    """Append one seeded random unit two-spinor to every point of ``domain``."""
+
+    def spinor_domain(grid: GridSpec):
+        rng = _rng()
+        return ((*point, _random_unit_spinor(rng)) for point in domain(grid))
+
+    return spinor_domain
+
+
+def _axis_states(grid: GridSpec):
+    """One state per eta with the momentum along the z axis."""
+    return ((ki.from_eta(grid.mass, grid.c, eta, PolarAngles(0.0, 0.0)),) for eta in grid.eta_values)
+
+
+def _rest_angles(grid: GridSpec):
+    """The rest state paired with every direction of the angle list."""
+    rest = MomentumState(grid.mass, np.zeros(3), ki.PhysicalConstants(c=grid.c))
+    return ((rest, ang) for ang in grid.angle_list())
+
+
+def _dual_points(grid: GridSpec):
+    """Full eta x p-direction x n-direction grid on two fixed azimuths."""
+    thetas = [ang.theta for ang in grid.angle_list()[:: grid.phi_count]]
+    p_angles = [PolarAngles(t, 1.0) for t in thetas]
+    n_angles = [PolarAngles(t, 2.5) for t in thetas]
+    for eta in grid.eta_values:
+        for p_ang in p_angles:
+            state = ki.from_eta(grid.mass, grid.c, eta, p_ang)
+            for n_ang in n_angles:
+                yield state, n_ang
+
+
+# --------------------------------------------------------------------------
 # small helpers
 
 def _rng() -> np.random.Generator:
@@ -130,17 +247,18 @@ def _random_unit_spinor(rng) -> np.ndarray:
     return phi / math.sqrt(float(np.vdot(phi, phi).real))
 
 
-def _naive_mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Triple-loop product; the oracle for the fast path."""
-    n = x.shape[0]
-    out = np.zeros((n, n), dtype=np.complex128)
-    for i in range(n):
-        for j in range(n):
-            acc = 0j
-            for k in range(n):
-                acc += x[i, k] * y[k, j]
-            out[i, j] = acc
-    return out
+def _cmat_pair(rng, grid):
+    return _random_cmat(rng), _random_cmat(rng)
+
+
+def _rel(got, want) -> float:
+    """|got - want| measured against max(1, |want|)."""
+    return abs(got - want) / max(1.0, abs(want))
+
+
+def _rest_spin(phi: np.ndarray) -> np.ndarray:
+    """Rest-frame spin vector 0.5 phi+ sigma phi of a two-spinor."""
+    return np.array([0.5 * float(np.vdot(phi, s @ phi).real) for s in ga.PAULI])
 
 
 def _d9_blocks(state: MomentumState, e: float) -> sm.Block2x2:
@@ -155,748 +273,488 @@ def _d9_blocks(state: MomentumState, e: float) -> sm.Block2x2:
 # --------------------------------------------------------------------------
 # algebra suite
 
-def check_block_mul(grid: GridSpec) -> float:
-    rng = _rng()
-    worst = 0.0
-    for _ in range(1000):
-        x, y = _random_cmat(rng), _random_cmat(rng)
-        got = sm.assemble(sm.block_mul(sm.disassemble(x), sm.disassemble(y)))
-        worst = max(worst, max_abs(got - _naive_mul(x, y)))
-    return worst
+def _blockmul_oracle(x, y):
+    """Block product against an explicit index sum, independent of BLAS ``@``."""
+    got = sm.assemble(sm.block_mul(sm.disassemble(x), sm.disassemble(y)))
+    yield max_abs(got - np.einsum("ik,kj->ij", x, y))
 
 
-def check_dagger(grid: GridSpec) -> float:
-    rng = _rng()
-    worst = 0.0
-    for _ in range(200):
-        x, y = _random_cmat(rng), _random_cmat(rng)
-        worst = max(worst, max_abs(sm.dagger(sm.dagger(x)) - x))
-        worst = max(worst, max_abs(sm.dagger(x @ y) - sm.dagger(y) @ sm.dagger(x)))
-    return worst
+def _dagger_antihom(x, y):
+    yield max_abs(sm.dagger(sm.dagger(x)) - x)
+    yield max_abs(sm.dagger(x @ y) - sm.dagger(y) @ sm.dagger(x))
 
 
-def check_det_mult(grid: GridSpec) -> float:
-    rng = _rng()
-    worst = 0.0
-    for _ in range(200):
-        x, y = _random_cmat(rng), _random_cmat(rng)
-        lhs = sm.det4(x @ y)
-        rhs = sm.det4(x) * sm.det4(y)
-        worst = max(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
-    return worst
+def _det_mult(x, y):
+    yield _rel(sm.det4(x @ y), sm.det4(x) * sm.det4(y))
 
 
-def check_schur_random(grid: GridSpec) -> float:
-    rng = _rng()
-    worst = 0.0
-    for _ in range(300):
-        a = _random_cmat(rng, 2)
-        c = rng.standard_normal() * a + rng.standard_normal() * np.eye(2)
-        blocks = sm.Block2x2(a, _random_cmat(rng, 2), c, _random_cmat(rng, 2))
-        lhs = sm.schur_det(blocks)
-        rhs = sm.det4(sm.assemble(blocks))
-        worst = max(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
-    return worst
+def _schur_draw(rng, grid):
+    a = _random_cmat(rng, 2)
+    c = rng.standard_normal() * a + rng.standard_normal() * np.eye(2)
+    return (sm.Block2x2(a, _random_cmat(rng, 2), c, _random_cmat(rng, 2)),)
 
 
-def check_ma9(grid: GridSpec) -> float:
+def _schur_oracle(blocks):
+    yield _rel(sm.schur_det(blocks), sm.det4(sm.assemble(blocks)))
+
+
+def _eig_det(state):
     """Block-determinant of the eigenproblem matrix vs its closed form.
 
     Off-shell energies are compared relative to the closed form; the
     on-shell zero is compared at the determinant's own rounding scale
     (entry magnitude to the fourth power: degree-4 cancellation floor).
     """
-    worst = 0.0
-    for state in grid.sample_states():
-        for e in (state.R, -state.R, state.R + 0.7, 0.25 * state.R):
-            closed = (e**2 - (state.c * state.p_abs) ** 2 - state.rest_energy**2) ** 2
-            blocks = _d9_blocks(state, e)
-            got = sm.schur_det(blocks)
-            dense = sm.det4(sm.assemble(blocks))
-            if closed == 0.0:
-                det_scale = max(1.0, max_abs(sm.assemble(blocks)) ** 4)
-                worst = max(worst, abs(got), abs(dense) / det_scale)
-            else:
-                scale = max(1.0, abs(closed))
-                worst = max(worst, abs(got - closed) / scale, abs(dense - closed) / scale)
-    return worst
+    for e in (state.R, -state.R, state.R + 0.7, 0.25 * state.R):
+        closed = (e**2 - (state.c * state.p_abs) ** 2 - state.rest_energy**2) ** 2
+        blocks = _d9_blocks(state, e)
+        got = sm.schur_det(blocks)
+        dense = sm.det4(sm.assemble(blocks))
+        if closed == 0.0:
+            yield abs(got)
+            yield abs(dense) / max(1.0, max_abs(sm.assemble(blocks)) ** 4)
+        else:
+            yield _rel(got, closed)
+            yield _rel(dense, closed)
 
 
-def check_rank_criterion(grid: GridSpec) -> float:
-    worst = 0.0
-    for state in grid.sample_states():
-        e = state.R
-        sg = state.c * ga.sigma_dot(state.p)
-        eye = np.eye(2)
-        on_shell = sm.Block2x2(
-            (state.rest_energy + e) * eye, sg, sg, -(state.rest_energy - e) * eye
-        )
-        off_shell = sm.Block2x2(
-            (state.rest_energy + e + 1.0) * eye, sg, sg, -(state.rest_energy - e - 1.0) * eye
-        )
-        if not sm.block_rank_is_n(on_shell):
-            worst = max(worst, 1.0)
-        if sm.block_rank_is_n(off_shell):
-            worst = max(worst, 1.0)
-    return worst
+def _block_rank(state):
+    """The rank criterion holds at trial energy -R and fails one unit below."""
+    yield 0.0 if sm.block_rank_is_n(_d9_blocks(state, -state.R)) else 1.0
+    yield 1.0 if sm.block_rank_is_n(_d9_blocks(state, -state.R - 1.0)) else 0.0
 
 
-def check_clifford(grid: GridSpec) -> float:
-    worst = 0.0
+def _clifford():
     for mu in range(4):
         for nu in range(4):
             target = 2.0 * ga.METRIC[mu, nu] * np.eye(4)
-            worst = max(worst, max_abs(ga.anticommutator(ga.GAMMA[mu], ga.GAMMA[nu]) - target))
+            yield max_abs(ga.anticommutator(ga.GAMMA[mu], ga.GAMMA[nu]) - target)
     for mu in range(4):
-        worst = max(worst, max_abs(ga.anticommutator(ga.GAMMA[mu], ga.GAMMA5)))
-    return worst
+        yield max_abs(ga.anticommutator(ga.GAMMA[mu], ga.GAMMA5))
 
 
-def check_alpha_beta(grid: GridSpec) -> float:
-    worst = 0.0
+def _alpha_anticomm():
     for r in range(3):
         for s in range(3):
             target = 2.0 * (1.0 if r == s else 0.0) * np.eye(4)
-            worst = max(worst, max_abs(ga.anticommutator(ga.ALPHA[r], ga.ALPHA[s]) - target))
-        worst = max(worst, max_abs(ga.anticommutator(ga.ALPHA[r], ga.BETA)))
-    worst = max(worst, max_abs(ga.BETA @ ga.BETA - np.eye(4)))
-    return worst
+            yield max_abs(ga.anticommutator(ga.ALPHA[r], ga.ALPHA[s]) - target)
+        yield max_abs(ga.anticommutator(ga.ALPHA[r], ga.BETA))
+    yield max_abs(ga.BETA @ ga.BETA - np.eye(4))
 
 
-def check_spin_commutators(grid: GridSpec) -> float:
-    worst = 0.0
+def _alpha_spin_comm():
     for r in range(3):
         for q in range(3):
             target = sum(
                 2j * ga.levi_civita(r + 1, q + 1, s + 1) * ga.ALPHA[s] for s in range(3)
             )
-            worst = max(worst, max_abs(ga.commutator(ga.ALPHA[r], ga.SPIN[q]) - target))
+            yield max_abs(ga.commutator(ga.ALPHA[r], ga.SPIN[q]) - target)
     for q in range(3):
-        worst = max(worst, max_abs(ga.commutator(ga.BETA, ga.SPIN[q])))
-    return worst
+        yield max_abs(ga.commutator(ga.BETA, ga.SPIN[q]))
 
 
-def check_spin_is_alpha_gamma5(grid: GridSpec) -> float:
-    return max(
-        max_abs(ga.SPIN[q] - ga.ALPHA[q] @ ga.GAMMA5) for q in range(3)
+def _spin_gamma5():
+    return (max_abs(ga.SPIN[q] - ga.ALPHA[q] @ ga.GAMMA5) for q in range(3))
+
+
+def _h_spin_comm(state):
+    h = ga.hamiltonian(state)
+    for q, axis in enumerate(np.eye(3)):
+        target = 2j * state.c * ga.alpha_dot(np.cross(state.p, axis))
+        yield max_abs(ga.commutator(h, ga.SPIN[q]) - target)
+
+
+def _h_helicity_comm(state):
+    h = ga.hamiltonian(state)
+    yield max_abs(ga.commutator(h, ga.spin_dot(state.p)))
+    yield max_abs(ga.commutator(h, ga.helicity_operator(state)))
+
+
+def _h_squared(state):
+    h = ga.hamiltonian(state)
+    yield max_abs(h @ h - state.R**2 * np.eye(4))
+
+
+def _sigma_n_matrix(ang):
+    st, ct = math.sin(ang.theta), math.cos(ang.theta)
+    target = np.array(
+        [[ct, st * np.exp(-1j * ang.phi)], [st * np.exp(1j * ang.phi), -ct]]
+    )
+    yield max_abs(ga.sigma_dot(ki.direction(ang)) - target)
+
+
+def _vector_pair(rng, grid):
+    return rng.standard_normal(3), rng.standard_normal(3)
+
+
+def _pauli_products(p, n):
+    sp_, sn = ga.sigma_dot(p), ga.sigma_dot(n)
+    target = 1j * ga.sigma_dot(np.cross(p, n)) + np.dot(p, n) * np.eye(2)
+    yield max_abs(sp_ @ sn - target)
+    for k in range(3):
+        sandwich = sp_ @ ga.PAULI[k] @ sp_
+        yield max_abs(sandwich - (2.0 * p[k] * sp_ - np.dot(p, p) * ga.PAULI[k]))
+
+
+def _slash_square(state):
+    for branch in _BRANCHES:
+        p4 = state.momentum_four_vector(branch)
+        slash = ga.gamma_slash(p4)
+        yield max_abs(slash @ slash - ki.minkowski_dot(p4, p4) * np.eye(4))
+        yield _rel(ki.minkowski_dot(p4, p4), (state.m * state.c) ** 2)
+
+
+def _on_shell(state):
+    for branch in _BRANCHES:
+        e = state.energy(branch)
+        yield abs((e / state.c) ** 2 - state.p_abs**2 - (state.m * state.c) ** 2)
+
+
+def _eta_rapidity(state):
+    th = ki.rapidity(state)
+    yield abs(ki.to_eta(state) - math.tanh(0.5 * th))
+    yield abs(state.R - state.rest_energy * math.cosh(th))
+    yield abs(
+        math.cosh(0.5 * th)
+        - math.sqrt((state.R + state.rest_energy) / (2.0 * state.rest_energy))
     )
 
 
-def check_h_spin_commutator(grid: GridSpec) -> float:
-    worst = 0.0
-    basis = np.eye(3)
-    for state in grid.sample_states():
-        h = ga.hamiltonian(state)
-        for q in range(3):
-            target = 2j * state.c * ga.alpha_dot(np.cross(state.p, basis[q]))
-            worst = max(worst, max_abs(ga.commutator(h, ga.SPIN[q]) - target))
-    return worst
+def _eta_round_trip(eta, ang, state):
+    yield abs(ki.to_eta(state) - eta)
+    yield _rel(state.rest_energy * (1.0 + eta**2) / (1.0 - eta**2), state.R)
 
 
-def check_h_helicity(grid: GridSpec) -> float:
-    worst = 0.0
-    for state in grid.sample_states():
-        h = ga.hamiltonian(state)
-        worst = max(worst, max_abs(ga.commutator(h, ga.spin_dot(state.p))))
-        worst = max(worst, max_abs(ga.commutator(h, ga.helicity_operator(state))))
-    return worst
-
-
-def check_h_squared(grid: GridSpec) -> float:
-    worst = 0.0
-    for state in grid.sample_states():
-        h = ga.hamiltonian(state)
-        worst = max(worst, max_abs(h @ h - state.R**2 * np.eye(4)))
-    return worst
-
-
-def check_sigma_dot_explicit(grid: GridSpec) -> float:
-    worst = 0.0
-    for ang in grid.angle_list():
-        st, ct = math.sin(ang.theta), math.cos(ang.theta)
-        target = np.array(
-            [[ct, st * np.exp(-1j * ang.phi)], [st * np.exp(1j * ang.phi), -ct]]
-        )
-        worst = max(worst, max_abs(ga.sigma_dot(ki.direction(ang)) - target))
-    return worst
-
-
-def check_pauli_products(grid: GridSpec) -> float:
-    rng = _rng()
-    worst = 0.0
-    for _ in range(200):
-        p = rng.standard_normal(3)
-        n = rng.standard_normal(3)
-        sp_, sn = ga.sigma_dot(p), ga.sigma_dot(n)
-        target = 1j * ga.sigma_dot(np.cross(p, n)) + np.dot(p, n) * np.eye(2)
-        worst = max(worst, max_abs(sp_ @ sn - target))
-        for k in range(3):
-            sandwich = sp_ @ ga.PAULI[k] @ sp_
-            target2 = 2.0 * p[k] * sp_ - np.dot(p, p) * ga.PAULI[k]
-            worst = max(worst, max_abs(sandwich - target2))
-    return worst
-
-
-def check_slash_square(grid: GridSpec) -> float:
-    worst = 0.0
-    for state in grid.sample_states():
-        for branch in (_POS, _NEG):
-            p4 = state.momentum_four_vector(branch)
-            slash = ga.gamma_slash(p4)
-            target = ki.minkowski_dot(p4, p4) * np.eye(4)
-            worst = max(worst, max_abs(slash @ slash - target))
-            worst = max(
-                worst,
-                abs(ki.minkowski_dot(p4, p4) - (state.m * state.c) ** 2)
-                / max(1.0, (state.m * state.c) ** 2),
-            )
-    return worst
-
-
-def check_on_shell(grid: GridSpec) -> float:
-    worst = 0.0
-    for state in grid.sample_states():
-        for branch in (_POS, _NEG):
-            e = state.energy(branch)
-            worst = max(
-                worst,
-                abs((e / state.c) ** 2 - state.p_abs**2 - (state.m * state.c) ** 2),
-            )
-    return worst
-
-
-def check_eta_rapidity(grid: GridSpec) -> float:
-    worst = 0.0
-    for state in grid.sample_states():
-        th = ki.rapidity(state)
-        eta = ki.to_eta(state)
-        worst = max(worst, abs(eta - math.tanh(0.5 * th)))
-        worst = max(worst, abs(state.R - state.rest_energy * math.cosh(th)))
-        worst = max(
-            worst,
-            abs(
-                math.cosh(0.5 * th)
-                - math.sqrt((state.R + state.rest_energy) / (2.0 * state.rest_energy))
-            ),
-        )
-    return worst
-
-
-def check_eta_round_trip(grid: GridSpec) -> float:
-    worst = 0.0
-    for eta, ang in grid.sample_points():
-        state = ki.from_eta(grid.mass, grid.c, eta, ang)
-        worst = max(worst, abs(ki.to_eta(state) - eta))
-        e_closed = grid.mass * grid.c**2 * (1.0 + eta**2) / (1.0 - eta**2)
-        worst = max(worst, abs(e_closed - state.R) / max(1.0, state.R))
-    return worst
-
-
-def check_wave_numbers(grid: GridSpec) -> float:
+def _wave_numbers(eta, ang, state):
     """k eta = w/c - mc/hbar and k/eta = w/c + mc/hbar for eta > 0."""
-    worst = 0.0
-    for eta, ang in grid.sample_points():
-        if eta == 0.0:
-            continue
-        state = ki.from_eta(grid.mass, grid.c, eta, ang)
-        k = state.p_abs / state.hbar
-        w = state.R / state.hbar
-        mclh = grid.mass * grid.c / state.hbar
-        worst = max(worst, abs(k * eta - (w / grid.c - mclh)))
-        worst = max(worst, abs(k / eta - (w / grid.c + mclh)))
-    return worst
+    if eta == 0.0:
+        return
+    k = state.p_abs / state.hbar
+    w = state.R / state.hbar
+    mclh = state.m * state.c / state.hbar
+    yield abs(k * eta - (w / state.c - mclh))
+    yield abs(k / eta - (w / state.c + mclh))
 
 
-def check_direction_deviation(grid: GridSpec) -> float:
+def _n3_convention(ang):
     """Documented deviation: implemented n3 = cos(theta), printed n3 = cos(phi)."""
-    return max(
-        abs(math.cos(ang.theta) - math.cos(ang.phi)) for ang in grid.angle_list()
-    )
+    yield abs(math.cos(ang.theta) - math.cos(ang.phi))
 
 
 # --------------------------------------------------------------------------
 # spinor suite
 
-def check_helicity_eigenspinors(grid: GridSpec) -> float:
-    worst = 0.0
-    for ang in grid.angle_list():
-        n = ki.direction(ang)
-        sn = ga.sigma_dot(n)
-        for lam in _LAMBDAS:
-            phi = sp.helicity_spinor(lam, ang)
-            worst = max(worst, max_abs(sn @ phi - lam.sign * phi))
-            worst = max(worst, abs(float(np.vdot(phi, phi).real) - 1.0))
-    return worst
+def _helicity_eigen_2(ang):
+    sn = ga.sigma_dot(ki.direction(ang))
+    for lam in _LAMBDAS:
+        phi = sp.helicity_spinor(lam, ang)
+        yield max_abs(sn @ phi - lam.sign * phi)
+        yield abs(float(np.vdot(phi, phi).real) - 1.0)
 
 
-def check_spin_direction(grid: GridSpec) -> float:
-    worst = 0.0
-    for ang in grid.angle_list():
-        n = ki.direction(ang)
-        for lam in _LAMBDAS:
-            phi = sp.helicity_spinor(lam, ang)
-            vec = np.array([float(np.vdot(phi, s @ phi).real) for s in ga.PAULI])
-            worst = max(worst, max_abs(vec - lam.sign * n))
-    return worst
+def _spin_direction(ang):
+    n = ki.direction(ang)
+    for lam in _LAMBDAS:
+        yield max_abs(2.0 * _rest_spin(sp.helicity_spinor(lam, ang)) - lam.sign * n)
 
 
-def check_phi_unitary(grid: GridSpec) -> float:
-    worst = 0.0
-    for ang in grid.angle_list():
-        for m in (sp.phi_matrix(ang), sp.phi_tilde_matrix(ang)):
-            worst = max(worst, max_abs(m @ sm.dagger(m) - np.eye(2)))
-            worst = max(worst, max_abs(sm.dagger(m) @ m - np.eye(2)))
-    return worst
+def _phi_unitary(ang):
+    for m in (sp.phi_matrix(ang), sp.phi_tilde_matrix(ang)):
+        yield max_abs(m @ sm.dagger(m) - np.eye(2))
+        yield max_abs(sm.dagger(m) @ m - np.eye(2))
 
 
-def check_factorization(grid: GridSpec) -> float:
-    worst = 0.0
-    for ang in grid.angle_list():
-        sn = ga.sigma_dot(ki.direction(ang))
-        pm, pt = sp.phi_matrix(ang), sp.phi_tilde_matrix(ang)
-        worst = max(worst, max_abs(pt @ sm.dagger(pm) - sn))
-        worst = max(worst, max_abs(pm @ sm.dagger(pt) - sn))
-    return worst
+def _sigma_factorization(ang):
+    sn = ga.sigma_dot(ki.direction(ang))
+    pm, pt = sp.phi_matrix(ang), sp.phi_tilde_matrix(ang)
+    yield max_abs(pt @ sm.dagger(pm) - sn)
+    yield max_abs(pm @ sm.dagger(pt) - sn)
 
 
-def check_swap(grid: GridSpec) -> float:
-    worst = 0.0
-    for ang in grid.angle_list():
-        sn = ga.sigma_dot(ki.direction(ang))
-        pm, pt = sp.phi_matrix(ang), sp.phi_tilde_matrix(ang)
-        worst = max(worst, max_abs(sn @ pm - pt))
-        worst = max(worst, max_abs(sn @ pt - pm))
-    return worst
+def _phi_swap(ang):
+    sn = ga.sigma_dot(ki.direction(ang))
+    pm, pt = sp.phi_matrix(ang), sp.phi_tilde_matrix(ang)
+    yield max_abs(sn @ pm - pt)
+    yield max_abs(sn @ pt - pm)
 
 
-def check_completeness(grid: GridSpec) -> float:
-    worst = 0.0
-    for ang in grid.angle_list():
-        total = sum(
-            np.outer(sp.helicity_spinor(lam, ang), np.conjugate(sp.helicity_spinor(lam, ang)))
-            for lam in _LAMBDAS
-        )
-        worst = max(worst, max_abs(total - np.eye(2)))
-    return worst
+def _completeness_2(ang):
+    total = sum(
+        np.outer(sp.helicity_spinor(lam, ang), np.conjugate(sp.helicity_spinor(lam, ang)))
+        for lam in _LAMBDAS
+    )
+    yield max_abs(total - np.eye(2))
 
 
-def check_spin_basis(grid: GridSpec) -> float:
-    worst = 0.0
-    for state in grid.sample_states():
-        u = sp.spin_basis_matrix(state)
-        worst = max(worst, max_abs(u - sm.dagger(u)))
-        worst = max(worst, max_abs(u @ u - np.eye(4)))
-        worst = max(worst, abs(abs(sm.det4(u)) - 1.0))
-    return worst
+def _spin_basis(state):
+    u = sp.spin_basis_matrix(state)
+    yield max_abs(u - sm.dagger(u))
+    yield max_abs(u @ u - np.eye(4))
+    yield abs(abs(sm.det4(u)) - 1.0)
 
 
-def check_spin_basis_eigen(grid: GridSpec) -> float:
-    worst = 0.0
-    for state in grid.states():
-        h = ga.hamiltonian(state)
-        u = sp.spin_basis_matrix(state)
-        energies = (state.R, state.R, -state.R, -state.R)
-        for k, e in enumerate(energies):
-            worst = max(worst, max_abs(h @ u[:, k] - e * u[:, k]))
-    return worst
+def _spin_basis_eigen(state):
+    h = ga.hamiltonian(state)
+    u = sp.spin_basis_matrix(state)
+    for k, e in enumerate((state.R, state.R, -state.R, -state.R)):
+        yield max_abs(h @ u[:, k] - e * u[:, k])
 
 
-def check_block_norm(grid: GridSpec) -> float:
+def _block_squared_norm(state):
     """The unscaled helicity block matrix squares to its scalar norm."""
-    worst = 0.0
-    for state in grid.sample_states():
-        ang = ki.angles_of(state.p)
-        pm = sp.phi_matrix(ang)
-        sg = state.c * ga.sigma_dot(state.p)
-        e = state.R
-        m = np.block(
-            [
-                [(state.rest_energy + e) * pm, sg @ pm],
-                [sg @ pm, -(state.rest_energy + e) * pm],
-            ]
-        )
-        target = ((state.rest_energy + e) ** 2 + (state.c * state.p_abs) ** 2) * np.eye(4)
-        worst = max(worst, max_abs(sm.dagger(m) @ m - target))
-    return worst
-
-
-def check_helicity_basis_unitary(grid: GridSpec) -> float:
-    worst = 0.0
-    for state in grid.sample_states():
-        basis = sp.helicity_basis(state)
-        worst = max(worst, max_abs(sm.dagger(basis.V) @ basis.V - np.eye(4)))
-        worst = max(worst, abs(abs(sm.det4(basis.V)) - 1.0))
-    return worst
-
-
-def check_helicity_eigen(grid: GridSpec) -> float:
-    worst = 0.0
-    signs = (0.5, -0.5, 0.5, -0.5)
-    for state in grid.states():
-        lam_op = ga.helicity_operator(state)
-        v = sp.helicity_basis(state).V
-        for k, lam in enumerate(signs):
-            worst = max(worst, max_abs(lam_op @ v[:, k] - lam * v[:, k]))
-    return worst
-
-
-def check_hv_rv(grid: GridSpec) -> float:
-    worst = 0.0
-    for state in grid.sample_states():
-        h = ga.hamiltonian(state)
-        basis = sp.helicity_basis(state)
-        worst = max(worst, max_abs(h @ basis.V - state.R * basis.V_tilde))
-        worst = max(worst, max_abs(h @ basis.V_tilde - state.R * basis.V))
-    return worst
-
-
-def check_h_decomposition(grid: GridSpec) -> float:
-    worst = 0.0
-    for state in grid.sample_states():
-        h = ga.hamiltonian(state)
-        basis = sp.helicity_basis(state)
-        worst = max(
-            worst, max_abs(h - state.R * basis.V_tilde @ np.linalg.inv(basis.V))
-        )
-        worst = max(
-            worst, max_abs(h - state.R * basis.V @ np.linalg.inv(basis.V_tilde))
-        )
-    return worst
-
-
-def check_inverse_formula_deviation(grid: GridSpec) -> float:
-    """Documented deviation: the printed gamma^0-sandwich inverse of V."""
-    worst = 0.0
-    for state in grid.sample_states():
-        v = sp.helicity_basis(state).V
-        sandwich = ga.GAMMA0 @ sm.dagger(v) @ ga.GAMMA0
-        worst = max(worst, max_abs(np.linalg.inv(v) - sandwich))
-    return worst
-
-
-def check_boost_equivalence(grid: GridSpec) -> float:
-    rng = _rng()
-    worst = 0.0
-    for _ in range(100):
-        eta = float(rng.uniform(0.0, 0.95))
-        ang = PolarAngles(float(rng.uniform(0, math.pi)), float(rng.uniform(0, 2 * math.pi)))
-        state = ki.from_eta(grid.mass, grid.c, eta, ang)
-        phi = _random_unit_spinor(rng)
-        boosted = sp.boost_bispinor(phi, state)
-        direct = sp.bispinor_block(phi, state, _POS, Normalization.INVARIANT_UNIT)
-        worst = max(worst, max_abs(boosted - direct))
-    return worst
-
-
-def check_adjoint_orthogonality(grid: GridSpec) -> float:
-    worst = 0.0
-    for state in grid.sample_states():
-        ang = ki.angles_of(state.p)
-        for lam in _LAMBDAS:
-            for lam2 in _LAMBDAS:
-                if lam is lam2:
-                    continue
-                u = sp.bispinor_block(
-                    sp.helicity_spinor(lam, ang), state, _POS, Normalization.INVARIANT_2MC
-                )
-                v = sp.bispinor_block(
-                    sp.helicity_spinor(_flip(lam2), ang), state, _NEG, Normalization.INVARIANT_2MC
-                )
-                worst = max(worst, abs(complex(ob.dirac_adjoint(u) @ v)))
-    return worst
-
-
-def _flip(lam: Helicity) -> Helicity:
-    return Helicity.MINUS if lam is Helicity.PLUS else Helicity.PLUS
-
-
-def check_density_norm_ratio(grid: GridSpec) -> float:
-    """u+u / phi+phi = 2E/(E + mc^2) for the raw block construction."""
-    rng = _rng()
-    worst = 0.0
-    for state in grid.sample_states():
-        phi = _random_unit_spinor(rng)
-        raw = sp.bispinor_block(phi, state, _POS, Normalization.INVARIANT_UNIT)
-        ratio = float(np.vdot(raw, raw).real) / abs(ob.adjoint_norm(raw))
-        target = state.R / state.rest_energy
-        worst = max(worst, abs(ratio - target) / max(1.0, target))
-    return worst
-
-
-def check_eta_determinant(grid: GridSpec) -> float:
-    worst = 0.0
-    for eta, ang in grid.sample_points():
-        cols = [
-            sp.eta_bispinor(lam, branch, eta, ang, volume=1.0) * math.sqrt(1.0 + eta**2)
-            for branch in (_POS, _NEG)
-            for lam in _LAMBDAS
+    pm = sp.phi_matrix(ki.angles_of(state.p))
+    sg = state.c * ga.sigma_dot(state.p)
+    e = state.R
+    m = np.block(
+        [
+            [(state.rest_energy + e) * pm, sg @ pm],
+            [sg @ pm, -(state.rest_energy + e) * pm],
         ]
-        det = sm.det4(np.column_stack(cols))
-        worst = max(worst, abs(det - (1.0 - eta**2) ** 2))
-    return worst
+    )
+    target = ((state.rest_energy + e) ** 2 + (state.c * state.p_abs) ** 2) * np.eye(4)
+    yield max_abs(sm.dagger(m) @ m - target)
 
 
-def check_norm_conversion(grid: GridSpec) -> float:
+def _helicity_basis_unitary(state):
+    basis = sp.helicity_basis(state)
+    yield max_abs(sm.dagger(basis.V) @ basis.V - np.eye(4))
+    yield abs(abs(sm.det4(basis.V)) - 1.0)
+
+
+def _helicity_eigen_4(state):
+    lam_op = ga.helicity_operator(state)
+    v = sp.helicity_basis(state).V
+    for k, lam in enumerate((0.5, -0.5, 0.5, -0.5)):
+        yield max_abs(lam_op @ v[:, k] - lam * v[:, k])
+
+
+def _hv_exchange(state):
+    h = ga.hamiltonian(state)
+    basis = sp.helicity_basis(state)
+    yield max_abs(h @ basis.V - state.R * basis.V_tilde)
+    yield max_abs(h @ basis.V_tilde - state.R * basis.V)
+
+
+def _h_factorization(state):
+    h = ga.hamiltonian(state)
+    basis = sp.helicity_basis(state)
+    yield max_abs(h - state.R * basis.V_tilde @ np.linalg.inv(basis.V))
+    yield max_abs(h - state.R * basis.V @ np.linalg.inv(basis.V_tilde))
+
+
+def _v_inverse_sandwich(state):
+    """Documented deviation: the printed gamma^0-sandwich inverse of V."""
+    v = sp.helicity_basis(state).V
+    yield max_abs(np.linalg.inv(v) - ga.GAMMA0 @ sm.dagger(v) @ ga.GAMMA0)
+
+
+def _boost_draw(rng, grid):
+    eta = float(rng.uniform(0.0, 0.95))
+    ang = PolarAngles(float(rng.uniform(0, math.pi)), float(rng.uniform(0, 2 * math.pi)))
+    return ki.from_eta(grid.mass, grid.c, eta, ang), _random_unit_spinor(rng)
+
+
+def _boost_direct(state, phi):
+    boosted = sp.boost_bispinor(phi, state)
+    direct = sp.bispinor_block(phi, state, _POS, Normalization.INVARIANT_UNIT)
+    yield max_abs(boosted - direct)
+
+
+def _adjoint_orthogonality(state):
+    """u-bar(lam) v(-lam) = 0; v(-lam) carries the two-spinor of lam."""
+    ang = ki.angles_of(state.p)
+    for lam in _LAMBDAS:
+        phi = sp.helicity_spinor(lam, ang)
+        u = sp.bispinor_block(phi, state, _POS, Normalization.INVARIANT_2MC)
+        v = sp.bispinor_block(phi, state, _NEG, Normalization.INVARIANT_2MC)
+        yield abs(complex(ob.dirac_adjoint(u) @ v))
+
+
+def _norm_ratio(state, phi):
+    """u+u / phi+phi = 2E/(E + mc^2) for the raw block construction."""
+    raw = sp.bispinor_block(phi, state, _POS, Normalization.INVARIANT_UNIT)
+    ratio = float(np.vdot(raw, raw).real) / abs(ob.adjoint_norm(raw))
+    yield _rel(ratio, state.R / state.rest_energy)
+
+
+def _eta_determinant(eta, ang, state):
+    cols = [
+        sp.eta_bispinor(lam, branch, eta, ang, volume=1.0) * math.sqrt(1.0 + eta**2)
+        for branch in _BRANCHES
+        for lam in _LAMBDAS
+    ]
+    yield abs(sm.det4(np.column_stack(cols)) - (1.0 - eta**2) ** 2)
+
+
+def _norm_conversion(eta, ang, state):
     """Box -> 2mc-invariant normalization replacement factor."""
-    worst = 0.0
     volume = 2.5
-    for eta, ang in grid.sample_points():
-        factor = math.sqrt(volume * (1.0 + eta**2)) * math.sqrt(
-            2.0 * grid.mass * grid.c / (1.0 - eta**2)
-        )
-        for branch in (_POS, _NEG):
-            for lam in _LAMBDAS:
-                converted = factor * sp.eta_bispinor(lam, branch, eta, ang, volume)
-                norm = ob.adjoint_norm(converted)
-                target = branch.sign * 2.0 * grid.mass * grid.c
-                worst = max(worst, abs(norm - target))
-    return worst
+    factor = math.sqrt(volume * (1.0 + eta**2)) * math.sqrt(
+        2.0 * state.m * state.c / (1.0 - eta**2)
+    )
+    for branch in _BRANCHES:
+        for lam in _LAMBDAS:
+            norm = ob.adjoint_norm(factor * sp.eta_bispinor(lam, branch, eta, ang, volume))
+            yield abs(norm - branch.sign * 2.0 * state.m * state.c)
 
 
-def check_charge_conjugation(grid: GridSpec, lam: Helicity) -> float:
-    worst = 0.0
-    for eta, ang in grid.sample_points():
-        plus = sp.eta_bispinor(lam, _POS, eta, ang)
-        minus = sp.eta_bispinor(lam, _NEG, eta, ang)
-        worst = max(worst, max_abs(sp.charge_conjugate(plus) - minus))
-    return worst
+def _conjugation(eta, ang, state, lam):
+    plus = sp.eta_bispinor(lam, _POS, eta, ang)
+    minus = sp.eta_bispinor(lam, _NEG, eta, ang)
+    yield max_abs(sp.charge_conjugate(plus) - minus)
 
 
-def check_conjugation_square(grid: GridSpec) -> float:
+def _complex4(rng, grid):
+    return (rng.standard_normal(4) + 1j * rng.standard_normal(4),)
+
+
+def _conjugation_square(u):
     """Double charge conjugation is the identity (+u, recorded empirically)."""
-    rng = _rng()
-    worst = 0.0
-    for _ in range(50):
-        u = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        worst = max(worst, max_abs(sp.charge_conjugate(sp.charge_conjugate(u)) - u))
-    return worst
+    yield max_abs(sp.charge_conjugate(sp.charge_conjugate(u)) - u)
 
 
-def check_nonrel_limit(grid: GridSpec) -> float:
+def _nonrel_limit():
     """The spin basis approaches diag(1, 1, -1, -1) at the 3/c rate."""
     rest = np.diag([1.0, 1.0, -1.0, -1.0])
     previous = math.inf
-    worst = 0.0
     for c in (10.0, 100.0, 1000.0):
         state = MomentumState(1.0, np.array([0.0, 0.0, 1.0]), ki.PhysicalConstants(c=c))
         deficit = max_abs(sp.spin_basis_matrix(state) - rest)
-        worst = max(worst, max(0.0, deficit - 3.0 / c))
+        yield max(0.0, deficit - 3.0 / c)
         if deficit >= previous:
-            worst = max(worst, 1.0)
+            yield 1.0
         previous = deficit
-    return worst
 
 
 # --------------------------------------------------------------------------
 # covariant suite
 
-def check_polarization_invariants(grid: GridSpec) -> float:
-    worst = 0.0
-    angles = grid.angle_list()
-    for i, (eta, ang) in enumerate(grid.sample_points()):
-        state = ki.from_eta(grid.mass, grid.c, eta, ang)
-        for n_ang in (ang, angles[(7 * i) % len(angles)]):
-            a = ob.polarization_four_vector(state, ki.direction(n_ang))
-            p4 = state.momentum_four_vector(_POS)
-            worst = max(worst, abs(ki.minkowski_dot(p4, a)) / max(1.0, state.R))
-            worst = max(worst, abs(ki.minkowski_dot(a, a) + 1.0))
-    return worst
+def _polarization_invariants(eta, ang, state, partner):
+    for n_ang in (ang, partner):
+        a = ob.polarization_four_vector(state, ki.direction(n_ang))
+        p4 = state.momentum_four_vector(_POS)
+        yield abs(ki.minkowski_dot(p4, a)) / max(1.0, state.R)
+        yield abs(ki.minkowski_dot(a, a) + 1.0)
 
 
-def check_polarization_dual_route(grid: GridSpec) -> float:
-    """Closed form vs bilinear, full eta x p-direction x n-direction grid."""
-    worst = 0.0
-    thetas = [math.pi * (j + 0.5) / grid.theta_count for j in range(grid.theta_count)]
-    p_angles = [PolarAngles(t, 1.0) for t in thetas]
-    n_angles = [PolarAngles(t, 2.5) for t in thetas]
-    for eta in grid.eta_values:
-        for p_ang in p_angles:
-            state = ki.from_eta(grid.mass, grid.c, eta, p_ang)
-            for n_ang in n_angles:
-                closed = ob.polarization_four_vector(state, ki.direction(n_ang)).as_array()
-                bil = ob.polarization_from_bilinear(state, ki.direction(n_ang)).as_array()
-                worst = max(worst, max_abs(closed - bil))
-    return worst
+def _polarization_dual(state, n_ang):
+    """Closed form vs bilinear."""
+    n = ki.direction(n_ang)
+    closed = ob.polarization_four_vector(state, n).as_array()
+    bil = ob.polarization_from_bilinear(state, n).as_array()
+    yield max_abs(closed - bil)
 
 
-def check_rest_polarization(grid: GridSpec) -> float:
-    worst = 0.0
-    state = MomentumState(grid.mass, np.zeros(3), ki.PhysicalConstants(c=grid.c))
-    for ang in grid.angle_list():
-        n = ki.direction(ang)
-        a = ob.polarization_four_vector(state, n)
-        worst = max(worst, abs(a.t), max_abs(a.r - n))
-    return worst
+def _polarization_rest(rest, ang):
+    n = ki.direction(ang)
+    a = ob.polarization_four_vector(rest, n)
+    yield abs(a.t)
+    yield max_abs(a.r - n)
 
 
-def check_polarization_equation(grid: GridSpec) -> float:
-    worst = 0.0
-    angles = grid.angle_list()
-    for i, (eta, ang) in enumerate(grid.sample_points()):
-        state = ki.from_eta(grid.mass, grid.c, eta, ang)
-        n_ang = angles[(11 * i) % len(angles)]
-        n = ki.direction(n_ang)
-        u = sp.bispinor_block(
-            sp.helicity_spinor(Helicity.PLUS, n_ang), state, _POS, Normalization.INVARIANT_UNIT
-        )
-        a = ob.polarization_four_vector(state, n)
-        worst = max(worst, ob.check_polarization_equation(u, a))
-    return worst
+def _polarization_equation(eta, ang, state, n_ang):
+    n = ki.direction(n_ang)
+    u = sp.bispinor_block(
+        sp.helicity_spinor(Helicity.PLUS, n_ang), state, _POS, Normalization.INVARIANT_UNIT
+    )
+    yield ob.check_polarization_equation(u, ob.polarization_four_vector(state, n))
 
 
-def check_current(grid: GridSpec) -> float:
-    rng = _rng()
-    worst = 0.0
-    for state in grid.sample_states():
-        phi = 1.7 * _random_unit_spinor(rng)
-        u = sp.bispinor_block(phi, state, _POS, Normalization.UNIT) * 1.3
-        j = ob.current_density(u, state).as_array()
-        norm = ob.adjoint_norm(u)
-        p4 = state.momentum_four_vector(_POS).as_array()
-        worst = max(worst, max_abs(j / norm - p4 / (state.m * state.c)))
-    return worst
+def _current(state, phi):
+    u = sp.bispinor_block(1.7 * phi, state, _POS, Normalization.UNIT) * 1.3
+    j = ob.current_density(u, state).as_array()
+    norm = ob.adjoint_norm(u)
+    p4 = state.momentum_four_vector(_POS).as_array()
+    yield max_abs(j / norm - p4 / (state.m * state.c))
 
 
-def check_adjoint_normalizations(grid: GridSpec) -> float:
-    rng = _rng()
-    worst = 0.0
-    mc2 = 2.0 * grid.mass * grid.c
-    for state in grid.sample_states():
-        phi = _random_unit_spinor(rng)
-        u1 = sp.bispinor_block(phi, state, _POS, Normalization.INVARIANT_UNIT)
-        u2 = sp.bispinor_block(phi, state, _POS, Normalization.INVARIANT_2MC)
-        v2 = sp.bispinor_block(phi, state, _NEG, Normalization.INVARIANT_2MC)
-        worst = max(worst, abs(ob.adjoint_norm(u1) - 1.0))
-        worst = max(worst, abs(ob.adjoint_norm(u2) - mc2))
-        worst = max(worst, abs(ob.adjoint_norm(v2) + mc2))
-    return worst
+def _adjoint_norms(state, phi):
+    mc2 = 2.0 * state.m * state.c
+    u1 = sp.bispinor_block(phi, state, _POS, Normalization.INVARIANT_UNIT)
+    u2 = sp.bispinor_block(phi, state, _POS, Normalization.INVARIANT_2MC)
+    v2 = sp.bispinor_block(phi, state, _NEG, Normalization.INVARIANT_2MC)
+    yield abs(ob.adjoint_norm(u1) - 1.0)
+    yield abs(ob.adjoint_norm(u2) - mc2)
+    yield abs(ob.adjoint_norm(v2) + mc2)
 
 
-def check_spin_expectation_relation(grid: GridSpec) -> float:
-    rng = _rng()
-    worst = 0.0
-    for state in grid.sample_states():
-        phi = _random_unit_spinor(rng)
-        u = sp.bispinor_block(phi, state, _POS, Normalization.UNIT)
-        s_rel = ob.spin_expectations(u)
-        s_rest = np.array([0.5 * float(np.vdot(phi, s @ phi).real) for s in ga.PAULI])
-        worst = max(worst, max_abs(s_rel - ob.relate_spin_expectations(state, s_rest)))
-    return worst
+def _spin_relation(state, phi):
+    s_rel = ob.spin_expectations(sp.bispinor_block(phi, state, _POS, Normalization.UNIT))
+    yield max_abs(s_rel - ob.relate_spin_expectations(state, _rest_spin(phi)))
 
 
-def check_spin_expectation_axis(grid: GridSpec) -> float:
+def _spin_relation_axis(state, phi):
     """z along p: transverse components scale by mc^2/E, longitudinal fixed."""
-    rng = _rng()
-    worst = 0.0
-    for eta in grid.eta_values:
-        state = ki.from_eta(grid.mass, grid.c, eta, PolarAngles(0.0, 0.0))
-        phi = _random_unit_spinor(rng)
-        u = sp.bispinor_block(phi, state, _POS, Normalization.UNIT)
-        s_rel = ob.spin_expectations(u)
-        s_rest = np.array([0.5 * float(np.vdot(phi, s @ phi).real) for s in ga.PAULI])
-        scale = state.rest_energy / state.R
-        target = np.array([scale * s_rest[0], scale * s_rest[1], s_rest[2]])
-        worst = max(worst, max_abs(s_rel - target))
-    return worst
+    s_rel = ob.spin_expectations(sp.bispinor_block(phi, state, _POS, Normalization.UNIT))
+    s_rest = _rest_spin(phi)
+    scale = state.rest_energy / state.R
+    yield max_abs(s_rel - np.array([scale * s_rest[0], scale * s_rest[1], s_rest[2]]))
 
 
-def check_spin_expectation_bound(grid: GridSpec) -> float:
-    rng = _rng()
-    worst = 0.0
-    for state in grid.sample_states():
-        phi = _random_unit_spinor(rng)
-        u = sp.bispinor_block(phi, state, _POS, Normalization.UNIT)
-        s_rel = float(np.linalg.norm(ob.spin_expectations(u)))
-        s_rest = float(
-            np.linalg.norm([0.5 * float(np.vdot(phi, s @ phi).real) for s in ga.PAULI])
-        )
-        worst = max(worst, max(0.0, s_rel - s_rest - 1e-15))
-    return worst
+def _spin_bound(state, phi):
+    u = sp.bispinor_block(phi, state, _POS, Normalization.UNIT)
+    s_rel = float(np.linalg.norm(ob.spin_expectations(u)))
+    s_rest = float(np.linalg.norm(_rest_spin(phi)))
+    yield max(0.0, s_rel - s_rest - 1e-15)
 
 
 # --------------------------------------------------------------------------
 # density suite
 
-def check_nonrel_density(grid: GridSpec) -> float:
-    worst = 0.0
-    for ang in grid.angle_list():
-        n = ki.direction(ang)
-        for lam in _LAMBDAS:
-            phi = sp.helicity_spinor(lam, ang)
-            rho = de.nonrel_density(lam, n)
-            worst = max(worst, max_abs(np.outer(phi, np.conjugate(phi)) - rho))
-            worst = max(worst, max_abs(rho @ rho - rho))
-            worst = max(worst, abs(float(np.trace(rho).real) - 1.0))
-    return worst
+def _nonrel_density(ang):
+    n = ki.direction(ang)
+    for lam in _LAMBDAS:
+        phi = sp.helicity_spinor(lam, ang)
+        rho = de.nonrel_density(lam, n)
+        yield max_abs(np.outer(phi, np.conjugate(phi)) - rho)
+        yield max_abs(rho @ rho - rho)
+        yield abs(float(np.trace(rho).real) - 1.0)
 
 
-def check_projector_algebra(grid: GridSpec) -> float:
-    worst = 0.0
-    for state in grid.sample_states():
-        mc2 = 2.0 * state.m * state.c
-        plus = de.energy_projector(state, _POS)
-        minus = de.energy_projector(state, _NEG)
-        worst = max(worst, max_abs(plus + minus - mc2 * np.eye(4)))
-        worst = max(worst, max_abs(plus @ minus))
-        worst = max(worst, max_abs(minus @ plus))
-        worst = max(worst, max_abs(plus @ plus - mc2 * plus))
-        worst = max(worst, max_abs(minus @ minus - mc2 * minus))
-    return worst
+def _projector_algebra(state):
+    mc2 = 2.0 * state.m * state.c
+    plus = de.energy_projector(state, _POS)
+    minus = de.energy_projector(state, _NEG)
+    yield max_abs(plus + minus - mc2 * np.eye(4))
+    yield max_abs(plus @ minus)
+    yield max_abs(minus @ plus)
+    yield max_abs(plus @ plus - mc2 * plus)
+    yield max_abs(minus @ minus - mc2 * minus)
 
 
-def check_projector_sum(grid: GridSpec, branch: EnergyBranch) -> float:
-    worst = 0.0
-    for eta, ang in grid.sample_points():
-        state = ki.from_eta(grid.mass, grid.c, eta, ang)
-        total = np.zeros((4, 4), dtype=np.complex128)
-        for lam in _LAMBDAS:
-            u = sp.bispinor_block(
-                sp.helicity_spinor(lam, ang), state, branch, Normalization.INVARIANT_2MC
-            )
-            total += de.outer_with_adjoint(u)
-        target = branch.sign * de.energy_projector(state, branch)
-        worst = max(worst, max_abs(total - target))
-    return worst
+def _projector_sum(eta, ang, state, branch):
+    total = np.zeros((4, 4), dtype=np.complex128)
+    for lam in _LAMBDAS:
+        u = sp.bispinor_block(
+            sp.helicity_spinor(lam, ang), state, branch, Normalization.INVARIANT_2MC
+        )
+        total += de.outer_with_adjoint(u)
+    yield max_abs(total - branch.sign * de.energy_projector(state, branch))
 
 
-def check_density_trace(grid: GridSpec) -> float:
-    worst = 0.0
-    for eta, ang in grid.sample_points():
-        state = ki.from_eta(grid.mass, grid.c, eta, ang)
-        mc2 = 2.0 * state.m * state.c
-        n = ki.direction(ang)
-        for lam in _LAMBDAS:
-            closed = de.density4(state, _POS, lam, n)
-            worst = max(worst, abs(complex(np.trace(closed)) - mc2))
-            u = sp.bispinor_block(
-                sp.helicity_spinor(lam, ang), state, _POS, Normalization.INVARIANT_2MC
-            )
-            worst = max(worst, abs(complex(np.trace(de.outer_with_adjoint(u))) - mc2))
-    return worst
+def _density_trace(eta, ang, state):
+    mc2 = 2.0 * state.m * state.c
+    n = ki.direction(ang)
+    for lam in _LAMBDAS:
+        yield abs(complex(np.trace(de.density4(state, _POS, lam, n))) - mc2)
+        u = sp.bispinor_block(
+            sp.helicity_spinor(lam, ang), state, _POS, Normalization.INVARIANT_2MC
+        )
+        yield abs(complex(np.trace(de.outer_with_adjoint(u))) - mc2)
 
 
-def check_projector_trace_deviation(grid: GridSpec) -> float:
+def _projector_trace(eta, ang, state):
     """Documented deviation: printed trace 2mc vs actual 4mc."""
-    worst = 0.0
-    for eta, ang in grid.sample_points(per_eta=2):
-        state = ki.from_eta(grid.mass, grid.c, eta, ang)
-        trace = complex(np.trace(de.energy_projector(state, _POS)))
-        worst = max(worst, abs(trace - 2.0 * state.m * state.c))
-    return worst
+    trace = complex(np.trace(de.energy_projector(state, _POS)))
+    yield abs(trace - 2.0 * state.m * state.c)
 
 
-def check_density_outer(grid: GridSpec, branch: EnergyBranch) -> float:
-    worst = 0.0
-    angles = grid.angle_list()
-    for i, (eta, ang) in enumerate(grid.sample_points()):
-        state = ki.from_eta(grid.mass, grid.c, eta, ang)
-        for n_ang in (ang, angles[(9 * i + 5) % len(angles)]):
-            n = ki.direction(n_ang)
-            for lam in _LAMBDAS:
-                closed = de.density4(state, branch, lam, n)
-                outer = de.density4_outer(state, branch, lam, n)
-                worst = max(worst, max_abs(closed - outer))
-    return worst
+def _density_outer(eta, ang, state, partner, branch):
+    for n_ang in (ang, partner):
+        n = ki.direction(n_ang)
+        for lam in _LAMBDAS:
+            closed = de.density4(state, branch, lam, n)
+            yield max_abs(closed - de.density4_outer(state, branch, lam, n))
 
 
 def _eta_matrices(eta: float, ang: PolarAngles):
@@ -966,81 +824,57 @@ def _rank_one_matrices(eta: float, ang: PolarAngles):
     return plus, minus
 
 
-def check_explicit_projectors(grid: GridSpec, branch: EnergyBranch) -> float:
-    worst = 0.0
-    for eta, ang in grid.sample_points():
-        state = ki.from_eta(grid.mass, grid.c, eta, ang)
-        proj_plus, proj_minus, _, _ = _eta_matrices(eta, ang)
-        scale = (1.0 - eta**2) / (2.0 * grid.mass * grid.c)
-        got = scale * de.energy_projector(state, branch)
-        target = proj_plus if branch is _POS else -proj_minus
-        worst = max(worst, max_abs(got - target))
-    return worst
+def _explicit_projector(eta, ang, state, branch):
+    proj_plus, proj_minus, _, _ = _eta_matrices(eta, ang)
+    scale = (1.0 - eta**2) / (2.0 * state.m * state.c)
+    got = scale * de.energy_projector(state, branch)
+    yield max_abs(got - (proj_plus if branch is _POS else -proj_minus))
 
 
-def check_explicit_polarizers(grid: GridSpec, lam: Helicity) -> float:
-    worst = 0.0
-    for eta, ang in grid.sample_points():
-        state = ki.from_eta(grid.mass, grid.c, eta, ang)
-        n = ki.direction(ang)
-        _, _, pol_plus, pol_minus = _eta_matrices(eta, ang)
-        a = ob.polarization_four_vector(state, n)
-        sign = lam.sign
-        got = 0.5 * (1.0 - eta**2) * (
-            np.eye(4) - sign * ga.GAMMA5_LOWER @ ga.gamma_slash(a)
-        )
-        target = pol_plus if lam is Helicity.PLUS else pol_minus
-        worst = max(worst, max_abs(got - target))
-    return worst
+def _explicit_polarizer(eta, ang, state, lam):
+    _, _, pol_plus, pol_minus = _eta_matrices(eta, ang)
+    a = ob.polarization_four_vector(state, ki.direction(ang))
+    got = 0.5 * (1.0 - eta**2) * (
+        np.eye(4) - lam.sign * ga.GAMMA5_LOWER @ ga.gamma_slash(a)
+    )
+    yield max_abs(got - (pol_plus if lam is Helicity.PLUS else pol_minus))
 
 
-def check_explicit_rank_one(grid: GridSpec, branch: EnergyBranch) -> float:
+def _explicit_rank_one(eta, ang, state, branch):
     """Printed factor products equal the explicit rank-one matrices.
 
     Both routes are checked: the product of the two printed component
     matrices, and the outer product of the corresponding eta column with
     the box prefactor removed.
     """
-    worst = 0.0
-    for eta, ang in grid.sample_points():
-        proj_plus, proj_minus, pol_plus, pol_minus = _eta_matrices(eta, ang)
-        rank_plus, rank_minus = _rank_one_matrices(eta, ang)
-        if branch is _POS:
-            product = proj_plus @ pol_plus
-            target = rank_plus
-            lam = Helicity.PLUS
-        else:
-            product = proj_minus @ pol_minus
-            target = rank_minus
-            lam = Helicity.MINUS
-        worst = max(worst, max_abs(product - target))
-        raw = sp.eta_bispinor(lam, branch, eta, ang, volume=1.0) * math.sqrt(1.0 + eta**2)
-        outer = (1.0 - eta**2) * de.outer_with_adjoint(raw)
-        worst = max(worst, max_abs(outer - target))
-    return worst
+    proj_plus, proj_minus, pol_plus, pol_minus = _eta_matrices(eta, ang)
+    rank_plus, rank_minus = _rank_one_matrices(eta, ang)
+    if branch is _POS:
+        product, target, lam = proj_plus @ pol_plus, rank_plus, Helicity.PLUS
+    else:
+        product, target, lam = proj_minus @ pol_minus, rank_minus, Helicity.MINUS
+    yield max_abs(product - target)
+    raw = sp.eta_bispinor(lam, branch, eta, ang, volume=1.0) * math.sqrt(1.0 + eta**2)
+    yield max_abs((1.0 - eta**2) * de.outer_with_adjoint(raw) - target)
 
 
-def check_block_factorization(grid: GridSpec, branch: EnergyBranch) -> float:
+def _block_factor(eta, ang, state, branch):
     """Density matrices factor into a scalar block pattern times rho(n)."""
-    worst = 0.0
-    for eta, ang in grid.sample_points():
-        n = ki.direction(ang)
-        e2 = eta**2
-        for lam in _LAMBDAS:
-            got = de.density_block_form(eta, ang, branch, lam, grid.mass, grid.c)
-            s = lam.sign
-            if branch is _POS:
-                rho = de.nonrel_density(lam, n)
-                target = sm.Block2x2(rho, -s * eta * rho, s * eta * rho, -e2 * rho)
-            else:
-                rho = de.nonrel_density(_flip(lam), n)
-                target = sm.Block2x2(e2 * rho, s * eta * rho, -s * eta * rho, -rho)
-            worst = max(worst, max_abs(sm.assemble(got) - sm.assemble(target)))
-    return worst
+    n = ki.direction(ang)
+    e2 = eta**2
+    for lam in _LAMBDAS:
+        got = de.density_block_form(eta, ang, branch, lam, state.m, state.c)
+        s = lam.sign
+        if branch is _POS:
+            rho = de.nonrel_density(lam, n)
+            target = sm.Block2x2(rho, -s * eta * rho, s * eta * rho, -e2 * rho)
+        else:
+            rho = de.nonrel_density(lam.flipped, n)
+            target = sm.Block2x2(e2 * rho, s * eta * rho, -s * eta * rho, -rho)
+        yield max_abs(sm.assemble(got) - sm.assemble(target))
 
 
-def check_sigma_tensor_table(grid: GridSpec) -> float:
-    worst = 0.0
+def _sigma_tensor():
     table = {
         (0, 1): ga.ALPHA[0],
         (0, 2): ga.ALPHA[1],
@@ -1050,143 +884,104 @@ def check_sigma_tensor_table(grid: GridSpec) -> float:
         (2, 3): -1j * ga.SPIN[0],
     }
     for mu in range(4):
-        worst = max(worst, max_abs(de.sigma_tensor(mu, mu)))
+        yield max_abs(de.sigma_tensor(mu, mu))
         for nu in range(4):
-            worst = max(worst, max_abs(de.sigma_tensor(mu, nu) + de.sigma_tensor(nu, mu)))
+            yield max_abs(de.sigma_tensor(mu, nu) + de.sigma_tensor(nu, mu))
     for (mu, nu), target in table.items():
-        worst = max(worst, max_abs(de.sigma_tensor(mu, nu) - target))
-    return worst
+        yield max_abs(de.sigma_tensor(mu, nu) - target)
 
 
-def check_slash_pair(grid: GridSpec) -> float:
-    worst = 0.0
-    for i, (eta, ang) in enumerate(grid.sample_points()):
-        state = ki.from_eta(grid.mass, grid.c, eta, ang)
-        angles = grid.angle_list()
-        n = ki.direction(angles[(13 * i) % len(angles)])
-        a = ob.polarization_four_vector(state, n)
-        p4 = state.momentum_four_vector(_POS)
-        contraction = de.slash_pair(p4, a)
-        worst = max(worst, max_abs(contraction - de.slash_pair_components(p4, a)))
-        lhs = ga.gamma_slash(p4) @ ga.GAMMA5_LOWER @ ga.gamma_slash(a)
-        worst = max(worst, max_abs(lhs + ga.GAMMA5_LOWER @ contraction))
-    return worst
+def _slash_pair(eta, ang, state, n_ang):
+    a = ob.polarization_four_vector(state, ki.direction(n_ang))
+    p4 = state.momentum_four_vector(_POS)
+    contraction = de.slash_pair(p4, a)
+    yield max_abs(contraction - de.slash_pair_components(p4, a))
+    lhs = ga.gamma_slash(p4) @ ga.GAMMA5_LOWER @ ga.gamma_slash(a)
+    yield max_abs(lhs + ga.GAMMA5_LOWER @ contraction)
 
 
-def check_covariant_identity(grid: GridSpec) -> float:
-    worst = 0.0
-    for eta, ang in grid.sample_points():
-        state = ki.from_eta(grid.mass, grid.c, eta, ang)
-        for branch in (_POS, _NEG):
-            for lam in _LAMBDAS:
-                worst = max(worst, de.covariant_density_identity(state, branch, lam))
-    return worst
+def _covariant_decomposition(eta, ang, state):
+    for branch in _BRANCHES:
+        for lam in _LAMBDAS:
+            yield de.covariant_density_identity(state, branch, lam)
 
 
-def check_parallel_polarization(grid: GridSpec) -> float:
+def _parallel_polarization(eta, ang, state):
     """Polarization components when p is along n."""
-    worst = 0.0
-    for eta, ang in grid.sample_points():
-        state = ki.from_eta(grid.mass, grid.c, eta, ang)
-        n = ki.direction(ang)
-        a = ob.polarization_four_vector(state, n)
-        worst = max(worst, abs(a.t - 2.0 * eta / (1.0 - eta**2)))
-        worst = max(worst, max_abs(a.r - (1.0 + eta**2) / (1.0 - eta**2) * n))
-    return worst
+    n = ki.direction(ang)
+    a = ob.polarization_four_vector(state, n)
+    yield abs(a.t - 2.0 * eta / (1.0 - eta**2))
+    yield max_abs(a.r - (1.0 + eta**2) / (1.0 - eta**2) * n)
 
 
 # --------------------------------------------------------------------------
 # fermi suite
 
-def check_fermi_eigen(grid: GridSpec) -> float:
+def _fermi_eigen(state):
     """Every original bi-spinor is a +R eigenvector (the audited claim)."""
-    worst = 0.0
-    for state in grid.sample_states():
-        h = ga.hamiltonian(state)
-        for u in fe.fermi_bispinors_original(state):
-            worst = max(worst, max_abs(h @ u - state.R * u))
-    return worst
+    h = ga.hamiltonian(state)
+    for u in fe.fermi_bispinors_original(state):
+        yield max_abs(h @ u - state.R * u)
 
 
-def check_fermi_dependence(grid: GridSpec) -> float:
-    worst = 0.0
-    for state in grid.sample_states():
-        det = sm.det4(np.column_stack(fe.fermi_bispinors_original(state)))
-        worst = max(worst, abs(det))
-    return worst
+def _fermi_dependence(state):
+    yield abs(sm.det4(np.column_stack(fe.fermi_bispinors_original(state))))
 
 
-def check_fermi_corrected(grid: GridSpec) -> float:
-    worst = 0.0
-    for state in grid.sample_states():
-        h = ga.hamiltonian(state)
-        columns = fe.fermi_bispinors_corrected(state)
-        energies = (state.R, state.R, -state.R, -state.R)
-        for u, e in zip(columns, energies):
-            worst = max(worst, max_abs(h @ u - e * u))
-        worst = max(worst, abs(abs(sm.det4(np.column_stack(columns))) - 1.0))
-    return worst
+def _fermi_corrected(state):
+    h = ga.hamiltonian(state)
+    columns = fe.fermi_bispinors_corrected(state)
+    for u, e in zip(columns, (state.R, state.R, -state.R, -state.R)):
+        yield max_abs(h @ u - e * u)
+    yield abs(abs(sm.det4(np.column_stack(columns))) - 1.0)
 
 
-def check_fermi_clifford(grid: GridSpec) -> float:
-    worst = 0.0
+def _fermi_clifford():
     gammas = fe.fermi_gamma_set()
     for i, g1 in enumerate(gammas):
-        worst = max(worst, max_abs(g1 @ g1 - np.eye(4)))
+        yield max_abs(g1 @ g1 - np.eye(4))
         for g2 in gammas[i + 1:]:
-            worst = max(worst, max_abs(ga.anticommutator(g1, g2)))
-    return worst
+            yield max_abs(ga.anticommutator(g1, g2))
 
 
-def check_fermi_alpha_relation(grid: GridSpec) -> float:
+def _fermi_alpha_relation():
     g1, g2, g3, _ = fe.fermi_gamma_set()
-    worst = 0.0
     for alpha, g in zip(ga.ALPHA, (g1, g2, g3)):
-        worst = max(worst, max_abs(alpha - 1j * ga.BETA @ g))
-    return worst
+        yield max_abs(alpha - 1j * ga.BETA @ g)
 
 
-def check_fermi_eigenvalue_pattern(grid: GridSpec) -> float:
+def _fermi_eigenvalues():
     """trace 0, trace of square 4, det 1: eigenvalues +1 twice, -1 twice."""
-    worst = 0.0
-    seven = (fe.FERMI_GAMMA4,) + tuple(ga.ALPHA) + fe.fermi_gamma_set()[:3]
-    for m in seven:
-        worst = max(worst, abs(complex(np.trace(m))))
-        worst = max(worst, abs(complex(np.trace(m @ m)) - 4.0))
-        worst = max(worst, abs(sm.det4(m) - 1.0))
-    return worst
+    for m in (fe.FERMI_GAMMA4,) + tuple(ga.ALPHA) + fe.fermi_gamma_set()[:3]:
+        yield abs(complex(np.trace(m)))
+        yield abs(complex(np.trace(m @ m)) - 4.0)
+        yield abs(sm.det4(m) - 1.0)
 
 
-def check_fermi_projector_algebra(grid: GridSpec) -> float:
-    worst = 0.0
-    for state in grid.sample_states():
-        pr = fe.fermi_projectors(state)
-        h = ga.hamiltonian(state)
-        worst = max(worst, max_abs(pr.P + pr.N - np.eye(4)))
-        worst = max(worst, max_abs(pr.P @ pr.P - pr.P))
-        worst = max(worst, max_abs(pr.N @ pr.N - pr.N))
-        worst = max(worst, max_abs(pr.P @ pr.N))
-        worst = max(worst, max_abs(pr.P - (state.R * np.eye(4) + h) / (2.0 * state.R)))
-    return worst
+def _fermi_projectors(state):
+    pr = fe.fermi_projectors(state)
+    h = ga.hamiltonian(state)
+    yield max_abs(pr.P + pr.N - np.eye(4))
+    yield max_abs(pr.P @ pr.P - pr.P)
+    yield max_abs(pr.N @ pr.N - pr.N)
+    yield max_abs(pr.P @ pr.N)
+    yield max_abs(pr.P - (state.R * np.eye(4) + h) / (2.0 * state.R))
 
 
-def check_fermi_projector_action(grid: GridSpec) -> float:
-    worst = 0.0
-    for state in grid.sample_states():
-        pr = fe.fermi_projectors(state)
-        u1, u2, u3, u4 = fe.fermi_bispinors_corrected(state)
-        for u in (u1, u2):
-            worst = max(worst, max_abs(pr.P @ u - u), max_abs(pr.N @ u))
-        for u in (u3, u4):
-            worst = max(worst, max_abs(pr.N @ u - u), max_abs(pr.P @ u))
-    return worst
+def _fermi_projector_action(state):
+    pr = fe.fermi_projectors(state)
+    u1, u2, u3, u4 = fe.fermi_bispinors_corrected(state)
+    for u in (u1, u2):
+        yield max_abs(pr.P @ u - u)
+        yield max_abs(pr.N @ u)
+    for u in (u3, u4):
+        yield max_abs(pr.N @ u - u)
+        yield max_abs(pr.P @ u)
 
 
-def check_fermi_sigma_primes(grid: GridSpec) -> float:
-    worst = 0.0
+def _fermi_sigma_primes():
     for prime, spin in zip(fe.fermi_sigma_primes(), ga.SPIN):
-        worst = max(worst, max_abs(prime - spin))
-    return worst
+        yield max_abs(prime - spin)
 
 
 # --------------------------------------------------------------------------
@@ -1202,32 +997,37 @@ class RegistryEntry:
     deviation_note: str | None = None
 
 
+def _entry(id: str, suite: str, description: str, domain: _Domain, residual,
+           **options) -> RegistryEntry:
+    return RegistryEntry(id, suite, description, _sweep(domain, residual), **options)
+
+
 REGISTRY: tuple[RegistryEntry, ...] = (
     # algebra
-    RegistryEntry("blockmul-oracle", "algebra", "2x2-block product agrees with the dense product", check_block_mul),
-    RegistryEntry("dagger-antihom", "algebra", "conjugate transpose is an involutive anti-homomorphism", check_dagger),
-    RegistryEntry("det-mult", "algebra", "det(XY) = det(X) det(Y) for 4x4 cofactor determinants", check_det_mult),
-    RegistryEntry("schur-oracle", "algebra", "Schur block determinant agrees with the dense determinant", check_schur_random),
-    RegistryEntry("eig-det", "algebra", "plane-wave matrix determinant equals (E^2 - c^2 p^2 - m^2 c^4)^2", check_ma9),
-    RegistryEntry("block-rank", "algebra", "rank-2 criterion D = C A^-1 B holds exactly on shell", check_rank_criterion),
-    RegistryEntry("clifford", "algebra", "gamma^mu gamma^nu + gamma^nu gamma^mu = 2 g^{mu nu}; gamma^5 anticommutes", check_clifford),
-    RegistryEntry("alpha-anticomm", "algebra", "alpha/beta anticommutation relations", check_alpha_beta),
-    RegistryEntry("alpha-spin-comm", "algebra", "[alpha_r, Sigma_q] = 2i e_{rqs} alpha_s and [beta, Sigma_q] = 0", check_spin_commutators),
-    RegistryEntry("spin-gamma5", "algebra", "Sigma_q = alpha_q gamma^5", check_spin_is_alpha_gamma5),
-    RegistryEntry("h-spin-comm", "algebra", "[H, Sigma_q] = 2ic (alpha x p)_q", check_h_spin_commutator),
-    RegistryEntry("h-helicity-comm", "algebra", "[H, Sigma.p] = 0 and [H, helicity] = 0", check_h_helicity),
-    RegistryEntry("h-squared", "algebra", "H^2 = (c^2 p^2 + m^2 c^4) identity", check_h_squared),
-    RegistryEntry("sigma-n-matrix", "algebra", "sigma.n equals its explicit half-angle form", check_sigma_dot_explicit),
-    RegistryEntry("pauli-products", "algebra", "(sigma.p)(sigma.n) and (sigma.p) sigma (sigma.p) expansions", check_pauli_products),
-    RegistryEntry("slash-square", "algebra", "p-slash squared = p.p = m^2 c^2 on shell", check_slash_square),
-    RegistryEntry("on-shell", "algebra", "(E/c)^2 - p^2 - m^2 c^2 = 0 on both branches", check_on_shell),
-    RegistryEntry("eta-rapidity", "algebra", "eta = tanh(th/2) and the half-angle energy relations", check_eta_rapidity),
-    RegistryEntry("eta-round-trip", "algebra", "eta parametrization inverts exactly", check_eta_round_trip),
-    RegistryEntry("wave-numbers", "algebra", "k eta = w/c - mc/hbar and k/eta = w/c + mc/hbar", check_wave_numbers),
-    RegistryEntry(
+    _entry("blockmul-oracle", "algebra", "2x2-block product agrees with the dense product", _draws(1000, _cmat_pair), _blockmul_oracle),
+    _entry("dagger-antihom", "algebra", "conjugate transpose is an involutive anti-homomorphism", _draws(200, _cmat_pair), _dagger_antihom),
+    _entry("det-mult", "algebra", "det(XY) = det(X) det(Y) for 4x4 cofactor determinants", _draws(200, _cmat_pair), _det_mult),
+    _entry("schur-oracle", "algebra", "Schur block determinant agrees with the dense determinant", _draws(300, _schur_draw), _schur_oracle),
+    _entry("eig-det", "algebra", "plane-wave matrix determinant equals (E^2 - c^2 p^2 - m^2 c^4)^2", _sampled, _eig_det),
+    _entry("block-rank", "algebra", "rank-2 criterion D = C A^-1 B holds exactly on shell", _sampled, _block_rank),
+    _entry("clifford", "algebra", "gamma^mu gamma^nu + gamma^nu gamma^mu = 2 g^{mu nu}; gamma^5 anticommutes", _once, _clifford),
+    _entry("alpha-anticomm", "algebra", "alpha/beta anticommutation relations", _once, _alpha_anticomm),
+    _entry("alpha-spin-comm", "algebra", "[alpha_r, Sigma_q] = 2i e_{rqs} alpha_s and [beta, Sigma_q] = 0", _once, _alpha_spin_comm),
+    _entry("spin-gamma5", "algebra", "Sigma_q = alpha_q gamma^5", _once, _spin_gamma5),
+    _entry("h-spin-comm", "algebra", "[H, Sigma_q] = 2ic (alpha x p)_q", _sampled, _h_spin_comm),
+    _entry("h-helicity-comm", "algebra", "[H, Sigma.p] = 0 and [H, helicity] = 0", _sampled, _h_helicity_comm),
+    _entry("h-squared", "algebra", "H^2 = (c^2 p^2 + m^2 c^4) identity", _sampled, _h_squared),
+    _entry("sigma-n-matrix", "algebra", "sigma.n equals its explicit half-angle form", _angles, _sigma_n_matrix),
+    _entry("pauli-products", "algebra", "(sigma.p)(sigma.n) and (sigma.p) sigma (sigma.p) expansions", _draws(200, _vector_pair), _pauli_products),
+    _entry("slash-square", "algebra", "p-slash squared = p.p = m^2 c^2 on shell", _sampled, _slash_square),
+    _entry("on-shell", "algebra", "(E/c)^2 - p^2 - m^2 c^2 = 0 on both branches", _sampled, _on_shell),
+    _entry("eta-rapidity", "algebra", "eta = tanh(th/2) and the half-angle energy relations", _sampled, _eta_rapidity),
+    _entry("eta-round-trip", "algebra", "eta parametrization inverts exactly", _points(), _eta_round_trip),
+    _entry("wave-numbers", "algebra", "k eta = w/c - mc/hbar and k/eta = w/c + mc/hbar", _points(), _wave_numbers),
+    _entry(
         "n3-convention", "algebra",
         "difference between implemented n3 = cos(theta) and printed n3 = cos(phi)",
-        check_direction_deviation,
+        _angles, _n3_convention,
         deviation_note=(
             "One printed component list gives n3 = cos(phi), inconsistent with the "
             "explicit sigma.n matrix and wave-vector components used everywhere "
@@ -1235,87 +1035,87 @@ REGISTRY: tuple[RegistryEntry, ...] = (
         ),
     ),
     # spinors
-    RegistryEntry("helicity-eigen-2", "spinors", "two-spinor helicity eigenvalue equations", check_helicity_eigenspinors),
-    RegistryEntry("spin-direction", "spinors", "phi+ sigma phi = +/- n", check_spin_direction),
-    RegistryEntry("phi-unitary", "spinors", "helicity column matrices are unitary", check_phi_unitary),
-    RegistryEntry("sigma-factorization", "spinors", "sigma.n factorizes through the helicity column matrices", check_factorization),
-    RegistryEntry("phi-swap", "spinors", "sigma.n swaps the two helicity column matrices", check_swap),
-    RegistryEntry("completeness-2", "spinors", "sum of helicity spinor outer products is the 2x2 identity", check_completeness),
-    RegistryEntry("spin-basis", "spinors", "spin basis matrix is Hermitian, involutive, unimodular", check_spin_basis),
-    RegistryEntry("spin-basis-eigen", "spinors", "spin basis columns are (+R, +R, -R, -R) eigenvectors", check_spin_basis_eigen),
-    RegistryEntry("block-squared-norm", "spinors", "unscaled helicity block matrix has scalar M+ M", check_block_norm),
-    RegistryEntry("helicity-basis-unitary", "spinors", "helicity basis matrix is unitary and unimodular", check_helicity_basis_unitary),
-    RegistryEntry("helicity-eigen-4", "spinors", "helicity basis columns have helicities (+,-,+,-)/2", check_helicity_eigen),
-    RegistryEntry("hv-exchange", "spinors", "H V = R V-tilde and H V-tilde = R V", check_hv_rv),
-    RegistryEntry("h-factorization", "spinors", "H = R V-tilde V^-1 = R V V-tilde^-1", check_h_decomposition),
-    RegistryEntry(
+    _entry("helicity-eigen-2", "spinors", "two-spinor helicity eigenvalue equations", _angles, _helicity_eigen_2),
+    _entry("spin-direction", "spinors", "phi+ sigma phi = +/- n", _angles, _spin_direction),
+    _entry("phi-unitary", "spinors", "helicity column matrices are unitary", _angles, _phi_unitary),
+    _entry("sigma-factorization", "spinors", "sigma.n factorizes through the helicity column matrices", _angles, _sigma_factorization),
+    _entry("phi-swap", "spinors", "sigma.n swaps the two helicity column matrices", _angles, _phi_swap),
+    _entry("completeness-2", "spinors", "sum of helicity spinor outer products is the 2x2 identity", _angles, _completeness_2),
+    _entry("spin-basis", "spinors", "spin basis matrix is Hermitian, involutive, unimodular", _sampled, _spin_basis),
+    _entry("spin-basis-eigen", "spinors", "spin basis columns are (+R, +R, -R, -R) eigenvectors", _states, _spin_basis_eigen),
+    _entry("block-squared-norm", "spinors", "unscaled helicity block matrix has scalar M+ M", _sampled, _block_squared_norm),
+    _entry("helicity-basis-unitary", "spinors", "helicity basis matrix is unitary and unimodular", _sampled, _helicity_basis_unitary),
+    _entry("helicity-eigen-4", "spinors", "helicity basis columns have helicities (+,-,+,-)/2", _states, _helicity_eigen_4),
+    _entry("hv-exchange", "spinors", "H V = R V-tilde and H V-tilde = R V", _sampled, _hv_exchange),
+    _entry("h-factorization", "spinors", "H = R V-tilde V^-1 = R V V-tilde^-1", _sampled, _h_factorization),
+    _entry(
         "v-inverse-sandwich", "spinors",
         "difference between V^-1 and the printed gamma^0 V+ gamma^0 formula",
-        check_inverse_formula_deviation,
+        _sampled, _v_inverse_sandwich,
         deviation_note=(
             "The printed inverse formula V^-1 = gamma^0 V+ gamma^0 fails for "
             "|p| > 0; V is unitary (V^-1 = V+), which is the invariant the "
             "library asserts."
         ),
     ),
-    RegistryEntry("boost-direct", "spinors", "boosted rest spinor equals the direct block construction", check_boost_equivalence),
-    RegistryEntry("adjoint-orthogonality", "spinors", "u-bar v = 0 across branches", check_adjoint_orthogonality),
-    RegistryEntry("norm-ratio", "spinors", "u+u / phi+phi = 2E/(E + mc^2) shape of the block solution", check_density_norm_ratio),
-    RegistryEntry("eta-determinant", "spinors", "stacked eta columns have determinant (1 - eta^2)^2", check_eta_determinant),
-    RegistryEntry("norm-conversion", "spinors", "box to 2mc-invariant conversion factor", check_norm_conversion),
-    RegistryEntry("conjugation-plus", "spinors", "i gamma^2 conj maps (+R, +1/2) onto (-R, +1/2)", lambda g: check_charge_conjugation(g, Helicity.PLUS)),
-    RegistryEntry("conjugation-minus", "spinors", "i gamma^2 conj maps (+R, -1/2) onto (-R, -1/2)", lambda g: check_charge_conjugation(g, Helicity.MINUS)),
-    RegistryEntry("conjugation-square", "spinors", "double charge conjugation is the identity", check_conjugation_square),
-    RegistryEntry("nonrel-limit", "spinors", "spin basis approaches its rest form below 3/c", check_nonrel_limit),
+    _entry("boost-direct", "spinors", "boosted rest spinor equals the direct block construction", _draws(100, _boost_draw), _boost_direct),
+    _entry("adjoint-orthogonality", "spinors", "u-bar v = 0 across branches", _sampled, _adjoint_orthogonality),
+    _entry("norm-ratio", "spinors", "u+u / phi+phi = 2E/(E + mc^2) shape of the block solution", _with_spinor(_sampled), _norm_ratio),
+    _entry("eta-determinant", "spinors", "stacked eta columns have determinant (1 - eta^2)^2", _points(), _eta_determinant),
+    _entry("norm-conversion", "spinors", "box to 2mc-invariant conversion factor", _points(), _norm_conversion),
+    _entry("conjugation-plus", "spinors", "i gamma^2 conj maps (+R, +1/2) onto (-R, +1/2)", _points(), partial(_conjugation, lam=Helicity.PLUS)),
+    _entry("conjugation-minus", "spinors", "i gamma^2 conj maps (+R, -1/2) onto (-R, -1/2)", _points(), partial(_conjugation, lam=Helicity.MINUS)),
+    _entry("conjugation-square", "spinors", "double charge conjugation is the identity", _draws(50, _complex4), _conjugation_square),
+    _entry("nonrel-limit", "spinors", "spin basis approaches its rest form below 3/c", _once, _nonrel_limit),
     # covariant
-    RegistryEntry("polarization-invariants", "covariant", "p.a = 0 and a.a = -1", check_polarization_invariants),
-    RegistryEntry("polarization-dual", "covariant", "closed-form polarization vector equals the bilinear route", check_polarization_dual_route),
-    RegistryEntry("polarization-rest", "covariant", "at rest the polarization vector is (0, n)", check_rest_polarization),
-    RegistryEntry("polarization-equation", "covariant", "(gamma_5 a-slash + 1) u = 0 on matched states", check_polarization_equation),
-    RegistryEntry("current", "covariant", "j^mu / (u-bar u) = p^mu / (m c) for any spinor scale", check_current),
-    RegistryEntry("adjoint-norms", "covariant", "invariant normalizations evaluate to 1, 2mc, -2mc", check_adjoint_normalizations),
-    RegistryEntry("spin-relation", "covariant", "relativistic vs rest spin expectation relation", check_spin_expectation_relation),
-    RegistryEntry("spin-relation-axis", "covariant", "longitudinal spin fixed, transverse scaled by mc^2/E", check_spin_expectation_axis),
-    RegistryEntry("spin-bound", "covariant", "|<S>| never exceeds |<s>|", check_spin_expectation_bound),
+    _entry("polarization-invariants", "covariant", "p.a = 0 and a.a = -1", _points(partner=(7, 0)), _polarization_invariants),
+    _entry("polarization-dual", "covariant", "closed-form polarization vector equals the bilinear route", _dual_points, _polarization_dual),
+    _entry("polarization-rest", "covariant", "at rest the polarization vector is (0, n)", _rest_angles, _polarization_rest),
+    _entry("polarization-equation", "covariant", "(gamma_5 a-slash + 1) u = 0 on matched states", _points(partner=(11, 0)), _polarization_equation),
+    _entry("current", "covariant", "j^mu / (u-bar u) = p^mu / (m c) for any spinor scale", _with_spinor(_sampled), _current),
+    _entry("adjoint-norms", "covariant", "invariant normalizations evaluate to 1, 2mc, -2mc", _with_spinor(_sampled), _adjoint_norms),
+    _entry("spin-relation", "covariant", "relativistic vs rest spin expectation relation", _with_spinor(_sampled), _spin_relation),
+    _entry("spin-relation-axis", "covariant", "longitudinal spin fixed, transverse scaled by mc^2/E", _with_spinor(_axis_states), _spin_relation_axis),
+    _entry("spin-bound", "covariant", "|<S>| never exceeds |<s>|", _with_spinor(_sampled), _spin_bound),
     # density
-    RegistryEntry("nonrel-density", "density", "2x2 density matrices: outer product, idempotent, trace 1", check_nonrel_density),
-    RegistryEntry("projector-algebra", "density", "energy projector sums, products, squares", check_projector_algebra),
-    RegistryEntry("projector-sum-plus", "density", "sum of positive-branch outer products is mc + p-slash", lambda g: check_projector_sum(g, _POS)),
-    RegistryEntry("projector-sum-minus", "density", "sum of negative-branch outer products is -(mc - p-slash)", lambda g: check_projector_sum(g, _NEG)),
-    RegistryEntry("density-trace", "density", "pure-state density matrices have trace 2mc", check_density_trace),
-    RegistryEntry(
+    _entry("nonrel-density", "density", "2x2 density matrices: outer product, idempotent, trace 1", _angles, _nonrel_density),
+    _entry("projector-algebra", "density", "energy projector sums, products, squares", _sampled, _projector_algebra),
+    _entry("projector-sum-plus", "density", "sum of positive-branch outer products is mc + p-slash", _points(), partial(_projector_sum, branch=_POS)),
+    _entry("projector-sum-minus", "density", "sum of negative-branch outer products is -(mc - p-slash)", _points(), partial(_projector_sum, branch=_NEG)),
+    _entry("density-trace", "density", "pure-state density matrices have trace 2mc", _points(), _density_trace),
+    _entry(
         "projector-trace", "density",
         "difference between trace(mc + p-slash) and the printed value 2mc",
-        check_projector_trace_deviation,
+        _points(per_eta=2), _projector_trace,
         deviation_note=(
             "trace(mc + p-slash) = 4mc (each of the two summed outer products "
             "contributes 2mc); the printed trace statement says 2mc."
         ),
     ),
-    RegistryEntry("density-outer-plus", "density", "closed-form rho_+ equals the outer product, both helicities", lambda g: check_density_outer(g, _POS)),
-    RegistryEntry("density-outer-minus", "density", "closed-form rho_- equals minus the outer product, both helicities", lambda g: check_density_outer(g, _NEG)),
-    RegistryEntry("explicit-projector-plus", "density", "explicit eta matrix of mc + p-slash", lambda g: check_explicit_projectors(g, _POS)),
-    RegistryEntry("explicit-projector-minus", "density", "explicit eta matrix of mc - p-slash", lambda g: check_explicit_projectors(g, _NEG)),
-    RegistryEntry("explicit-polarizer-plus", "density", "explicit eta matrix of 1 - gamma_5 a-slash", lambda g: check_explicit_polarizers(g, Helicity.PLUS)),
-    RegistryEntry("explicit-polarizer-minus", "density", "explicit eta matrix of 1 + gamma_5 a-slash", lambda g: check_explicit_polarizers(g, Helicity.MINUS)),
-    RegistryEntry("explicit-rank-one-plus", "density", "explicit positive-branch rank-one product matrix", lambda g: check_explicit_rank_one(g, _POS)),
-    RegistryEntry("explicit-rank-one-minus", "density", "explicit negative-branch rank-one product matrix", lambda g: check_explicit_rank_one(g, _NEG)),
-    RegistryEntry("block-factor-plus", "density", "positive-branch block factorization through rho(n)", lambda g: check_block_factorization(g, _POS)),
-    RegistryEntry("block-factor-minus", "density", "negative-branch block factorization through rho(n)", lambda g: check_block_factorization(g, _NEG)),
-    RegistryEntry("sigma-tensor", "density", "antisymmetric gamma-pair tensor matches its component table", check_sigma_tensor_table),
-    RegistryEntry("slash-pair", "density", "p-slash gamma_5 a-slash = -gamma_5 (pa-contraction)", check_slash_pair),
-    RegistryEntry("covariant-decomposition", "density", "covariant density decomposition, dense and block routes", check_covariant_identity),
-    RegistryEntry("parallel-polarization", "density", "polarization components for p along n", check_parallel_polarization),
+    _entry("density-outer-plus", "density", "closed-form rho_+ equals the outer product, both helicities", _points(partner=(9, 5)), partial(_density_outer, branch=_POS)),
+    _entry("density-outer-minus", "density", "closed-form rho_- equals minus the outer product, both helicities", _points(partner=(9, 5)), partial(_density_outer, branch=_NEG)),
+    _entry("explicit-projector-plus", "density", "explicit eta matrix of mc + p-slash", _points(), partial(_explicit_projector, branch=_POS)),
+    _entry("explicit-projector-minus", "density", "explicit eta matrix of mc - p-slash", _points(), partial(_explicit_projector, branch=_NEG)),
+    _entry("explicit-polarizer-plus", "density", "explicit eta matrix of 1 - gamma_5 a-slash", _points(), partial(_explicit_polarizer, lam=Helicity.PLUS)),
+    _entry("explicit-polarizer-minus", "density", "explicit eta matrix of 1 + gamma_5 a-slash", _points(), partial(_explicit_polarizer, lam=Helicity.MINUS)),
+    _entry("explicit-rank-one-plus", "density", "explicit positive-branch rank-one product matrix", _points(), partial(_explicit_rank_one, branch=_POS)),
+    _entry("explicit-rank-one-minus", "density", "explicit negative-branch rank-one product matrix", _points(), partial(_explicit_rank_one, branch=_NEG)),
+    _entry("block-factor-plus", "density", "positive-branch block factorization through rho(n)", _points(), partial(_block_factor, branch=_POS)),
+    _entry("block-factor-minus", "density", "negative-branch block factorization through rho(n)", _points(), partial(_block_factor, branch=_NEG)),
+    _entry("sigma-tensor", "density", "antisymmetric gamma-pair tensor matches its component table", _once, _sigma_tensor),
+    _entry("slash-pair", "density", "p-slash gamma_5 a-slash = -gamma_5 (pa-contraction)", _points(partner=(13, 0)), _slash_pair),
+    _entry("covariant-decomposition", "density", "covariant density decomposition, dense and block routes", _points(), _covariant_decomposition),
+    _entry("parallel-polarization", "density", "polarization components for p along n", _points(), _parallel_polarization),
     # fermi
-    RegistryEntry("fermi-eigen", "fermi", "all four original bi-spinors satisfy H u = +R u", check_fermi_eigen),
-    RegistryEntry("fermi-dependence", "fermi", "original bi-spinor determinant vanishes", check_fermi_dependence, tol_override=1e-10),
-    RegistryEntry("fermi-corrected", "fermi", "corrected set: (+R, +R, -R, -R) eigenvectors, unimodular", check_fermi_corrected),
-    RegistryEntry("fermi-clifford", "fermi", "variant gamma set squares to 1 and pairwise anticommutes", check_fermi_clifford),
-    RegistryEntry("fermi-alpha-relation", "fermi", "alpha_k = i beta gamma_k for the variant gammas", check_fermi_alpha_relation),
-    RegistryEntry("fermi-eigenvalues", "fermi", "the seven matrices have eigenvalues +1 twice, -1 twice", check_fermi_eigenvalue_pattern),
-    RegistryEntry("fermi-projectors", "fermi", "H/R projectors are idempotent, complementary, orthogonal", check_fermi_projector_algebra),
-    RegistryEntry("fermi-projector-action", "fermi", "projectors select the corrected energy pairs", check_fermi_projector_action),
-    RegistryEntry("fermi-sigma-primes", "fermi", "primed spin matrices equal the block-diagonal spin set", check_fermi_sigma_primes),
+    _entry("fermi-eigen", "fermi", "all four original bi-spinors satisfy H u = +R u", _sampled, _fermi_eigen),
+    _entry("fermi-dependence", "fermi", "original bi-spinor determinant vanishes", _sampled, _fermi_dependence, tol_override=1e-10),
+    _entry("fermi-corrected", "fermi", "corrected set: (+R, +R, -R, -R) eigenvectors, unimodular", _sampled, _fermi_corrected),
+    _entry("fermi-clifford", "fermi", "variant gamma set squares to 1 and pairwise anticommutes", _once, _fermi_clifford),
+    _entry("fermi-alpha-relation", "fermi", "alpha_k = i beta gamma_k for the variant gammas", _once, _fermi_alpha_relation),
+    _entry("fermi-eigenvalues", "fermi", "the seven matrices have eigenvalues +1 twice, -1 twice", _once, _fermi_eigenvalues),
+    _entry("fermi-projectors", "fermi", "H/R projectors are idempotent, complementary, orthogonal", _sampled, _fermi_projectors),
+    _entry("fermi-projector-action", "fermi", "projectors select the corrected energy pairs", _sampled, _fermi_projector_action),
+    _entry("fermi-sigma-primes", "fermi", "primed spin matrices equal the block-diagonal spin set", _once, _fermi_sigma_primes),
 )
 
 

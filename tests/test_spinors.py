@@ -60,6 +60,7 @@ class TestHelicitySpinors:
                 phi = sp.helicity_spinor(lam, ang)
                 assert max_abs(sigma_dot(n) @ phi - lam.sign * phi) <= 1e-15
                 assert abs(np.vdot(phi, phi).real - 1.0) <= 1e-15
+                assert lam.flipped.sign == -lam.sign
 
     def test_column_matrices_at_origin(self):
         assert max_abs(sp.phi_matrix(PolarAngles(0, 0)) - np.eye(2)) == 0.0

@@ -200,6 +200,21 @@ class TestCli:
         code, _, err = self.run("spinor", "--eta", "1.5", "--branch", "pos")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "grid_args, message",
+        [
+            (("--eta=",), "at least one eta value"),
+            (("--angles", "0x0"), "angle counts must be positive, got 0x0"),
+            (("--angles", "4x0"), "angle counts must be positive, got 4x0"),
+            (("--angles=-2x4",), "angle counts must be positive, got -2x4"),
+        ],
+    )
+    def test_degenerate_grid_exit_two(self, grid_args, message):
+        code, out, err = self.run("verify", *grid_args)
+        assert code == 2
+        assert out == ""
+        assert message in err
+
     def test_tolerance_env_override(self, monkeypatch):
         monkeypatch.setenv("DIRACFREE_TOL", "1e-30")
         code, out, _ = self.run(

@@ -36,21 +36,22 @@ from .kinematics import (
     from_eta,
 )
 from .observables import dirac_adjoint, polarization_four_vector
-from .smallmat import Block2x2, assemble, block_mul, disassemble, max_abs
+from .smallmat import UNIT_TOL, Block2x2, assemble, block_mul, disassemble, max_abs
 from .spinors import Helicity, Normalization, bispinor_block, helicity_spinor
-
-_UNIT_TOL = 1e-12
 
 
 def _check_unit(n) -> np.ndarray:
     n = np.asarray(n, dtype=float)
-    if abs(float(np.dot(n, n)) - 1.0) > _UNIT_TOL:
+    if np.count_nonzero(np.abs(np.vecdot(n, n) - 1.0) > UNIT_TOL):
         raise NonUnitDirection("polarization direction must be a unit vector")
     return n
 
 
 def nonrel_density(lam: Helicity, n) -> np.ndarray:
-    """Two-level pure-state density matrix (1 +/- sigma.n) / 2."""
+    """Two-level pure-state density matrix (1 +/- sigma.n) / 2.
+
+    ``n`` of shape ``(N, 3)`` gives an ``(N, 2, 2)`` stack.
+    """
     n = _check_unit(n)
     return 0.5 * (np.eye(2) + lam.sign * sigma_dot(n))
 

@@ -11,7 +11,10 @@ commutator / anticommutator helpers.  Conventions:
 * Sigma_k = alpha_k gamma^5 (block-diagonal sigma_k).
 
 All constants are immutable module-level arrays; every function here is
-pure, so the module is safe to use concurrently.
+pure, so the module is safe to use concurrently.  The vector contractions
+and the momentum-dependent matrices accept stacked inputs (vectors of shape
+``(N, 3)``, stacked ``MomentumState``) and return ``(N, 2, 2)`` or
+``(N, 4, 4)`` stacks.
 """
 
 from __future__ import annotations
@@ -67,21 +70,24 @@ def levi_civita(q: int, r: int, s: int) -> int:
     return int(_LEVI[q - 1, r - 1, s - 1])
 
 
+def _contract(v, mats) -> np.ndarray:
+    """v1 M1 + v2 M2 + v3 M3 for a 3-vector or each vector of a stack."""
+    v = np.asarray(v)[..., None, None]
+    return v[..., 0, :, :] * mats[0] + v[..., 1, :, :] * mats[1] + v[..., 2, :, :] * mats[2]
+
+
 def sigma_dot(v) -> np.ndarray:
     """v1 sigma1 + v2 sigma2 + v3 sigma3."""
-    v = np.asarray(v)
-    return v[0] * SIGMA1 + v[1] * SIGMA2 + v[2] * SIGMA3
+    return _contract(v, PAULI)
 
 
 def alpha_dot(v) -> np.ndarray:
-    v = np.asarray(v)
-    return v[0] * ALPHA[0] + v[1] * ALPHA[1] + v[2] * ALPHA[2]
+    return _contract(v, ALPHA)
 
 
 def spin_dot(v) -> np.ndarray:
     """Contraction with the block-diagonal spin matrices Sigma_k."""
-    v = np.asarray(v)
-    return v[0] * SPIN[0] + v[1] * SPIN[1] + v[2] * SPIN[2]
+    return _contract(v, SPIN)
 
 
 def gamma_slash(a) -> np.ndarray:
@@ -99,9 +105,10 @@ def hamiltonian(state: MomentumState) -> np.ndarray:
 
 def helicity_operator(state: MomentumState) -> np.ndarray:
     """Spin projection on the momentum direction, (1/2) Sigma.p / |p|."""
-    if state.p_abs == 0.0:
+    p_abs = state.p_abs
+    if np.count_nonzero(p_abs == 0.0):
         raise ZeroMomentum("helicity is undefined at rest")
-    return spin_dot(state.p) / (2.0 * state.p_abs)
+    return spin_dot(state.p) / (2.0 * p_abs)[..., None, None]
 
 
 def commutator(x: np.ndarray, y: np.ndarray) -> np.ndarray:

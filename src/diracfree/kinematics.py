@@ -11,6 +11,12 @@ supported and kept mutually consistent:
 
 Natural units (c = hbar = 1) are the default, but both constants stay
 explicit fields so dimensional factors can be exercised with c != 1.
+
+Angles, directions, four-vectors and momenta may be stacked: ``theta`` and
+``phi`` of shape ``(N,)``, ``p`` of shape ``(N, 3)``.  Every quantity then
+comes out with the same leading axes, and an unstacked input is the
+batch-of-one case of the same code: its scalars are numpy float64 values
+(a ``float`` subclass) equal bit for bit to the stack entries.
 """
 
 from __future__ import annotations
@@ -18,10 +24,28 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
 from .errors import EtaOutOfRange, MasslessState
+from .smallmat import stack_last
+
+
+def _entrywise(fn, nin: int):
+    """``fn`` from ``math`` applied to every entry of its broadcast arguments.
+
+    numpy's own hypot, arccos and arctan2 can differ from ``math`` in the
+    last bit; going through ``math`` keeps stacked entries equal to the
+    scalar results the library has always produced.
+    """
+    ufunc = np.frompyfunc(fn, nin, 1)
+    return lambda *args: np.float64(ufunc(*args))
+
+
+_hypot = _entrywise(math.hypot, 2)
+_acos = _entrywise(math.acos, 1)
+_atan2 = _entrywise(math.atan2, 2)
 
 
 class EnergyBranch(Enum):
@@ -50,14 +74,25 @@ NATURAL_UNITS = PhysicalConstants()
 
 @dataclass(frozen=True)
 class PolarAngles:
-    """Spherical direction (theta, phi); theta clamped to [0, pi], phi mod 2 pi."""
+    """Spherical direction (theta, phi); theta clamped to [0, pi], phi mod 2 pi.
+
+    Either angle may be an ``(N,)`` array; the two are broadcast to one shape.
+    """
 
     theta: float
     phi: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "theta", min(max(float(self.theta), 0.0), math.pi))
-        object.__setattr__(self, "phi", float(self.phi) % (2.0 * math.pi))
+        theta = np.array(self.theta, dtype=float)[()]
+        phi = np.array(self.phi, dtype=float)[()] % (2.0 * math.pi)
+        low, high = theta < 0.0, theta > math.pi
+        if np.count_nonzero(low | high):
+            # where, not clip: -0.0 and nan pass through as under min/max
+            theta = np.where(low, 0.0, np.where(high, math.pi, theta))[()]
+        if theta.shape != phi.shape:
+            theta, phi = np.broadcast_arrays(theta, phi)
+        object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "phi", phi)
 
 
 def direction(angles: PolarAngles) -> np.ndarray:
@@ -66,51 +101,60 @@ def direction(angles: PolarAngles) -> np.ndarray:
     The third component is cos(theta); see the documented-deviations section
     of the verification report for the one printed source that disagrees.
     """
-    st, ct = math.sin(angles.theta), math.cos(angles.theta)
-    sp, cp = math.sin(angles.phi), math.cos(angles.phi)
-    n = np.array([st * cp, st * sp, ct])
+    st, ct = np.sin(angles.theta), np.cos(angles.theta)
+    sp, cp = np.sin(angles.phi), np.cos(angles.phi)
+    n = stack_last([st * cp, st * sp, ct])
     n.setflags(write=False)
     return n
 
 
 def angles_of(v) -> PolarAngles:
-    """Polar angles of a nonzero 3-vector."""
+    """Polar angles of a nonzero 3-vector, or of each vector in a stack."""
     v = np.asarray(v, dtype=float)
-    r = float(np.linalg.norm(v))
-    if r == 0.0:
+    r = np.sqrt(np.vecdot(v, v))
+    if np.count_nonzero(r == 0.0):
         raise ValueError("zero vector has no direction")
-    return PolarAngles(math.acos(max(-1.0, min(1.0, v[2] / r))), math.atan2(v[1], v[0]))
+    cos_theta = np.minimum(np.maximum(v[..., 2] / r, -1.0), 1.0)
+    return PolarAngles(_acos(cos_theta), _atan2(v[..., 1], v[..., 0]))
 
 
 @dataclass(frozen=True, eq=False)
 class FourVector:
-    """Contravariant four-vector a^mu = (a0, a) with metric diag(1,-1,-1,-1)."""
+    """Contravariant four-vector a^mu = (a0, a) with metric diag(1,-1,-1,-1).
+
+    A stack of N four-vectors has ``t`` of shape ``(N,)`` and ``r`` of shape
+    ``(N, 3)``.
+    """
 
     t: float
     r: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
     def __post_init__(self):
         r = np.array(self.r, dtype=float)
-        if r.shape != (3,):
+        if r.shape[-1:] != (3,):
             raise ValueError("spatial part must be a 3-vector")
         r.setflags(write=False)
-        object.__setattr__(self, "t", float(self.t))
+        object.__setattr__(self, "t", np.asarray(self.t, dtype=float)[()])
         object.__setattr__(self, "r", r)
 
     def as_array(self) -> np.ndarray:
-        return np.concatenate(([self.t], self.r))
+        return np.concatenate((np.asarray(self.t)[..., None], self.r), axis=-1)
 
     def __iter__(self):
         return iter(self.as_array())
 
 
 def minkowski_dot(a: FourVector, b: FourVector) -> float:
-    return a.t * b.t - float(np.dot(a.r, b.r))
+    return a.t * b.t - np.vecdot(a.r, b.r)
 
 
 @dataclass(frozen=True, eq=False)
 class MomentumState:
-    """Mass, momentum, and unit system of a free particle; m >= 0."""
+    """Mass, momentum, and unit system of a free particle; m >= 0.
+
+    ``p`` of shape ``(N, 3)`` stacks N momenta of one mass and unit system;
+    ``p_abs``, ``R`` and ``energy`` then return ``(N,)`` arrays.
+    """
 
     m: float
     p: np.ndarray
@@ -118,7 +162,7 @@ class MomentumState:
 
     def __post_init__(self):
         p = np.array(self.p, dtype=float)
-        if p.shape != (3,):
+        if p.shape[-1:] != (3,):
             raise ValueError("momentum must be a 3-vector")
         if self.m < 0:
             raise ValueError("mass must be nonnegative")
@@ -134,18 +178,18 @@ class MomentumState:
     def hbar(self) -> float:
         return self.constants.hbar
 
-    @property
+    @cached_property
     def p_abs(self) -> float:
-        return float(np.linalg.norm(self.p))
+        return np.sqrt(np.vecdot(self.p, self.p))
 
     @property
     def rest_energy(self) -> float:
         return self.m * self.c**2
 
-    @property
+    @cached_property
     def R(self) -> float:
         """Energy magnitude sqrt(c^2 p^2 + m^2 c^4)."""
-        return math.hypot(self.c * self.p_abs, self.rest_energy)
+        return _hypot(self.c * self.p_abs, self.rest_energy)
 
     def energy(self, branch: EnergyBranch = EnergyBranch.POSITIVE) -> float:
         return branch.sign * self.R

@@ -8,18 +8,20 @@ Physical components (polarization four-vector, current) are computed as
 complex bilinears and their imaginary parts are *checked* against a
 tolerance instead of being discarded: a stray imaginary part is a bug
 detector, not noise.
+
+Both polarization routes accept a stacked state and/or stacked directions
+``n`` of shape ``(N, 3)`` and return a stacked ``FourVector``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .errors import MasslessState
 from .gamma import GAMMA, GAMMA0, GAMMA5_LOWER, ID4, SPIN, gamma_slash
 from .kinematics import EnergyBranch, FourVector, MomentumState, angles_of
-from .smallmat import max_abs
+from .smallmat import IMAG_TOL, max_abs
 from .spinors import Helicity, Normalization, bispinor_block, helicity_spinor
-
-_IMAG_TOL = 1e-10
 
 
 def dirac_adjoint(u: np.ndarray) -> np.ndarray:
@@ -28,8 +30,9 @@ def dirac_adjoint(u: np.ndarray) -> np.ndarray:
 
 
 def bilinear(u_left: np.ndarray, m: np.ndarray, u_right: np.ndarray) -> complex:
-    """u-bar_left M u_right."""
-    return complex(dirac_adjoint(u_left) @ m @ np.asarray(u_right))
+    """u-bar_left M u_right, for one pair of columns or each pair of a stack."""
+    # vecdot conjugates its first argument; conjugating first cancels that
+    return np.vecdot(np.conjugate(dirac_adjoint(u_left) @ m), u_right)
 
 
 def adjoint_norm(u: np.ndarray) -> float:
@@ -37,10 +40,13 @@ def adjoint_norm(u: np.ndarray) -> float:
     return complex(dirac_adjoint(u) @ np.asarray(u)).real
 
 
-def _real_part(value: complex, what: str) -> float:
-    if abs(value.imag) > _IMAG_TOL * max(1.0, abs(value.real)):
-        raise ValueError(f"{what} has a non-negligible imaginary part: {value}")
-    return value.real
+def _real_part(value, what: str):
+    """Real part of a physical component; any stray imaginary part raises."""
+    value = np.asarray(value)
+    stray = np.abs(value.imag) > IMAG_TOL * np.maximum(1.0, np.abs(value.real))
+    if np.count_nonzero(stray):
+        raise ValueError(f"{what} has a non-negligible imaginary part: {value[stray][0]}")
+    return value.real[()]
 
 
 def polarization_four_vector(state: MomentumState, n) -> FourVector:
@@ -50,10 +56,12 @@ def polarization_four_vector(state: MomentumState, n) -> FourVector:
     unit n and an on-shell state it satisfies p.a = 0 and a.a = -1, and it
     reduces to (0, n) at rest.
     """
+    if state.m == 0:
+        raise MasslessState("polarization four-vector requires m > 0")
     n = np.asarray(n, dtype=float)
-    p_dot_n = float(np.dot(state.p, n))
+    p_dot_n = np.vecdot(state.p, n)
     a0 = p_dot_n / (state.m * state.c)
-    avec = n + state.p * (p_dot_n / (state.m * (state.R + state.rest_energy)))
+    avec = n + state.p * (p_dot_n / (state.m * (state.R + state.rest_energy)))[..., None]
     return FourVector(a0, avec)
 
 
@@ -71,7 +79,7 @@ def polarization_from_bilinear(state: MomentumState, n) -> FourVector:
         _real_part(bilinear(u, GAMMA5_LOWER @ GAMMA[mu], u), f"a^{mu}")
         for mu in range(4)
     ]
-    return FourVector(comps[0], np.array(comps[1:]))
+    return FourVector(comps[0], np.stack(comps[1:], axis=-1))
 
 
 def check_polarization_equation(u: np.ndarray, a: FourVector) -> float:

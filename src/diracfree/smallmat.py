@@ -4,6 +4,11 @@ Everything in this library is carried by fixed-size complex matrices, so
 this module deliberately supports nothing else: value-semantic numpy
 arrays, 2x2-block composition of 4x4 matrices, cofactor determinants, the
 Schur block-determinant formulas, and the block rank criterion.
+
+``dagger``, ``stack_last`` and ``block4`` also act on stacks of matrices
+(leading batch axes).  Stacked vector products elsewhere in the library use
+``np.vecdot`` and ``np.matvec``, whose entries round exactly like
+``np.vdot`` / ``np.dot`` and ``@`` on a single pair.
 """
 
 from __future__ import annotations
@@ -14,7 +19,10 @@ import numpy as np
 
 from .errors import NonCommutingBlocks, SingularA
 
-DEFAULT_TOL = 1e-12
+# The tolerance policy, in one table.
+DEFAULT_TOL = 1e-12  # residual bound of a verify check
+IMAG_TOL = 1e-10  # imaginary part a real bilinear may carry, relative to max(1, |re|)
+UNIT_TOL = 1e-12  # |n.n - 1| allowed for a unit polarization direction
 
 
 def cmat(entries) -> np.ndarray:
@@ -38,8 +46,8 @@ def mat_mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.conjugate(np.asarray(m)).T
+    """Conjugate transpose of a matrix or of each matrix in a stack."""
+    return np.conjugate(np.asarray(m)).swapaxes(-1, -2)
 
 
 @dataclass(frozen=True)
@@ -64,8 +72,23 @@ class Block2x2:
             object.__setattr__(self, name, block)
 
 
+def stack_last(entries) -> np.ndarray:
+    """``np.stack(entries, axis=-1)`` for entries of one shape, without its call overhead."""
+    stacked = np.array(entries)
+    return stacked.transpose(*range(1, stacked.ndim), 0)
+
+
+def block4(a, b, c, d) -> np.ndarray:
+    """Complex 4x4 matrix ``[[a, b], [c, d]]`` of 2x2 blocks, each maybe stacked."""
+    blocks = [np.asarray(x) for x in (a, b, c, d)]
+    stack = max((x.shape for x in blocks), key=len)[:-2]
+    m = np.empty(stack + (4, 4), dtype=np.complex128)
+    m[..., :2, :2], m[..., :2, 2:], m[..., 2:, :2], m[..., 2:, 2:] = blocks
+    return m
+
+
 def assemble(blocks: Block2x2) -> np.ndarray:
-    m = np.block([[blocks.a, blocks.b], [blocks.c, blocks.d]])
+    m = block4(blocks.a, blocks.b, blocks.c, blocks.d)
     m.setflags(write=False)
     return m
 

@@ -22,6 +22,11 @@ Sign and phase conventions are fixed once here and never rephased:
 Normalization is always an explicit final step: internal construction is
 unnormalized and a ``Normalization`` value selects among u+u = 1, |u-bar u|
 = 1, |u-bar u| = 2mc, and the box convention u+u = 1/V.
+
+The helicity spinors and column matrices, ``spin_basis_matrix``,
+``bispinor_block`` and ``helicity_basis`` accept stacked angles and states
+(leading batch axes) and return stacked spinors and matrices; the unstacked
+call is the batch-of-one case.
 """
 
 from __future__ import annotations
@@ -48,7 +53,7 @@ from .kinematics import (
     check_eta,
     rapidity,
 )
-from .smallmat import max_abs
+from .smallmat import block4, max_abs, stack_last
 
 
 class Helicity(Enum):
@@ -84,20 +89,20 @@ def helicity_spinor(lam: Helicity, angles: PolarAngles) -> np.ndarray:
     minus = np.exp(-0.5j * angles.phi)
     plus = np.exp(0.5j * angles.phi)
     if lam is Helicity.PLUS:
-        return np.array([math.cos(half_theta) * minus, math.sin(half_theta) * plus])
-    return np.array([-math.sin(half_theta) * minus, math.cos(half_theta) * plus])
+        return stack_last([np.cos(half_theta) * minus, np.sin(half_theta) * plus])
+    return stack_last([-np.sin(half_theta) * minus, np.cos(half_theta) * plus])
 
 
 def phi_matrix(angles: PolarAngles) -> np.ndarray:
     """Unitary 2x2 matrix with the two helicity spinors as columns."""
-    return np.column_stack(
+    return stack_last(
         [helicity_spinor(Helicity.PLUS, angles), helicity_spinor(Helicity.MINUS, angles)]
     )
 
 
 def phi_tilde_matrix(angles: PolarAngles) -> np.ndarray:
     """Companion matrix (phi(+1/2), -phi(-1/2)); sigma.n = tilde Phi . Phi+."""
-    return np.column_stack(
+    return stack_last(
         [helicity_spinor(Helicity.PLUS, angles), -helicity_spinor(Helicity.MINUS, angles)]
     )
 
@@ -109,35 +114,35 @@ def spin_basis_matrix(state: MomentumState) -> np.ndarray:
     eigenvectors; at p = 0 the matrix reduces to diag(1, 1, -1, -1).
     """
     kappa = state.c / (state.rest_energy + state.R)
-    sp = kappa * sigma_dot(state.p)
+    sp = kappa[..., None, None] * sigma_dot(state.p)
     eye = np.eye(2)
-    u = np.block([[eye, sp], [sp, -eye]])
-    return math.sqrt((state.rest_energy + state.R) / (2.0 * state.R)) * u
+    u = block4(eye, sp, sp, -eye)
+    return np.sqrt((state.rest_energy + state.R) / (2.0 * state.R))[..., None, None] * u
 
 
-def _adjoint_norm(u: np.ndarray) -> float:
+def _adjoint_norm(u: np.ndarray):
     """u-bar u = |upper|^2 - |lower|^2 for a raw column."""
-    return float(np.vdot(u[:2], u[:2]).real - np.vdot(u[2:], u[2:]).real)
+    return np.vecdot(u[..., :2], u[..., :2]).real - np.vecdot(u[..., 2:], u[..., 2:]).real
 
 
 def _normalize(raw: np.ndarray, state: MomentumState, norm: Normalization,
                volume: float | None) -> np.ndarray:
-    nsq = float(np.vdot(raw, raw).real)
-    if nsq == 0.0:
+    nsq = np.vecdot(raw, raw).real
+    if np.count_nonzero(nsq == 0.0):
         raise UnnormalizablePhi("two-spinor must be nonzero")
     if norm is Normalization.UNIT:
-        return raw / math.sqrt(nsq)
+        return raw / np.sqrt(nsq)[..., None]
     if norm is Normalization.BOX:
         if volume is None or volume <= 0:
             raise NonPositiveVolume("box normalization requires volume > 0")
-        return raw / math.sqrt(volume * nsq)
+        return raw / np.sqrt(volume * nsq)[..., None]
     invariant = abs(_adjoint_norm(raw))
-    if invariant == 0.0:
+    if np.count_nonzero(invariant == 0.0):
         raise UnnormalizablePhi("invariant norm vanishes; state is light-like")
     if norm is Normalization.INVARIANT_UNIT:
-        return raw / math.sqrt(invariant)
+        return raw / np.sqrt(invariant)[..., None]
     target = 2.0 * state.m * state.c
-    return raw * math.sqrt(target / invariant)
+    return raw * np.sqrt(target / invariant)[..., None]
 
 
 def bispinor_block(phi: np.ndarray, state: MomentumState, branch: EnergyBranch,
@@ -152,13 +157,16 @@ def bispinor_block(phi: np.ndarray, state: MomentumState, branch: EnergyBranch,
     so the 2mc convention yields +2mc and -2mc respectively.
     """
     phi = np.asarray(phi, dtype=np.complex128)
-    if not np.any(phi):
+    if not phi.any(axis=-1).all():
         raise UnnormalizablePhi("two-spinor must be nonzero")
-    coupled = (state.c / (state.rest_energy + state.R)) * (sigma_dot(state.p) @ phi)
+    kappa = state.c / (state.rest_energy + state.R)
+    coupled = kappa[..., None] * np.matvec(sigma_dot(state.p), phi)
+    if phi.shape != coupled.shape:
+        phi, coupled = np.broadcast_arrays(phi, coupled)
     if branch is EnergyBranch.POSITIVE:
-        raw = np.concatenate([phi, coupled])
+        raw = np.concatenate([phi, coupled], axis=-1)
     else:
-        raw = np.concatenate([coupled, phi])
+        raw = np.concatenate([coupled, phi], axis=-1)
     return _normalize(raw, state, norm, volume)
 
 
@@ -210,14 +218,15 @@ class HelicityBasis:
 
 
 def helicity_basis(state: MomentumState) -> HelicityBasis:
-    if state.p_abs == 0.0:
+    """V and V-tilde of a state, or ``(N, 4, 4)`` stacks of a stacked state."""
+    if np.count_nonzero(state.p_abs == 0.0):
         raise ZeroMomentum("helicity basis needs a momentum direction")
     angles = angles_of(state.p)
-    kappa = state.c * state.p_abs / (state.rest_energy + state.R)
+    kappa = (state.c * state.p_abs / (state.rest_energy + state.R))[..., None, None]
     phi_m = phi_matrix(angles)
     phi_t = phi_tilde_matrix(angles)
-    v = np.block([[phi_m, kappa * phi_t], [kappa * phi_t, -phi_m]])
-    v *= math.sqrt((state.rest_energy + state.R) / (2.0 * state.R))
+    v = block4(phi_m, kappa * phi_t, kappa * phi_t, -phi_m)
+    v *= np.sqrt((state.rest_energy + state.R) / (2.0 * state.R))[..., None, None]
     flip = np.diag([1.0, 1.0, -1.0, -1.0])
     return HelicityBasis(V=v, V_tilde=v @ flip)
 

@@ -10,6 +10,12 @@ check that reports a max-abs residual.  A registry row has the shape
   direction), ``n`` seeded random draws, or a single evaluation;
 * the *residual* maps one point to the residuals measured there.
 
+A domain may yield *stacked* points: the whole angle list as one
+``PolarAngles`` of ``(N,)`` arrays, or one stacked ``MomentumState`` per
+eta.  Their residuals are array expressions over the stack, built from the
+same kernels as the scalar points (a scalar call is the batch-of-one case),
+and each yields its maximum over the stack.
+
 ``_sweep`` takes the max over the whole domain and becomes the entry's
 ``fn(grid) -> float``.  The registry is the machine-checkable contract of
 the package: ``run_suite`` executes a suite (or all of them) and returns a
@@ -26,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 from typing import Callable, Iterable
 
 import numpy as np
@@ -70,10 +76,27 @@ class GridSpec:
                 f"angle counts must be positive, got {self.theta_count}x{self.phi_count}"
             )
 
-    def angle_list(self) -> list[PolarAngles]:
+    @cached_property
+    def _axes(self) -> tuple[list[float], list[float]]:
+        """The theta and the phi values the angle list combines."""
         thetas = [math.pi * (j + 0.5) / self.theta_count for j in range(self.theta_count)]
         phis = [2.0 * math.pi * k / self.phi_count for k in range(self.phi_count)]
+        return thetas, phis
+
+    def angle(self, k: int) -> PolarAngles:
+        """Entry ``k`` of ``angle_list()``, built alone."""
+        thetas, phis = self._axes
+        j, l = divmod(k, self.phi_count)
+        return PolarAngles(thetas[j], phis[l])
+
+    def angle_list(self) -> list[PolarAngles]:
+        thetas, phis = self._axes
         return [PolarAngles(t, p) for t in thetas for p in phis]
+
+    def angle_stack(self) -> PolarAngles:
+        """The whole angle list as one stacked ``PolarAngles``, same order."""
+        thetas, phis = self._axes
+        return PolarAngles(np.repeat(thetas, len(phis)), np.tile(phis, len(thetas)))
 
     def states(self) -> list[MomentumState]:
         return [
@@ -84,12 +107,12 @@ class GridSpec:
 
     def sample_points(self, per_eta: int = 8) -> list[tuple[float, PolarAngles]]:
         """Strided (eta, angles) subset for the more expensive sweeps."""
-        angles = self.angle_list()
-        step = max(1, len(angles) // per_eta)
+        count = self.theta_count * self.phi_count
+        step = max(1, count // per_eta)
         points = []
         for i, eta in enumerate(self.eta_values):
-            for j in range(0, len(angles), step):
-                points.append((eta, angles[(j + 3 * i) % len(angles)]))
+            for j in range(0, count, step):
+                points.append((eta, self.angle((j + 3 * i) % count)))
         return points
 
     def sample_states(self, per_eta: int = 8) -> list[MomentumState]:
@@ -137,6 +160,10 @@ class VerificationReport:
 #
 # A domain maps the grid to an iterable of point tuples; a residual takes
 # one point's items as arguments and yields the residuals measured there.
+# A point may be stacked (its angles or state carry a leading batch axis);
+# its residual then yields maxima over the stack, so the sweep below stays
+# a plain float max (np.max per yielded value would cost more than the
+# stacking saves on small grids).
 
 _Domain = Callable[[GridSpec], Iterable[tuple]]
 
@@ -159,11 +186,14 @@ def _once(grid: GridSpec):
 
 
 def _angles(grid: GridSpec):
-    return ((ang,) for ang in grid.angle_list())
+    """The whole angle list as one stacked point."""
+    return ((grid.angle_stack(),),)
 
 
 def _states(grid: GridSpec):
-    return ((state,) for state in grid.states())
+    """All states, one stacked point per eta."""
+    angles = grid.angle_stack()
+    return ((ki.from_eta(grid.mass, grid.c, eta, angles),) for eta in grid.eta_values)
 
 
 def _sampled(grid: GridSpec):
@@ -178,11 +208,11 @@ def _points(per_eta: int = 8, partner: tuple[int, int] | None = None) -> _Domain
     """
 
     def domain(grid: GridSpec):
-        angles = grid.angle_list()
         for i, (eta, ang) in enumerate(grid.sample_points(per_eta)):
             point = (eta, ang, ki.from_eta(grid.mass, grid.c, eta, ang))
             if partner is not None:
-                point += (angles[(partner[0] * i + partner[1]) % len(angles)],)
+                k = (partner[0] * i + partner[1]) % (grid.theta_count * grid.phi_count)
+                point += (grid.angle(k),)
             yield point
 
     return domain
@@ -214,21 +244,21 @@ def _axis_states(grid: GridSpec):
 
 
 def _rest_angles(grid: GridSpec):
-    """The rest state paired with every direction of the angle list."""
+    """The rest state paired with the whole angle list, as one stacked point."""
     rest = MomentumState(grid.mass, np.zeros(3), ki.PhysicalConstants(c=grid.c))
-    return ((rest, ang) for ang in grid.angle_list())
+    return ((rest, grid.angle_stack()),)
 
 
 def _dual_points(grid: GridSpec):
-    """Full eta x p-direction x n-direction grid on two fixed azimuths."""
-    thetas = [ang.theta for ang in grid.angle_list()[:: grid.phi_count]]
-    p_angles = [PolarAngles(t, 1.0) for t in thetas]
-    n_angles = [PolarAngles(t, 2.5) for t in thetas]
+    """Full eta x p-direction x n-direction grid on two fixed azimuths.
+
+    One stacked point per eta: every (p theta, n theta) pair, p-major.
+    """
+    thetas, _ = grid._axes
+    p_angles = PolarAngles(np.repeat(thetas, len(thetas)), 1.0)
+    n_angles = PolarAngles(np.tile(thetas, len(thetas)), 2.5)
     for eta in grid.eta_values:
-        for p_ang in p_angles:
-            state = ki.from_eta(grid.mass, grid.c, eta, p_ang)
-            for n_ang in n_angles:
-                yield state, n_ang
+        yield ki.from_eta(grid.mass, grid.c, eta, p_angles), n_angles
 
 
 # --------------------------------------------------------------------------
@@ -256,9 +286,14 @@ def _rel(got, want) -> float:
     return abs(got - want) / max(1.0, abs(want))
 
 
+def _outer(x, y):
+    """x y+ over the last axis."""
+    return np.asarray(x)[..., :, None] * np.conjugate(y)[..., None, :]
+
+
 def _rest_spin(phi: np.ndarray) -> np.ndarray:
     """Rest-frame spin vector 0.5 phi+ sigma phi of a two-spinor."""
-    return np.array([0.5 * float(np.vdot(phi, s @ phi).real) for s in ga.PAULI])
+    return sm.stack_last([0.5 * np.vecdot(phi, np.matvec(s, phi)).real for s in ga.PAULI])
 
 
 def _d9_blocks(state: MomentumState, e: float) -> sm.Block2x2:
@@ -376,10 +411,10 @@ def _h_squared(state):
 
 
 def _sigma_n_matrix(ang):
-    st, ct = math.sin(ang.theta), math.cos(ang.theta)
-    target = np.array(
-        [[ct, st * np.exp(-1j * ang.phi)], [st * np.exp(1j * ang.phi), -ct]]
-    )
+    st, ct = np.sin(ang.theta), np.cos(ang.theta)
+    top = sm.stack_last([ct, st * np.exp(-1j * ang.phi)])
+    bottom = sm.stack_last([st * np.exp(1j * ang.phi), -ct])
+    target = np.stack([top, bottom], axis=-2)
     yield max_abs(ga.sigma_dot(ki.direction(ang)) - target)
 
 
@@ -438,7 +473,7 @@ def _wave_numbers(eta, ang, state):
 
 def _n3_convention(ang):
     """Documented deviation: implemented n3 = cos(theta), printed n3 = cos(phi)."""
-    yield abs(math.cos(ang.theta) - math.cos(ang.phi))
+    yield max_abs(np.cos(ang.theta) - np.cos(ang.phi))
 
 
 # --------------------------------------------------------------------------
@@ -448,8 +483,8 @@ def _helicity_eigen_2(ang):
     sn = ga.sigma_dot(ki.direction(ang))
     for lam in _LAMBDAS:
         phi = sp.helicity_spinor(lam, ang)
-        yield max_abs(sn @ phi - lam.sign * phi)
-        yield abs(float(np.vdot(phi, phi).real) - 1.0)
+        yield max_abs(np.matvec(sn, phi) - lam.sign * phi)
+        yield max_abs(np.vecdot(phi, phi).real - 1.0)
 
 
 def _spin_direction(ang):
@@ -480,8 +515,7 @@ def _phi_swap(ang):
 
 def _completeness_2(ang):
     total = sum(
-        np.outer(sp.helicity_spinor(lam, ang), np.conjugate(sp.helicity_spinor(lam, ang)))
-        for lam in _LAMBDAS
+        _outer(sp.helicity_spinor(lam, ang), sp.helicity_spinor(lam, ang)) for lam in _LAMBDAS
     )
     yield max_abs(total - np.eye(2))
 
@@ -494,10 +528,11 @@ def _spin_basis(state):
 
 
 def _spin_basis_eigen(state):
+    """Column k of H U equals e_k times column k of U, e = (R, R, -R, -R)."""
     h = ga.hamiltonian(state)
     u = sp.spin_basis_matrix(state)
-    for k, e in enumerate((state.R, state.R, -state.R, -state.R)):
-        yield max_abs(h @ u[:, k] - e * u[:, k])
+    e = state.R[..., None, None] * np.array([1.0, 1.0, -1.0, -1.0])
+    yield max_abs(h @ u - e * u)
 
 
 def _block_squared_norm(state):
@@ -522,10 +557,10 @@ def _helicity_basis_unitary(state):
 
 
 def _helicity_eigen_4(state):
+    """Column k of (helicity) V equals lam_k times column k of V."""
     lam_op = ga.helicity_operator(state)
     v = sp.helicity_basis(state).V
-    for k, lam in enumerate((0.5, -0.5, 0.5, -0.5)):
-        yield max_abs(lam_op @ v[:, k] - lam * v[:, k])
+    yield max_abs(lam_op @ v - np.array([0.5, -0.5, 0.5, -0.5]) * v)
 
 
 def _hv_exchange(state):
@@ -648,7 +683,7 @@ def _polarization_dual(state, n_ang):
 def _polarization_rest(rest, ang):
     n = ki.direction(ang)
     a = ob.polarization_four_vector(rest, n)
-    yield abs(a.t)
+    yield max_abs(a.t)
     yield max_abs(a.r - n)
 
 
@@ -706,9 +741,9 @@ def _nonrel_density(ang):
     for lam in _LAMBDAS:
         phi = sp.helicity_spinor(lam, ang)
         rho = de.nonrel_density(lam, n)
-        yield max_abs(np.outer(phi, np.conjugate(phi)) - rho)
+        yield max_abs(_outer(phi, phi) - rho)
         yield max_abs(rho @ rho - rho)
-        yield abs(float(np.trace(rho).real) - 1.0)
+        yield max_abs(np.trace(rho, axis1=-2, axis2=-1).real - 1.0)
 
 
 def _projector_algebra(state):

@@ -311,13 +311,14 @@ def test_criterion_09_nonrelativistic_limit():
     )
 
 
-def test_criterion_10_cli_verification_run():
+def test_criterion_10_cli_verification_run(child_env):
     start = time.perf_counter()
     result = subprocess.run(
         [sys.executable, "-m", "diracfree.cli", "verify", "--suite", "all",
          "--format", "json"],
         capture_output=True,
         text=True,
+        env=child_env,
     )
     elapsed = time.perf_counter() - start
     ok = result.returncode == 0 and elapsed < 5.0

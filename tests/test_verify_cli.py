@@ -225,10 +225,10 @@ class TestCli:
         doc = json.loads(out)
         assert doc["inputs"]["tolerance"] == 1e-30
 
-    def test_installed_entry_point(self):
+    def test_installed_entry_point(self, child_env):
         result = subprocess.run(
             [sys.executable, "-m", "diracfree.cli", "--version"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=child_env,
         )
         assert result.returncode == 0
         assert "diracfree" in result.stdout

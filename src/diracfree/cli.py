@@ -267,7 +267,10 @@ def _cmd_density(args) -> int:
     branch = _BRANCHES[args.branch]
     lam = _HELICITIES[args.lam]
     if args.n is not None:
-        n = args.n / np.linalg.norm(args.n)
+        length = np.linalg.norm(args.n)
+        if not 0.0 < length < math.inf:
+            raise DiracFreeError("--n must be a nonzero, finite direction vector")
+        n = args.n / length
     else:
         n = state.p / state.p_abs if state.p_abs > 0 else np.array([0.0, 0.0, 1.0])
     rho = density4(state, branch, lam, n)

@@ -10,6 +10,10 @@ Conventions, fixed by the explicit component checks in the test suite:
   ``1 - sign(2 lambda) gamma_5 a-slash``;
 * outer products: u u-bar = rho_+ for the positive branch and v v-bar =
   -rho_- for the negative one, with the 2mc-invariant normalization.
+
+Every construction accepts stacks (stacked states, eta values, angles,
+directions ``n`` of shape ``(N, 3)``, bi-spinors of shape ``(N, 4)``) and
+returns one matrix per element; the unstacked call is the batch-of-one case.
 """
 
 from __future__ import annotations
@@ -32,17 +36,19 @@ from .kinematics import (
     FourVector,
     MomentumState,
     PolarAngles,
+    _pow,
     angles_of,
     from_eta,
 )
-from .observables import dirac_adjoint, polarization_four_vector
-from .smallmat import UNIT_TOL, Block2x2, assemble, block_mul, disassemble, max_abs
+from .observables import adjoint_norm, dirac_adjoint, polarization_four_vector
+from .smallmat import UNIT_TOL, Block2x2, assemble, block_mul, disassemble, max_abs_each
 from .spinors import Helicity, Normalization, bispinor_block, helicity_spinor
 
 
 def _check_unit(n) -> np.ndarray:
     n = np.asarray(n, dtype=float)
-    if np.count_nonzero(np.abs(np.vecdot(n, n) - 1.0) > UNIT_TOL):
+    # written so that a nan or infinite direction fails too
+    if np.count_nonzero(~(np.abs(np.vecdot(n, n) - 1.0) <= UNIT_TOL)):
         raise NonUnitDirection("polarization direction must be a unit vector")
     return n
 
@@ -64,7 +70,7 @@ def energy_projector(state: MomentumState, branch: EnergyBranch) -> np.ndarray:
 
 def outer_with_adjoint(u: np.ndarray) -> np.ndarray:
     """Rank-one matrix u u-bar."""
-    return np.outer(np.asarray(u), dirac_adjoint(u))
+    return np.asarray(u)[..., :, None] * dirac_adjoint(u)[..., None, :]
 
 
 def density4(state: MomentumState, branch: EnergyBranch, lam: Helicity, n) -> np.ndarray:
@@ -112,8 +118,8 @@ def density_block_form(eta: float, angles: PolarAngles, branch: EnergyBranch,
     phi_label = lam if branch is EnergyBranch.POSITIVE else lam.flipped
     phi = helicity_spinor(phi_label, angles)
     u = bispinor_block(phi, state, branch, Normalization.INVARIANT_2MC)
-    norm = complex(dirac_adjoint(u) @ u).real
-    scaled = branch.sign * (1.0 - eta**2) * outer_with_adjoint(u) / norm
+    scale = branch.sign * (1.0 - _pow(eta, 2.0))
+    scaled = scale[..., None, None] * outer_with_adjoint(u) / adjoint_norm(u)[..., None, None]
     return disassemble(scaled)
 
 
@@ -131,20 +137,24 @@ def slash_pair(p: FourVector, a: FourVector) -> np.ndarray:
     p-slash gamma_5 a-slash = -gamma_5 (this contraction) holds whenever
     p.a = 0.
     """
-    p_low = METRIC @ p.as_array()
-    a_low = METRIC @ a.as_array()
-    total = np.zeros((4, 4), dtype=np.complex128)
+    p_low = np.matvec(METRIC, p.as_array())
+    a_low = np.matvec(METRIC, a.as_array())
+    total = np.zeros(p_low.shape[:-1] + (4, 4), dtype=np.complex128)
     for mu in range(4):
         for nu in range(4):
             if mu != nu:
-                total += sigma_tensor(mu, nu) * (p_low[mu] * a_low[nu])
+                total += sigma_tensor(mu, nu) * (p_low[..., mu] * a_low[..., nu])[..., None, None]
     return total
 
 
 def slash_pair_components(p: FourVector, a: FourVector) -> np.ndarray:
     """Componentwise route -p0 (alpha.a) + a0 (alpha.p) - i Sigma.(p x a)."""
     cross = np.cross(p.r, a.r)
-    return -p.t * alpha_dot(a.r) + a.t * alpha_dot(p.r) - 1j * spin_dot(cross)
+    return (
+        (-p.t)[..., None, None] * alpha_dot(a.r)
+        + a.t[..., None, None] * alpha_dot(p.r)
+        - 1j * spin_dot(cross)
+    )
 
 
 def covariant_density_identity(state: MomentumState, branch: EnergyBranch,
@@ -154,9 +164,11 @@ def covariant_density_identity(state: MomentumState, branch: EnergyBranch,
     Compares (mc +/- p-slash)(1 - gamma_5 a-slash) against
     mc (1 - gamma_5 a-slash) +/- [p-slash + gamma_5 (pa-contraction)], and
     additionally recomputes the left side by 2x2 block multiplication.
-    Returns the larger of the two mismatches.
+    Returns the larger of the two mismatches, one per element of a stack.
+    The polarization direction is p/|p|, or the z axis at rest.
     """
-    n = state.p / state.p_abs if state.p_abs > 0 else np.array([0.0, 0.0, 1.0])
+    moving = (state.p_abs > 0)[..., None]
+    n = np.where(moving, state.p, [0.0, 0.0, 1.0]) / np.where(moving, state.p_abs[..., None], 1.0)
     a = polarization_four_vector(state, lam.sign * n)
     p4 = state.momentum_four_vector(EnergyBranch.POSITIVE)
     a_slash = gamma_slash(a)
@@ -171,4 +183,4 @@ def covariant_density_identity(state: MomentumState, branch: EnergyBranch,
             disassemble(polarizer),
         )
     )
-    return max(max_abs(lhs - rhs), max_abs(lhs_blocks - lhs))
+    return np.maximum(max_abs_each(lhs - rhs), max_abs_each(lhs_blocks - lhs))[()]

@@ -8,12 +8,12 @@ determinant).  This module preserves the original set verbatim as a
 regression fixture, provides the corrected set (the axis-3 spin basis,
 whose last two columns really are -R eigenvectors), the energy projection
 operators built from H/R, and Fermi's variant gamma representation with
-the primed spin matrices.
+the primed spin matrices.  The state-dependent constructions accept a
+stacked state and return stacked bi-spinors and projectors.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +21,7 @@ import numpy as np
 from .errors import ZeroMomentum
 from .gamma import ALPHA, BETA, ID4, hamiltonian
 from .kinematics import MomentumState
-from .smallmat import cmat
+from .smallmat import cmat, stack_last
 from .spinors import spin_basis_matrix
 
 FERMI_GAMMA1 = cmat(
@@ -77,20 +77,21 @@ def fermi_bispinors_original(state: MomentumState) -> list[np.ndarray]:
     vanishing determinant.  Preserved verbatim, bugs included: the audit is
     the feature.
     """
-    if state.p_abs == 0.0:
+    if np.count_nonzero(state.p_abs == 0.0):
         raise ZeroMomentum("the original set is singular at p = 0")
     c = state.c
-    px, py, pz = state.p
+    px, py, pz = np.moveaxis(state.p, -1, 0)
     r = state.R
     mc2 = state.rest_energy
-    plus = math.sqrt((mc2 + r) / (2.0 * r))
-    minus = math.sqrt((r - mc2) / (2.0 * r))
+    plus = np.sqrt((mc2 + r) / (2.0 * r))[..., None]
+    minus = np.sqrt((r - mc2) / (2.0 * r))[..., None]
     dp = mc2 + r
     dm = r - mc2
-    u1 = plus * np.array([1, 0, c * pz / dp, c * (px + 1j * py) / dp])
-    u2 = plus * np.array([0, 1, c * (px - 1j * py) / dp, -c * pz / dp])
-    u3 = minus * np.array([c * pz / dm, c * (px + 1j * py) / dm, 1, 0])
-    u4 = minus * np.array([c * (px - 1j * py) / dm, -c * pz / dm, 0, 1])
+    one, zero = np.ones_like(r), np.zeros_like(r)
+    u1 = plus * stack_last([one, zero, c * pz / dp, c * (px + 1j * py) / dp])
+    u2 = plus * stack_last([zero, one, c * (px - 1j * py) / dp, -c * pz / dp])
+    u3 = minus * stack_last([c * pz / dm, c * (px + 1j * py) / dm, one, zero])
+    u4 = minus * stack_last([c * (px - 1j * py) / dm, -c * pz / dm, zero, one])
     return [u1, u2, u3, u4]
 
 
@@ -101,7 +102,7 @@ def fermi_bispinors_corrected(state: MomentumState) -> list[np.ndarray]:
     genuine -R eigenvectors.
     """
     u = spin_basis_matrix(state)
-    return [u[:, k].copy() for k in range(4)]
+    return [u[..., k].copy() for k in range(4)]
 
 
 @dataclass(frozen=True)
@@ -119,5 +120,5 @@ def fermi_projectors(state: MomentumState) -> FermiProjectors:
     select the positive / negative energy pairs.
     """
     h = hamiltonian(state)
-    p = 0.5 * ID4 + h / (2.0 * state.R)
+    p = 0.5 * ID4 + h / (2.0 * state.R)[..., None, None]
     return FermiProjectors(P=p, N=ID4 - p)

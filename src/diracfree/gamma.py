@@ -11,10 +11,10 @@ commutator / anticommutator helpers.  Conventions:
 * Sigma_k = alpha_k gamma^5 (block-diagonal sigma_k).
 
 All constants are immutable module-level arrays; every function here is
-pure, so the module is safe to use concurrently.  The vector contractions
-and the momentum-dependent matrices accept stacked inputs (vectors of shape
-``(N, 3)``, stacked ``MomentumState``) and return ``(N, 2, 2)`` or
-``(N, 4, 4)`` stacks.
+pure, so the module is safe to use concurrently.  The vector contractions,
+the slash and the momentum-dependent matrices accept stacked inputs
+(vectors of shape ``(N, 3)`` or ``(N, 4)``, stacked ``MomentumState``) and
+return ``(N, 2, 2)`` or ``(N, 4, 4)`` stacks; the commutators broadcast.
 """
 
 from __future__ import annotations
@@ -94,8 +94,11 @@ def gamma_slash(a) -> np.ndarray:
     """Feynman slash a0 gamma^0 - a . gamma of a contravariant four-vector."""
     if isinstance(a, FourVector):
         a = a.as_array()
-    a = np.asarray(a)
-    return a[0] * GAMMA[0] - a[1] * GAMMA[1] - a[2] * GAMMA[2] - a[3] * GAMMA[3]
+    a = np.asarray(a)[..., None, None]
+    return (
+        a[..., 0, :, :] * GAMMA[0] - a[..., 1, :, :] * GAMMA[1]
+        - a[..., 2, :, :] * GAMMA[2] - a[..., 3, :, :] * GAMMA[3]
+    )
 
 
 def hamiltonian(state: MomentumState) -> np.ndarray:
@@ -112,12 +115,12 @@ def helicity_operator(state: MomentumState) -> np.ndarray:
 
 
 def commutator(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    if x.shape != y.shape:
+    if x.shape[-2:] != y.shape[-2:]:
         raise ValueError(f"dimension mismatch: {x.shape} vs {y.shape}")
     return x @ y - y @ x
 
 
 def anticommutator(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    if x.shape != y.shape:
+    if x.shape[-2:] != y.shape[-2:]:
         raise ValueError(f"dimension mismatch: {x.shape} vs {y.shape}")
     return x @ y + y @ x

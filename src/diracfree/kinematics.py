@@ -46,6 +46,12 @@ def _entrywise(fn, nin: int):
 _hypot = _entrywise(math.hypot, 2)
 _acos = _entrywise(math.acos, 1)
 _atan2 = _entrywise(math.atan2, 2)
+_asinh = _entrywise(math.asinh, 1)
+_cosh = _entrywise(math.cosh, 1)
+_tanh = _entrywise(math.tanh, 1)
+# x**y of Python floats: numpy squares by x * x, which differs from pow(x, 2)
+# in the last bit on about 0.1% of inputs
+_pow = _entrywise(math.pow, 2)
 
 
 class EnergyBranch(Enum):
@@ -200,19 +206,25 @@ class MomentumState:
 
 
 def check_eta(eta: float) -> float:
-    if not (0.0 <= eta < 1.0):
-        raise EtaOutOfRange(f"eta must lie in [0, 1), got {eta}")
-    return float(eta)
+    """eta as float64, checked to lie in [0, 1); an ``(N,)`` array entry by entry."""
+    eta = np.asarray(eta, dtype=float)
+    bad = ~((0.0 <= eta) & (eta < 1.0))
+    if np.count_nonzero(bad):
+        raise EtaOutOfRange(f"eta must lie in [0, 1), got {eta[bad][0]}")
+    return eta[()]
 
 
 def from_eta(m: float, c: float, eta: float, dir: PolarAngles,
              hbar: float = 1.0) -> MomentumState:
-    """State with |p| = 2 m c eta / (1 - eta^2) along the given direction."""
+    """State with |p| = 2 m c eta / (1 - eta^2) along the given direction.
+
+    ``eta`` and ``dir`` may be stacked; they broadcast to one stack of states.
+    """
     eta = check_eta(eta)
     if m <= 0:
         raise MasslessState("eta parametrization requires m > 0")
-    p_abs = 2.0 * m * c * eta / (1.0 - eta**2)
-    return MomentumState(m, p_abs * direction(dir), PhysicalConstants(c, hbar))
+    p_abs = 2.0 * m * c * eta / (1.0 - _pow(eta, 2.0))
+    return MomentumState(m, p_abs[..., None] * direction(dir), PhysicalConstants(c, hbar))
 
 
 def to_eta(state: MomentumState) -> float:
@@ -226,4 +238,4 @@ def rapidity(state: MomentumState) -> float:
     """Boost parameter th with E = m c^2 cosh th, |p| = m c sinh th."""
     if state.m == 0:
         raise MasslessState("rapidity is undefined for m = 0")
-    return math.asinh(state.p_abs / (state.m * state.c))
+    return _asinh(state.p_abs / (state.m * state.c))

@@ -9,8 +9,9 @@ complex bilinears and their imaginary parts are *checked* against a
 tolerance instead of being discarded: a stray imaginary part is a bug
 detector, not noise.
 
-Both polarization routes accept a stacked state and/or stacked directions
-``n`` of shape ``(N, 3)`` and return a stacked ``FourVector``.
+Every function accepts stacks: a stacked state, stacked directions ``n`` of
+shape ``(N, 3)`` and stacked bi-spinors of shape ``(N, 4)`` give stacked
+results, one per element; the unstacked call is the batch-of-one case.
 """
 
 from __future__ import annotations
@@ -20,12 +21,12 @@ import numpy as np
 from .errors import MasslessState
 from .gamma import GAMMA, GAMMA0, GAMMA5_LOWER, ID4, SPIN, gamma_slash
 from .kinematics import EnergyBranch, FourVector, MomentumState, angles_of
-from .smallmat import IMAG_TOL, max_abs
+from .smallmat import IMAG_TOL, max_abs_each, stack_last
 from .spinors import Helicity, Normalization, bispinor_block, helicity_spinor
 
 
 def dirac_adjoint(u: np.ndarray) -> np.ndarray:
-    """Row vector u+ gamma^0."""
+    """Row vector u+ gamma^0 of a column or of each column in a stack."""
     return np.conjugate(np.asarray(u)) @ GAMMA0
 
 
@@ -37,7 +38,8 @@ def bilinear(u_left: np.ndarray, m: np.ndarray, u_right: np.ndarray) -> complex:
 
 def adjoint_norm(u: np.ndarray) -> float:
     """u-bar u (always real for finite components)."""
-    return complex(dirac_adjoint(u) @ np.asarray(u)).real
+    # vecdot conjugates its first argument; conjugating first cancels that
+    return np.vecdot(np.conjugate(dirac_adjoint(u)), u).real
 
 
 def _real_part(value, what: str):
@@ -90,7 +92,7 @@ def check_polarization_equation(u: np.ndarray, a: FourVector) -> float:
     order-one for the wrong helicity, so the check discriminates.
     """
     m = GAMMA5_LOWER @ gamma_slash(a) + ID4
-    return max_abs(m @ np.asarray(u))
+    return max_abs_each(np.matvec(m, u), ndim=1)
 
 
 def current_density(u: np.ndarray, state: MomentumState) -> FourVector:
@@ -100,16 +102,14 @@ def current_density(u: np.ndarray, state: MomentumState) -> FourVector:
     of the underlying two-spinor.
     """
     comps = [_real_part(bilinear(u, GAMMA[mu], u), f"j^{mu}") for mu in range(4)]
-    return FourVector(comps[0], np.array(comps[1:]))
+    return FourVector(comps[0], np.stack(comps[1:], axis=-1))
 
 
 def spin_expectations(u: np.ndarray) -> np.ndarray:
     """Expectation value of the spin operator (1/2) Sigma in state u."""
     u = np.asarray(u)
-    nsq = float(np.vdot(u, u).real)
-    return np.array(
-        [0.5 * float(np.vdot(u, s @ u).real) / nsq for s in SPIN]
-    )
+    nsq = np.vecdot(u, u).real
+    return stack_last([0.5 * np.vecdot(u, np.matvec(s, u)).real / nsq for s in SPIN])
 
 
 def relate_spin_expectations(state: MomentumState, s_nonrel: np.ndarray) -> np.ndarray:
@@ -122,5 +122,5 @@ def relate_spin_expectations(state: MomentumState, s_nonrel: np.ndarray) -> np.n
     s_nonrel = np.asarray(s_nonrel, dtype=float)
     e = state.R
     mc2 = state.rest_energy
-    longitudinal = state.c**2 * state.p * float(np.dot(state.p, s_nonrel))
-    return (mc2 / e) * s_nonrel + longitudinal / (e * (e + mc2))
+    longitudinal = state.c**2 * state.p * np.vecdot(state.p, s_nonrel)[..., None]
+    return (mc2 / e)[..., None] * s_nonrel + longitudinal / (e * (e + mc2))[..., None]

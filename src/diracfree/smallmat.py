@@ -5,10 +5,10 @@ this module deliberately supports nothing else: value-semantic numpy
 arrays, 2x2-block composition of 4x4 matrices, cofactor determinants, the
 Schur block-determinant formulas, and the block rank criterion.
 
-``dagger``, ``stack_last`` and ``block4`` also act on stacks of matrices
-(leading batch axes).  Stacked vector products elsewhere in the library use
-``np.vecdot`` and ``np.matvec``, whose entries round exactly like
-``np.vdot`` / ``np.dot`` and ``@`` on a single pair.
+Every function also acts on stacks of matrices (leading batch axes), and a
+single matrix is the batch-of-one case.  Stacked vector products elsewhere
+in the library use ``np.vecdot`` and ``np.matvec``, whose entries round
+exactly like ``np.vdot`` / ``np.dot`` and ``@`` on a single pair.
 """
 
 from __future__ import annotations
@@ -39,6 +39,11 @@ def max_abs(x) -> float:
     return float(np.max(np.abs(np.asarray(x)))) if np.asarray(x).size else 0.0
 
 
+def max_abs_each(x, ndim: int = 2) -> np.ndarray:
+    """Largest entry magnitude of each matrix (``ndim=2``) or vector (``ndim=1``) in a stack."""
+    return np.max(np.abs(x), axis=tuple(range(-ndim, 0)))
+
+
 def mat_mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     if x.shape != y.shape:
         raise ValueError(f"dimension mismatch: {x.shape} vs {y.shape}")
@@ -55,7 +60,7 @@ class Block2x2:
     """A 4x4 matrix partitioned into four 2x2 blocks.
 
     Layout: ``[[a, b], [c, d]]`` with a top-left, b top-right, c bottom-left,
-    d bottom-right.
+    d bottom-right.  Each block may be a stack of shape ``(..., 2, 2)``.
     """
 
     a: np.ndarray
@@ -66,7 +71,7 @@ class Block2x2:
     def __post_init__(self):
         for name in ("a", "b", "c", "d"):
             block = np.asarray(getattr(self, name), dtype=np.complex128)
-            if block.shape != (2, 2):
+            if block.shape[-2:] != (2, 2):
                 raise ValueError(f"block {name} must be 2x2, got {block.shape}")
             block.setflags(write=False)
             object.__setattr__(self, name, block)
@@ -95,9 +100,9 @@ def assemble(blocks: Block2x2) -> np.ndarray:
 
 def disassemble(m: np.ndarray) -> Block2x2:
     m = np.asarray(m)
-    if m.shape != (4, 4):
+    if m.shape[-2:] != (4, 4):
         raise ValueError(f"expected 4x4, got {m.shape}")
-    return Block2x2(m[:2, :2], m[:2, 2:], m[2:, :2], m[2:, 2:])
+    return Block2x2(m[..., :2, :2], m[..., :2, 2:], m[..., 2:, :2], m[..., 2:, 2:])
 
 
 def block_mul(x: Block2x2, y: Block2x2) -> Block2x2:
@@ -110,16 +115,34 @@ def block_mul(x: Block2x2, y: Block2x2) -> Block2x2:
     )
 
 
+def cmul(x, y) -> np.ndarray:
+    """Entrywise complex product x y, rounded as a product of two complex scalars.
+
+    numpy's vectorized complex multiply may fuse multiply-adds and then
+    differs in the last bit from the scalar product; four separate real
+    products keep stacked determinants equal to those of single matrices.
+    """
+    xr, xi, yr, yi = x.real, x.imag, y.real, y.imag
+    return (xr * yr - xi * yi) + 1j * (xr * yi + xi * yr)
+
+
 def det2(m: np.ndarray) -> complex:
-    return complex(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
+    m = np.asarray(m)
+    return (cmul(m[..., 0, 0], m[..., 1, 1]) - cmul(m[..., 0, 1], m[..., 1, 0]))[()]
 
 
-def _det3(m: np.ndarray) -> complex:
-    return complex(
-        m[0, 0] * (m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1])
-        - m[0, 1] * (m[1, 0] * m[2, 2] - m[1, 2] * m[2, 0])
-        + m[0, 2] * (m[1, 0] * m[2, 1] - m[1, 1] * m[2, 0])
-    )
+# det4 expands along row 0 into the four 3x3 cofactors, each of which
+# expands along row 1 into 2x2 minors of rows 2 and 3: six distinct column
+# pairs, computed once.  _COFACTOR_COLS[j] are the columns of cofactor j and
+# _COFACTOR_MINORS[j, k] the minor that multiplies its k-th row-1 entry.
+_PAIRS = [(a, b) for a in range(4) for b in range(a + 1, 4)]
+_PAIR_A, _PAIR_B = np.array(_PAIRS).T
+_COFACTOR_COLS = np.array([[k for k in range(4) if k != j] for j in range(4)])
+_COFACTOR_MINORS = np.array(
+    [[_PAIRS.index((c1, c2)), _PAIRS.index((c0, c2)), _PAIRS.index((c0, c1))]
+     for c0, c1, c2 in _COFACTOR_COLS]
+)
+_ALTERNATING = np.array([1, -1, 1, -1])
 
 
 def det4(m: np.ndarray) -> complex:
@@ -129,20 +152,23 @@ def det4(m: np.ndarray) -> complex:
     pivoting edge cases at this size.
     """
     m = np.asarray(m)
-    if m.shape != (4, 4):
+    if m.shape[-2:] != (4, 4):
         raise ValueError(f"expected 4x4, got {m.shape}")
-    rows = (1, 2, 3)
+    minors = cmul(m[..., 2, _PAIR_A], m[..., 3, _PAIR_B]) - cmul(m[..., 2, _PAIR_B], m[..., 3, _PAIR_A])
+    terms = cmul(m[..., 1, _COFACTOR_COLS], minors[..., _COFACTOR_MINORS])
+    cofactors = terms[..., 0] - terms[..., 1] + terms[..., 2]
+    products = cmul(_ALTERNATING * m[..., 0, :], cofactors)
     total = 0.0 + 0.0j
     for j in range(4):
-        cols = [k for k in range(4) if k != j]
-        minor = m[np.ix_(rows, cols)]
-        total += (-1) ** j * m[0, j] * _det3(minor)
-    return complex(total)
+        total = total + products[..., j]
+    return total[()]
 
 
 def _inv2(m: np.ndarray) -> np.ndarray:
-    d = det2(m)
-    return np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]], dtype=np.complex128) / d
+    inv = np.empty(m.shape, dtype=np.complex128)
+    inv[..., 0, 0], inv[..., 1, 1] = m[..., 1, 1], m[..., 0, 0]
+    inv[..., 0, 1], inv[..., 1, 0] = -m[..., 0, 1], -m[..., 1, 0]
+    return inv / det2(m)[..., None, None]
 
 
 def schur_det(blocks: Block2x2, tol: float = DEFAULT_TOL) -> complex:
@@ -150,26 +176,26 @@ def schur_det(blocks: Block2x2, tol: float = DEFAULT_TOL) -> complex:
 
     Uses det(AD - CB) when AC = CA, else det(AD - BC) when CD = DC.  The
     commutation residual is measured against ``tol``; the AC = CA route is
-    preferred when both apply.
+    preferred when both apply.  The route is chosen per stack element.
     """
     a, b, c, d = blocks.a, blocks.b, blocks.c, blocks.d
-    if max_abs(a @ c - c @ a) <= tol:
-        return det2(a @ d - c @ b)
-    if max_abs(c @ d - d @ c) <= tol:
-        return det2(a @ d - b @ c)
-    raise NonCommutingBlocks(
-        "neither AC = CA nor CD = DC holds within tolerance; "
-        "the Schur formulas do not apply"
-    )
+    ac = max_abs_each(a @ c - c @ a) <= tol
+    cd = max_abs_each(c @ d - d @ c) <= tol
+    if not np.all(ac | cd):
+        raise NonCommutingBlocks(
+            "neither AC = CA nor CD = DC holds within tolerance; "
+            "the Schur formulas do not apply"
+        )
+    return np.where(ac, det2(a @ d - c @ b), det2(a @ d - b @ c))[()]
 
 
 def block_rank_is_n(blocks: Block2x2, tol: float = DEFAULT_TOL) -> bool:
     """Rank criterion for a partitioned matrix with nonsingular top-left block.
 
     With A invertible, the 4x4 matrix has rank 2 exactly when D = C A^-1 B.
+    A stack of blocks gives one verdict per element.
     """
     a = blocks.a
-    if abs(det2(a)) <= tol:
+    if np.count_nonzero(np.abs(det2(a)) <= tol):
         raise SingularA("top-left block is singular within tolerance")
-    residual = max_abs(blocks.d - blocks.c @ _inv2(a) @ blocks.b)
-    return residual <= tol
+    return (max_abs_each(blocks.d - blocks.c @ _inv2(a) @ blocks.b) <= tol)[()]

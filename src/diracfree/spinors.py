@@ -24,14 +24,14 @@ unnormalized and a ``Normalization`` value selects among u+u = 1, |u-bar u|
 = 1, |u-bar u| = 2mc, and the box convention u+u = 1/V.
 
 The helicity spinors and column matrices, ``spin_basis_matrix``,
-``bispinor_block`` and ``helicity_basis`` accept stacked angles and states
-(leading batch axes) and return stacked spinors and matrices; the unstacked
-call is the batch-of-one case.
+``bispinor_block``, ``boost_bispinor``, ``helicity_basis``, ``eta_bispinor``
+and ``charge_conjugate`` accept stacked angles, eta values, states and
+spinors (leading batch axes) and return stacked spinors and matrices; the
+unstacked call is the batch-of-one case.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -49,6 +49,9 @@ from .kinematics import (
     EnergyBranch,
     MomentumState,
     PolarAngles,
+    _cosh,
+    _pow,
+    _tanh,
     angles_of,
     check_eta,
     rapidity,
@@ -196,12 +199,14 @@ def boost_bispinor(phi: np.ndarray, state: MomentumState) -> np.ndarray:
     if state.m == 0:
         raise MasslessState("boost construction requires m > 0")
     phi = np.asarray(phi, dtype=np.complex128)
-    th = rapidity(state)
-    if state.p_abs == 0.0:
-        return np.concatenate([phi, np.zeros(2, dtype=np.complex128)])
-    ell = state.p / state.p_abs
-    lower = math.tanh(0.5 * th) * (sigma_dot(ell) @ phi)
-    return math.cosh(0.5 * th) * np.concatenate([phi, lower])
+    half = 0.5 * rapidity(state)
+    moving = (state.p_abs != 0.0)[..., None]
+    ell = state.p / np.where(moving, state.p_abs[..., None], 1.0)
+    lower = _tanh(half)[..., None] * np.matvec(sigma_dot(ell), phi)
+    boosted = _cosh(half)[..., None] * np.concatenate(np.broadcast_arrays(phi, lower), axis=-1)
+    # at rest the boost is the identity: (phi, 0) exactly, signed zeros included
+    rest = np.concatenate(np.broadcast_arrays(phi, np.zeros(2, dtype=np.complex128)), axis=-1)
+    return np.where(moving, boosted, rest)
 
 
 @dataclass(frozen=True)
@@ -243,10 +248,11 @@ def eta_bispinor(lam: Helicity, branch: EnergyBranch, eta: float,
     if volume <= 0:
         raise NonPositiveVolume("volume must be positive")
     half = 0.5 * angles.theta
-    a = math.cos(half) * np.exp(-0.5j * angles.phi)
-    b = math.sin(half) * np.exp(0.5j * angles.phi)
-    sm = math.sin(half) * np.exp(-0.5j * angles.phi)
-    cm = math.cos(half) * np.exp(0.5j * angles.phi)
+    minus, plus = np.exp(-0.5j * angles.phi), np.exp(0.5j * angles.phi)
+    a = np.cos(half) * minus
+    b = np.sin(half) * plus
+    sm = np.sin(half) * minus
+    cm = np.cos(half) * plus
     if branch is EnergyBranch.POSITIVE:
         if lam is Helicity.PLUS:
             column = [a, b, eta * a, eta * b]
@@ -257,7 +263,7 @@ def eta_bispinor(lam: Helicity, branch: EnergyBranch, eta: float,
             column = [eta * sm, -eta * cm, -sm, cm]
         else:
             column = [eta * a, eta * b, a, b]
-    return np.array(column) / math.sqrt(volume * (1.0 + eta**2))
+    return stack_last(np.broadcast_arrays(*column)) / np.sqrt(volume * (1.0 + _pow(eta, 2.0)))[..., None]
 
 
 def charge_conjugate(u: np.ndarray) -> np.ndarray:
@@ -266,7 +272,7 @@ def charge_conjugate(u: np.ndarray) -> np.ndarray:
     Applying it twice returns +u (checked once in the test suite rather than
     assumed).
     """
-    return 1j * (GAMMA[2] @ np.conjugate(np.asarray(u)))
+    return 1j * np.matvec(GAMMA[2], np.conjugate(np.asarray(u)))
 
 
 def plane_wave(u: np.ndarray, state: MomentumState, branch: EnergyBranch,

@@ -49,6 +49,16 @@ def _grid_states():
     return GRID.states()
 
 
+def _sample_points(per_eta: int = 8):
+    """The strided grid points, one (eta, angles) pair at a time."""
+    eta, angles = GRID.sample_points(per_eta)
+    return [(float(e), PolarAngles(t, p)) for e, t, p in zip(eta, angles.theta, angles.phi)]
+
+
+def _sample_states():
+    return [from_eta(GRID.mass, GRID.c, eta, ang) for eta, ang in _sample_points()]
+
+
 def test_criterion_01_clifford_tables_exact():
     start = time.perf_counter()
     worst = 0.0
@@ -111,7 +121,7 @@ def test_criterion_03_factorization_identities():
         sn = ga.sigma_dot(direction(ang))
         pm, pt = sp.phi_matrix(ang), sp.phi_tilde_matrix(ang)
         worst = max(worst, max_abs(pt @ sm.dagger(pm) - sn))
-    for state in GRID.sample_states():
+    for state in _sample_states():
         h = ga.hamiltonian(state)
         basis = sp.helicity_basis(state)
         worst = max(worst, max_abs(h - state.R * basis.V_tilde @ np.linalg.inv(basis.V)))
@@ -126,7 +136,7 @@ def test_criterion_03_factorization_identities():
 
 def test_criterion_04_determinant_claims():
     worst_rel = 0.0
-    for state in GRID.sample_states():
+    for state in _sample_states():
         for e in (state.R + 0.7, -state.R - 0.3, 0.25 * state.R):
             sg = state.c * ga.sigma_dot(state.p)
             eye = np.eye(2)
@@ -160,7 +170,7 @@ def test_criterion_05_covariant_suite():
     rng = np.random.default_rng(5)
     worst = 0.0
     angles = GRID.angle_list()
-    for i, (eta, ang) in enumerate(GRID.sample_points()):
+    for i, (eta, ang) in enumerate(_sample_points()):
         state = from_eta(GRID.mass, GRID.c, eta, ang)
         n_ang = angles[(7 * i + 3) % len(angles)]
         n = direction(n_ang)
@@ -203,7 +213,7 @@ def test_criterion_05_covariant_suite():
 
 def test_criterion_06_density_suite():
     worst = 0.0
-    for eta, ang in GRID.sample_points():
+    for eta, ang in _sample_points():
         state = from_eta(GRID.mass, GRID.c, eta, ang)
         mc2 = 2.0 * state.m * state.c
         plus = de.energy_projector(state, POS)
@@ -235,7 +245,7 @@ def test_criterion_06_density_suite():
                 - rank_one_minus(eta, ang.theta, ang.phi)
             ))
     # block factorizations through the two-level density matrix
-    for eta, ang in GRID.sample_points(per_eta=4):
+    for eta, ang in _sample_points(per_eta=4):
         n = direction(ang)
         e2 = eta**2
         for lam in (PLUS, MINUS):
@@ -260,7 +270,7 @@ def test_criterion_07_fermi_audit():
     worst_eigen = 0.0
     worst_original_det = 0.0
     worst_corrected = 0.0
-    for state in GRID.sample_states():
+    for state in _sample_states():
         h = ga.hamiltonian(state)
         originals = fe.fermi_bispinors_original(state)
         for u in originals:
@@ -280,7 +290,7 @@ def test_criterion_07_fermi_audit():
 
 def test_criterion_08_charge_conjugation():
     worst = 0.0
-    for eta, ang in GRID.sample_points():
+    for eta, ang in _sample_points():
         for lam in (PLUS, MINUS):
             plus = sp.eta_bispinor(lam, POS, eta, ang)
             minus = sp.eta_bispinor(lam, NEG, eta, ang)

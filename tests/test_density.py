@@ -85,6 +85,11 @@ class TestNonrelDensity:
         with pytest.raises(NonUnitDirection):
             de.nonrel_density(PLUS, np.array([0.0, 0.0, 2.0]))
 
+    @pytest.mark.parametrize("n", [[math.nan, 0.0, 1.0], [math.inf, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    def test_non_finite_rejected(self, n):
+        with pytest.raises(NonUnitDirection):
+            de.nonrel_density(PLUS, np.array(n))
+
 
 class TestEnergyProjectors:
     def test_sum_and_products(self):
@@ -180,6 +185,11 @@ class TestDensity4:
         state = eta_state(0.5)
         with pytest.raises(NonUnitDirection):
             de.density4(state, POS, PLUS, np.array([1.0, 1.0, 0.0]))
+
+    @pytest.mark.parametrize("n", [[math.nan, 0.0, 1.0], [0.0, -math.inf, 0.0]])
+    def test_non_finite_rejected(self, n):
+        with pytest.raises(NonUnitDirection):
+            de.density4(eta_state(0.5), POS, PLUS, np.array(n))
 
 
 class TestBlockFactorization:

@@ -186,6 +186,14 @@ class TestCli:
         trace = doc["outputs"]["trace"]
         assert abs(trace[0] - 2.0) <= 1e-12  # 2mc with m = c = 1
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("direction", ["0,0,0", "nan,0,1", "inf,0,0"])
+    def test_density_degenerate_direction_exit_two(self, fmt, direction):
+        code, out, err = self.run("density", "--p", "1,2,3", "--n", direction, "--format", fmt)
+        assert code == 2
+        assert out == ""
+        assert err == "error: --n must be a nonzero, finite direction vector\n"
+
     def test_boost_json(self):
         code, out, _ = self.run(
             "boost", "--eta", "0.5", "--theta", "0.3", "--phi", "0.7",

@@ -11,6 +11,8 @@ identity registry.
 
 __version__ = "0.1.0"
 
+import importlib
+
 from .errors import (
     DiracFreeError,
     EtaOutOfRange,
@@ -25,6 +27,7 @@ from .errors import (
     ZeroMomentum,
 )
 from .smallmat import (
+    DEFAULT_TOL,
     Block2x2,
     assemble,
     block_mul,
@@ -111,19 +114,30 @@ from .density import (
     slash_pair,
     slash_pair_components,
 )
-from .fermi import (
-    FermiProjectors,
-    fermi_bispinors_corrected,
-    fermi_bispinors_original,
-    fermi_gamma_set,
-    fermi_projectors,
-    fermi_sigma_primes,
-)
-from .verify import (
-    DEFAULT_TOL,
-    GridSpec,
-    IdentityCheck,
-    VerificationReport,
-    registry_ids,
-    run_suite,
-)
+
+# The verify engine, and the fermi constructions that only it uses, load on
+# first use of the module or one of its names (PEP 562).  Importing the
+# package, as every CLI command does, then compiles and runs neither.
+_LAZY = {
+    "verify": ("GridSpec", "IdentityCheck", "VerificationReport", "registry_ids", "run_suite"),
+    "fermi": (
+        "FermiProjectors",
+        "fermi_bispinors_corrected",
+        "fermi_bispinors_original",
+        "fermi_gamma_set",
+        "fermi_projectors",
+        "fermi_sigma_primes",
+    ),
+}
+
+
+def __getattr__(name: str):
+    for module, names in _LAZY.items():
+        if name == module or name in names:
+            loaded = importlib.import_module(f".{module}", __name__)
+            return loaded if name == module else getattr(loaded, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY, *(n for names in _LAZY.values() for n in names)})

@@ -11,7 +11,10 @@ Subcommands:
   diagnostics and the residual against the direct construction.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or precondition
-error.  The environment variable ``DIRACFREE_TOL`` overrides the default
+error.  :func:`main` returns the exit code (argparse usage errors and
+``--version`` raise ``SystemExit`` as usual); :func:`run`, the console entry
+point, ends the process with that code right after flushing the output.
+The environment variable ``DIRACFREE_TOL`` overrides the default
 tolerance.  JSON output is deterministic byte for byte: keys keep
 insertion order, floats are printed with 17 significant digits, complex
 numbers as [re, im] pairs, matrices as row-major nested arrays.
@@ -23,6 +26,7 @@ import argparse
 import math
 import os
 import sys
+from typing import NoReturn
 
 import numpy as np
 
@@ -40,7 +44,7 @@ from .kinematics import (
     to_eta,
 )
 from .density import density4
-from .smallmat import max_abs
+from .smallmat import DEFAULT_TOL, max_abs
 from .spinors import (
     Helicity,
     Normalization,
@@ -49,7 +53,6 @@ from .spinors import (
     dirac_residual,
     helicity_spinor,
 )
-from .verify import DEFAULT_TOL, GridSpec, run_suite
 
 _BRANCHES = {"pos": EnergyBranch.POSITIVE, "neg": EnergyBranch.NEGATIVE}
 _HELICITIES = {"+1/2": Helicity.PLUS, "-1/2": Helicity.MINUS}
@@ -164,6 +167,8 @@ def _state_inputs(args, state: MomentumState) -> dict:
 # subcommands
 
 def _cmd_verify(args) -> int:
+    from .verify import GridSpec, run_suite  # the engine loads only for verify
+
     grid = GridSpec(
         eta_values=args.eta_grid,
         theta_count=args.angles[0],
@@ -399,5 +404,31 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
 
+def run() -> NoReturn:
+    """Console entry point: run :func:`main` and end the process with its code.
+
+    Once stdout and stderr are flushed the process ends through ``os._exit``,
+    which skips interpreter finalization: that only frees memory the kernel
+    reclaims anyway.  A failed flush (a full disk, a closed pipe) ends it as
+    finalization would have: a failed stdout flush is reported as
+    "Exception ignored in: <stdout>" on stderr, and either failure makes the
+    exit code 120.  Exceptions, and ``SystemExit`` from argparse, leave
+    through the normal exit path.
+    """
+    code = main()
+    report = ""
+    try:
+        sys.stdout.flush()
+    except OSError as exc:  # the buffered output is lost
+        report = f"Exception ignored in: {sys.stdout!r}\n{type(exc).__name__}: {exc}\n"
+        code = 120
+    try:
+        sys.stderr.write(report)
+        sys.stderr.flush()
+    except OSError:
+        code = 120
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -160,8 +160,12 @@ class VerificationReport:
 
     @property
     def max_residual(self) -> float:
-        """The largest residual, nan if any check's residual is nan."""
-        residuals = [c.residual for c in self.checks]
+        """The largest counted residual, nan if any counted residual is nan.
+
+        Documented deviations are reported but never counted, so they are left
+        out here as they are in ``all_passed``.
+        """
+        residuals = [c.residual for c in self.checks if c.deviation_note is None]
         return math.nan if any(map(math.isnan, residuals)) else max(residuals, default=0.0)
 
     @property

@@ -52,6 +52,12 @@ class TestRunSuite:
         report = verify.run_suite("spinors", SMALL_GRID, tol=1e-30)
         assert not report.all_passed
 
+    def test_max_residual_leaves_out_deviations(self):
+        report = verify.run_suite("algebra", verify.GridSpec())
+        assert report.max_residual < 1e-12
+        # n3-convention (about 1.7) would otherwise set it
+        assert max(c.residual for c in report.deviations) > 1.0
+
     def test_deviations_not_counted_as_failures(self):
         report = verify.run_suite("algebra", SMALL_GRID)
         assert report.all_passed

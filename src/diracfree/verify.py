@@ -18,14 +18,15 @@ check that reports a max-abs residual.  A registry row has the shape
     the rest state with every direction, and the eta x p x n grid;
   - ``_once``: a single evaluation of constant tables;
 
-* the *residual* maps one batch to the residuals measured on it, each an
-  array expression that yields its maximum over the batch.
+* the *residual* maps one batch to its deviations: it yields arrays (or
+  scalars) whose entries should all be zero where the identity holds, and
+  never reduces them itself.
 
-The batches hold the same points, drawn from the same random stream, that
-a point-at-a-time sweep would visit, and the kernels are the same (a
-scalar call is the batch-of-one case), so the residuals are those of the
-per-point evaluation.  ``_sweep`` takes the max over the whole domain and
-becomes the entry's ``fn(grid) -> float``; a nan residual makes it nan.
+``_sweep`` measures the deviations: the check's residual is the largest
+entry magnitude over everything the residual yields on every batch of the
+domain, and a nan entry anywhere makes it nan.  It becomes the entry's
+``fn(grid) -> float``.
+
 The registry is the machine-checkable contract of the package:
 ``run_suite`` executes a suite (or all of them) and returns a
 ``VerificationReport`` whose pass/fail verdict feeds the CLI exit code.
@@ -177,25 +178,25 @@ class VerificationReport:
 # sample domains and the sweep
 #
 # A domain maps the grid to an iterable of point tuples; a residual takes
-# one point's items as arguments and yields the residuals measured there.
+# one point's items as arguments and yields the deviations measured there.
 # Points are stacked (their eta values, angles, states, spinors and random
-# draws carry a leading batch axis), and a residual yields its maxima over
-# the stack, so the sweep below stays a plain float max over a few values
-# per check.
+# draws carry a leading batch axis), so a deviation carries that axis too;
+# the sweep below alone reduces them.
 
 _Domain = Callable[[GridSpec], Iterable[tuple]]
 
 
-def _sweep(domain: _Domain, residual: Callable[..., Iterable[float]]) -> Callable[[GridSpec], float]:
-    """The check ``fn``: the max residual over every point of the domain.
+def _sweep(domain: _Domain, residual: Callable[..., Iterable]) -> Callable[[GridSpec], float]:
+    """The check ``fn``: the largest ``max_abs`` of any deviation over the domain.
 
-    A nan residual anywhere makes the result nan, which fails the check.
+    A nan entry anywhere makes the result nan, which fails the check.
     """
 
     def fn(grid: GridSpec) -> float:
         worst = 0.0
         for point in domain(grid):
-            for r in residual(*point):
+            for deviation in residual(*point):
+                r = max_abs(deviation)
                 worst = math.nan if math.isnan(r) else max(worst, r)
         return worst
 
@@ -314,9 +315,9 @@ def _cmat_pairs(rng, grid, n):
     return r[:, 0] + 1j * r[:, 1], r[:, 2] + 1j * r[:, 3]
 
 
-def _rel(got, want) -> float:
-    """Worst |got - want| measured against max(1, |want|)."""
-    return max_abs(_cabs(got - want) / np.maximum(1.0, _cabs(want)))
+def _rel(got, want) -> np.ndarray:
+    """|got - want| measured against max(1, |want|), entry by entry."""
+    return _cabs(got - want) / np.maximum(1.0, _cabs(want))
 
 
 def _outer(x, y):
@@ -348,12 +349,12 @@ def _scaled_eye(x, n: int = 4) -> np.ndarray:
 def _blockmul_oracle(x, y):
     """Block product against an explicit index sum, independent of BLAS ``@``."""
     got = sm.assemble(sm.block_mul(sm.disassemble(x), sm.disassemble(y)))
-    yield max_abs(got - np.einsum("...ik,...kj->...ij", x, y))
+    yield got - np.einsum("...ik,...kj->...ij", x, y)
 
 
 def _dagger_antihom(x, y):
-    yield max_abs(sm.dagger(sm.dagger(x)) - x)
-    yield max_abs(sm.dagger(x @ y) - sm.dagger(y) @ sm.dagger(x))
+    yield sm.dagger(sm.dagger(x)) - x
+    yield sm.dagger(x @ y) - sm.dagger(y) @ sm.dagger(x)
 
 
 def _det_mult(x, y):
@@ -391,7 +392,7 @@ def _eig_det(state):
         # relative to |closed| off shell (|x - 0| / max(1, 0) = |x| on shell)
         yield _rel(sm.schur_det(blocks), closed)
         scale = np.where(on_shell, ki._pow(sm.max_abs_each(dense_matrix), 4.0), _cabs(closed))
-        yield max_abs(_cabs(sm.det4(dense_matrix) - closed) / np.maximum(1.0, scale))
+        yield _cabs(sm.det4(dense_matrix) - closed) / np.maximum(1.0, scale)
 
 
 def _block_rank(state):
@@ -404,18 +405,18 @@ def _clifford():
     for mu in range(4):
         for nu in range(4):
             target = 2.0 * ga.METRIC[mu, nu] * np.eye(4)
-            yield max_abs(ga.anticommutator(ga.GAMMA[mu], ga.GAMMA[nu]) - target)
+            yield ga.anticommutator(ga.GAMMA[mu], ga.GAMMA[nu]) - target
     for mu in range(4):
-        yield max_abs(ga.anticommutator(ga.GAMMA[mu], ga.GAMMA5))
+        yield ga.anticommutator(ga.GAMMA[mu], ga.GAMMA5)
 
 
 def _alpha_anticomm():
     for r in range(3):
         for s in range(3):
             target = 2.0 * (1.0 if r == s else 0.0) * np.eye(4)
-            yield max_abs(ga.anticommutator(ga.ALPHA[r], ga.ALPHA[s]) - target)
-        yield max_abs(ga.anticommutator(ga.ALPHA[r], ga.BETA))
-    yield max_abs(ga.BETA @ ga.BETA - np.eye(4))
+            yield ga.anticommutator(ga.ALPHA[r], ga.ALPHA[s]) - target
+        yield ga.anticommutator(ga.ALPHA[r], ga.BETA)
+    yield ga.BETA @ ga.BETA - np.eye(4)
 
 
 def _alpha_spin_comm():
@@ -424,31 +425,31 @@ def _alpha_spin_comm():
             target = sum(
                 2j * ga.levi_civita(r + 1, q + 1, s + 1) * ga.ALPHA[s] for s in range(3)
             )
-            yield max_abs(ga.commutator(ga.ALPHA[r], ga.SPIN[q]) - target)
+            yield ga.commutator(ga.ALPHA[r], ga.SPIN[q]) - target
     for q in range(3):
-        yield max_abs(ga.commutator(ga.BETA, ga.SPIN[q]))
+        yield ga.commutator(ga.BETA, ga.SPIN[q])
 
 
 def _spin_gamma5():
-    return (max_abs(ga.SPIN[q] - ga.ALPHA[q] @ ga.GAMMA5) for q in range(3))
+    return (ga.SPIN[q] - ga.ALPHA[q] @ ga.GAMMA5 for q in range(3))
 
 
 def _h_spin_comm(state):
     h = ga.hamiltonian(state)
     for q, axis in enumerate(np.eye(3)):
         target = 2j * state.c * ga.alpha_dot(np.cross(state.p, axis))
-        yield max_abs(ga.commutator(h, ga.SPIN[q]) - target)
+        yield ga.commutator(h, ga.SPIN[q]) - target
 
 
 def _h_helicity_comm(state):
     h = ga.hamiltonian(state)
-    yield max_abs(ga.commutator(h, ga.spin_dot(state.p)))
-    yield max_abs(ga.commutator(h, ga.helicity_operator(state)))
+    yield ga.commutator(h, ga.spin_dot(state.p))
+    yield ga.commutator(h, ga.helicity_operator(state))
 
 
 def _h_squared(state):
     h = ga.hamiltonian(state)
-    yield max_abs(h @ h - _scaled_eye(state.R**2))
+    yield h @ h - _scaled_eye(state.R**2)
 
 
 def _sigma_n_matrix(ang):
@@ -456,7 +457,7 @@ def _sigma_n_matrix(ang):
     top = sm.stack_last([ct, st * np.exp(-1j * ang.phi)])
     bottom = sm.stack_last([st * np.exp(1j * ang.phi), -ct])
     target = np.stack([top, bottom], axis=-2)
-    yield max_abs(ga.sigma_dot(ki.direction(ang)) - target)
+    yield ga.sigma_dot(ki.direction(ang)) - target
 
 
 def _vector_pairs(rng, grid, n):
@@ -468,39 +469,39 @@ def _vector_pairs(rng, grid, n):
 def _pauli_products(p, n):
     sp_, sn = ga.sigma_dot(p), ga.sigma_dot(n)
     target = 1j * ga.sigma_dot(np.cross(p, n)) + _scaled_eye(np.vecdot(p, n), 2)
-    yield max_abs(sp_ @ sn - target)
+    yield sp_ @ sn - target
     for k in range(3):
         sandwich = sp_ @ ga.PAULI[k] @ sp_
         twice = (2.0 * p[..., k])[..., None, None] * sp_
-        yield max_abs(sandwich - (twice - np.vecdot(p, p)[..., None, None] * ga.PAULI[k]))
+        yield sandwich - (twice - np.vecdot(p, p)[..., None, None] * ga.PAULI[k])
 
 
 def _slash_square(state):
     for branch in _BRANCHES:
         p4 = state.momentum_four_vector(branch)
         slash = ga.gamma_slash(p4)
-        yield max_abs(slash @ slash - _scaled_eye(ki.minkowski_dot(p4, p4)))
+        yield slash @ slash - _scaled_eye(ki.minkowski_dot(p4, p4))
         yield _rel(ki.minkowski_dot(p4, p4), (state.m * state.c) ** 2)
 
 
 def _on_shell(state):
     for branch in _BRANCHES:
         e = state.energy(branch)
-        yield max_abs((e / state.c) ** 2 - state.p_abs**2 - (state.m * state.c) ** 2)
+        yield (e / state.c) ** 2 - state.p_abs**2 - (state.m * state.c) ** 2
 
 
 def _eta_rapidity(state):
     th = ki.rapidity(state)
-    yield max_abs(ki.to_eta(state) - ki._tanh(0.5 * th))
-    yield max_abs(state.R - state.rest_energy * ki._cosh(th))
-    yield max_abs(
+    yield ki.to_eta(state) - ki._tanh(0.5 * th)
+    yield state.R - state.rest_energy * ki._cosh(th)
+    yield (
         ki._cosh(0.5 * th)
         - np.sqrt((state.R + state.rest_energy) / (2.0 * state.rest_energy))
     )
 
 
 def _eta_round_trip(eta, ang, state):
-    yield max_abs(ki.to_eta(state) - eta)
+    yield ki.to_eta(state) - eta
     yield _rel(state.rest_energy * (1.0 + eta**2) / (1.0 - eta**2), state.R)
 
 
@@ -511,13 +512,13 @@ def _wave_numbers(eta, ang, state):
     k = state.p_abs[moving] / state.hbar
     w = state.R[moving] / state.hbar
     mclh = state.m * state.c / state.hbar
-    yield max_abs(k * eta - (w / state.c - mclh))
-    yield max_abs(k / eta - (w / state.c + mclh))
+    yield k * eta - (w / state.c - mclh)
+    yield k / eta - (w / state.c + mclh)
 
 
 def _n3_convention(ang):
     """Documented deviation: implemented n3 = cos(theta), printed n3 = cos(phi)."""
-    yield max_abs(np.cos(ang.theta) - np.cos(ang.phi))
+    yield np.cos(ang.theta) - np.cos(ang.phi)
 
 
 # --------------------------------------------------------------------------
@@ -527,48 +528,48 @@ def _helicity_eigen_2(ang):
     sn = ga.sigma_dot(ki.direction(ang))
     for lam in _LAMBDAS:
         phi = sp.helicity_spinor(lam, ang)
-        yield max_abs(np.matvec(sn, phi) - lam.sign * phi)
-        yield max_abs(np.vecdot(phi, phi).real - 1.0)
+        yield np.matvec(sn, phi) - lam.sign * phi
+        yield np.vecdot(phi, phi).real - 1.0
 
 
 def _spin_direction(ang):
     n = ki.direction(ang)
     for lam in _LAMBDAS:
-        yield max_abs(2.0 * _rest_spin(sp.helicity_spinor(lam, ang)) - lam.sign * n)
+        yield 2.0 * _rest_spin(sp.helicity_spinor(lam, ang)) - lam.sign * n
 
 
 def _phi_unitary(ang):
     for m in (sp.phi_matrix(ang), sp.phi_tilde_matrix(ang)):
-        yield max_abs(m @ sm.dagger(m) - np.eye(2))
-        yield max_abs(sm.dagger(m) @ m - np.eye(2))
+        yield m @ sm.dagger(m) - np.eye(2)
+        yield sm.dagger(m) @ m - np.eye(2)
 
 
 def _sigma_factorization(ang):
     sn = ga.sigma_dot(ki.direction(ang))
     pm, pt = sp.phi_matrix(ang), sp.phi_tilde_matrix(ang)
-    yield max_abs(pt @ sm.dagger(pm) - sn)
-    yield max_abs(pm @ sm.dagger(pt) - sn)
+    yield pt @ sm.dagger(pm) - sn
+    yield pm @ sm.dagger(pt) - sn
 
 
 def _phi_swap(ang):
     sn = ga.sigma_dot(ki.direction(ang))
     pm, pt = sp.phi_matrix(ang), sp.phi_tilde_matrix(ang)
-    yield max_abs(sn @ pm - pt)
-    yield max_abs(sn @ pt - pm)
+    yield sn @ pm - pt
+    yield sn @ pt - pm
 
 
 def _completeness_2(ang):
     total = sum(
         _outer(sp.helicity_spinor(lam, ang), sp.helicity_spinor(lam, ang)) for lam in _LAMBDAS
     )
-    yield max_abs(total - np.eye(2))
+    yield total - np.eye(2)
 
 
 def _spin_basis(state):
     u = sp.spin_basis_matrix(state)
-    yield max_abs(u - sm.dagger(u))
-    yield max_abs(u @ u - np.eye(4))
-    yield max_abs(_cabs(sm.det4(u)) - 1.0)
+    yield u - sm.dagger(u)
+    yield u @ u - np.eye(4)
+    yield _cabs(sm.det4(u)) - 1.0
 
 
 def _spin_basis_eigen(state):
@@ -576,7 +577,7 @@ def _spin_basis_eigen(state):
     h = ga.hamiltonian(state)
     u = sp.spin_basis_matrix(state)
     e = state.R[..., None, None] * np.array([1.0, 1.0, -1.0, -1.0])
-    yield max_abs(h @ u - e * u)
+    yield h @ u - e * u
 
 
 def _block_squared_norm(state):
@@ -587,42 +588,42 @@ def _block_squared_norm(state):
     upper = (state.rest_energy + e)[..., None, None] * pm
     m = sm.block4(upper, sg @ pm, sg @ pm, -upper)
     target = _scaled_eye((state.rest_energy + e) ** 2 + (state.c * state.p_abs) ** 2)
-    yield max_abs(sm.dagger(m) @ m - target)
+    yield sm.dagger(m) @ m - target
 
 
 def _helicity_basis_unitary(state):
     basis = sp.helicity_basis(state)
-    yield max_abs(sm.dagger(basis.V) @ basis.V - np.eye(4))
-    yield max_abs(_cabs(sm.det4(basis.V)) - 1.0)
+    yield sm.dagger(basis.V) @ basis.V - np.eye(4)
+    yield _cabs(sm.det4(basis.V)) - 1.0
 
 
 def _helicity_eigen_4(state):
     """Column k of (helicity) V equals lam_k times column k of V."""
     lam_op = ga.helicity_operator(state)
     v = sp.helicity_basis(state).V
-    yield max_abs(lam_op @ v - np.array([0.5, -0.5, 0.5, -0.5]) * v)
+    yield lam_op @ v - np.array([0.5, -0.5, 0.5, -0.5]) * v
 
 
 def _hv_exchange(state):
     h = ga.hamiltonian(state)
     basis = sp.helicity_basis(state)
     r = state.R[..., None, None]
-    yield max_abs(h @ basis.V - r * basis.V_tilde)
-    yield max_abs(h @ basis.V_tilde - r * basis.V)
+    yield h @ basis.V - r * basis.V_tilde
+    yield h @ basis.V_tilde - r * basis.V
 
 
 def _h_factorization(state):
     h = ga.hamiltonian(state)
     basis = sp.helicity_basis(state)
     r = state.R[..., None, None]
-    yield max_abs(h - r * basis.V_tilde @ np.linalg.inv(basis.V))
-    yield max_abs(h - r * basis.V @ np.linalg.inv(basis.V_tilde))
+    yield h - r * basis.V_tilde @ np.linalg.inv(basis.V)
+    yield h - r * basis.V @ np.linalg.inv(basis.V_tilde)
 
 
 def _v_inverse_sandwich(state):
     """Documented deviation: the printed gamma^0-sandwich inverse of V."""
     v = sp.helicity_basis(state).V
-    yield max_abs(np.linalg.inv(v) - ga.GAMMA0 @ sm.dagger(v) @ ga.GAMMA0)
+    yield np.linalg.inv(v) - ga.GAMMA0 @ sm.dagger(v) @ ga.GAMMA0
 
 
 def _boost_draws(rng, grid, n):
@@ -643,7 +644,7 @@ def _boost_draws(rng, grid, n):
 def _boost_direct(state, phi):
     boosted = sp.boost_bispinor(phi, state)
     direct = sp.bispinor_block(phi, state, _POS, Normalization.INVARIANT_UNIT)
-    yield max_abs(boosted - direct)
+    yield boosted - direct
 
 
 def _adjoint_orthogonality(state):
@@ -654,7 +655,7 @@ def _adjoint_orthogonality(state):
         u = sp.bispinor_block(phi, state, _POS, Normalization.INVARIANT_2MC)
         v = sp.bispinor_block(phi, state, _NEG, Normalization.INVARIANT_2MC)
         # u-bar v; vecdot conjugates its first argument, conjugating first cancels that
-        yield max_abs(_cabs(np.vecdot(np.conjugate(ob.dirac_adjoint(u)), v)))
+        yield _cabs(np.vecdot(np.conjugate(ob.dirac_adjoint(u)), v))
 
 
 def _norm_ratio(state, phi):
@@ -671,7 +672,7 @@ def _eta_determinant(eta, ang, state):
         for lam in _LAMBDAS
     ]
     m = sm.stack_last(cols) * np.sqrt(1.0 + eta**2)[..., None, None]
-    yield max_abs(_cabs(sm.det4(m) - (1.0 - eta**2) ** 2))
+    yield _cabs(sm.det4(m) - (1.0 - eta**2) ** 2)
 
 
 def _norm_conversion(eta, ang, state):
@@ -684,13 +685,13 @@ def _norm_conversion(eta, ang, state):
         for lam in _LAMBDAS:
             column = factor[..., None] * sp.eta_bispinor(lam, branch, eta, ang, volume)
             norm = ob.adjoint_norm(column)
-            yield max_abs(norm - branch.sign * 2.0 * state.m * state.c)
+            yield norm - branch.sign * 2.0 * state.m * state.c
 
 
 def _conjugation(eta, ang, state, lam):
     plus = sp.eta_bispinor(lam, _POS, eta, ang)
     minus = sp.eta_bispinor(lam, _NEG, eta, ang)
-    yield max_abs(sp.charge_conjugate(plus) - minus)
+    yield sp.charge_conjugate(plus) - minus
 
 
 def _complex4s(rng, grid, n):
@@ -700,7 +701,7 @@ def _complex4s(rng, grid, n):
 
 def _conjugation_square(u):
     """Double charge conjugation is the identity (+u, recorded empirically)."""
-    yield max_abs(sp.charge_conjugate(sp.charge_conjugate(u)) - u)
+    yield sp.charge_conjugate(sp.charge_conjugate(u)) - u
 
 
 def _nonrel_limit():
@@ -723,8 +724,8 @@ def _polarization_invariants(eta, ang, state, partner):
     p4 = state.momentum_four_vector(_POS)
     for n_ang in (ang, partner):
         a = ob.polarization_four_vector(state, ki.direction(n_ang))
-        yield max_abs(ki.minkowski_dot(p4, a) / np.maximum(1.0, state.R))
-        yield max_abs(ki.minkowski_dot(a, a) + 1.0)
+        yield ki.minkowski_dot(p4, a) / np.maximum(1.0, state.R)
+        yield ki.minkowski_dot(a, a) + 1.0
 
 
 def _polarization_dual(state, n_ang):
@@ -732,14 +733,14 @@ def _polarization_dual(state, n_ang):
     n = ki.direction(n_ang)
     closed = ob.polarization_four_vector(state, n).as_array()
     bil = ob.polarization_from_bilinear(state, n).as_array()
-    yield max_abs(closed - bil)
+    yield closed - bil
 
 
 def _polarization_rest(rest, ang):
     n = ki.direction(ang)
     a = ob.polarization_four_vector(rest, n)
-    yield max_abs(a.t)
-    yield max_abs(a.r - n)
+    yield a.t
+    yield a.r - n
 
 
 def _polarization_equation(eta, ang, state, n_ang):
@@ -747,7 +748,7 @@ def _polarization_equation(eta, ang, state, n_ang):
     u = sp.bispinor_block(
         sp.helicity_spinor(Helicity.PLUS, n_ang), state, _POS, Normalization.INVARIANT_UNIT
     )
-    yield max_abs(ob.check_polarization_equation(u, ob.polarization_four_vector(state, n)))
+    yield ob.check_polarization_equation(u, ob.polarization_four_vector(state, n))
 
 
 def _current(state, phi):
@@ -755,7 +756,7 @@ def _current(state, phi):
     j = ob.current_density(u, state).as_array()
     norm = ob.adjoint_norm(u)[..., None]
     p4 = state.momentum_four_vector(_POS).as_array()
-    yield max_abs(j / norm - p4 / (state.m * state.c))
+    yield j / norm - p4 / (state.m * state.c)
 
 
 def _adjoint_norms(state, phi):
@@ -763,14 +764,14 @@ def _adjoint_norms(state, phi):
     u1 = sp.bispinor_block(phi, state, _POS, Normalization.INVARIANT_UNIT)
     u2 = sp.bispinor_block(phi, state, _POS, Normalization.INVARIANT_2MC)
     v2 = sp.bispinor_block(phi, state, _NEG, Normalization.INVARIANT_2MC)
-    yield max_abs(ob.adjoint_norm(u1) - 1.0)
-    yield max_abs(ob.adjoint_norm(u2) - mc2)
-    yield max_abs(ob.adjoint_norm(v2) + mc2)
+    yield ob.adjoint_norm(u1) - 1.0
+    yield ob.adjoint_norm(u2) - mc2
+    yield ob.adjoint_norm(v2) + mc2
 
 
 def _spin_relation(state, phi):
     s_rel = ob.spin_expectations(sp.bispinor_block(phi, state, _POS, Normalization.UNIT))
-    yield max_abs(s_rel - ob.relate_spin_expectations(state, _rest_spin(phi)))
+    yield s_rel - ob.relate_spin_expectations(state, _rest_spin(phi))
 
 
 def _spin_relation_axis(state, phi):
@@ -779,14 +780,14 @@ def _spin_relation_axis(state, phi):
     s_rest = _rest_spin(phi)
     scale = state.rest_energy / state.R
     target = sm.stack_last([scale * s_rest[..., 0], scale * s_rest[..., 1], s_rest[..., 2]])
-    yield max_abs(s_rel - target)
+    yield s_rel - target
 
 
 def _spin_bound(state, phi):
     s_rel = ob.spin_expectations(sp.bispinor_block(phi, state, _POS, Normalization.UNIT))
     s_rest = _rest_spin(phi)
     excess = np.sqrt(np.vecdot(s_rel, s_rel)) - np.sqrt(np.vecdot(s_rest, s_rest)) - 1e-15
-    yield max_abs(np.maximum(0.0, excess))
+    yield np.maximum(0.0, excess)
 
 
 # --------------------------------------------------------------------------
@@ -797,20 +798,20 @@ def _nonrel_density(ang):
     for lam in _LAMBDAS:
         phi = sp.helicity_spinor(lam, ang)
         rho = de.nonrel_density(lam, n)
-        yield max_abs(_outer(phi, phi) - rho)
-        yield max_abs(rho @ rho - rho)
-        yield max_abs(np.trace(rho, axis1=-2, axis2=-1).real - 1.0)
+        yield _outer(phi, phi) - rho
+        yield rho @ rho - rho
+        yield np.trace(rho, axis1=-2, axis2=-1).real - 1.0
 
 
 def _projector_algebra(state):
     mc2 = 2.0 * state.m * state.c
     plus = de.energy_projector(state, _POS)
     minus = de.energy_projector(state, _NEG)
-    yield max_abs(plus + minus - mc2 * np.eye(4))
-    yield max_abs(plus @ minus)
-    yield max_abs(minus @ plus)
-    yield max_abs(plus @ plus - mc2 * plus)
-    yield max_abs(minus @ minus - mc2 * minus)
+    yield plus + minus - mc2 * np.eye(4)
+    yield plus @ minus
+    yield minus @ plus
+    yield plus @ plus - mc2 * plus
+    yield minus @ minus - mc2 * minus
 
 
 def _projector_sum(eta, ang, state, branch):
@@ -820,7 +821,7 @@ def _projector_sum(eta, ang, state, branch):
             sp.helicity_spinor(lam, ang), state, branch, Normalization.INVARIANT_2MC
         )
         total = total + de.outer_with_adjoint(u)
-    yield max_abs(total - branch.sign * de.energy_projector(state, branch))
+    yield total - branch.sign * de.energy_projector(state, branch)
 
 
 def _trace(m):
@@ -831,17 +832,17 @@ def _density_trace(eta, ang, state):
     mc2 = 2.0 * state.m * state.c
     n = ki.direction(ang)
     for lam in _LAMBDAS:
-        yield max_abs(_cabs(_trace(de.density4(state, _POS, lam, n)) - mc2))
+        yield _cabs(_trace(de.density4(state, _POS, lam, n)) - mc2)
         u = sp.bispinor_block(
             sp.helicity_spinor(lam, ang), state, _POS, Normalization.INVARIANT_2MC
         )
-        yield max_abs(_cabs(_trace(de.outer_with_adjoint(u)) - mc2))
+        yield _cabs(_trace(de.outer_with_adjoint(u)) - mc2)
 
 
 def _projector_trace(eta, ang, state):
     """Documented deviation: printed trace 2mc vs actual 4mc."""
     trace = _trace(de.energy_projector(state, _POS))
-    yield max_abs(_cabs(trace - 2.0 * state.m * state.c))
+    yield _cabs(trace - 2.0 * state.m * state.c)
 
 
 def _density_outer(eta, ang, state, partner, branch):
@@ -849,7 +850,7 @@ def _density_outer(eta, ang, state, partner, branch):
         n = ki.direction(n_ang)
         for lam in _LAMBDAS:
             closed = de.density4(state, branch, lam, n)
-            yield max_abs(closed - de.density4_outer(state, branch, lam, n))
+            yield closed - de.density4_outer(state, branch, lam, n)
 
 
 def _matrix(rows) -> np.ndarray:
@@ -930,7 +931,7 @@ def _explicit_projector(eta, ang, state, branch):
     proj_plus, proj_minus, _, _ = _eta_matrices(eta, ang)
     scale = (1.0 - eta**2) / (2.0 * state.m * state.c)
     got = scale[..., None, None] * de.energy_projector(state, branch)
-    yield max_abs(got - (proj_plus if branch is _POS else -proj_minus))
+    yield got - (proj_plus if branch is _POS else -proj_minus)
 
 
 def _explicit_polarizer(eta, ang, state, lam):
@@ -939,7 +940,7 @@ def _explicit_polarizer(eta, ang, state, lam):
     got = (0.5 * (1.0 - eta**2))[..., None, None] * (
         np.eye(4) - lam.sign * ga.GAMMA5_LOWER @ ga.gamma_slash(a)
     )
-    yield max_abs(got - (pol_plus if lam is Helicity.PLUS else pol_minus))
+    yield got - (pol_plus if lam is Helicity.PLUS else pol_minus)
 
 
 def _explicit_rank_one(eta, ang, state, branch):
@@ -955,9 +956,9 @@ def _explicit_rank_one(eta, ang, state, branch):
         product, target, lam = proj_plus @ pol_plus, rank_plus, Helicity.PLUS
     else:
         product, target, lam = proj_minus @ pol_minus, rank_minus, Helicity.MINUS
-    yield max_abs(product - target)
+    yield product - target
     raw = sp.eta_bispinor(lam, branch, eta, ang, volume=1.0) * np.sqrt(1.0 + eta**2)[..., None]
-    yield max_abs((1.0 - eta**2)[..., None, None] * de.outer_with_adjoint(raw) - target)
+    yield (1.0 - eta**2)[..., None, None] * de.outer_with_adjoint(raw) - target
 
 
 def _block_factor(eta, ang, state, branch):
@@ -974,7 +975,7 @@ def _block_factor(eta, ang, state, branch):
         else:
             rho = de.nonrel_density(lam.flipped, n)
             target = sm.Block2x2(e2 * rho, s * eta_ * rho, -s * eta_ * rho, -rho)
-        yield max_abs(sm.assemble(got) - sm.assemble(target))
+        yield sm.assemble(got) - sm.assemble(target)
 
 
 def _sigma_tensor():
@@ -987,34 +988,34 @@ def _sigma_tensor():
         (2, 3): -1j * ga.SPIN[0],
     }
     for mu in range(4):
-        yield max_abs(de.sigma_tensor(mu, mu))
+        yield de.sigma_tensor(mu, mu)
         for nu in range(4):
-            yield max_abs(de.sigma_tensor(mu, nu) + de.sigma_tensor(nu, mu))
+            yield de.sigma_tensor(mu, nu) + de.sigma_tensor(nu, mu)
     for (mu, nu), target in table.items():
-        yield max_abs(de.sigma_tensor(mu, nu) - target)
+        yield de.sigma_tensor(mu, nu) - target
 
 
 def _slash_pair(eta, ang, state, n_ang):
     a = ob.polarization_four_vector(state, ki.direction(n_ang))
     p4 = state.momentum_four_vector(_POS)
     contraction = de.slash_pair(p4, a)
-    yield max_abs(contraction - de.slash_pair_components(p4, a))
+    yield contraction - de.slash_pair_components(p4, a)
     lhs = ga.gamma_slash(p4) @ ga.GAMMA5_LOWER @ ga.gamma_slash(a)
-    yield max_abs(lhs + ga.GAMMA5_LOWER @ contraction)
+    yield lhs + ga.GAMMA5_LOWER @ contraction
 
 
 def _covariant_decomposition(eta, ang, state):
     for branch in _BRANCHES:
         for lam in _LAMBDAS:
-            yield max_abs(de.covariant_density_identity(state, branch, lam))
+            yield de.covariant_density_identity(state, branch, lam)
 
 
 def _parallel_polarization(eta, ang, state):
     """Polarization components when p is along n."""
     n = ki.direction(ang)
     a = ob.polarization_four_vector(state, n)
-    yield max_abs(a.t - 2.0 * eta / (1.0 - eta**2))
-    yield max_abs(a.r - ((1.0 + eta**2) / (1.0 - eta**2))[..., None] * n)
+    yield a.t - 2.0 * eta / (1.0 - eta**2)
+    yield a.r - ((1.0 + eta**2) / (1.0 - eta**2))[..., None] * n
 
 
 # --------------------------------------------------------------------------
@@ -1024,68 +1025,68 @@ def _fermi_eigen(state):
     """Every original bi-spinor is a +R eigenvector (the audited claim)."""
     h = ga.hamiltonian(state)
     for u in fe.fermi_bispinors_original(state):
-        yield max_abs(np.matvec(h, u) - state.R[..., None] * u)
+        yield np.matvec(h, u) - state.R[..., None] * u
 
 
 def _fermi_dependence(state):
-    yield max_abs(_cabs(sm.det4(sm.stack_last(fe.fermi_bispinors_original(state)))))
+    yield _cabs(sm.det4(sm.stack_last(fe.fermi_bispinors_original(state))))
 
 
 def _fermi_corrected(state):
     h = ga.hamiltonian(state)
     columns = fe.fermi_bispinors_corrected(state)
     for u, sign in zip(columns, (1.0, 1.0, -1.0, -1.0)):
-        yield max_abs(np.matvec(h, u) - (sign * state.R)[..., None] * u)
-    yield max_abs(_cabs(sm.det4(sm.stack_last(columns))) - 1.0)
+        yield np.matvec(h, u) - (sign * state.R)[..., None] * u
+    yield _cabs(sm.det4(sm.stack_last(columns))) - 1.0
 
 
 def _fermi_clifford():
     gammas = fe.fermi_gamma_set()
     for i, g1 in enumerate(gammas):
-        yield max_abs(g1 @ g1 - np.eye(4))
+        yield g1 @ g1 - np.eye(4)
         for g2 in gammas[i + 1:]:
-            yield max_abs(ga.anticommutator(g1, g2))
+            yield ga.anticommutator(g1, g2)
 
 
 def _fermi_alpha_relation():
     g1, g2, g3, _ = fe.fermi_gamma_set()
     for alpha, g in zip(ga.ALPHA, (g1, g2, g3)):
-        yield max_abs(alpha - 1j * ga.BETA @ g)
+        yield alpha - 1j * ga.BETA @ g
 
 
 def _fermi_eigenvalues():
     """trace 0, trace of square 4, det 1: eigenvalues +1 twice, -1 twice."""
     m = np.stack((fe.FERMI_GAMMA4,) + tuple(ga.ALPHA) + fe.fermi_gamma_set()[:3])
-    yield max_abs(_cabs(_trace(m)))
-    yield max_abs(_cabs(_trace(m @ m) - 4.0))
-    yield max_abs(_cabs(sm.det4(m) - 1.0))
+    yield _cabs(_trace(m))
+    yield _cabs(_trace(m @ m) - 4.0)
+    yield _cabs(sm.det4(m) - 1.0)
 
 
 def _fermi_projectors(state):
     pr = fe.fermi_projectors(state)
     h = ga.hamiltonian(state)
     r = state.R[..., None, None]
-    yield max_abs(pr.P + pr.N - np.eye(4))
-    yield max_abs(pr.P @ pr.P - pr.P)
-    yield max_abs(pr.N @ pr.N - pr.N)
-    yield max_abs(pr.P @ pr.N)
-    yield max_abs(pr.P - (r * np.eye(4) + h) / (2.0 * r))
+    yield pr.P + pr.N - np.eye(4)
+    yield pr.P @ pr.P - pr.P
+    yield pr.N @ pr.N - pr.N
+    yield pr.P @ pr.N
+    yield pr.P - (r * np.eye(4) + h) / (2.0 * r)
 
 
 def _fermi_projector_action(state):
     pr = fe.fermi_projectors(state)
     u1, u2, u3, u4 = fe.fermi_bispinors_corrected(state)
     for u in (u1, u2):
-        yield max_abs(np.matvec(pr.P, u) - u)
-        yield max_abs(np.matvec(pr.N, u))
+        yield np.matvec(pr.P, u) - u
+        yield np.matvec(pr.N, u)
     for u in (u3, u4):
-        yield max_abs(np.matvec(pr.N, u) - u)
-        yield max_abs(np.matvec(pr.P, u))
+        yield np.matvec(pr.N, u) - u
+        yield np.matvec(pr.P, u)
 
 
 def _fermi_sigma_primes():
     for prime, spin in zip(fe.fermi_sigma_primes(), ga.SPIN):
-        yield max_abs(prime - spin)
+        yield prime - spin
 
 
 # --------------------------------------------------------------------------

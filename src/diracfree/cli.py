@@ -14,10 +14,12 @@ Exit codes: 0 success, 1 verification failure, 2 usage or precondition
 error.  :func:`main` returns the exit code (argparse usage errors and
 ``--version`` raise ``SystemExit`` as usual); :func:`run`, the console entry
 point, ends the process with that code right after flushing the output.
-The environment variable ``DIRACFREE_TOL`` overrides the default
-tolerance.  JSON output is deterministic byte for byte: keys keep
-insertion order, floats are printed with 17 significant digits, complex
-numbers as [re, im] pairs, matrices as row-major nested arrays.
+Numeric flags must be finite, and an emit whose output is not finite
+fails with exit 2 in either format.  The environment variable
+``DIRACFREE_TOL`` overrides the default tolerance of ``verify``, which
+must be positive and finite.  JSON output is deterministic byte for byte:
+keys keep insertion order, floats are printed with 17 significant digits,
+complex numbers as [re, im] pairs, matrices as row-major nested arrays.
 """
 
 from __future__ import annotations
@@ -119,11 +121,30 @@ def _payload(inputs: dict, outputs: dict, checks: list | None = None) -> dict:
 # --------------------------------------------------------------------------
 # argument plumbing
 
-def _parse_vec3(text: str) -> np.ndarray:
+def _finite_float(text: str) -> float:
+    """argparse type of every numeric flag: a finite float."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _finite_floats(text: str) -> list[float]:
+    return [_finite_float(p) for p in text.split(",")]
+
+
+def _parse_vec3(text: str, number=float) -> np.ndarray:
     parts = text.split(",")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError("expected three comma-separated numbers")
-    return np.array([float(p) for p in parts])
+    return np.array([number(p) for p in parts])
+
+
+def _finite_vec3(text: str) -> np.ndarray:
+    return _parse_vec3(text, _finite_float)
 
 
 def _parse_eta_list(text: str) -> tuple[float, ...]:
@@ -139,13 +160,13 @@ def _parse_angles(text: str) -> tuple[int, int]:
 
 
 def _add_kinematics_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--m", type=float, default=1.0, help="rest mass (default 1)")
-    parser.add_argument("--c", type=float, default=1.0, help="speed of light (default 1)")
+    parser.add_argument("--m", type=_finite_float, default=1.0, help="rest mass (default 1)")
+    parser.add_argument("--c", type=_finite_float, default=1.0, help="speed of light (default 1)")
     group = parser.add_mutually_exclusive_group()
-    group.add_argument("--p", type=_parse_vec3, metavar="X,Y,Z", help="momentum vector")
+    group.add_argument("--p", type=_finite_vec3, metavar="X,Y,Z", help="momentum vector")
     group.add_argument("--eta", type=float, help="speed parameter in [0, 1)")
-    parser.add_argument("--theta", type=float, default=0.0, help="polar angle (with --eta)")
-    parser.add_argument("--phi", type=float, default=0.0, help="azimuth (with --eta)")
+    parser.add_argument("--theta", type=_finite_float, default=0.0, help="polar angle (with --eta)")
+    parser.add_argument("--phi", type=_finite_float, default=0.0, help="azimuth (with --eta)")
 
 
 def _state_from_args(args) -> MomentumState:
@@ -163,6 +184,19 @@ def _state_inputs(args, state: MomentumState) -> dict:
     }
 
 
+def _tolerance(args) -> float:
+    """``--tol``, else ``DIRACFREE_TOL``, else the default; ``run_suite`` checks its range."""
+    if args.tol is not None:
+        return args.tol
+    text = os.environ.get("DIRACFREE_TOL")
+    if text is None:
+        return DEFAULT_TOL
+    try:
+        return float(text)
+    except ValueError:
+        raise DiracFreeError(f"DIRACFREE_TOL must be a number, got {text!r}") from None
+
+
 # --------------------------------------------------------------------------
 # subcommands
 
@@ -176,7 +210,7 @@ def _cmd_verify(args) -> int:
         mass=args.m,
         c=args.c,
     )
-    report = run_suite(args.suite, grid, args.tol)
+    report = run_suite(args.suite, grid, _tolerance(args))
     if args.format == "json":
         checks = [
             {
@@ -230,8 +264,9 @@ def _cmd_verify(args) -> int:
 
 
 def _emit(args, inputs: dict, outputs: dict) -> None:
+    rendered = render_json(_payload(inputs, outputs))  # rejects non-finite values in either format
     if args.format == "json":
-        print(render_json(_payload(inputs, outputs)))
+        print(rendered)
         return
     for key, val in outputs.items():
         print(f"{key}: {val}")
@@ -296,7 +331,7 @@ def _cmd_density(args) -> int:
 def _cmd_boost(args) -> int:
     state = _state_from_args(args)
     if args.spinor is not None:
-        raw = [float(x) for x in args.spinor.split(",")]
+        raw = args.spinor
         if len(raw) != 4:
             raise DiracFreeError("--spinor expects re1,im1,re2,im2")
         phi = np.array([raw[0] + 1j * raw[1], raw[2] + 1j * raw[3]])
@@ -329,19 +364,18 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    default_tol = float(os.environ.get("DIRACFREE_TOL", DEFAULT_TOL))
-
     p_verify = sub.add_parser("verify", help="run the identity verification suite")
     p_verify.add_argument("--suite", default="all",
                           choices=("all", "algebra", "spinors", "covariant", "density", "fermi"))
-    p_verify.add_argument("--tol", type=float, default=default_tol)
+    p_verify.add_argument("--tol", type=float, default=None,
+                          help=f"residual bound (default: DIRACFREE_TOL, else {DEFAULT_TOL:g})")
     p_verify.add_argument("--eta", dest="eta_grid", type=_parse_eta_list,
                           default=(0.1, 0.3, 0.5, 0.7, 0.9), metavar="LIST",
                           help="comma-separated eta grid values")
     p_verify.add_argument("--angles", type=_parse_angles, default=(8, 8), metavar="NxM",
                           help="theta x phi grid counts (default 8x8)")
-    p_verify.add_argument("--m", type=float, default=1.0)
-    p_verify.add_argument("--c", type=float, default=1.0)
+    p_verify.add_argument("--m", type=_finite_float, default=1.0)
+    p_verify.add_argument("--c", type=_finite_float, default=1.0)
     p_verify.add_argument("--format", choices=("text", "json"), default="text")
     p_verify.set_defaults(fn=_cmd_verify)
 
@@ -350,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_spinor.add_argument("--branch", choices=tuple(_BRANCHES), default="pos")
     p_spinor.add_argument("--lambda", dest="lam", choices=tuple(_HELICITIES), default="+1/2")
     p_spinor.add_argument("--norm", choices=tuple(_NORMS), default="unit")
-    p_spinor.add_argument("--volume", type=float, default=None,
+    p_spinor.add_argument("--volume", type=_finite_float, default=None,
                           help="quantization volume (box norm only)")
     p_spinor.add_argument("--format", choices=("text", "json"), default="text")
     p_spinor.set_defaults(fn=_cmd_spinor)
@@ -366,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_boost = sub.add_parser("boost", help="boost a rest-frame spinor")
     _add_kinematics_args(p_boost)
-    p_boost.add_argument("--spinor", default=None, metavar="RE,IM,RE,IM",
+    p_boost.add_argument("--spinor", type=_finite_floats, default=None, metavar="RE,IM,RE,IM",
                          help="rest-frame two-spinor components (default 1,0,0,0)")
     p_boost.add_argument("--format", choices=("text", "json"), default="text")
     p_boost.set_defaults(fn=_cmd_boost)

@@ -36,7 +36,6 @@ from .kinematics import (
     FourVector,
     MomentumState,
     PolarAngles,
-    _pow,
     angles_of,
     from_eta,
 )
@@ -118,7 +117,7 @@ def density_block_form(eta: float, angles: PolarAngles, branch: EnergyBranch,
     phi_label = lam if branch is EnergyBranch.POSITIVE else lam.flipped
     phi = helicity_spinor(phi_label, angles)
     u = bispinor_block(phi, state, branch, Normalization.INVARIANT_2MC)
-    scale = branch.sign * (1.0 - _pow(eta, 2.0))
+    scale = branch.sign * (1.0 - np.square(eta))
     scaled = scale[..., None, None] * outer_with_adjoint(u) / adjoint_norm(u)[..., None, None]
     return disassemble(scaled)
 

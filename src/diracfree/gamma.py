@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import IndexOutOfRange, ZeroMomentum
 from .kinematics import FourVector, MomentumState
-from .smallmat import cmat
+from .smallmat import block4, cmat
 
 SIGMA1 = cmat([[0, 1], [1, 0]])
 SIGMA2 = cmat([[0, -1j], [1j, 0]])
@@ -34,13 +34,8 @@ ID2 = cmat(np.eye(2))
 ID4 = cmat(np.eye(4))
 ZERO2 = cmat(np.zeros((2, 2)))
 
-
-def _block(a, b, c, d) -> np.ndarray:
-    return cmat(np.block([[np.asarray(a), np.asarray(b)], [np.asarray(c), np.asarray(d)]]))
-
-
-ALPHA = tuple(_block(ZERO2, s, s, ZERO2) for s in PAULI)
-BETA = _block(ID2, ZERO2, ZERO2, -ID2)
+ALPHA = tuple(cmat(block4(ZERO2, s, s, ZERO2)) for s in PAULI)
+BETA = cmat(block4(ID2, ZERO2, ZERO2, -ID2))
 
 GAMMA0 = BETA
 GAMMA = (GAMMA0,) + tuple(cmat(BETA @ a) for a in ALPHA)
@@ -49,7 +44,7 @@ GAMMA5_LOWER = cmat(-GAMMA5)
 
 # gamma^5 must come out as the off-diagonal block form; the product above
 # is the defining construction, this is the independent cross-check.
-assert np.array_equal(GAMMA5, _block(ZERO2, ID2, ID2, ZERO2))
+assert np.array_equal(GAMMA5, cmat(block4(ZERO2, ID2, ID2, ZERO2)))
 
 SPIN = tuple(cmat(a @ GAMMA5) for a in ALPHA)
 

@@ -16,7 +16,7 @@ Angles, directions, four-vectors and momenta may be stacked: ``theta`` and
 ``phi`` of shape ``(N,)``, ``p`` of shape ``(N, 3)``.  Every quantity then
 comes out with the same leading axes, and an unstacked input is the
 batch-of-one case of the same code: its scalars are numpy float64 values
-(a ``float`` subclass) equal bit for bit to the stack entries.
+(a ``float`` subclass).
 """
 
 from __future__ import annotations
@@ -30,28 +30,6 @@ import numpy as np
 
 from .errors import EtaOutOfRange, MasslessState
 from .smallmat import stack_last
-
-
-def _entrywise(fn, nin: int):
-    """``fn`` from ``math`` applied to every entry of its broadcast arguments.
-
-    numpy's own hypot, arccos and arctan2 can differ from ``math`` in the
-    last bit; going through ``math`` keeps stacked entries equal to the
-    scalar results the library has always produced.
-    """
-    ufunc = np.frompyfunc(fn, nin, 1)
-    return lambda *args: np.float64(ufunc(*args))
-
-
-_hypot = _entrywise(math.hypot, 2)
-_acos = _entrywise(math.acos, 1)
-_atan2 = _entrywise(math.atan2, 2)
-_asinh = _entrywise(math.asinh, 1)
-_cosh = _entrywise(math.cosh, 1)
-_tanh = _entrywise(math.tanh, 1)
-# x**y of Python floats: numpy squares by x * x, which differs from pow(x, 2)
-# in the last bit on about 0.1% of inputs
-_pow = _entrywise(math.pow, 2)
 
 
 class EnergyBranch(Enum):
@@ -116,12 +94,14 @@ def direction(angles: PolarAngles) -> np.ndarray:
 
 def angles_of(v) -> PolarAngles:
     """Polar angles of a nonzero 3-vector, or of each vector in a stack."""
-    v = np.asarray(v, dtype=float)
+    # a copy: numpy's arccos and arctan2 may round a reversed view differently
+    # from the same entries in order, and a stack entry must equal the single call
+    v = np.array(v, dtype=float)
     r = np.sqrt(np.vecdot(v, v))
     if np.count_nonzero(r == 0.0):
         raise ValueError("zero vector has no direction")
     cos_theta = np.minimum(np.maximum(v[..., 2] / r, -1.0), 1.0)
-    return PolarAngles(_acos(cos_theta), _atan2(v[..., 1], v[..., 0]))
+    return PolarAngles(np.arccos(cos_theta), np.arctan2(v[..., 1], v[..., 0]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -195,7 +175,7 @@ class MomentumState:
     @cached_property
     def R(self) -> float:
         """Energy magnitude sqrt(c^2 p^2 + m^2 c^4)."""
-        return _hypot(self.c * self.p_abs, self.rest_energy)
+        return np.hypot(self.c * self.p_abs, self.rest_energy)
 
     def energy(self, branch: EnergyBranch = EnergyBranch.POSITIVE) -> float:
         return branch.sign * self.R
@@ -223,7 +203,7 @@ def from_eta(m: float, c: float, eta: float, dir: PolarAngles,
     eta = check_eta(eta)
     if m <= 0:
         raise MasslessState("eta parametrization requires m > 0")
-    p_abs = 2.0 * m * c * eta / (1.0 - _pow(eta, 2.0))
+    p_abs = 2.0 * m * c * eta / (1.0 - np.square(eta))
     return MomentumState(m, p_abs[..., None] * direction(dir), PhysicalConstants(c, hbar))
 
 
@@ -238,4 +218,4 @@ def rapidity(state: MomentumState) -> float:
     """Boost parameter th with E = m c^2 cosh th, |p| = m c sinh th."""
     if state.m == 0:
         raise MasslessState("rapidity is undefined for m = 0")
-    return _asinh(state.p_abs / (state.m * state.c))
+    return np.arcsinh(state.p_abs / (state.m * state.c))

@@ -7,8 +7,7 @@ Schur block-determinant formulas, and the block rank criterion.
 
 Every function also acts on stacks of matrices (leading batch axes), and a
 single matrix is the batch-of-one case.  Stacked vector products elsewhere
-in the library use ``np.vecdot`` and ``np.matvec``, whose entries round
-exactly like ``np.vdot`` / ``np.dot`` and ``@`` on a single pair.
+in the library use ``np.vecdot`` and ``np.matvec``.
 """
 
 from __future__ import annotations
@@ -115,20 +114,9 @@ def block_mul(x: Block2x2, y: Block2x2) -> Block2x2:
     )
 
 
-def cmul(x, y) -> np.ndarray:
-    """Entrywise complex product x y, rounded as a product of two complex scalars.
-
-    numpy's vectorized complex multiply may fuse multiply-adds and then
-    differs in the last bit from the scalar product; four separate real
-    products keep stacked determinants equal to those of single matrices.
-    """
-    xr, xi, yr, yi = x.real, x.imag, y.real, y.imag
-    return (xr * yr - xi * yi) + 1j * (xr * yi + xi * yr)
-
-
 def det2(m: np.ndarray) -> complex:
     m = np.asarray(m)
-    return (cmul(m[..., 0, 0], m[..., 1, 1]) - cmul(m[..., 0, 1], m[..., 1, 0]))[()]
+    return (m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0])[()]
 
 
 # det4 expands along row 0 into the four 3x3 cofactors, each of which
@@ -154,10 +142,10 @@ def det4(m: np.ndarray) -> complex:
     m = np.asarray(m)
     if m.shape[-2:] != (4, 4):
         raise ValueError(f"expected 4x4, got {m.shape}")
-    minors = cmul(m[..., 2, _PAIR_A], m[..., 3, _PAIR_B]) - cmul(m[..., 2, _PAIR_B], m[..., 3, _PAIR_A])
-    terms = cmul(m[..., 1, _COFACTOR_COLS], minors[..., _COFACTOR_MINORS])
+    minors = m[..., 2, _PAIR_A] * m[..., 3, _PAIR_B] - m[..., 2, _PAIR_B] * m[..., 3, _PAIR_A]
+    terms = m[..., 1, _COFACTOR_COLS] * minors[..., _COFACTOR_MINORS]
     cofactors = terms[..., 0] - terms[..., 1] + terms[..., 2]
-    products = cmul(_ALTERNATING * m[..., 0, :], cofactors)
+    products = _ALTERNATING * m[..., 0, :] * cofactors
     total = 0.0 + 0.0j
     for j in range(4):
         total = total + products[..., j]

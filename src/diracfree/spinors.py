@@ -44,14 +44,11 @@ from .errors import (
     UnnormalizablePhi,
     ZeroMomentum,
 )
-from .gamma import BETA, GAMMA, alpha_dot, hamiltonian, sigma_dot
+from .gamma import GAMMA, hamiltonian, sigma_dot
 from .kinematics import (
     EnergyBranch,
     MomentumState,
     PolarAngles,
-    _cosh,
-    _pow,
-    _tanh,
     angles_of,
     check_eta,
     rapidity,
@@ -202,8 +199,8 @@ def boost_bispinor(phi: np.ndarray, state: MomentumState) -> np.ndarray:
     half = 0.5 * rapidity(state)
     moving = (state.p_abs != 0.0)[..., None]
     ell = state.p / np.where(moving, state.p_abs[..., None], 1.0)
-    lower = _tanh(half)[..., None] * np.matvec(sigma_dot(ell), phi)
-    boosted = _cosh(half)[..., None] * np.concatenate(np.broadcast_arrays(phi, lower), axis=-1)
+    lower = np.tanh(half)[..., None] * np.matvec(sigma_dot(ell), phi)
+    boosted = np.cosh(half)[..., None] * np.concatenate(np.broadcast_arrays(phi, lower), axis=-1)
     # at rest the boost is the identity: (phi, 0) exactly, signed zeros included
     rest = np.concatenate(np.broadcast_arrays(phi, np.zeros(2, dtype=np.complex128)), axis=-1)
     return np.where(moving, boosted, rest)
@@ -263,7 +260,7 @@ def eta_bispinor(lam: Helicity, branch: EnergyBranch, eta: float,
             column = [eta * sm, -eta * cm, -sm, cm]
         else:
             column = [eta * a, eta * b, a, b]
-    return stack_last(np.broadcast_arrays(*column)) / np.sqrt(volume * (1.0 + _pow(eta, 2.0)))[..., None]
+    return stack_last(np.broadcast_arrays(*column)) / np.sqrt(volume * (1.0 + np.square(eta)))[..., None]
 
 
 def charge_conjugate(u: np.ndarray) -> np.ndarray:
@@ -289,8 +286,6 @@ def dirac_residual(u: np.ndarray, state: MomentumState, branch: EnergyBranch) ->
     Positive branch: |H(p) u - R u|; negative branch: |H(-p) u + R u|,
     matching the momentum carried by each branch's plane wave.
     """
-    if branch is EnergyBranch.POSITIVE:
-        h = hamiltonian(state)
-        return max_abs(h @ u - state.R * np.asarray(u))
-    h = -state.c * alpha_dot(state.p) + state.rest_energy * BETA
-    return max_abs(h @ u + state.R * np.asarray(u))
+    if branch is EnergyBranch.NEGATIVE:
+        state = MomentumState(state.m, -state.p, state.constants)
+    return max_abs(hamiltonian(state) @ u - branch.sign * state.R * np.asarray(u))

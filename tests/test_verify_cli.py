@@ -1,8 +1,10 @@
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from diracfree import verify
@@ -74,6 +76,20 @@ class TestRunSuite:
     def test_bad_tolerance(self):
         with pytest.raises(ValueError):
             verify.run_suite("algebra", SMALL_GRID, tol=0.0)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf])
+    def test_non_finite_tolerance(self, tol):
+        with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+            verify.run_suite("algebra", SMALL_GRID, tol=tol)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("mass", 0.0), ("mass", -1.0), ("mass", math.nan), ("mass", math.inf),
+         ("c", 0.0), ("c", math.nan), ("c", math.inf)],
+    )
+    def test_grid_rejects_bad_mass_or_c(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
+            verify.GridSpec(**{field: value})
 
     def test_checks_sorted_by_id(self):
         report = verify.run_suite("density", SMALL_GRID)
@@ -238,6 +254,61 @@ class TestCli:
         assert code == 1
         doc = json.loads(out)
         assert doc["inputs"]["tolerance"] == 1e-30
+
+    @pytest.mark.parametrize(
+        "argv, env_tol, message",
+        [
+            (("--tol", "nan"), None, "tolerance must be positive and finite, got nan"),
+            (("--tol", "inf"), None, "tolerance must be positive and finite, got inf"),
+            ((), "nan", "tolerance must be positive and finite, got nan"),
+            ((), "abc", "DIRACFREE_TOL must be a number, got 'abc'"),
+        ],
+        ids=["tol-nan", "tol-inf", "env-nan", "env-unparsable"],
+    )
+    def test_bad_tolerance_exit_two(self, monkeypatch, argv, env_tol, message):
+        if env_tol is not None:
+            monkeypatch.setenv("DIRACFREE_TOL", env_tol)
+        code, out, err = self.run("verify", "--suite", "fermi", "--angles", "2x2", *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+
+    def test_unparsable_env_tolerance_leaves_emits_alone(self, monkeypatch):
+        monkeypatch.setenv("DIRACFREE_TOL", "abc")
+        code, out, _ = self.run("spinor", "--eta", "0.3", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["outputs"]["helicity_residual"] <= 1e-12
+
+    @pytest.mark.parametrize(
+        "argv, value",
+        [
+            (("verify", "--m", "nan"), "nan"),
+            (("verify", "--c", "inf"), "inf"),
+            (("spinor", "--p", "nan,0,0"), "nan"),
+            (("spinor", "--m", "inf", "--eta", "0.5"), "inf"),
+            (("spinor", "--eta", "0.5", "--theta", "nan"), "nan"),
+            (("spinor", "--eta", "0.5", "--phi=-inf"), "-inf"),
+            (("spinor", "--p", "0,0,1", "--norm", "box", "--volume", "nan"), "nan"),
+            (("density", "--m", "nan", "--p", "0,0,1"), "nan"),
+            (("density", "--c", "nan", "--p", "0,0,1"), "nan"),
+            (("boost", "--eta", "0.5", "--spinor", "1,nan,0,0"), "nan"),
+        ],
+    )
+    def test_non_finite_flag_exit_two(self, capsys, argv, value):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"expected a finite number, got {value!r}" in captured.err
+
+    @pytest.mark.parametrize("command", ["spinor", "boost"])
+    def test_non_finite_text_emit_exit_two(self, command):
+        with np.errstate(all="ignore"):
+            code, out, err = self.run(command, "--p", "1e300,0,0")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: non-finite value in output")
 
     def test_installed_entry_point(self, child_env):
         result = subprocess.run(

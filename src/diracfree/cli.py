@@ -43,6 +43,7 @@ from .kinematics import (
     angles_of,
     from_eta,
     rapidity,
+    scaled_norm,
     to_eta,
 )
 from .density import density4
@@ -307,7 +308,7 @@ def _cmd_density(args) -> int:
     branch = _BRANCHES[args.branch]
     lam = _HELICITIES[args.lam]
     if args.n is not None:
-        length = np.linalg.norm(args.n)
+        length = scaled_norm(args.n, np.linalg.norm)
         if not 0.0 < length < math.inf:
             raise DiracFreeError("--n must be a nonzero, finite direction vector")
         n = args.n / length
@@ -338,9 +339,10 @@ def _cmd_boost(args) -> int:
     else:
         phi = np.array([1.0 + 0.0j, 0.0j])
     u = boost_bispinor(phi, state)
-    direct = bispinor_block(phi / np.linalg.norm(phi), state,
+    length = scaled_norm(phi, np.linalg.norm)
+    direct = bispinor_block(phi / length, state,
                             EnergyBranch.POSITIVE, Normalization.INVARIANT_UNIT)
-    residual = max_abs(u / np.linalg.norm(phi) - direct)
+    residual = max_abs(u / length - direct)
     inputs = {**_state_inputs(args, state), "spinor": _vector_json(phi)}
     outputs = {
         "rapidity": rapidity(state),

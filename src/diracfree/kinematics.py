@@ -92,12 +92,29 @@ def direction(angles: PolarAngles) -> np.ndarray:
     return n
 
 
+def _euclidean(v):
+    return np.sqrt(np.vecdot(v, v))
+
+
+def scaled_norm(v, norm=_euclidean):
+    """``norm(v)`` of a vector, or of each vector in a stack, without overflow.
+
+    ``norm`` runs on ``v`` divided by the power of two ``s`` that brings
+    ``max|v|`` into [0.5, 1), and its result is multiplied by ``s``, so a
+    finite v never overflows to inf.  Both scalings are exact: wherever
+    ``norm(v)`` itself stays in range the result keeps its bits.  A zero
+    vector gets ``s = 1``.
+    """
+    s = np.ldexp(1.0, np.frexp(np.max(np.abs(v), axis=-1))[1])
+    return norm(v / s[..., None]) * s
+
+
 def angles_of(v) -> PolarAngles:
     """Polar angles of a nonzero 3-vector, or of each vector in a stack."""
     # a copy: numpy's arccos and arctan2 may round a reversed view differently
     # from the same entries in order, and a stack entry must equal the single call
     v = np.array(v, dtype=float)
-    r = np.sqrt(np.vecdot(v, v))
+    r = scaled_norm(v)
     if np.count_nonzero(r == 0.0):
         raise ValueError("zero vector has no direction")
     cos_theta = np.minimum(np.maximum(v[..., 2] / r, -1.0), 1.0)
@@ -166,7 +183,7 @@ class MomentumState:
 
     @cached_property
     def p_abs(self) -> float:
-        return np.sqrt(np.vecdot(self.p, self.p))
+        return scaled_norm(self.p)
 
     @property
     def rest_energy(self) -> float:

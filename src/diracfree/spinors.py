@@ -17,17 +17,20 @@ Sign and phase conventions are fixed once here and never rephased:
   plane wave carries phase ``exp(+i(R t - p.r)/hbar)``, i.e. physical
   momentum ``-p``: they are eigenvectors of the Hamiltonian built from
   ``-p``, not of the one built from ``p``.  The direct ``-R`` eigenvector
-  of the momentum-``p`` Hamiltonian is ``negative_energy_eigenvector``.
+  of the momentum-``p`` Hamiltonian is ``negative_energy_eigenvector``:
+  minus the mirrored negative-branch bi-spinor of the momentum ``-p``
+  state, ``(c(sigma.p)/(R + m c^2) chi, -chi)``.
 
 Normalization is always an explicit final step: internal construction is
 unnormalized and a ``Normalization`` value selects among u+u = 1, |u-bar u|
 = 1, |u-bar u| = 2mc, and the box convention u+u = 1/V.
 
 The helicity spinors and column matrices, ``spin_basis_matrix``,
-``bispinor_block``, ``boost_bispinor``, ``helicity_basis``, ``eta_bispinor``
-and ``charge_conjugate`` accept stacked angles, eta values, states and
-spinors (leading batch axes) and return stacked spinors and matrices; the
-unstacked call is the batch-of-one case.
+``bispinor_block``, ``negative_energy_eigenvector``, ``boost_bispinor``,
+``helicity_basis``, ``eta_bispinor``, ``charge_conjugate``, ``plane_wave``
+and ``dirac_residual`` accept stacked angles, eta values, states and
+spinors (leading batch axes) and return stacked spinors, matrices and
+residuals; the unstacked call is the batch-of-one case.
 """
 
 from __future__ import annotations
@@ -53,7 +56,7 @@ from .kinematics import (
     check_eta,
     rapidity,
 )
-from .smallmat import block4, max_abs, stack_last
+from .smallmat import block4, max_abs_each, stack_last
 
 
 class Helicity(Enum):
@@ -170,21 +173,21 @@ def bispinor_block(phi: np.ndarray, state: MomentumState, branch: EnergyBranch,
     return _normalize(raw, state, norm, volume)
 
 
+def _mirrored(state: MomentumState) -> MomentumState:
+    """The state with momentum -p, same mass and units."""
+    return MomentumState(state.m, -state.p, state.constants)
+
+
 def negative_energy_eigenvector(chi: np.ndarray, state: MomentumState,
                                 norm: Normalization = Normalization.UNIT,
                                 volume: float | None = None) -> np.ndarray:
     """Direct -R eigenvector of the momentum-p Hamiltonian.
 
-    ``(c(sigma.p)/(m c^2 + R) chi, -chi)``: the alternate lower-block
-    construction, kept for cross-checks against the mirrored form used by
-    ``bispinor_block(..., NEGATIVE)``.
+    ``(c(sigma.p)/(m c^2 + R) chi, -chi)``: minus the negative-branch
+    ``bispinor_block`` of the momentum ``-p`` state, since sigma.(-p) is
+    exactly -sigma.p.
     """
-    chi = np.asarray(chi, dtype=np.complex128)
-    if not np.any(chi):
-        raise UnnormalizablePhi("two-spinor must be nonzero")
-    coupled = (state.c / (state.rest_energy + state.R)) * (sigma_dot(state.p) @ chi)
-    raw = np.concatenate([coupled, -chi])
-    return _normalize(raw, state, norm, volume)
+    return -bispinor_block(chi, _mirrored(state), EnergyBranch.NEGATIVE, norm, volume)
 
 
 def boost_bispinor(phi: np.ndarray, state: MomentumState) -> np.ndarray:
@@ -196,6 +199,8 @@ def boost_bispinor(phi: np.ndarray, state: MomentumState) -> np.ndarray:
     if state.m == 0:
         raise MasslessState("boost construction requires m > 0")
     phi = np.asarray(phi, dtype=np.complex128)
+    if not phi.any(axis=-1).all():
+        raise UnnormalizablePhi("two-spinor must be nonzero")
     half = 0.5 * rapidity(state)
     moving = (state.p_abs != 0.0)[..., None]
     ell = state.p / np.where(moving, state.p_abs[..., None], 1.0)
@@ -275,17 +280,19 @@ def charge_conjugate(u: np.ndarray) -> np.ndarray:
 def plane_wave(u: np.ndarray, state: MomentumState, branch: EnergyBranch,
                r, t: float) -> np.ndarray:
     """Attach the propagation phase exp(+/- i (p.r - R t) / hbar) to u."""
-    r = np.asarray(r, dtype=float)
-    arg = (float(np.dot(state.p, r)) - state.R * t) / state.hbar
-    return np.asarray(u) * np.exp(1j * branch.sign * arg)
+    arg = (np.vecdot(state.p, np.asarray(r, dtype=float)) - state.R * t) / state.hbar
+    return np.asarray(u) * np.exp(1j * branch.sign * arg)[..., None]
 
 
 def dirac_residual(u: np.ndarray, state: MomentumState, branch: EnergyBranch) -> float:
     """Eigenvalue-equation residual of a bi-spinor, before any phase.
 
     Positive branch: |H(p) u - R u|; negative branch: |H(-p) u + R u|,
-    matching the momentum carried by each branch's plane wave.
+    matching the momentum carried by each branch's plane wave.  The largest
+    entry magnitude, one value per element of a stack.
     """
     if branch is EnergyBranch.NEGATIVE:
-        state = MomentumState(state.m, -state.p, state.constants)
-    return max_abs(hamiltonian(state) @ u - branch.sign * state.R * np.asarray(u))
+        state = _mirrored(state)
+    u = np.asarray(u)
+    deviation = np.matvec(hamiltonian(state), u) - (branch.sign * state.R)[..., None] * u
+    return max_abs_each(deviation, ndim=1)[()]

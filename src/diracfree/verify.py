@@ -1,7 +1,7 @@
 """Identity registry and verification engine.
 
 Every matrix identity the library relies on is registered here as a named
-check that reports a max-abs residual.  A registry row has the shape
+check that reports one residual.  A registry row has the shape
 ``(id, suite, description, domain, residual)``:
 
 * the *domain* maps a ``GridSpec`` to the points the check samples, each
@@ -18,14 +18,21 @@ check that reports a max-abs residual.  A registry row has the shape
     the rest state with every direction, and the eta x p x n grid;
   - ``_once``: a single evaluation of constant tables;
 
-* the *residual* maps one batch to its deviations: it yields arrays (or
-  scalars) whose entries should all be zero where the identity holds, and
-  never reduces them itself.
+* the *residual* maps one batch to the two sides of the identity: it
+  yields ``(lhs, rhs)`` or ``(lhs, rhs, scale)`` items of arrays (or
+  scalars) that should agree entry by entry where the identity holds, and
+  never subtracts or reduces them itself.  A quantity that should vanish is
+  yielded as ``(x, 0.0)``.  ``_rel(got, want)`` is the item with the scale
+  ``max(1, |want|)``.
 
-``_sweep`` measures the deviations: the check's residual is the largest
-entry magnitude over everything the residual yields on every batch of the
-domain, and a nan entry anywhere makes it nan.  It becomes the entry's
-``fn(grid) -> float``.
+``_sweep`` alone measures the items: the check's residual is the largest
+``|lhs - rhs| / scale`` (scale 1 when none is given) over every item the
+residual yields on every batch of the domain, and a nan entry anywhere
+makes it nan.  It becomes the entry's ``fn(grid) -> float``.  Three checks
+measure by hand and yield their measure against 0: ``block-rank`` (a 0/1
+verdict of the rank criterion), ``nonrel-limit`` (the excess over the 3/c
+rate, and 1 where the deficit stops shrinking) and ``spin-bound`` (the
+one-sided excess of |<S>| over |<s>|).
 
 The registry is the machine-checkable contract of the package:
 ``run_suite`` executes a suite (or all of them) and returns a
@@ -181,24 +188,33 @@ class VerificationReport:
 # sample domains and the sweep
 #
 # A domain maps the grid to an iterable of point tuples; a residual takes
-# one point's items as arguments and yields the deviations measured there.
-# Points are stacked (their eta values, angles, states, spinors and random
-# draws carry a leading batch axis), so a deviation carries that axis too;
-# the sweep below alone reduces them.
+# one point's items as arguments and yields the (lhs, rhs[, scale]) items
+# compared there.  Points are stacked (their eta values, angles, states,
+# spinors and random draws carry a leading batch axis), so the sides carry
+# that axis too; the sweep below alone forms and reduces the deviations.
 
 _Domain = Callable[[GridSpec], Iterable[tuple]]
 
 
 def _sweep(domain: _Domain, residual: Callable[..., Iterable]) -> Callable[[GridSpec], float]:
-    """The check ``fn``: the largest ``max_abs`` of any deviation over the domain.
+    """The check ``fn``: the largest ``|lhs - rhs| / scale`` of any item over the domain.
 
-    A nan entry anywhere makes the result nan, which fails the check.
+    Each item is ``(lhs, rhs)`` (scale 1) or ``(lhs, rhs, scale)``; anything
+    else raises ``TypeError``.  A nan entry anywhere makes the result nan,
+    which fails the check.
     """
 
     def fn(grid: GridSpec) -> float:
         worst = 0.0
         for point in domain(grid):
-            for deviation in residual(*point):
+            for item in residual(*point):
+                if not (isinstance(item, tuple) and len(item) in (2, 3)):
+                    raise TypeError(
+                        f"a residual yields (lhs, rhs) or (lhs, rhs, scale), got {type(item).__name__}"
+                    )
+                deviation = np.abs(item[0] - item[1])
+                if len(item) == 3:
+                    deviation = deviation / item[2]
                 r = max_abs(deviation)
                 worst = math.nan if math.isnan(r) else max(worst, r)
         return worst
@@ -311,9 +327,9 @@ def _cmat_pairs(rng, grid, n):
     return r[:, 0] + 1j * r[:, 1], r[:, 2] + 1j * r[:, 3]
 
 
-def _rel(got, want) -> np.ndarray:
-    """|got - want| measured against max(1, |want|), entry by entry."""
-    return np.abs(got - want) / np.maximum(1.0, np.abs(want))
+def _rel(got, want) -> tuple:
+    """The item that measures got - want against max(1, |want|), entry by entry."""
+    return got, want, np.maximum(1.0, np.abs(want))
 
 
 def _outer(x, y):
@@ -327,11 +343,8 @@ def _rest_spin(phi: np.ndarray) -> np.ndarray:
 
 
 def _d9_blocks(state: MomentumState, e) -> sm.Block2x2:
-    """Blocks of the plane-wave eigenproblem matrix at trial energy e."""
-    sg = state.c * ga.sigma_dot(state.p)
-    return sm.Block2x2(
-        _scaled_eye(state.rest_energy - e, 2), sg, sg, _scaled_eye(-(state.rest_energy + e), 2)
-    )
+    """Blocks of the plane-wave eigenproblem matrix H - e at trial energy e."""
+    return sm.disassemble(ga.hamiltonian(state) - _scaled_eye(e))
 
 
 def _scaled_eye(x, n: int = 4) -> np.ndarray:
@@ -345,12 +358,12 @@ def _scaled_eye(x, n: int = 4) -> np.ndarray:
 def _blockmul_oracle(x, y):
     """Block product against an explicit index sum, independent of BLAS ``@``."""
     got = sm.assemble(sm.block_mul(sm.disassemble(x), sm.disassemble(y)))
-    yield got - np.einsum("...ik,...kj->...ij", x, y)
+    yield got, np.einsum("...ik,...kj->...ij", x, y)
 
 
 def _dagger_antihom(x, y):
-    yield sm.dagger(sm.dagger(x)) - x
-    yield sm.dagger(x @ y) - sm.dagger(y) @ sm.dagger(x)
+    yield sm.dagger(sm.dagger(x)), x
+    yield sm.dagger(x @ y), sm.dagger(y) @ sm.dagger(x)
 
 
 def _det_mult(x, y):
@@ -388,31 +401,31 @@ def _eig_det(state):
         # relative to |closed| off shell (|x - 0| / max(1, 0) = |x| on shell)
         yield _rel(sm.schur_det(blocks), closed)
         scale = np.where(on_shell, sm.max_abs_each(dense_matrix) ** 4, np.abs(closed))
-        yield np.abs(sm.det4(dense_matrix) - closed) / np.maximum(1.0, scale)
+        yield sm.det4(dense_matrix), closed, np.maximum(1.0, scale)
 
 
 def _block_rank(state):
     """The rank criterion holds at trial energy -R and fails one unit below."""
-    yield 0.0 if np.all(sm.block_rank_is_n(_d9_blocks(state, -state.R))) else 1.0
-    yield 1.0 if np.any(sm.block_rank_is_n(_d9_blocks(state, -state.R - 1.0))) else 0.0
+    yield (0.0 if np.all(sm.block_rank_is_n(_d9_blocks(state, -state.R))) else 1.0), 0.0
+    yield (1.0 if np.any(sm.block_rank_is_n(_d9_blocks(state, -state.R - 1.0))) else 0.0), 0.0
 
 
 def _clifford():
     for mu in range(4):
         for nu in range(4):
             target = 2.0 * ga.METRIC[mu, nu] * np.eye(4)
-            yield ga.anticommutator(ga.GAMMA[mu], ga.GAMMA[nu]) - target
+            yield ga.anticommutator(ga.GAMMA[mu], ga.GAMMA[nu]), target
     for mu in range(4):
-        yield ga.anticommutator(ga.GAMMA[mu], ga.GAMMA5)
+        yield ga.anticommutator(ga.GAMMA[mu], ga.GAMMA5), 0.0
 
 
 def _alpha_anticomm():
     for r in range(3):
         for s in range(3):
             target = 2.0 * (1.0 if r == s else 0.0) * np.eye(4)
-            yield ga.anticommutator(ga.ALPHA[r], ga.ALPHA[s]) - target
-        yield ga.anticommutator(ga.ALPHA[r], ga.BETA)
-    yield ga.BETA @ ga.BETA - np.eye(4)
+            yield ga.anticommutator(ga.ALPHA[r], ga.ALPHA[s]), target
+        yield ga.anticommutator(ga.ALPHA[r], ga.BETA), 0.0
+    yield ga.BETA @ ga.BETA, np.eye(4)
 
 
 def _alpha_spin_comm():
@@ -421,31 +434,31 @@ def _alpha_spin_comm():
             target = sum(
                 2j * ga.levi_civita(r + 1, q + 1, s + 1) * ga.ALPHA[s] for s in range(3)
             )
-            yield ga.commutator(ga.ALPHA[r], ga.SPIN[q]) - target
+            yield ga.commutator(ga.ALPHA[r], ga.SPIN[q]), target
     for q in range(3):
-        yield ga.commutator(ga.BETA, ga.SPIN[q])
+        yield ga.commutator(ga.BETA, ga.SPIN[q]), 0.0
 
 
 def _spin_gamma5():
-    return (ga.SPIN[q] - ga.ALPHA[q] @ ga.GAMMA5 for q in range(3))
+    return ((ga.SPIN[q], ga.ALPHA[q] @ ga.GAMMA5) for q in range(3))
 
 
 def _h_spin_comm(state):
     h = ga.hamiltonian(state)
     for q, axis in enumerate(np.eye(3)):
         target = 2j * state.c * ga.alpha_dot(np.cross(state.p, axis))
-        yield ga.commutator(h, ga.SPIN[q]) - target
+        yield ga.commutator(h, ga.SPIN[q]), target
 
 
 def _h_helicity_comm(state):
     h = ga.hamiltonian(state)
-    yield ga.commutator(h, ga.spin_dot(state.p))
-    yield ga.commutator(h, ga.helicity_operator(state))
+    yield ga.commutator(h, ga.spin_dot(state.p)), 0.0
+    yield ga.commutator(h, ga.helicity_operator(state)), 0.0
 
 
 def _h_squared(state):
     h = ga.hamiltonian(state)
-    yield h @ h - _scaled_eye(state.R**2)
+    yield h @ h, _scaled_eye(state.R**2)
 
 
 def _sigma_n_matrix(ang):
@@ -453,7 +466,7 @@ def _sigma_n_matrix(ang):
     top = sm.stack_last([ct, st * np.exp(-1j * ang.phi)])
     bottom = sm.stack_last([st * np.exp(1j * ang.phi), -ct])
     target = np.stack([top, bottom], axis=-2)
-    yield ga.sigma_dot(ki.direction(ang)) - target
+    yield ga.sigma_dot(ki.direction(ang)), target
 
 
 def _vector_pairs(rng, grid, n):
@@ -465,39 +478,36 @@ def _vector_pairs(rng, grid, n):
 def _pauli_products(p, n):
     sp_, sn = ga.sigma_dot(p), ga.sigma_dot(n)
     target = 1j * ga.sigma_dot(np.cross(p, n)) + _scaled_eye(np.vecdot(p, n), 2)
-    yield sp_ @ sn - target
+    yield sp_ @ sn, target
     for k in range(3):
         sandwich = sp_ @ ga.PAULI[k] @ sp_
         twice = (2.0 * p[..., k])[..., None, None] * sp_
-        yield sandwich - (twice - np.vecdot(p, p)[..., None, None] * ga.PAULI[k])
+        yield sandwich, twice - np.vecdot(p, p)[..., None, None] * ga.PAULI[k]
 
 
 def _slash_square(state):
     for branch in _BRANCHES:
         p4 = state.momentum_four_vector(branch)
         slash = ga.gamma_slash(p4)
-        yield slash @ slash - _scaled_eye(ki.minkowski_dot(p4, p4))
+        yield slash @ slash, _scaled_eye(ki.minkowski_dot(p4, p4))
         yield _rel(ki.minkowski_dot(p4, p4), (state.m * state.c) ** 2)
 
 
 def _on_shell(state):
     for branch in _BRANCHES:
         e = state.energy(branch)
-        yield (e / state.c) ** 2 - state.p_abs**2 - (state.m * state.c) ** 2
+        yield (e / state.c) ** 2 - state.p_abs**2, (state.m * state.c) ** 2
 
 
 def _eta_rapidity(state):
     th = ki.rapidity(state)
-    yield ki.to_eta(state) - np.tanh(0.5 * th)
-    yield state.R - state.rest_energy * np.cosh(th)
-    yield (
-        np.cosh(0.5 * th)
-        - np.sqrt((state.R + state.rest_energy) / (2.0 * state.rest_energy))
-    )
+    yield ki.to_eta(state), np.tanh(0.5 * th)
+    yield state.R, state.rest_energy * np.cosh(th)
+    yield np.cosh(0.5 * th), np.sqrt((state.R + state.rest_energy) / (2.0 * state.rest_energy))
 
 
 def _eta_round_trip(eta, ang, state):
-    yield ki.to_eta(state) - eta
+    yield ki.to_eta(state), eta
     yield _rel(state.rest_energy * (1.0 + eta**2) / (1.0 - eta**2), state.R)
 
 
@@ -508,13 +518,13 @@ def _wave_numbers(eta, ang, state):
     k = state.p_abs[moving] / state.hbar
     w = state.R[moving] / state.hbar
     mclh = state.m * state.c / state.hbar
-    yield k * eta - (w / state.c - mclh)
-    yield k / eta - (w / state.c + mclh)
+    yield k * eta, w / state.c - mclh
+    yield k / eta, w / state.c + mclh
 
 
 def _n3_convention(ang):
     """Documented deviation: implemented n3 = cos(theta), printed n3 = cos(phi)."""
-    yield np.cos(ang.theta) - np.cos(ang.phi)
+    yield np.cos(ang.theta), np.cos(ang.phi)
 
 
 # --------------------------------------------------------------------------
@@ -524,48 +534,48 @@ def _helicity_eigen_2(ang):
     sn = ga.sigma_dot(ki.direction(ang))
     for lam in _LAMBDAS:
         phi = sp.helicity_spinor(lam, ang)
-        yield np.matvec(sn, phi) - lam.sign * phi
-        yield np.vecdot(phi, phi).real - 1.0
+        yield np.matvec(sn, phi), lam.sign * phi
+        yield np.vecdot(phi, phi).real, 1.0
 
 
 def _spin_direction(ang):
     n = ki.direction(ang)
     for lam in _LAMBDAS:
-        yield 2.0 * _rest_spin(sp.helicity_spinor(lam, ang)) - lam.sign * n
+        yield 2.0 * _rest_spin(sp.helicity_spinor(lam, ang)), lam.sign * n
 
 
 def _phi_unitary(ang):
     for m in (sp.phi_matrix(ang), sp.phi_tilde_matrix(ang)):
-        yield m @ sm.dagger(m) - np.eye(2)
-        yield sm.dagger(m) @ m - np.eye(2)
+        yield m @ sm.dagger(m), np.eye(2)
+        yield sm.dagger(m) @ m, np.eye(2)
 
 
 def _sigma_factorization(ang):
     sn = ga.sigma_dot(ki.direction(ang))
     pm, pt = sp.phi_matrix(ang), sp.phi_tilde_matrix(ang)
-    yield pt @ sm.dagger(pm) - sn
-    yield pm @ sm.dagger(pt) - sn
+    yield pt @ sm.dagger(pm), sn
+    yield pm @ sm.dagger(pt), sn
 
 
 def _phi_swap(ang):
     sn = ga.sigma_dot(ki.direction(ang))
     pm, pt = sp.phi_matrix(ang), sp.phi_tilde_matrix(ang)
-    yield sn @ pm - pt
-    yield sn @ pt - pm
+    yield sn @ pm, pt
+    yield sn @ pt, pm
 
 
 def _completeness_2(ang):
     total = sum(
         _outer(sp.helicity_spinor(lam, ang), sp.helicity_spinor(lam, ang)) for lam in _LAMBDAS
     )
-    yield total - np.eye(2)
+    yield total, np.eye(2)
 
 
 def _spin_basis(state):
     u = sp.spin_basis_matrix(state)
-    yield u - sm.dagger(u)
-    yield u @ u - np.eye(4)
-    yield np.abs(sm.det4(u)) - 1.0
+    yield u, sm.dagger(u)
+    yield u @ u, np.eye(4)
+    yield np.abs(sm.det4(u)), 1.0
 
 
 def _spin_basis_eigen(state):
@@ -573,7 +583,7 @@ def _spin_basis_eigen(state):
     h = ga.hamiltonian(state)
     u = sp.spin_basis_matrix(state)
     e = state.R[..., None, None] * np.array([1.0, 1.0, -1.0, -1.0])
-    yield h @ u - e * u
+    yield h @ u, e * u
 
 
 def _block_squared_norm(state):
@@ -584,42 +594,42 @@ def _block_squared_norm(state):
     upper = (state.rest_energy + e)[..., None, None] * pm
     m = sm.block4(upper, sg @ pm, sg @ pm, -upper)
     target = _scaled_eye((state.rest_energy + e) ** 2 + (state.c * state.p_abs) ** 2)
-    yield sm.dagger(m) @ m - target
+    yield sm.dagger(m) @ m, target
 
 
 def _helicity_basis_unitary(state):
     basis = sp.helicity_basis(state)
-    yield sm.dagger(basis.V) @ basis.V - np.eye(4)
-    yield np.abs(sm.det4(basis.V)) - 1.0
+    yield sm.dagger(basis.V) @ basis.V, np.eye(4)
+    yield np.abs(sm.det4(basis.V)), 1.0
 
 
 def _helicity_eigen_4(state):
     """Column k of (helicity) V equals lam_k times column k of V."""
     lam_op = ga.helicity_operator(state)
     v = sp.helicity_basis(state).V
-    yield lam_op @ v - np.array([0.5, -0.5, 0.5, -0.5]) * v
+    yield lam_op @ v, np.array([0.5, -0.5, 0.5, -0.5]) * v
 
 
 def _hv_exchange(state):
     h = ga.hamiltonian(state)
     basis = sp.helicity_basis(state)
     r = state.R[..., None, None]
-    yield h @ basis.V - r * basis.V_tilde
-    yield h @ basis.V_tilde - r * basis.V
+    yield h @ basis.V, r * basis.V_tilde
+    yield h @ basis.V_tilde, r * basis.V
 
 
 def _h_factorization(state):
     h = ga.hamiltonian(state)
     basis = sp.helicity_basis(state)
     r = state.R[..., None, None]
-    yield h - r * basis.V_tilde @ np.linalg.inv(basis.V)
-    yield h - r * basis.V @ np.linalg.inv(basis.V_tilde)
+    yield h, r * basis.V_tilde @ np.linalg.inv(basis.V)
+    yield h, r * basis.V @ np.linalg.inv(basis.V_tilde)
 
 
 def _v_inverse_sandwich(state):
     """Documented deviation: the printed gamma^0-sandwich inverse of V."""
     v = sp.helicity_basis(state).V
-    yield np.linalg.inv(v) - ga.GAMMA0 @ sm.dagger(v) @ ga.GAMMA0
+    yield np.linalg.inv(v), ga.GAMMA0 @ sm.dagger(v) @ ga.GAMMA0
 
 
 def _boost_draws(rng, grid, n):
@@ -640,7 +650,7 @@ def _boost_draws(rng, grid, n):
 def _boost_direct(state, phi):
     boosted = sp.boost_bispinor(phi, state)
     direct = sp.bispinor_block(phi, state, _POS, Normalization.INVARIANT_UNIT)
-    yield boosted - direct
+    yield boosted, direct
 
 
 def _adjoint_orthogonality(state):
@@ -651,7 +661,7 @@ def _adjoint_orthogonality(state):
         u = sp.bispinor_block(phi, state, _POS, Normalization.INVARIANT_2MC)
         v = sp.bispinor_block(phi, state, _NEG, Normalization.INVARIANT_2MC)
         # u-bar v; vecdot conjugates its first argument, conjugating first cancels that
-        yield np.vecdot(np.conjugate(ob.dirac_adjoint(u)), v)
+        yield np.vecdot(np.conjugate(ob.dirac_adjoint(u)), v), 0.0
 
 
 def _norm_ratio(state, phi):
@@ -668,7 +678,7 @@ def _eta_determinant(eta, ang, state):
         for lam in _LAMBDAS
     ]
     m = sm.stack_last(cols) * np.sqrt(1.0 + eta**2)[..., None, None]
-    yield sm.det4(m) - (1.0 - eta**2) ** 2
+    yield sm.det4(m), (1.0 - eta**2) ** 2
 
 
 def _norm_conversion(eta, ang, state):
@@ -681,13 +691,13 @@ def _norm_conversion(eta, ang, state):
         for lam in _LAMBDAS:
             column = factor[..., None] * sp.eta_bispinor(lam, branch, eta, ang, volume)
             norm = ob.adjoint_norm(column)
-            yield norm - branch.sign * 2.0 * state.m * state.c
+            yield norm, branch.sign * 2.0 * state.m * state.c
 
 
 def _conjugation(eta, ang, state, lam):
     plus = sp.eta_bispinor(lam, _POS, eta, ang)
     minus = sp.eta_bispinor(lam, _NEG, eta, ang)
-    yield sp.charge_conjugate(plus) - minus
+    yield sp.charge_conjugate(plus), minus
 
 
 def _complex4s(rng, grid, n):
@@ -697,7 +707,7 @@ def _complex4s(rng, grid, n):
 
 def _conjugation_square(u):
     """Double charge conjugation is the identity (+u, recorded empirically)."""
-    yield sp.charge_conjugate(sp.charge_conjugate(u)) - u
+    yield sp.charge_conjugate(sp.charge_conjugate(u)), u
 
 
 def _nonrel_limit():
@@ -707,9 +717,9 @@ def _nonrel_limit():
     for c in (10.0, 100.0, 1000.0):
         state = MomentumState(1.0, np.array([0.0, 0.0, 1.0]), ki.PhysicalConstants(c=c))
         deficit = max_abs(sp.spin_basis_matrix(state) - rest)
-        yield max(0.0, deficit - 3.0 / c)
+        yield max(0.0, deficit - 3.0 / c), 0.0
         if deficit >= previous:
-            yield 1.0
+            yield 1.0, 0.0
         previous = deficit
 
 
@@ -720,8 +730,8 @@ def _polarization_invariants(eta, ang, state, partner):
     p4 = state.momentum_four_vector(_POS)
     for n_ang in (ang, partner):
         a = ob.polarization_four_vector(state, ki.direction(n_ang))
-        yield ki.minkowski_dot(p4, a) / np.maximum(1.0, state.R)
-        yield ki.minkowski_dot(a, a) + 1.0
+        yield ki.minkowski_dot(p4, a), 0.0, np.maximum(1.0, state.R)
+        yield ki.minkowski_dot(a, a), -1.0
 
 
 def _polarization_dual(state, n_ang):
@@ -729,14 +739,14 @@ def _polarization_dual(state, n_ang):
     n = ki.direction(n_ang)
     closed = ob.polarization_four_vector(state, n).as_array()
     bil = ob.polarization_from_bilinear(state, n).as_array()
-    yield closed - bil
+    yield closed, bil
 
 
 def _polarization_rest(rest, ang):
     n = ki.direction(ang)
     a = ob.polarization_four_vector(rest, n)
-    yield a.t
-    yield a.r - n
+    yield a.t, 0.0
+    yield a.r, n
 
 
 def _polarization_equation(eta, ang, state, n_ang):
@@ -744,7 +754,7 @@ def _polarization_equation(eta, ang, state, n_ang):
     u = sp.bispinor_block(
         sp.helicity_spinor(Helicity.PLUS, n_ang), state, _POS, Normalization.INVARIANT_UNIT
     )
-    yield ob.check_polarization_equation(u, ob.polarization_four_vector(state, n))
+    yield ob.check_polarization_equation(u, ob.polarization_four_vector(state, n)), 0.0
 
 
 def _current(state, phi):
@@ -752,7 +762,7 @@ def _current(state, phi):
     j = ob.current_density(u, state).as_array()
     norm = ob.adjoint_norm(u)[..., None]
     p4 = state.momentum_four_vector(_POS).as_array()
-    yield j / norm - p4 / (state.m * state.c)
+    yield j / norm, p4 / (state.m * state.c)
 
 
 def _adjoint_norms(state, phi):
@@ -760,14 +770,14 @@ def _adjoint_norms(state, phi):
     u1 = sp.bispinor_block(phi, state, _POS, Normalization.INVARIANT_UNIT)
     u2 = sp.bispinor_block(phi, state, _POS, Normalization.INVARIANT_2MC)
     v2 = sp.bispinor_block(phi, state, _NEG, Normalization.INVARIANT_2MC)
-    yield ob.adjoint_norm(u1) - 1.0
-    yield ob.adjoint_norm(u2) - mc2
-    yield ob.adjoint_norm(v2) + mc2
+    yield ob.adjoint_norm(u1), 1.0
+    yield ob.adjoint_norm(u2), mc2
+    yield ob.adjoint_norm(v2), -mc2
 
 
 def _spin_relation(state, phi):
     s_rel = ob.spin_expectations(sp.bispinor_block(phi, state, _POS, Normalization.UNIT))
-    yield s_rel - ob.relate_spin_expectations(state, _rest_spin(phi))
+    yield s_rel, ob.relate_spin_expectations(state, _rest_spin(phi))
 
 
 def _spin_relation_axis(state, phi):
@@ -776,14 +786,14 @@ def _spin_relation_axis(state, phi):
     s_rest = _rest_spin(phi)
     scale = state.rest_energy / state.R
     target = sm.stack_last([scale * s_rest[..., 0], scale * s_rest[..., 1], s_rest[..., 2]])
-    yield s_rel - target
+    yield s_rel, target
 
 
 def _spin_bound(state, phi):
     s_rel = ob.spin_expectations(sp.bispinor_block(phi, state, _POS, Normalization.UNIT))
     s_rest = _rest_spin(phi)
     excess = np.sqrt(np.vecdot(s_rel, s_rel)) - np.sqrt(np.vecdot(s_rest, s_rest)) - 1e-15
-    yield np.maximum(0.0, excess)
+    yield np.maximum(0.0, excess), 0.0
 
 
 # --------------------------------------------------------------------------
@@ -794,20 +804,20 @@ def _nonrel_density(ang):
     for lam in _LAMBDAS:
         phi = sp.helicity_spinor(lam, ang)
         rho = de.nonrel_density(lam, n)
-        yield _outer(phi, phi) - rho
-        yield rho @ rho - rho
-        yield np.trace(rho, axis1=-2, axis2=-1).real - 1.0
+        yield _outer(phi, phi), rho
+        yield rho @ rho, rho
+        yield np.trace(rho, axis1=-2, axis2=-1).real, 1.0
 
 
 def _projector_algebra(state):
     mc2 = 2.0 * state.m * state.c
     plus = de.energy_projector(state, _POS)
     minus = de.energy_projector(state, _NEG)
-    yield plus + minus - mc2 * np.eye(4)
-    yield plus @ minus
-    yield minus @ plus
-    yield plus @ plus - mc2 * plus
-    yield minus @ minus - mc2 * minus
+    yield plus + minus, mc2 * np.eye(4)
+    yield plus @ minus, 0.0
+    yield minus @ plus, 0.0
+    yield plus @ plus, mc2 * plus
+    yield minus @ minus, mc2 * minus
 
 
 def _projector_sum(eta, ang, state, branch):
@@ -817,7 +827,7 @@ def _projector_sum(eta, ang, state, branch):
             sp.helicity_spinor(lam, ang), state, branch, Normalization.INVARIANT_2MC
         )
         total = total + de.outer_with_adjoint(u)
-    yield total - branch.sign * de.energy_projector(state, branch)
+    yield total, branch.sign * de.energy_projector(state, branch)
 
 
 def _trace(m):
@@ -828,17 +838,17 @@ def _density_trace(eta, ang, state):
     mc2 = 2.0 * state.m * state.c
     n = ki.direction(ang)
     for lam in _LAMBDAS:
-        yield _trace(de.density4(state, _POS, lam, n)) - mc2
+        yield _trace(de.density4(state, _POS, lam, n)), mc2
         u = sp.bispinor_block(
             sp.helicity_spinor(lam, ang), state, _POS, Normalization.INVARIANT_2MC
         )
-        yield _trace(de.outer_with_adjoint(u)) - mc2
+        yield _trace(de.outer_with_adjoint(u)), mc2
 
 
 def _projector_trace(eta, ang, state):
     """Documented deviation: printed trace 2mc vs actual 4mc."""
     trace = _trace(de.energy_projector(state, _POS))
-    yield trace - 2.0 * state.m * state.c
+    yield trace, 2.0 * state.m * state.c
 
 
 def _density_outer(eta, ang, state, partner, branch):
@@ -846,7 +856,7 @@ def _density_outer(eta, ang, state, partner, branch):
         n = ki.direction(n_ang)
         for lam in _LAMBDAS:
             closed = de.density4(state, branch, lam, n)
-            yield closed - de.density4_outer(state, branch, lam, n)
+            yield closed, de.density4_outer(state, branch, lam, n)
 
 
 def _matrix(rows) -> np.ndarray:
@@ -927,7 +937,7 @@ def _explicit_projector(eta, ang, state, branch):
     proj_plus, proj_minus, _, _ = _eta_matrices(eta, ang)
     scale = (1.0 - eta**2) / (2.0 * state.m * state.c)
     got = scale[..., None, None] * de.energy_projector(state, branch)
-    yield got - (proj_plus if branch is _POS else -proj_minus)
+    yield got, (proj_plus if branch is _POS else -proj_minus)
 
 
 def _explicit_polarizer(eta, ang, state, lam):
@@ -936,7 +946,7 @@ def _explicit_polarizer(eta, ang, state, lam):
     got = (0.5 * (1.0 - eta**2))[..., None, None] * (
         np.eye(4) - lam.sign * ga.GAMMA5_LOWER @ ga.gamma_slash(a)
     )
-    yield got - (pol_plus if lam is Helicity.PLUS else pol_minus)
+    yield got, (pol_plus if lam is Helicity.PLUS else pol_minus)
 
 
 def _explicit_rank_one(eta, ang, state, branch):
@@ -952,9 +962,9 @@ def _explicit_rank_one(eta, ang, state, branch):
         product, target, lam = proj_plus @ pol_plus, rank_plus, Helicity.PLUS
     else:
         product, target, lam = proj_minus @ pol_minus, rank_minus, Helicity.MINUS
-    yield product - target
+    yield product, target
     raw = sp.eta_bispinor(lam, branch, eta, ang, volume=1.0) * np.sqrt(1.0 + eta**2)[..., None]
-    yield (1.0 - eta**2)[..., None, None] * de.outer_with_adjoint(raw) - target
+    yield (1.0 - eta**2)[..., None, None] * de.outer_with_adjoint(raw), target
 
 
 def _block_factor(eta, ang, state, branch):
@@ -971,7 +981,7 @@ def _block_factor(eta, ang, state, branch):
         else:
             rho = de.nonrel_density(lam.flipped, n)
             target = sm.Block2x2(e2 * rho, s * eta_ * rho, -s * eta_ * rho, -rho)
-        yield sm.assemble(got) - sm.assemble(target)
+        yield sm.assemble(got), sm.assemble(target)
 
 
 def _sigma_tensor():
@@ -984,34 +994,34 @@ def _sigma_tensor():
         (2, 3): -1j * ga.SPIN[0],
     }
     for mu in range(4):
-        yield de.sigma_tensor(mu, mu)
+        yield de.sigma_tensor(mu, mu), 0.0
         for nu in range(4):
-            yield de.sigma_tensor(mu, nu) + de.sigma_tensor(nu, mu)
+            yield de.sigma_tensor(mu, nu), -de.sigma_tensor(nu, mu)
     for (mu, nu), target in table.items():
-        yield de.sigma_tensor(mu, nu) - target
+        yield de.sigma_tensor(mu, nu), target
 
 
 def _slash_pair(eta, ang, state, n_ang):
     a = ob.polarization_four_vector(state, ki.direction(n_ang))
     p4 = state.momentum_four_vector(_POS)
     contraction = de.slash_pair(p4, a)
-    yield contraction - de.slash_pair_components(p4, a)
+    yield contraction, de.slash_pair_components(p4, a)
     lhs = ga.gamma_slash(p4) @ ga.GAMMA5_LOWER @ ga.gamma_slash(a)
-    yield lhs + ga.GAMMA5_LOWER @ contraction
+    yield lhs, -(ga.GAMMA5_LOWER @ contraction)
 
 
 def _covariant_decomposition(eta, ang, state):
     for branch in _BRANCHES:
         for lam in _LAMBDAS:
-            yield de.covariant_density_identity(state, branch, lam)
+            yield de.covariant_density_identity(state, branch, lam), 0.0
 
 
 def _parallel_polarization(eta, ang, state):
     """Polarization components when p is along n."""
     n = ki.direction(ang)
     a = ob.polarization_four_vector(state, n)
-    yield a.t - 2.0 * eta / (1.0 - eta**2)
-    yield a.r - ((1.0 + eta**2) / (1.0 - eta**2))[..., None] * n
+    yield a.t, 2.0 * eta / (1.0 - eta**2)
+    yield a.r, ((1.0 + eta**2) / (1.0 - eta**2))[..., None] * n
 
 
 # --------------------------------------------------------------------------
@@ -1021,68 +1031,68 @@ def _fermi_eigen(state):
     """Every original bi-spinor is a +R eigenvector (the audited claim)."""
     h = ga.hamiltonian(state)
     for u in fe.fermi_bispinors_original(state):
-        yield np.matvec(h, u) - state.R[..., None] * u
+        yield np.matvec(h, u), state.R[..., None] * u
 
 
 def _fermi_dependence(state):
-    yield sm.det4(sm.stack_last(fe.fermi_bispinors_original(state)))
+    yield sm.det4(sm.stack_last(fe.fermi_bispinors_original(state))), 0.0
 
 
 def _fermi_corrected(state):
     h = ga.hamiltonian(state)
     columns = fe.fermi_bispinors_corrected(state)
     for u, sign in zip(columns, (1.0, 1.0, -1.0, -1.0)):
-        yield np.matvec(h, u) - (sign * state.R)[..., None] * u
-    yield np.abs(sm.det4(sm.stack_last(columns))) - 1.0
+        yield np.matvec(h, u), (sign * state.R)[..., None] * u
+    yield np.abs(sm.det4(sm.stack_last(columns))), 1.0
 
 
 def _fermi_clifford():
     gammas = fe.fermi_gamma_set()
     for i, g1 in enumerate(gammas):
-        yield g1 @ g1 - np.eye(4)
+        yield g1 @ g1, np.eye(4)
         for g2 in gammas[i + 1:]:
-            yield ga.anticommutator(g1, g2)
+            yield ga.anticommutator(g1, g2), 0.0
 
 
 def _fermi_alpha_relation():
     g1, g2, g3, _ = fe.fermi_gamma_set()
     for alpha, g in zip(ga.ALPHA, (g1, g2, g3)):
-        yield alpha - 1j * ga.BETA @ g
+        yield alpha, 1j * ga.BETA @ g
 
 
 def _fermi_eigenvalues():
     """trace 0, trace of square 4, det 1: eigenvalues +1 twice, -1 twice."""
     m = np.stack((fe.FERMI_GAMMA4,) + tuple(ga.ALPHA) + fe.fermi_gamma_set()[:3])
-    yield _trace(m)
-    yield _trace(m @ m) - 4.0
-    yield sm.det4(m) - 1.0
+    yield _trace(m), 0.0
+    yield _trace(m @ m), 4.0
+    yield sm.det4(m), 1.0
 
 
 def _fermi_projectors(state):
     pr = fe.fermi_projectors(state)
     h = ga.hamiltonian(state)
     r = state.R[..., None, None]
-    yield pr.P + pr.N - np.eye(4)
-    yield pr.P @ pr.P - pr.P
-    yield pr.N @ pr.N - pr.N
-    yield pr.P @ pr.N
-    yield pr.P - (r * np.eye(4) + h) / (2.0 * r)
+    yield pr.P + pr.N, np.eye(4)
+    yield pr.P @ pr.P, pr.P
+    yield pr.N @ pr.N, pr.N
+    yield pr.P @ pr.N, 0.0
+    yield pr.P, (r * np.eye(4) + h) / (2.0 * r)
 
 
 def _fermi_projector_action(state):
     pr = fe.fermi_projectors(state)
     u1, u2, u3, u4 = fe.fermi_bispinors_corrected(state)
     for u in (u1, u2):
-        yield np.matvec(pr.P, u) - u
-        yield np.matvec(pr.N, u)
+        yield np.matvec(pr.P, u), u
+        yield np.matvec(pr.N, u), 0.0
     for u in (u3, u4):
-        yield np.matvec(pr.N, u) - u
-        yield np.matvec(pr.P, u)
+        yield np.matvec(pr.N, u), u
+        yield np.matvec(pr.P, u), 0.0
 
 
 def _fermi_sigma_primes():
     for prime, spin in zip(fe.fermi_sigma_primes(), ga.SPIN):
-        yield prime - spin
+        yield prime, spin
 
 
 # --------------------------------------------------------------------------

@@ -29,6 +29,7 @@ from diracfree.errors import (
     NonCommutingBlocks,
     NonUnitDirection,
     SingularA,
+    UnnormalizablePhi,
     ZeroMomentum,
 )
 from diracfree.kinematics import EnergyBranch, MomentumState, PolarAngles
@@ -253,6 +254,29 @@ class TestStackedKernels:
             assert_stacks(sm.schur_det(blocks), [sm.schur_det(b) for b in singles])
             assert list(sm.block_rank_is_n(blocks)) == [sm.block_rank_is_n(b) for b in singles]
 
+    @settings(max_examples=60, deadline=None)
+    @given(momenta, st.sampled_from(SCALES), st.sampled_from(SCALES), st.floats(0.0, 5.0), seeds)
+    def test_eigenvector_residual_and_phase_kernels(self, rows, m, c, spread, seed):
+        state = _state(m, c, rows, spread)
+        scalars = _unstacked(state)
+        chi = _spinors(seed, len(rows))
+        for norm in (Normalization.UNIT, Normalization.INVARIANT_2MC):
+            assert_stacks(
+                sp.negative_energy_eigenvector(chi, state, norm),
+                [sp.negative_energy_eigenvector(x, s, norm) for x, s in zip(chi, scalars)],
+            )
+        r = np.random.default_rng(seed).standard_normal(3)
+        for branch in BRANCHES:
+            u = sp.bispinor_block(chi, state, branch)
+            assert_stacks(
+                sp.dirac_residual(u, state, branch),
+                [sp.dirac_residual(x, s, branch) for x, s in zip(u, scalars)],
+            )
+            assert_stacks(
+                sp.plane_wave(u, state, branch, r, 0.7),
+                [sp.plane_wave(x, s, branch, r, 0.7) for x, s in zip(u, scalars)],
+            )
+
     def test_unstacked_results_keep_their_scalar_types(self):
         state = ki.from_eta(2.0, 3.0, 0.4, PolarAngles(0.7, 1.3))
         u = sp.bispinor_block(np.array([1.0, 0.5j]), state, EnergyBranch.POSITIVE)
@@ -335,6 +359,12 @@ class TestStackedValidation:
         blocks = sm.Block2x2(a, _cmats(5, 3, size=2), c, d)
         with pytest.raises(NonCommutingBlocks, match="the Schur formulas do not apply"):
             sm.schur_det(blocks)
+
+    def test_boost_zero_spinor_element(self):
+        state = ki.from_eta(1.0, 1.0, 0.5, PolarAngles(np.array([0.3, 1.0, 2.0]), 0.4))
+        phi = np.array([[1.0, 0.5j], [0.0, 0.0], [0.2, 1.0]])
+        with pytest.raises(UnnormalizablePhi, match="two-spinor must be nonzero"):
+            sp.boost_bispinor(phi, state)
 
     def test_block_rank_singular_element(self):
         a = np.stack([np.eye(2), np.zeros((2, 2)), 2.0 * np.eye(2)])
@@ -635,13 +665,35 @@ TINY = verify.GridSpec(theta_count=2, phi_count=2)
 
 @pytest.mark.parametrize("values", [[math.nan, 0.5], [0.5, math.nan], [math.nan, math.nan]])
 def test_sweep_nan_point_makes_nan(values):
-    fn = verify._sweep(lambda g: [(), ()], lambda: iter(values))
+    fn = verify._sweep(lambda g: [(), ()], lambda: iter([(v, 0.0) for v in values]))
     assert math.isnan(fn(TINY))
 
 
 def test_sweep_nan_inside_stack_makes_nan():
-    fn = verify._sweep(lambda g: [(np.array([0.1, math.nan, 0.2]),)], lambda x: iter([sm.max_abs(x)]))
+    fn = verify._sweep(lambda g: [(np.array([0.1, math.nan, 0.2]),)], lambda x: iter([(x, 0.0)]))
     assert math.isnan(fn(TINY))
+
+
+def test_sweep_declared_scale_divides():
+    fn = verify._sweep(verify._once, lambda: iter([(3.0, 1.0, 4.0)]))
+    assert fn(TINY) == 0.5
+
+
+@pytest.mark.parametrize("item", [
+    (np.array([1.0, math.nan]), 0.0, 1.0),
+    (0.0, np.array([1.0, math.nan]), 1.0),
+    (1.0, 0.0, np.array([2.0, math.nan])),
+], ids=["lhs", "rhs", "scale"])
+def test_sweep_nan_in_any_slot_makes_nan(item):
+    fn = verify._sweep(verify._once, lambda: iter([item]))
+    assert math.isnan(fn(TINY))
+
+
+def test_sweep_rejects_a_bare_deviation():
+    # a (2, 4, 4) stack would otherwise unpack into lhs and rhs
+    fn = verify._sweep(verify._once, lambda: iter([np.zeros((2, 4, 4))]))
+    with pytest.raises(TypeError):
+        fn(TINY)
 
 
 def _nan_registry():

@@ -18,6 +18,15 @@ MANIFEST = json.loads(
 SMALL_GRID = verify.GridSpec(eta_values=(0.2, 0.7), theta_count=3, phi_count=3)
 
 
+def _floats(value):
+    """Every number in a parsed JSON value."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        return [x for item in value for x in _floats(item)]
+    return [value] if isinstance(value, (int, float)) and not isinstance(value, bool) else []
+
+
 class TestRegistry:
     def test_ids_match_manifest(self):
         assert verify.registry_ids() == MANIFEST["ids"]
@@ -305,10 +314,47 @@ class TestCli:
     @pytest.mark.parametrize("command", ["spinor", "boost"])
     def test_non_finite_text_emit_exit_two(self, command):
         with np.errstate(all="ignore"):
-            code, out, err = self.run(command, "--p", "1e300,0,0")
+            code, out, err = self.run(command, "--p", "1e300,0,0", "--c", "1e10")
         assert code == 2
         assert out == ""
         assert err.startswith("error: non-finite value in output")
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("spinor", "--p", "1e200,0,0"),
+            ("density", "--eta", "0.5", "--n", "1e200,0,0"),
+            ("boost", "--eta", "0.5", "--spinor", "1e200,0,0,0"),
+        ],
+        ids=["spinor-p", "density-n", "boost-spinor"],
+    )
+    def test_huge_vector_inputs_emit_finite_output(self, argv, fmt):
+        code, out, err = self.run(*argv, "--format", fmt)
+        assert (code, err) == (0, "")
+        if fmt == "json":
+            doc = json.loads(out)
+            assert all(math.isfinite(x) for x in _floats(doc["outputs"]))
+        else:
+            assert "nan" not in out and "inf" not in out
+
+    def test_huge_momentum_density_overflows_in_its_product(self):
+        with np.errstate(all="ignore"):
+            code, out, err = self.run("density", "--p", "1e160,0,0")
+        assert code == 2
+        assert out == ""
+        assert err == "error: non-finite value in output: inf\n"
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_boost_zero_spinor_exit_two(self, child_env, fmt):
+        child = subprocess.run(
+            [sys.executable, "-m", "diracfree.cli", "boost", "--eta", "0.5",
+             "--spinor", "0,0,0,0", "--format", fmt],
+            capture_output=True, text=True, env=child_env,
+        )
+        assert child.returncode == 2
+        assert child.stdout == ""
+        assert child.stderr == "error: two-spinor must be nonzero\n"
 
     def test_installed_entry_point(self, child_env):
         result = subprocess.run(

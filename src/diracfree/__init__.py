@@ -51,6 +51,7 @@ from .kinematics import (
     direction,
     from_eta,
     minkowski_dot,
+    momentum_axis,
     rapidity,
     to_eta,
 )
@@ -84,6 +85,7 @@ from .spinors import (
     dirac_residual,
     eta_bispinor,
     helicity_basis,
+    helicity_bispinor,
     helicity_spinor,
     negative_energy_eigenvector,
     phi_matrix,
@@ -94,22 +96,23 @@ from .spinors import (
 from .observables import (
     adjoint_norm,
     bilinear,
-    check_polarization_equation,
     current_density,
     dirac_adjoint,
+    polarization_constraint,
     polarization_four_vector,
     polarization_from_bilinear,
     relate_spin_expectations,
     spin_expectations,
 )
 from .density import (
-    covariant_density_identity,
+    covariant_decomposition,
     density4,
     density4_outer,
     density_block_form,
     energy_projector,
     nonrel_density,
     outer_with_adjoint,
+    polarizer,
     sigma_tensor,
     slash_pair,
     slash_pair_components,

@@ -42,6 +42,7 @@ from .kinematics import (
     PolarAngles,
     angles_of,
     from_eta,
+    momentum_axis,
     rapidity,
     scaled_norm,
     to_eta,
@@ -54,7 +55,7 @@ from .spinors import (
     bispinor_block,
     boost_bispinor,
     dirac_residual,
-    helicity_spinor,
+    helicity_bispinor,
 )
 
 _BRANCHES = {"pos": EnergyBranch.POSITIVE, "neg": EnergyBranch.NEGATIVE}
@@ -279,12 +280,8 @@ def _cmd_spinor(args) -> int:
     lam = _HELICITIES[args.lam]
     if state.p_abs == 0.0:
         raise ZeroMomentum("helicity spinor requires |p| > 0")
-    angles = angles_of(state.p)
-    phi = helicity_spinor(lam if branch is EnergyBranch.POSITIVE else lam.flipped, angles)
-    u = bispinor_block(phi, state, branch, _NORMS[args.norm], args.volume)
-    lam_op = helicity_operator(state)
-    sign = 1.0 if branch is EnergyBranch.POSITIVE else -1.0
-    helicity_residual = max_abs(sign * lam_op @ u - lam.half * u)
+    u = helicity_bispinor(lam, branch, angles_of(state.p), state, _NORMS[args.norm], args.volume)
+    helicity_residual = max_abs(branch.sign * helicity_operator(state) @ u - lam.half * u)
     inputs = {
         **_state_inputs(args, state),
         "branch": args.branch,
@@ -313,7 +310,7 @@ def _cmd_density(args) -> int:
             raise DiracFreeError("--n must be a nonzero, finite direction vector")
         n = args.n / length
     else:
-        n = state.p / state.p_abs if state.p_abs > 0 else np.array([0.0, 0.0, 1.0])
+        n = momentum_axis(state)
     rho = density4(state, branch, lam, n)
     inputs = {
         **_state_inputs(args, state),

@@ -40,8 +40,8 @@ from .kinematics import (
     from_eta,
 )
 from .observables import adjoint_norm, dirac_adjoint, polarization_four_vector
-from .smallmat import UNIT_TOL, Block2x2, assemble, block_mul, disassemble, max_abs_each
-from .spinors import Helicity, Normalization, bispinor_block, helicity_spinor
+from .smallmat import UNIT_TOL, Block2x2, disassemble
+from .spinors import Helicity, Normalization, helicity_bispinor
 
 
 def _check_unit(n) -> np.ndarray:
@@ -72,6 +72,11 @@ def outer_with_adjoint(u: np.ndarray) -> np.ndarray:
     return np.asarray(u)[..., :, None] * dirac_adjoint(u)[..., None, :]
 
 
+def polarizer(a: FourVector) -> np.ndarray:
+    """Polarization factor 1 - gamma_5,lower a-slash of a four-vector a."""
+    return ID4 - GAMMA5_LOWER @ gamma_slash(a)
+
+
 def density4(state: MomentumState, branch: EnergyBranch, lam: Helicity, n) -> np.ndarray:
     """Pure-state density matrix (mc +/- p-slash)(1 - s gamma_5 a-slash)/2.
 
@@ -82,21 +87,19 @@ def density4(state: MomentumState, branch: EnergyBranch, lam: Helicity, n) -> np
     """
     n = _check_unit(n)
     a = polarization_four_vector(state, lam.sign * n)
-    polarizer = ID4 - GAMMA5_LOWER @ gamma_slash(a)
-    return 0.5 * energy_projector(state, branch) @ polarizer
+    return 0.5 * energy_projector(state, branch) @ polarizer(a)
 
 
 def density4_outer(state: MomentumState, branch: EnergyBranch, lam: Helicity, n) -> np.ndarray:
     """Outer-product route to the same density matrix.
 
-    The negative-branch bi-spinor carries the opposite two-spinor label
-    (its plane wave has momentum -p), and its outer product equals
-    -rho_-, hence the overall sign flip.
+    The helicity bi-spinor of ``lam`` along n (on the negative branch it
+    carries the opposite two-spinor label, see ``helicity_bispinor``); its
+    outer product equals -rho_- on the negative branch, hence the overall
+    sign flip.
     """
     n = _check_unit(n)
-    phi_label = lam if branch is EnergyBranch.POSITIVE else lam.flipped
-    phi = helicity_spinor(phi_label, angles_of(n))
-    u = bispinor_block(phi, state, branch, Normalization.INVARIANT_2MC)
+    u = helicity_bispinor(lam, branch, angles_of(n), state, Normalization.INVARIANT_2MC)
     return branch.sign * outer_with_adjoint(u)
 
 
@@ -114,9 +117,7 @@ def density_block_form(eta: float, angles: PolarAngles, branch: EnergyBranch,
     diag(rho, 0).
     """
     state = from_eta(m, c, eta, angles)
-    phi_label = lam if branch is EnergyBranch.POSITIVE else lam.flipped
-    phi = helicity_spinor(phi_label, angles)
-    u = bispinor_block(phi, state, branch, Normalization.INVARIANT_2MC)
+    u = helicity_bispinor(lam, branch, angles, state, Normalization.INVARIANT_2MC)
     scale = branch.sign * (1.0 - np.square(eta))
     scaled = scale[..., None, None] * outer_with_adjoint(u) / adjoint_norm(u)[..., None, None]
     return disassemble(scaled)
@@ -156,30 +157,16 @@ def slash_pair_components(p: FourVector, a: FourVector) -> np.ndarray:
     )
 
 
-def covariant_density_identity(state: MomentumState, branch: EnergyBranch,
-                               lam: Helicity) -> float:
-    """Residual of the covariant density-matrix decomposition.
+def covariant_decomposition(state: MomentumState, branch: EnergyBranch,
+                            a: FourVector) -> np.ndarray:
+    """Covariant expansion mc (1 - gamma_5 a-slash) +/- [p-slash + gamma_5 Sigma^{mu nu} p_mu a_nu].
 
-    Compares (mc +/- p-slash)(1 - gamma_5 a-slash) against
-    mc (1 - gamma_5 a-slash) +/- [p-slash + gamma_5 (pa-contraction)], and
-    additionally recomputes the left side by 2x2 block multiplication.
-    Returns the larger of the two mismatches, one per element of a stack.
-    The polarization direction is p/|p|, or the z axis at rest.
+    Equals the product (mc +/- p-slash)(1 - gamma_5 a-slash) of the energy
+    projector and the polarizer whenever p.a = 0, as for the polarization
+    four-vector of any direction.
     """
-    moving = (state.p_abs > 0)[..., None]
-    n = np.where(moving, state.p, [0.0, 0.0, 1.0]) / np.where(moving, state.p_abs[..., None], 1.0)
-    a = polarization_four_vector(state, lam.sign * n)
     p4 = state.momentum_four_vector(EnergyBranch.POSITIVE)
-    a_slash = gamma_slash(a)
-    p_slash = gamma_slash(p4)
-    polarizer = ID4 - GAMMA5_LOWER @ a_slash
-    b = branch.sign
-    lhs = (state.m * state.c * ID4 + b * p_slash) @ polarizer
-    rhs = state.m * state.c * polarizer + b * (p_slash + GAMMA5_LOWER @ slash_pair(p4, a))
-    lhs_blocks = assemble(
-        block_mul(
-            disassemble(state.m * state.c * ID4 + b * p_slash),
-            disassemble(polarizer),
-        )
+    return (
+        state.m * state.c * polarizer(a)
+        + branch.sign * (gamma_slash(p4) + GAMMA5_LOWER @ slash_pair(p4, a))
     )
-    return np.maximum(max_abs_each(lhs - rhs), max_abs_each(lhs_blocks - lhs))[()]

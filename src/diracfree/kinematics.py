@@ -45,6 +45,13 @@ class EnergyBranch(Enum):
 
 @dataclass(frozen=True)
 class PhysicalConstants:
+    """Speed of light and reduced Planck constant, stored as numpy float64.
+
+    As numpy scalars their powers and products overflow to inf, which an
+    emit then reports as a non-finite output, instead of raising
+    ``OverflowError`` as Python's ``float ** 2`` does.
+    """
+
     c: float = 1.0
     hbar: float = 1.0
 
@@ -155,7 +162,7 @@ def minkowski_dot(a: FourVector, b: FourVector) -> float:
 class MomentumState:
     """Mass, momentum, and unit system of a free particle; m >= 0.
 
-    ``p`` of shape ``(N, 3)`` stacks N momenta of one mass and unit system;
+    ``m`` is stored as numpy float64, like the constants.  ``p`` of shape ``(N, 3)`` stacks N momenta of one mass and unit system;
     ``p_abs``, ``R`` and ``energy`` then return ``(N,)`` arrays.
     """
 
@@ -200,6 +207,15 @@ class MomentumState:
     def momentum_four_vector(self, branch: EnergyBranch = EnergyBranch.POSITIVE) -> FourVector:
         """p^mu = (E/c, p); satisfies p.p = m^2 c^2 on either branch."""
         return FourVector(self.energy(branch) / self.c, self.p)
+
+
+def momentum_axis(state: MomentumState) -> np.ndarray:
+    """Unit vector p/|p| along the momentum, or the z axis at rest.
+
+    One vector per element of a stacked state.
+    """
+    moving = (state.p_abs > 0)[..., None]
+    return np.where(moving, state.p, [0.0, 0.0, 1.0]) / np.where(moving, state.p_abs[..., None], 1.0)
 
 
 def check_eta(eta: float) -> float:

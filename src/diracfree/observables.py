@@ -21,8 +21,8 @@ import numpy as np
 from .errors import MasslessState
 from .gamma import GAMMA, GAMMA0, GAMMA5_LOWER, ID4, SPIN, gamma_slash
 from .kinematics import EnergyBranch, FourVector, MomentumState, angles_of
-from .smallmat import IMAG_TOL, max_abs_each, stack_last
-from .spinors import Helicity, Normalization, bispinor_block, helicity_spinor
+from .smallmat import IMAG_TOL, stack_last
+from .spinors import Helicity, Normalization, helicity_bispinor
 
 
 def dirac_adjoint(u: np.ndarray) -> np.ndarray:
@@ -75,8 +75,9 @@ def polarization_from_bilinear(state: MomentumState, n) -> FourVector:
     gamma^mu) u componentwise.  Independent route used to cross-check the
     closed form.
     """
-    phi = helicity_spinor(Helicity.PLUS, angles_of(n))
-    u = bispinor_block(phi, state, EnergyBranch.POSITIVE, Normalization.INVARIANT_UNIT)
+    u = helicity_bispinor(
+        Helicity.PLUS, EnergyBranch.POSITIVE, angles_of(n), state, Normalization.INVARIANT_UNIT
+    )
     comps = [
         _real_part(bilinear(u, GAMMA5_LOWER @ GAMMA[mu], u), f"a^{mu}")
         for mu in range(4)
@@ -84,15 +85,14 @@ def polarization_from_bilinear(state: MomentumState, n) -> FourVector:
     return FourVector(comps[0], np.stack(comps[1:], axis=-1))
 
 
-def check_polarization_equation(u: np.ndarray, a: FourVector) -> float:
-    """Residual of (gamma_5,lower a-slash + 1) u = 0.
+def polarization_constraint(a: FourVector) -> np.ndarray:
+    """Matrix gamma_5,lower a-slash + 1 of the polarization equation.
 
-    Vanishes when u is the positive-branch bi-spinor whose two-spinor is the
-    +1 eigenvector of sigma.n and a is the polarization four-vector of n;
-    order-one for the wrong helicity, so the check discriminates.
+    Annihilates the positive-branch bi-spinor whose two-spinor is the +1
+    eigenvector of sigma.n when a is the polarization four-vector of n; its
+    action on the wrong helicity is of order one.
     """
-    m = GAMMA5_LOWER @ gamma_slash(a) + ID4
-    return max_abs_each(np.matvec(m, u), ndim=1)
+    return GAMMA5_LOWER @ gamma_slash(a) + ID4
 
 
 def current_density(u: np.ndarray, state: MomentumState) -> FourVector:

@@ -54,6 +54,7 @@ from .kinematics import (
     PolarAngles,
     angles_of,
     check_eta,
+    momentum_axis,
     rapidity,
 )
 from .smallmat import block4, max_abs_each, stack_last
@@ -173,6 +174,19 @@ def bispinor_block(phi: np.ndarray, state: MomentumState, branch: EnergyBranch,
     return _normalize(raw, state, norm, volume)
 
 
+def helicity_bispinor(lam: Helicity, branch: EnergyBranch, angles: PolarAngles,
+                      state: MomentumState, norm: Normalization = Normalization.UNIT,
+                      volume: float | None = None) -> np.ndarray:
+    """Bi-spinor of helicity ``lam`` on ``branch``, its two-spinor along ``angles``.
+
+    The block solution of ``bispinor_block`` for the helicity eigenspinor
+    that carries the label convention of the module docstring: ``lam`` on
+    the positive branch, ``lam.flipped`` on the negative one.
+    """
+    phi = helicity_spinor(lam if branch is EnergyBranch.POSITIVE else lam.flipped, angles)
+    return bispinor_block(phi, state, branch, norm, volume)
+
+
 def _mirrored(state: MomentumState) -> MomentumState:
     """The state with momentum -p, same mass and units."""
     return MomentumState(state.m, -state.p, state.constants)
@@ -203,8 +217,7 @@ def boost_bispinor(phi: np.ndarray, state: MomentumState) -> np.ndarray:
         raise UnnormalizablePhi("two-spinor must be nonzero")
     half = 0.5 * rapidity(state)
     moving = (state.p_abs != 0.0)[..., None]
-    ell = state.p / np.where(moving, state.p_abs[..., None], 1.0)
-    lower = np.tanh(half)[..., None] * np.matvec(sigma_dot(ell), phi)
+    lower = np.tanh(half)[..., None] * np.matvec(sigma_dot(momentum_axis(state)), phi)
     boosted = np.cosh(half)[..., None] * np.concatenate(np.broadcast_arrays(phi, lower), axis=-1)
     # at rest the boost is the identity: (phi, 0) exactly, signed zeros included
     rest = np.concatenate(np.broadcast_arrays(phi, np.zeros(2, dtype=np.complex128)), axis=-1)

@@ -657,9 +657,8 @@ def _adjoint_orthogonality(state):
     """u-bar(lam) v(-lam) = 0; v(-lam) carries the two-spinor of lam."""
     ang = ki.angles_of(state.p)
     for lam in _LAMBDAS:
-        phi = sp.helicity_spinor(lam, ang)
-        u = sp.bispinor_block(phi, state, _POS, Normalization.INVARIANT_2MC)
-        v = sp.bispinor_block(phi, state, _NEG, Normalization.INVARIANT_2MC)
+        u = sp.helicity_bispinor(lam, _POS, ang, state, Normalization.INVARIANT_2MC)
+        v = sp.helicity_bispinor(lam.flipped, _NEG, ang, state, Normalization.INVARIANT_2MC)
         # u-bar v; vecdot conjugates its first argument, conjugating first cancels that
         yield np.vecdot(np.conjugate(ob.dirac_adjoint(u)), v), 0.0
 
@@ -750,11 +749,9 @@ def _polarization_rest(rest, ang):
 
 
 def _polarization_equation(eta, ang, state, n_ang):
-    n = ki.direction(n_ang)
-    u = sp.bispinor_block(
-        sp.helicity_spinor(Helicity.PLUS, n_ang), state, _POS, Normalization.INVARIANT_UNIT
-    )
-    yield ob.check_polarization_equation(u, ob.polarization_four_vector(state, n)), 0.0
+    u = sp.helicity_bispinor(Helicity.PLUS, _POS, n_ang, state, Normalization.INVARIANT_UNIT)
+    a = ob.polarization_four_vector(state, ki.direction(n_ang))
+    yield np.matvec(ob.polarization_constraint(a), u), 0.0
 
 
 def _current(state, phi):
@@ -823,9 +820,7 @@ def _projector_algebra(state):
 def _projector_sum(eta, ang, state, branch):
     total = 0.0
     for lam in _LAMBDAS:
-        u = sp.bispinor_block(
-            sp.helicity_spinor(lam, ang), state, branch, Normalization.INVARIANT_2MC
-        )
+        u = sp.helicity_bispinor(lam, branch, ang, state, Normalization.INVARIANT_2MC)
         total = total + de.outer_with_adjoint(u)
     yield total, branch.sign * de.energy_projector(state, branch)
 
@@ -839,9 +834,7 @@ def _density_trace(eta, ang, state):
     n = ki.direction(ang)
     for lam in _LAMBDAS:
         yield _trace(de.density4(state, _POS, lam, n)), mc2
-        u = sp.bispinor_block(
-            sp.helicity_spinor(lam, ang), state, _POS, Normalization.INVARIANT_2MC
-        )
+        u = sp.helicity_bispinor(lam, _POS, ang, state, Normalization.INVARIANT_2MC)
         yield _trace(de.outer_with_adjoint(u)), mc2
 
 
@@ -942,10 +935,8 @@ def _explicit_projector(eta, ang, state, branch):
 
 def _explicit_polarizer(eta, ang, state, lam):
     _, _, pol_plus, pol_minus = _eta_matrices(eta, ang)
-    a = ob.polarization_four_vector(state, ki.direction(ang))
-    got = (0.5 * (1.0 - eta**2))[..., None, None] * (
-        np.eye(4) - lam.sign * ga.GAMMA5_LOWER @ ga.gamma_slash(a)
-    )
+    a = ob.polarization_four_vector(state, lam.sign * ki.direction(ang))
+    got = (0.5 * (1.0 - eta**2))[..., None, None] * de.polarizer(a)
     yield got, (pol_plus if lam is Helicity.PLUS else pol_minus)
 
 
@@ -1011,9 +1002,20 @@ def _slash_pair(eta, ang, state, n_ang):
 
 
 def _covariant_decomposition(eta, ang, state):
+    """Projector times polarizer: its covariant expansion, and its 2x2-block product.
+
+    The polarization direction is p/|p|, or the z axis at rest.
+    """
+    n = ki.momentum_axis(state)
     for branch in _BRANCHES:
+        projector = de.energy_projector(state, branch)
         for lam in _LAMBDAS:
-            yield de.covariant_density_identity(state, branch, lam), 0.0
+            a = ob.polarization_four_vector(state, lam.sign * n)
+            polarizer = de.polarizer(a)
+            product = projector @ polarizer
+            yield product, de.covariant_decomposition(state, branch, a)
+            blocks = sm.block_mul(sm.disassemble(projector), sm.disassemble(polarizer))
+            yield sm.assemble(blocks), product
 
 
 def _parallel_polarization(eta, ang, state):

@@ -400,7 +400,7 @@ def _polarization_equation(eta, ang, state, n_ang):
     u = sp.bispinor_block(
         sp.helicity_spinor(Helicity.PLUS, n_ang), state, _POS, Normalization.INVARIANT_UNIT
     )
-    yield ob.check_polarization_equation(u, ob.polarization_four_vector(state, n))
+    yield max_abs(ob.polarization_constraint(ob.polarization_four_vector(state, n)) @ u)
 
 
 def _current(state, phi):
@@ -618,9 +618,15 @@ def _slash_pair(eta, ang, state, n_ang):
 
 
 def _covariant_decomposition(eta, ang, state):
+    n = state.p / state.p_abs if state.p_abs > 0 else np.array([0.0, 0.0, 1.0])
     for branch in _BRANCHES:
         for lam in _LAMBDAS:
-            yield de.covariant_density_identity(state, branch, lam)
+            a = ob.polarization_four_vector(state, lam.sign * n)
+            projector, polarizer = de.energy_projector(state, branch), de.polarizer(a)
+            product = projector @ polarizer
+            yield max_abs(product - de.covariant_decomposition(state, branch, a))
+            blocks = sm.block_mul(sm.disassemble(projector), sm.disassemble(polarizer))
+            yield max_abs(sm.assemble(blocks) - product)
 
 
 def _parallel_polarization(eta, ang, state):

@@ -19,6 +19,7 @@ from diracfree.kinematics import (
     MomentumState,
     PhysicalConstants,
     PolarAngles,
+    angles_of,
     from_eta,
     rapidity,
 )
@@ -189,6 +190,26 @@ class TestBispinorBlock:
         direct = sp.negative_energy_eigenvector(chi, state, sp.Normalization.UNIT)
         mirrored = sp.bispinor_block(chi, flipped, NEG, sp.Normalization.UNIT)
         assert max_abs(mirrored + direct) <= 1e-13
+
+
+class TestHelicityBispinor:
+    @pytest.mark.parametrize("lam", [PLUS, MINUS])
+    def test_negative_branch_carries_flipped_label(self, lam):
+        state = random_state()
+        ang = PolarAngles(1.3, 4.1)
+        norm = sp.Normalization.INVARIANT_2MC
+        positive = sp.bispinor_block(sp.helicity_spinor(lam, ang), state, POS, norm)
+        negative = sp.bispinor_block(sp.helicity_spinor(lam.flipped, ang), state, NEG, norm)
+        assert np.array_equal(sp.helicity_bispinor(lam, POS, ang, state, norm), positive)
+        assert np.array_equal(sp.helicity_bispinor(lam, NEG, ang, state, norm), negative)
+
+    @pytest.mark.parametrize("branch", [POS, NEG])
+    @pytest.mark.parametrize("lam", [PLUS, MINUS])
+    def test_helicity_of_the_carried_momentum(self, branch, lam):
+        # the negative branch carries momentum -p, whose helicity operator is -Lambda(p)
+        state = random_state()
+        u = sp.helicity_bispinor(lam, branch, angles_of(state.p), state)
+        assert max_abs(branch.sign * helicity_operator(state) @ u - lam.half * u) <= 1e-14
 
 
 class TestBoost:

@@ -140,6 +140,42 @@ class TestStackedKernels:
         assert_stacks(sp.phi_tilde_matrix(stacked), [sp.phi_tilde_matrix(a) for a in scalars])
 
     @settings(max_examples=60, deadline=None)
+    @given(momenta, st.sampled_from(SCALES), st.sampled_from(SCALES), st.floats(0.0, 5.0))
+    def test_covariant_constructions(self, rows, m, c, spread):
+        state = _state(m, c, rows, spread)
+        scalars = _unstacked(state)
+        axis = ki.momentum_axis(state)
+        assert_stacks(axis, [ki.momentum_axis(s) for s in scalars])
+        a = ob.polarization_four_vector(state, axis)
+        singles = [ob.polarization_four_vector(s, k) for s, k in zip(scalars, axis)]
+        assert_stacks(de.polarizer(a), [de.polarizer(b) for b in singles])
+        assert_stacks(ob.polarization_constraint(a), [ob.polarization_constraint(b) for b in singles])
+        for branch in BRANCHES:
+            assert_stacks(
+                de.covariant_decomposition(state, branch, a),
+                [de.covariant_decomposition(s, branch, b) for s, b in zip(scalars, singles)],
+            )
+
+    @settings(max_examples=60, deadline=None)
+    @given(momenta, st.sampled_from(SCALES), st.sampled_from(SCALES), st.floats(0.0, 5.0), angle_pairs)
+    def test_helicity_bispinor(self, rows, m, c, spread, pairs):
+        state = _state(m, c, rows, spread)
+        scalars = _unstacked(state)
+        pairs = np.resize(pairs, (len(rows), 2))
+        angles = PolarAngles(pairs[:, 0], pairs[:, 1])
+        singles = [PolarAngles(t, p) for t, p in pairs]
+        for branch in BRANCHES:
+            for lam in LAMBDAS:
+                for norm in Normalization:
+                    assert_stacks(
+                        sp.helicity_bispinor(lam, branch, angles, state, norm, 2.5),
+                        [
+                            sp.helicity_bispinor(lam, branch, g, s, norm, 2.5)
+                            for g, s in zip(singles, scalars)
+                        ],
+                    )
+
+    @settings(max_examples=60, deadline=None)
     @given(eta_points, st.sampled_from(SCALES), st.sampled_from(SCALES))
     def test_eta_kernels(self, points, m, c):
         eta, angles = points[:, 0], PolarAngles(points[:, 1], points[:, 2])
@@ -188,9 +224,15 @@ class TestStackedKernels:
                 de.energy_projector(state, branch), [de.energy_projector(s, branch) for s in scalars]
             )
             for lam in LAMBDAS:
+                a = ob.polarization_four_vector(state, lam.sign * ki.momentum_axis(state))
                 assert_stacks(
-                    de.covariant_density_identity(state, branch, lam),
-                    [de.covariant_density_identity(s, branch, lam) for s in scalars],
+                    de.covariant_decomposition(state, branch, a),
+                    [
+                        de.covariant_decomposition(
+                            s, branch, ob.polarization_four_vector(s, lam.sign * ki.momentum_axis(s))
+                        )
+                        for s in scalars
+                    ],
                 )
         fermi = fe.fermi_projectors(state)
         assert_stacks(fermi.P, [fe.fermi_projectors(s).P for s in scalars])
@@ -219,8 +261,8 @@ class TestStackedKernels:
             EnergyBranch.POSITIVE, Normalization.INVARIANT_UNIT,
         )
         assert_stacks(
-            ob.check_polarization_equation(u, a),
-            [ob.check_polarization_equation(x, b) for x, (_, _, b) in zip(u, singles)],
+            ob.polarization_constraint(a),
+            [ob.polarization_constraint(b) for _, _, b in singles],
         )
         for branch in BRANCHES:
             for lam in LAMBDAS:

@@ -431,7 +431,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(_fuse_negative_values(list(argv if argv is not None else sys.argv[1:])))
     try:
-        return args.fn(args)
+        # overflow surfaces as a non-finite output or an error line, never as a warning
+        with np.errstate(all="ignore"):
+            return args.fn(args)
     except (DiracFreeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -58,6 +58,8 @@ class PhysicalConstants:
     def __post_init__(self):
         if not (self.c > 0 and self.hbar > 0):
             raise ValueError("physical constants must be strictly positive")
+        object.__setattr__(self, "c", np.float64(self.c))
+        object.__setattr__(self, "hbar", np.float64(self.hbar))
 
 
 NATURAL_UNITS = PhysicalConstants()
@@ -162,8 +164,9 @@ def minkowski_dot(a: FourVector, b: FourVector) -> float:
 class MomentumState:
     """Mass, momentum, and unit system of a free particle; m >= 0.
 
-    ``m`` is stored as numpy float64, like the constants.  ``p`` of shape ``(N, 3)`` stacks N momenta of one mass and unit system;
-    ``p_abs``, ``R`` and ``energy`` then return ``(N,)`` arrays.
+    ``m`` is stored as numpy float64, like the constants.  ``p`` of shape
+    ``(N, 3)`` stacks N momenta of one mass and unit system; ``p_abs``,
+    ``R`` and ``energy`` then return ``(N,)`` arrays.
     """
 
     m: float
@@ -177,7 +180,7 @@ class MomentumState:
         if self.m < 0:
             raise ValueError("mass must be nonnegative")
         p.setflags(write=False)
-        object.__setattr__(self, "m", float(self.m))
+        object.__setattr__(self, "m", np.float64(self.m))
         object.__setattr__(self, "p", p)
 
     @property

@@ -124,12 +124,7 @@ def spin_basis_matrix(state: MomentumState) -> np.ndarray:
     return np.sqrt((state.rest_energy + state.R) / (2.0 * state.R))[..., None, None] * u
 
 
-def _adjoint_norm(u: np.ndarray):
-    """u-bar u = |upper|^2 - |lower|^2 for a raw column."""
-    return np.vecdot(u[..., :2], u[..., :2]).real - np.vecdot(u[..., 2:], u[..., 2:]).real
-
-
-def _normalize(raw: np.ndarray, state: MomentumState, norm: Normalization,
+def _normalize(raw: np.ndarray, phi: np.ndarray, state: MomentumState, norm: Normalization,
                volume: float | None) -> np.ndarray:
     nsq = np.vecdot(raw, raw).real
     if np.count_nonzero(nsq == 0.0):
@@ -140,8 +135,12 @@ def _normalize(raw: np.ndarray, state: MomentumState, norm: Normalization,
         if volume is None or volume <= 0:
             raise NonPositiveVolume("box normalization requires volume > 0")
         return raw / np.sqrt(volume * nsq)[..., None]
-    invariant = abs(_adjoint_norm(raw))
-    if np.count_nonzero(invariant == 0.0):
+    # |u-bar u| of the block solution in closed form, |phi|^2 2mc^2 / (mc^2 + R):
+    # |upper|^2 - |lower|^2 loses every digit to cancellation once c|p| >> mc^2
+    mc2 = state.rest_energy
+    invariant = np.vecdot(phi, phi).real * (2.0 * mc2 / (mc2 + state.R))
+    # an infinite R is an overflow, left to show as a non-finite result
+    if np.count_nonzero((invariant == 0.0) & np.isfinite(state.R)):
         raise UnnormalizablePhi("invariant norm vanishes; state is light-like")
     if norm is Normalization.INVARIANT_UNIT:
         return raw / np.sqrt(invariant)[..., None]
@@ -171,7 +170,7 @@ def bispinor_block(phi: np.ndarray, state: MomentumState, branch: EnergyBranch,
         raw = np.concatenate([phi, coupled], axis=-1)
     else:
         raw = np.concatenate([coupled, phi], axis=-1)
-    return _normalize(raw, state, norm, volume)
+    return _normalize(raw, phi, state, norm, volume)
 
 
 def helicity_bispinor(lam: Helicity, branch: EnergyBranch, angles: PolarAngles,

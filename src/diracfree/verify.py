@@ -77,7 +77,11 @@ _LAMBDAS = (Helicity.PLUS, Helicity.MINUS)
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Parameter grid swept by the checks; at least one eta and one angle."""
+    """Parameter grid swept by the checks; at least one eta and one angle.
+
+    Every eta lies in [0, 1), and the largest energy R of the grid stays
+    finite at the fourth power, the degree of ``eig-det`` in R.
+    """
 
     eta_values: tuple[float, ...] = (0.1, 0.3, 0.5, 0.7, 0.9)
     theta_count: int = 8
@@ -95,6 +99,14 @@ class GridSpec:
         for name, value in (("mass", self.mass), ("c", self.c)):
             if not 0.0 < value < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {value}")
+        top = np.max(ki.check_eta(self.eta_values))
+        with np.errstate(over="ignore"):
+            r = ki.from_eta(self.mass, self.c, top, PolarAngles(0.0)).R
+            if not np.isfinite(r**4):
+                raise ValueError(
+                    f"energy scale out of range: R = {r:.3g} at eta {top:g}, and eig-det "
+                    "needs R^4 below the float64 maximum"
+                )
 
     @cached_property
     def _axes(self) -> tuple[list[float], list[float]]:

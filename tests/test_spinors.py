@@ -1,4 +1,6 @@
+import decimal
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -158,6 +160,17 @@ class TestBispinorBlock:
             random_unit_spinor(), state, POS, sp.Normalization.BOX, volume=3.0
         )
         assert abs(float(np.vdot(u, u).real) - 1.0 / 3.0) <= 1e-13
+
+    @pytest.mark.parametrize("p", [1e3, 1e8, 1e20])
+    def test_invariant_norm_at_large_momentum(self, p):
+        # (1, 0, 0, k)/sqrt(1 - k^2), k = p/(1 + R): 1 - k^2 cancels in float64
+        with decimal.localcontext(prec=60):
+            k = Decimal(p) / (1 + (Decimal(p) ** 2 + 1).sqrt())
+            scale = 1 / (1 - k * k).sqrt()
+            want = np.array([float(scale), 0.0, 0.0, float(k * scale)])
+        state = MomentumState(1.0, [p, 0.0, 0.0])
+        u = sp.bispinor_block(np.array([1.0, 0.0]), state, POS, sp.Normalization.INVARIANT_UNIT)
+        assert max_abs(u - want) <= 4 * np.finfo(float).eps * max_abs(want)
 
     def test_box_requires_volume(self):
         state = random_state()

@@ -100,6 +100,14 @@ class TestRunSuite:
         with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
             verify.GridSpec(**{field: value})
 
+    @pytest.mark.parametrize("field, value", [("mass", 1e200), ("c", 1e300), ("c", 1e80)])
+    def test_grid_rejects_overflowing_energy_scale(self, field, value):
+        with pytest.raises(ValueError, match="energy scale out of range"):
+            verify.GridSpec(**{field: value})
+
+    def test_grid_accepts_large_finite_energy_scale(self):
+        verify.GridSpec(mass=1e70)
+
     def test_checks_sorted_by_id(self):
         report = verify.run_suite("density", SMALL_GRID)
         ids = [c.id for c in report.checks]
@@ -344,6 +352,35 @@ class TestCli:
         assert code == 2
         assert out == ""
         assert err == "error: non-finite value in output: inf\n"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("density", "--p", "1e160,0,0"), "non-finite value in output: inf"),
+            (("spinor", "--c", "1e200", "--p", "1,0,0"), "non-finite value in output"),
+            (("density", "--c", "1e200", "--eta", "0.5"), "non-finite value in output"),
+            (("boost", "--c", "1e200", "--eta", "0.5"), "non-finite value in output"),
+            (("verify", "--m", "1e200", "--angles", "2x2"), "energy scale out of range"),
+            (("verify", "--c", "1e300", "--angles", "2x2"), "energy scale out of range"),
+        ],
+        ids=["density-p", "spinor-c", "density-c", "boost-c", "verify-m", "verify-c"],
+    )
+    def test_overflow_ends_in_one_error_line(self, child_env, argv, message):
+        child = subprocess.run(
+            [sys.executable, "-m", "diracfree.cli", *argv],
+            capture_output=True, text=True, env=child_env,
+        )
+        assert child.returncode == 2
+        assert child.stdout == ""
+        assert child.stderr.startswith(f"error: {message}")
+        assert child.stderr.count("\n") == 1 and child.stderr.endswith("\n")
+
+    def test_large_momentum_boost_matches_direct_route(self):
+        code, out, err = self.run("boost", "--p", "1e20,0,0", "--format", "json")
+        assert (code, err) == (0, "")
+        outputs = json.loads(out)["outputs"]
+        size = max(abs(x) for x in _floats(outputs["components"]))
+        assert outputs["direct_route_residual"] <= 1e-14 * size
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_boost_zero_spinor_exit_two(self, child_env, fmt):

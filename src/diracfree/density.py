@@ -1,4 +1,10 @@
-"""Energy projectors and pure-state polarization density matrices.
+"""Energy projectors, polarizers and pure-state polarization density matrices.
+
+Each construction has one implementation here and returns matrices: the
+energy projector, the polarizer 1 - gamma_5 a-slash, the density matrix
+by its closed form and by its outer product, and the covariant expansion
+of the projector-polarizer product.  The verify sweep measures the
+identities between them.
 
 Conventions, fixed by the explicit component checks in the test suite:
 
@@ -9,7 +15,8 @@ Conventions, fixed by the explicit component checks in the test suite:
   ``sign(2 lambda) n`` on both branches, giving the factor
   ``1 - sign(2 lambda) gamma_5 a-slash``;
 * outer products: u u-bar = rho_+ for the positive branch and v v-bar =
-  -rho_- for the negative one, with the 2mc-invariant normalization.
+  -rho_- for the negative one, with the 2mc-invariant normalization and
+  the helicity label convention of ``spinors.helicity_bispinor``.
 
 Every construction accepts stacks (stacked states, eta values, angles,
 directions ``n`` of shape ``(N, 3)``, bi-spinors of shape ``(N, 4)``) and
@@ -93,10 +100,8 @@ def density4(state: MomentumState, branch: EnergyBranch, lam: Helicity, n) -> np
 def density4_outer(state: MomentumState, branch: EnergyBranch, lam: Helicity, n) -> np.ndarray:
     """Outer-product route to the same density matrix.
 
-    The helicity bi-spinor of ``lam`` along n (on the negative branch it
-    carries the opposite two-spinor label, see ``helicity_bispinor``); its
-    outer product equals -rho_- on the negative branch, hence the overall
-    sign flip.
+    Built from ``helicity_bispinor`` of ``lam`` along n, whose outer product
+    equals -rho_- on the negative branch, hence the overall sign flip.
     """
     n = _check_unit(n)
     u = helicity_bispinor(lam, branch, angles_of(n), state, Normalization.INVARIANT_2MC)

@@ -10,7 +10,11 @@ supported and kept mutually consistent:
   ``[0, 1)``, which rationalizes all half-angle formulas.
 
 Natural units (c = hbar = 1) are the default, but both constants stay
-explicit fields so dimensional factors can be exercised with c != 1.
+explicit fields so dimensional factors can be exercised with c != 1.  The
+mass and both constants are stored as numpy float64, so a product or
+power beyond the float range is inf rather than an ``OverflowError``.
+``momentum_axis`` is the one home of the direction p/|p| (the z axis at
+rest).
 
 Angles, directions, four-vectors and momenta may be stacked: ``theta`` and
 ``phi`` of shape ``(N,)``, ``p`` of shape ``(N, 3)``.  Every quantity then

@@ -1,8 +1,10 @@
 """Covariant quantities built from bi-spinors.
 
 Dirac adjoint and bilinears, the polarization four-vector of a spin
-direction, the matrix constraint it satisfies together with the Dirac
-equation, the conserved current, and relativistic spin expectation values.
+direction, the matrix gamma_5 a-slash + 1 of the constraint it satisfies
+together with the Dirac equation, the conserved current, and relativistic
+spin expectation values.  Each function returns its object; the verify
+sweep measures the identities between them.
 
 Physical components (polarization four-vector, current) are computed as
 complex bilinears and their imaginary parts are *checked* against a

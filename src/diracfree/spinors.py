@@ -19,18 +19,24 @@ Sign and phase conventions are fixed once here and never rephased:
   ``-p``, not of the one built from ``p``.  The direct ``-R`` eigenvector
   of the momentum-``p`` Hamiltonian is ``negative_energy_eigenvector``:
   minus the mirrored negative-branch bi-spinor of the momentum ``-p``
-  state, ``(c(sigma.p)/(R + m c^2) chi, -chi)``.
+  state, ``(c(sigma.p)/(R + m c^2) chi, -chi)``;
+* so the negative-branch bi-spinor of helicity lambda carries the
+  two-spinor phi(-lambda): the helicity of its momentum -p is lambda.
+  ``helicity_bispinor`` is the one place that applies this label flip.
 
 Normalization is always an explicit final step: internal construction is
 unnormalized and a ``Normalization`` value selects among u+u = 1, |u-bar u|
-= 1, |u-bar u| = 2mc, and the box convention u+u = 1/V.
+= 1, |u-bar u| = 2mc, and the box convention u+u = 1/V.  The invariant
+norm of the block solution is taken in its closed form
+|phi|^2 2mc^2 / (mc^2 + R), which keeps its digits at any |p|.
 
 The helicity spinors and column matrices, ``spin_basis_matrix``,
-``bispinor_block``, ``negative_energy_eigenvector``, ``boost_bispinor``,
-``helicity_basis``, ``eta_bispinor``, ``charge_conjugate``, ``plane_wave``
-and ``dirac_residual`` accept stacked angles, eta values, states and
-spinors (leading batch axes) and return stacked spinors, matrices and
-residuals; the unstacked call is the batch-of-one case.
+``bispinor_block``, ``helicity_bispinor``, ``negative_energy_eigenvector``,
+``boost_bispinor``, ``helicity_basis``, ``eta_bispinor``,
+``charge_conjugate``, ``plane_wave`` and ``dirac_residual`` accept stacked
+angles, eta values, states and spinors (leading batch axes) and return
+stacked spinors, matrices and residuals; the unstacked call is the
+batch-of-one case.
 """
 
 from __future__ import annotations

@@ -32,7 +32,12 @@ makes it nan.  It becomes the entry's ``fn(grid) -> float``.  Three checks
 measure by hand and yield their measure against 0: ``block-rank`` (a 0/1
 verdict of the rank criterion), ``nonrel-limit`` (the excess over the 3/c
 rate, and 1 where the deficit stops shrinking) and ``spin-bound`` (the
-one-sided excess of |<S>| over |<s>|).
+one-sided excess of |<S>| over |<s>|).  Every other check compares objects
+the library builds -- matrices, vectors, scalars -- and no library function
+measures an identity for it: ``polarization-equation`` applies
+``observables.polarization_constraint`` and yields the product against 0,
+and ``covariant-decomposition`` yields the projector-polarizer product
+against ``density.covariant_decomposition``.
 
 The registry is the machine-checkable contract of the package:
 ``run_suite`` executes a suite (or all of them) and returns a
@@ -100,7 +105,7 @@ class GridSpec:
             if not 0.0 < value < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {value}")
         top = np.max(ki.check_eta(self.eta_values))
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflowed R is rejected below
             r = ki.from_eta(self.mass, self.c, top, PolarAngles(0.0)).R
             if not np.isfinite(r**4):
                 raise ValueError(

@@ -100,10 +100,12 @@ class TestRunSuite:
         with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
             verify.GridSpec(**{field: value})
 
-    @pytest.mark.parametrize("field, value", [("mass", 1e200), ("c", 1e300), ("c", 1e80)])
-    def test_grid_rejects_overflowing_energy_scale(self, field, value):
+    @pytest.mark.parametrize(
+        "scales", [{"mass": 1e200}, {"c": 1e300}, {"c": 1e80}, {"mass": 1e300, "c": 1e300}]
+    )
+    def test_grid_rejects_overflowing_energy_scale(self, scales):
         with pytest.raises(ValueError, match="energy scale out of range"):
-            verify.GridSpec(**{field: value})
+            verify.GridSpec(**scales)
 
     def test_grid_accepts_large_finite_energy_scale(self):
         verify.GridSpec(mass=1e70)

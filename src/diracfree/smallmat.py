@@ -181,9 +181,13 @@ def block_rank_is_n(blocks: Block2x2, tol: float = DEFAULT_TOL) -> bool:
     """Rank criterion for a partitioned matrix with nonsingular top-left block.
 
     With A invertible, the 4x4 matrix has rank 2 exactly when D = C A^-1 B.
-    A stack of blocks gives one verdict per element.
+    A stack of blocks gives one verdict per element.  A is singular when
+    |det A| <= ``tol`` after A is divided by the power of two that brings
+    max|A| into [0.5, 1), so the precondition does not depend on the scale
+    of A; a zero block stays singular.
     """
     a = blocks.a
-    if np.count_nonzero(np.abs(det2(a)) <= tol):
+    s = np.ldexp(1.0, np.frexp(max_abs_each(a))[1])
+    if np.count_nonzero(np.abs(det2(a / s[..., None, None])) <= tol):
         raise SingularA("top-left block is singular within tolerance")
     return (max_abs_each(blocks.d - blocks.c @ _inv2(a) @ blocks.b) <= tol)[()]

@@ -12,8 +12,11 @@ check that reports one residual.  A registry row has the shape
   - ``_sampled``: the strided states of ``GridSpec.sample_states``;
   - ``_points(per_eta, partner)``: the strided ``(eta, angles, state)`` of
     ``GridSpec.sample_points``, optionally with a rotated partner direction;
-  - ``_draws(n, draw)``: ``n`` seeded random draws;
-  - ``_with_spinor(domain)``: one seeded random unit two-spinor per state;
+  - ``_draws(n, draw)``: ``n`` seeded random draws, each entry uniform on
+    [-1, 1) (``_boost_draws``: eta in [0, 0.95), theta in [0, pi), phi in
+    [0, 2 pi), then a spinor);
+  - ``_with_spinor(domain)``: one seeded random unit two-spinor per state,
+    its four parts uniform on [-1, 1) and then normalized;
   - ``_axis_states``, ``_rest_angles``, ``_dual_points``: the z-axis states,
     the rest state with every direction, and the eta x p x n grid;
   - ``_once``: a single evaluation of constant tables;
@@ -39,6 +42,15 @@ measures an identity for it: ``polarization-equation`` applies
 and ``covariant-decomposition`` yields the projector-polarizer product
 against ``density.covariant_decomposition``.
 
+Every random input comes from ``random.Random(_SEED)``, a new generator
+per domain, through ``_uniforms``: each float64 takes 8 bytes of
+``randbytes`` and keeps 53 of their bits, and a domain draws its entries as
+one row-major stack, draw by draw in the order each draw function names.
+The standard-library source keeps ``numpy.random`` (its bit generators,
+``mtrand`` and the OpenSSL-backed ``secrets``) out of the process; every
+identity here is polynomial in its inputs, so uniform entries test it as
+well as normal ones.
+
 The registry is the machine-checkable contract of the package:
 ``run_suite`` executes a suite (or all of them) and returns a
 ``VerificationReport`` whose pass/fail verdict feeds the CLI exit code.
@@ -53,6 +65,7 @@ never counted as failures.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from typing import Callable, Iterable
@@ -232,7 +245,7 @@ def _sweep(domain: _Domain, residual: Callable[..., Iterable]) -> Callable[[Grid
                 deviation = np.abs(item[0] - item[1])
                 if len(item) == 3:
                     deviation = deviation / item[2]
-                r = max_abs(deviation)
+                r = float(np.max(deviation, initial=0.0))
                 worst = math.nan if math.isnan(r) else max(worst, r)
         return worst
 
@@ -278,7 +291,7 @@ def _points(per_eta: int = 8, partner: tuple[int, int] | None = None) -> _Domain
     return domain
 
 
-def _draws(n: int, draw: Callable[[np.random.Generator, GridSpec, int], tuple]) -> _Domain:
+def _draws(n: int, draw: Callable[[random.Random, GridSpec, int], tuple]) -> _Domain:
     """``n`` seeded random points as one stacked point; ``draw(rng, grid, n)`` makes them."""
 
     def domain(grid: GridSpec):
@@ -292,7 +305,8 @@ def _with_spinor(domain: _Domain) -> _Domain:
 
     def spinor_domain(grid: GridSpec):
         rng = _rng()
-        return ((*point, _random_unit_spinors(rng, len(point[0].p))) for point in domain(grid))
+        return ((*point, _unit_spinors(_symmetric(rng, (len(point[0].p), 2, 2))))
+                for point in domain(grid))
 
     return spinor_domain
 
@@ -323,8 +337,24 @@ def _dual_points(grid: GridSpec):
 # --------------------------------------------------------------------------
 # small helpers
 
-def _rng() -> np.random.Generator:
-    return np.random.default_rng(_SEED)
+def _rng() -> random.Random:
+    return random.Random(_SEED)
+
+
+def _uniforms(rng: random.Random, shape: tuple[int, ...]) -> np.ndarray:
+    """Uniforms on [0, 1) filling ``shape`` in row-major order.
+
+    Each entry is the top 53 bits of 8 bytes of ``rng.randbytes`` (little
+    endian) times 2^-53, so a stack of n draws is the first n rows of a stack
+    of 2n, and one draw at a time reads the same stream.
+    """
+    raw = np.frombuffer(rng.randbytes(8 * math.prod(shape)), dtype="<u8")
+    return ((raw >> np.uint64(11)) * 2.0**-53).reshape(shape)
+
+
+def _symmetric(rng: random.Random, shape: tuple[int, ...]) -> np.ndarray:
+    """Uniforms on [-1, 1) filling ``shape`` in row-major order (2u - 1 is exact)."""
+    return 2.0 * _uniforms(rng, shape) - 1.0
 
 
 def _complex_pairs(r: np.ndarray) -> np.ndarray:
@@ -332,15 +362,15 @@ def _complex_pairs(r: np.ndarray) -> np.ndarray:
     return r[..., 0, :] + 1j * r[..., 1, :]
 
 
-def _random_unit_spinors(rng, n: int) -> np.ndarray:
-    """``n`` random unit two-spinors, each drawn as two real then two imaginary parts."""
-    phi = _complex_pairs(rng.standard_normal((n, 2, 2)))
+def _unit_spinors(parts: np.ndarray) -> np.ndarray:
+    """Unit two-spinors from drawn parts ``(..., 2, 2)``: two real, then two imaginary."""
+    phi = _complex_pairs(parts)
     return phi / np.sqrt(np.vecdot(phi, phi).real)[..., None]
 
 
 def _cmat_pairs(rng, grid, n):
     """``n`` pairs of random complex 4x4 matrices, each drawn as re x, im x, re y, im y."""
-    r = rng.standard_normal((n, 4, 4, 4))
+    r = _symmetric(rng, (n, 4, 4, 4))
     return r[:, 0] + 1j * r[:, 1], r[:, 2] + 1j * r[:, 3]
 
 
@@ -388,8 +418,8 @@ def _det_mult(x, y):
 
 
 def _schur_draws(rng, grid, n):
-    """``n`` block matrices with AC = CA, each drawn as A, two scalars, B, D (26 normals)."""
-    r = rng.standard_normal((n, 26))
+    """``n`` block matrices with AC = CA, each drawn as A, two scalars, B, D (26 entries)."""
+    r = _symmetric(rng, (n, 26))
 
     def cmat2(k):
         return _complex_pairs(r[:, k:k + 8].reshape(n, 2, 4)).reshape(n, 2, 2)
@@ -488,7 +518,7 @@ def _sigma_n_matrix(ang):
 
 def _vector_pairs(rng, grid, n):
     """``n`` pairs of random real 3-vectors, each drawn as p then n."""
-    r = rng.standard_normal((n, 2, 3))
+    r = _symmetric(rng, (n, 2, 3))
     return r[:, 0], r[:, 1]
 
 
@@ -652,16 +682,13 @@ def _v_inverse_sandwich(state):
 def _boost_draws(rng, grid, n):
     """``n`` random states, each with a unit two-spinor.
 
-    Each draw interleaves uniform and normal variates, so they are drawn one
-    by one, in sequence, and then stacked.
+    Each draw is 7 uniforms: eta in [0, 0.95), theta in [0, pi), phi in
+    [0, 2 pi), then the spinor's two real and two imaginary parts.
     """
-    draws = [
-        (rng.uniform(0.0, 0.95), rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi),
-         _random_unit_spinors(rng, 1)[0])
-        for _ in range(n)
-    ]
-    eta, theta, phi, spinors = (np.array(column) for column in zip(*draws))
-    return ki.from_eta(grid.mass, grid.c, eta, PolarAngles(theta, phi)), spinors
+    u = _uniforms(rng, (n, 7))
+    angles = PolarAngles(math.pi * u[:, 1], 2.0 * math.pi * u[:, 2])
+    spinors = _unit_spinors(2.0 * u[:, 3:].reshape(n, 2, 2) - 1.0)
+    return ki.from_eta(grid.mass, grid.c, 0.95 * u[:, 0], angles), spinors
 
 
 def _boost_direct(state, phi):
@@ -718,7 +745,7 @@ def _conjugation(eta, ang, state, lam):
 
 def _complex4s(rng, grid, n):
     """``n`` random complex 4-vectors, each drawn as real then imaginary parts."""
-    return (_complex_pairs(rng.standard_normal((n, 2, 4))),)
+    return (_complex_pairs(_symmetric(rng, (n, 2, 4))),)
 
 
 def _conjugation_square(u):

@@ -2,13 +2,14 @@
 
 Every check whose domain is stacked is evaluated here one point at a time:
 the strided states and ``(eta, angles, state)`` points, the seeded draws
-(each drawn alone from the generator, in the order the stacked draws must
-reproduce) and the per-point residuals, each a plain scalar expression over
+(each drawn alone, one uniform at a time from ``random.Random``, in the
+order the stacked draws must reproduce) and the per-point residuals, each a plain scalar expression over
 the library's unstacked calls.  ``ORACLES`` maps a check id to its
 ``(domain, residual)``; ``oracle(check_id, grid)`` is the max residual.
 """
 
 import math
+import random
 from functools import partial
 
 import numpy as np
@@ -99,16 +100,28 @@ def once(grid):
 # helpers
 
 
-def _rng() -> np.random.Generator:
-    return np.random.default_rng(_SEED)
+def _rng() -> random.Random:
+    return random.Random(_SEED)
+
+
+def _uniform(rng) -> float:
+    """One uniform on [0, 1): the top 53 of the next 64 random bits."""
+    return (rng.getrandbits(64) >> 11) * 2.0**-53
+
+
+def _symmetric(rng, n) -> np.ndarray:
+    """``n`` uniforms on [-1, 1), drawn one at a time."""
+    return np.array([2.0 * _uniform(rng) - 1.0 for _ in range(n)])
 
 
 def _random_cmat(rng, n=4) -> np.ndarray:
-    return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    re = _symmetric(rng, n * n).reshape(n, n)
+    return re + 1j * _symmetric(rng, n * n).reshape(n, n)
 
 
 def _random_unit_spinor(rng) -> np.ndarray:
-    phi = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+    re = _symmetric(rng, 2)
+    phi = re + 1j * _symmetric(rng, 2)
     return phi / math.sqrt(float(np.vdot(phi, phi).real))
 
 
@@ -161,7 +174,8 @@ def _det_mult(x, y):
 
 def _schur_draw(rng, grid):
     a = _random_cmat(rng, 2)
-    c = rng.standard_normal() * a + rng.standard_normal() * np.eye(2)
+    x, y = _symmetric(rng, 2)
+    c = x * a + y * np.eye(2)
     return (sm.Block2x2(a, _random_cmat(rng, 2), c, _random_cmat(rng, 2)),)
 
 
@@ -214,7 +228,7 @@ def _h_squared(state):
 
 
 def _vector_pair(rng, grid):
-    return rng.standard_normal(3), rng.standard_normal(3)
+    return _symmetric(rng, 3), _symmetric(rng, 3)
 
 
 def _pauli_products(p, n):
@@ -319,8 +333,9 @@ def _v_inverse_sandwich(state):
 
 
 def _boost_draw(rng, grid):
-    eta = float(rng.uniform(0.0, 0.95))
-    ang = PolarAngles(float(rng.uniform(0, math.pi)), float(rng.uniform(0, 2 * math.pi)))
+    eta = 0.95 * _uniform(rng)
+    theta = math.pi * _uniform(rng)
+    ang = PolarAngles(theta, 2.0 * math.pi * _uniform(rng))
     return ki.from_eta(grid.mass, grid.c, eta, ang), _random_unit_spinor(rng)
 
 
@@ -375,7 +390,8 @@ def _conjugation(eta, ang, state, lam):
 
 
 def _complex4(rng, grid):
-    return (rng.standard_normal(4) + 1j * rng.standard_normal(4),)
+    re = _symmetric(rng, 4)
+    return (re + 1j * _symmetric(rng, 4),)
 
 
 def _conjugation_square(u):

@@ -109,6 +109,20 @@ def test_importing_the_cli_leaves_verify_unloaded(child_env):
     assert child.stdout == "False False\nTrue True\n"
 
 
+def test_verify_run_leaves_numpy_random_unloaded(child_env):
+    # the seeded draws come from the standard library's random module
+    probe = (
+        "import sys, io, contextlib\n"
+        "from diracfree.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(['verify', '--suite', 'all'])\n"
+        "print(code, 'diracfree.verify' in sys.modules, 'numpy.random' in sys.modules)\n"
+    )
+    child = subprocess.run([sys.executable, "-c", probe], env=child_env,
+                           capture_output=True, text=True, check=True)
+    assert child.stdout == "0 True False\n"
+
+
 @pytest.mark.parametrize(
     "module, name",
     [

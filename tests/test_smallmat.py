@@ -189,3 +189,10 @@ class TestBlockRank:
         zero = np.zeros((2, 2), dtype=complex)
         with pytest.raises(SingularA):
             sm.block_rank_is_n(sm.Block2x2(zero, np.eye(2), np.eye(2), zero))
+
+    @pytest.mark.parametrize("scale", [1e-150, 1e-8, 1.0, 1e8])
+    def test_singular_a_is_scale_free(self, scale):
+        eye = np.eye(2)
+        sm.block_rank_is_n(sm.Block2x2(scale * eye, eye, eye, eye))  # |det A| = scale^2
+        with pytest.raises(SingularA):
+            sm.block_rank_is_n(sm.Block2x2(scale * np.ones((2, 2)), eye, eye, eye))

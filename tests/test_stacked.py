@@ -699,6 +699,31 @@ def test_stacked_domain_samples_old_points(grid, stacked, old):
 
 
 # --------------------------------------------------------------------------
+# the seeded draw stream: a change in the standard library's generator
+# fails here instead of moving the residuals of the drawn checks
+
+
+def test_first_uniforms_of_the_seed():
+    first = [0.56005951683748, 0.8464377859511815, 0.726127791842515, 0.029004841679780458]
+    assert verify._uniforms(verify._rng(), (4,)).tolist() == first
+    assert verify._uniforms(verify._rng(), (2, 2)).tolist() == [first[:2], first[2:]]
+
+
+@pytest.mark.parametrize(
+    "draw", [verify._cmat_pairs, verify._schur_draws, verify._vector_pairs,
+             verify._boost_draws, verify._complex4s],
+    ids=["cmat_pairs", "schur_draws", "vector_pairs", "boost_draws", "complex4s"],
+)
+def test_draws_are_a_prefix_of_more_draws(draw):
+    grid = GRIDS[1]
+    fewer = _unstack_point(draw(verify._rng(), grid, 7))
+    more = _unstack_point(draw(verify._rng(), grid, 14))
+    assert len(fewer) == 7 and len(more) == 14
+    for a, b in zip(fewer, more):
+        _same_point(a, b)
+
+
+# --------------------------------------------------------------------------
 # a nan residual fails its check
 
 

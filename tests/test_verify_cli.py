@@ -180,6 +180,14 @@ class TestCli:
         _, out2, _ = self.run(*args)
         assert out1 == out2
 
+    @pytest.mark.parametrize("scale", [("--m", "1e-7"), ("--c", "1e-4")], ids=["m", "c"])
+    def test_small_scale_grid_exit_zero(self, scale):
+        # A = (mc^2 + R) 1 at trial energy -R is invertible however small mc^2 is
+        code, out, err = self.run("verify", *scale, "--angles", "2x2")
+        assert (code, err) == (0, "")
+        summary = out.splitlines()[-1]
+        assert summary.startswith("summary: 82 checks,") and summary.endswith("all passed")
+
     def test_verify_failure_exit_one(self):
         code, out, _ = self.run(
             "verify", "--suite", "spinors", "--eta", "0.4", "--angles", "2x2",

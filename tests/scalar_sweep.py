@@ -3,8 +3,8 @@
 Every check whose domain is stacked is evaluated here one point at a time:
 the strided states and ``(eta, angles, state)`` points, the seeded draws
 (each drawn alone, one uniform at a time from ``random.Random``, in the
-order the stacked draws must reproduce) and the per-point residuals, each a plain scalar expression over
-the library's unstacked calls.  ``ORACLES`` maps a check id to its
+order the stacked draws must reproduce) and the per-point residuals, each
+a plain scalar expression over the library's unstacked calls.  ``ORACLES`` maps a check id to its
 ``(domain, residual)``; ``oracle(check_id, grid)`` is the max residual.
 """
 

@@ -33,7 +33,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import EtaOutOfRange, MasslessState
-from .smallmat import stack_last
+from .smallmat import power_of_two_scale, stack_last
 
 
 class EnergyBranch(Enum):
@@ -112,13 +112,11 @@ def _euclidean(v):
 def scaled_norm(v, norm=_euclidean):
     """``norm(v)`` of a vector, or of each vector in a stack, without overflow.
 
-    ``norm`` runs on ``v`` divided by the power of two ``s`` that brings
-    ``max|v|`` into [0.5, 1), and its result is multiplied by ``s``, so a
-    finite v never overflows to inf.  Both scalings are exact: wherever
-    ``norm(v)`` itself stays in range the result keeps its bits.  A zero
-    vector gets ``s = 1``.
+    ``norm`` runs on ``v / s`` with ``s = power_of_two_scale(v, 1)``, and its
+    result is multiplied by ``s``, so a finite v never overflows to inf.  Both
+    scalings are exact: where ``norm(v)`` stays in range the result keeps its bits.
     """
-    s = np.ldexp(1.0, np.frexp(np.max(np.abs(v), axis=-1))[1])
+    s = power_of_two_scale(v, ndim=1)
     return norm(v / s[..., None]) * s
 
 

@@ -53,6 +53,12 @@ def _real_part(value, what: str):
     return value.real[()]
 
 
+def _bilinear_four_vector(u, matrices, symbol: str) -> FourVector:
+    """The four real bilinears u-bar M^mu u, one per matrix, as a four-vector."""
+    comps = [_real_part(bilinear(u, m, u), f"{symbol}^{mu}") for mu, m in enumerate(matrices)]
+    return FourVector(comps[0], np.stack(comps[1:], axis=-1))
+
+
 def polarization_four_vector(state: MomentumState, n) -> FourVector:
     """Closed-form polarization four-vector of a rest-frame spin direction n.
 
@@ -80,11 +86,7 @@ def polarization_from_bilinear(state: MomentumState, n) -> FourVector:
     u = helicity_bispinor(
         Helicity.PLUS, EnergyBranch.POSITIVE, angles_of(n), state, Normalization.INVARIANT_UNIT
     )
-    comps = [
-        _real_part(bilinear(u, GAMMA5_LOWER @ GAMMA[mu], u), f"a^{mu}")
-        for mu in range(4)
-    ]
-    return FourVector(comps[0], np.stack(comps[1:], axis=-1))
+    return _bilinear_four_vector(u, [GAMMA5_LOWER @ g for g in GAMMA], "a")
 
 
 def polarization_constraint(a: FourVector) -> np.ndarray:
@@ -103,8 +105,7 @@ def current_density(u: np.ndarray, state: MomentumState) -> FourVector:
     Proportional to p^mu: j^mu = (p^mu / m c) u-bar u for any normalization
     of the underlying two-spinor.
     """
-    comps = [_real_part(bilinear(u, GAMMA[mu], u), f"j^{mu}") for mu in range(4)]
-    return FourVector(comps[0], np.stack(comps[1:], axis=-1))
+    return _bilinear_four_vector(u, GAMMA, "j")
 
 
 def spin_expectations(u: np.ndarray) -> np.ndarray:

@@ -22,6 +22,8 @@ from .errors import NonCommutingBlocks, SingularA
 DEFAULT_TOL = 1e-12  # residual bound of a verify check
 IMAG_TOL = 1e-10  # imaginary part a real bilinear may carry, relative to max(1, |re|)
 UNIT_TOL = 1e-12  # |n.n - 1| allowed for a unit polarization direction
+DEPENDENCE_TOL = 1e-10  # fermi-dependence |det|: two columns divide by R - m c^2, which cancels near rest
+SPIN_BOUND_SLACK = 1e-15  # |<S>| - |<s>| spin-bound ignores: equal along p, each rounded (ulp of 1/2 ~ 1.1e-16)
 
 
 def cmat(entries) -> np.ndarray:
@@ -41,6 +43,11 @@ def max_abs(x) -> float:
 def max_abs_each(x, ndim: int = 2) -> np.ndarray:
     """Largest entry magnitude of each matrix (``ndim=2``) or vector (``ndim=1``) in a stack."""
     return np.max(np.abs(x), axis=tuple(range(-ndim, 0)))
+
+
+def power_of_two_scale(x, ndim: int = 2) -> np.ndarray:
+    """The power of two that brings ``max_abs_each(x, ndim)`` into [0.5, 1) (1 for zero); exact to divide by."""
+    return np.ldexp(1.0, np.frexp(max_abs_each(x, ndim))[1])
 
 
 def mat_mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -159,16 +166,16 @@ def _inv2(m: np.ndarray) -> np.ndarray:
     return inv / det2(m)[..., None, None]
 
 
-def schur_det(blocks: Block2x2, tol: float = DEFAULT_TOL) -> complex:
+def schur_det(blocks: Block2x2) -> complex:
     """Block determinant via the Schur reduction formulas.
 
-    Uses det(AD - CB) when AC = CA, else det(AD - BC) when CD = DC.  The
-    commutation residual is measured against ``tol``; the AC = CA route is
-    preferred when both apply.  The route is chosen per stack element.
+    Uses det(AD - CB) when AC = CA, else det(AD - BC) when CD = DC, each
+    commutator within ``DEFAULT_TOL``; the AC = CA route is preferred when
+    both apply.  The route is chosen per stack element.
     """
     a, b, c, d = blocks.a, blocks.b, blocks.c, blocks.d
-    ac = max_abs_each(a @ c - c @ a) <= tol
-    cd = max_abs_each(c @ d - d @ c) <= tol
+    ac = max_abs_each(a @ c - c @ a) <= DEFAULT_TOL
+    cd = max_abs_each(c @ d - d @ c) <= DEFAULT_TOL
     if not np.all(ac | cd):
         raise NonCommutingBlocks(
             "neither AC = CA nor CD = DC holds within tolerance; "
@@ -177,17 +184,16 @@ def schur_det(blocks: Block2x2, tol: float = DEFAULT_TOL) -> complex:
     return np.where(ac, det2(a @ d - c @ b), det2(a @ d - b @ c))[()]
 
 
-def block_rank_is_n(blocks: Block2x2, tol: float = DEFAULT_TOL) -> bool:
+def block_rank_is_n(blocks: Block2x2) -> bool:
     """Rank criterion for a partitioned matrix with nonsingular top-left block.
 
-    With A invertible, the 4x4 matrix has rank 2 exactly when D = C A^-1 B.
-    A stack of blocks gives one verdict per element.  A is singular when
-    |det A| <= ``tol`` after A is divided by the power of two that brings
-    max|A| into [0.5, 1), so the precondition does not depend on the scale
-    of A; a zero block stays singular.
+    With A invertible, the 4x4 matrix has rank 2 exactly when D = C A^-1 B,
+    one verdict per stack element.  With s = ``power_of_two_scale(A)``, A is
+    singular when |det(A / s)| <= ``DEFAULT_TOL`` at any scale (a zero block
+    stays singular), and A^-1 = (A / s)^-1 / s keeps det A clear of underflow.
     """
-    a = blocks.a
-    s = np.ldexp(1.0, np.frexp(max_abs_each(a))[1])
-    if np.count_nonzero(np.abs(det2(a / s[..., None, None])) <= tol):
+    s = power_of_two_scale(blocks.a)[..., None, None]
+    a = blocks.a / s
+    if np.count_nonzero(np.abs(det2(a)) <= DEFAULT_TOL):
         raise SingularA("top-left block is singular within tolerance")
-    return (max_abs_each(blocks.d - blocks.c @ _inv2(a) @ blocks.b) <= tol)[()]
+    return (max_abs_each(blocks.d - blocks.c @ (_inv2(a) / s) @ blocks.b) <= DEFAULT_TOL)[()]

@@ -154,6 +154,14 @@ def _normalize(raw: np.ndarray, phi: np.ndarray, state: MomentumState, norm: Nor
     return raw * np.sqrt(target / invariant)[..., None]
 
 
+def _two_spinor(phi) -> np.ndarray:
+    """phi as complex two-spinors, each checked to be nonzero."""
+    phi = np.asarray(phi, dtype=np.complex128)
+    if not phi.any(axis=-1).all():
+        raise UnnormalizablePhi("two-spinor must be nonzero")
+    return phi
+
+
 def bispinor_block(phi: np.ndarray, state: MomentumState, branch: EnergyBranch,
                    norm: Normalization = Normalization.UNIT,
                    volume: float | None = None) -> np.ndarray:
@@ -165,9 +173,7 @@ def bispinor_block(phi: np.ndarray, state: MomentumState, branch: EnergyBranch,
     norm u-bar u is positive on the first branch and negative on the second,
     so the 2mc convention yields +2mc and -2mc respectively.
     """
-    phi = np.asarray(phi, dtype=np.complex128)
-    if not phi.any(axis=-1).all():
-        raise UnnormalizablePhi("two-spinor must be nonzero")
+    phi = _two_spinor(phi)
     kappa = state.c / (state.rest_energy + state.R)
     coupled = kappa[..., None] * np.matvec(sigma_dot(state.p), phi)
     if phi.shape != coupled.shape:
@@ -217,9 +223,7 @@ def boost_bispinor(phi: np.ndarray, state: MomentumState) -> np.ndarray:
     """
     if state.m == 0:
         raise MasslessState("boost construction requires m > 0")
-    phi = np.asarray(phi, dtype=np.complex128)
-    if not phi.any(axis=-1).all():
-        raise UnnormalizablePhi("two-spinor must be nonzero")
+    phi = _two_spinor(phi)
     half = 0.5 * rapidity(state)
     moving = (state.p_abs != 0.0)[..., None]
     lower = np.tanh(half)[..., None] * np.matvec(sigma_dot(momentum_axis(state)), phi)

@@ -98,7 +98,8 @@ class GridSpec:
     """Parameter grid swept by the checks; at least one eta and one angle.
 
     Every eta lies in [0, 1), and the largest energy R of the grid stays
-    finite at the fourth power, the degree of ``eig-det`` in R.
+    finite at the fourth power, the degree of ``eig-det`` in R.  (m c^2)^2 and
+    (m c)^2, the scales of E (E + m c^2) and m (R + m c^2), stay normal floats.
     """
 
     eta_values: tuple[float, ...] = (0.1, 0.3, 0.5, 0.7, 0.9)
@@ -118,13 +119,17 @@ class GridSpec:
             if not 0.0 < value < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {value}")
         top = np.max(ki.check_eta(self.eta_values))
-        with np.errstate(over="ignore", invalid="ignore"):  # an overflowed R is rejected below
-            r = ki.from_eta(self.mass, self.c, top, PolarAngles(0.0)).R
-            if not np.isfinite(r**4):
+        with np.errstate(over="ignore", invalid="ignore"):  # an out-of-range scale is rejected below
+            state = ki.from_eta(self.mass, self.c, top, PolarAngles(0.0))
+            if not np.isfinite(state.R**4):
                 raise ValueError(
-                    f"energy scale out of range: R = {r:.3g} at eta {top:g}, and eig-det "
+                    f"energy scale out of range: R = {state.R:.3g} at eta {top:g}, and eig-det "
                     "needs R^4 below the float64 maximum"
                 )
+            for name, value in (("m c^2", state.rest_energy), ("m c", state.m * state.c)):
+                if value * value < np.finfo(float).tiny:
+                    raise ValueError(f"energy scale out of range: {name} = {value:.3g} at m = {self.mass:g}, "
+                                     f"c = {self.c:g}, and ({name})^2 underflows below the smallest normal float64")
 
     @cached_property
     def _axes(self) -> tuple[list[float], list[float]]:
@@ -833,7 +838,7 @@ def _spin_relation_axis(state, phi):
 def _spin_bound(state, phi):
     s_rel = ob.spin_expectations(sp.bispinor_block(phi, state, _POS, Normalization.UNIT))
     s_rest = _rest_spin(phi)
-    excess = np.sqrt(np.vecdot(s_rel, s_rel)) - np.sqrt(np.vecdot(s_rest, s_rest)) - 1e-15
+    excess = np.sqrt(np.vecdot(s_rel, s_rel)) - np.sqrt(np.vecdot(s_rest, s_rest)) - sm.SPIN_BOUND_SLACK
     yield np.maximum(0.0, excess), 0.0
 
 
@@ -1265,7 +1270,7 @@ REGISTRY: tuple[RegistryEntry, ...] = (
     _entry("parallel-polarization", "density", "polarization components for p along n", _points(), _parallel_polarization),
     # fermi
     _entry("fermi-eigen", "fermi", "all four original bi-spinors satisfy H u = +R u", _sampled, _fermi_eigen),
-    _entry("fermi-dependence", "fermi", "original bi-spinor determinant vanishes", _sampled, _fermi_dependence, tol_override=1e-10),
+    _entry("fermi-dependence", "fermi", "original bi-spinor determinant vanishes", _sampled, _fermi_dependence, tol_override=sm.DEPENDENCE_TOL),
     _entry("fermi-corrected", "fermi", "corrected set: (+R, +R, -R, -R) eigenvectors, unimodular", _sampled, _fermi_corrected),
     _entry("fermi-clifford", "fermi", "variant gamma set squares to 1 and pairwise anticommutes", _once, _fermi_clifford),
     _entry("fermi-alpha-relation", "fermi", "alpha_k = i beta gamma_k for the variant gammas", _once, _fermi_alpha_relation),

@@ -1,4 +1,4 @@
-"""The CLI's process exit (``cli.run``) and the package's lazy verify engine."""
+"""The CLI's process exit (``cli.run``), and an emit process without the verify engine."""
 
 import json
 import os
@@ -8,7 +8,6 @@ from pathlib import Path
 
 import pytest
 
-import diracfree
 from diracfree import cli
 from diracfree.cli import main
 
@@ -95,13 +94,13 @@ def test_run_ends_the_process_with_mains_code(monkeypatch, capsys):
 
 
 # --------------------------------------------------------------------------
-# lazy verify engine
+# modules an emit process loads
 
 def test_importing_the_cli_leaves_verify_unloaded(child_env):
     probe = (
         "import sys, diracfree.cli\n"
         "print('diracfree.verify' in sys.modules, 'diracfree.fermi' in sys.modules)\n"
-        "diracfree.verify, diracfree.fermi_projectors\n"
+        "import diracfree.verify, diracfree.fermi\n"
         "print('diracfree.verify' in sys.modules, 'diracfree.fermi' in sys.modules)\n"
     )
     child = subprocess.run([sys.executable, "-c", probe], env=child_env,
@@ -123,26 +122,13 @@ def test_verify_run_leaves_numpy_random_unloaded(child_env):
     assert child.stdout == "0 True False\n"
 
 
-@pytest.mark.parametrize(
-    "module, name",
-    [
-        ("verify", "run_suite"),
-        ("verify", "GridSpec"),
-        ("verify", "IdentityCheck"),
-        ("verify", "VerificationReport"),
-        ("verify", "registry_ids"),
-        ("smallmat", "DEFAULT_TOL"),
-        ("fermi", "fermi_projectors"),
-        ("fermi", "FermiProjectors"),
-    ],
-)
-def test_package_names_resolve(module, name):
-    source = __import__(f"diracfree.{module}", fromlist=[name])
-    assert getattr(diracfree, name) is getattr(source, name)
-    assert name in dir(diracfree)
-
-
-def test_unknown_attribute_raises():
-    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
-        diracfree.no_such_name
-    assert not hasattr(diracfree, "run_suites")
+def test_package_holds_only_its_version(child_env):
+    # every other name is imported from the module that defines it
+    probe = (
+        "import sys, diracfree\n"
+        "print(sorted(n for n in vars(diracfree) if not n.startswith('__')), diracfree.__version__)\n"
+        "print(sorted(m for m in sys.modules if m.startswith('diracfree.')))\n"
+    )
+    child = subprocess.run([sys.executable, "-c", probe], env=child_env,
+                           capture_output=True, text=True, check=True)
+    assert child.stdout == "[] 0.1.0\n[]\n"

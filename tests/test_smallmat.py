@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -196,3 +198,11 @@ class TestBlockRank:
         sm.block_rank_is_n(sm.Block2x2(scale * eye, eye, eye, eye))  # |det A| = scale^2
         with pytest.raises(SingularA):
             sm.block_rank_is_n(sm.Block2x2(scale * np.ones((2, 2)), eye, eye, eye))
+
+    def test_tiny_a_inverts_without_underflow(self):
+        # det A = 1e-600 underflows; A^-1 = 1e300 I does not
+        eye = np.eye(2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not sm.block_rank_is_n(sm.Block2x2(1e-300 * eye, eye, eye, eye))
+            assert sm.block_rank_is_n(sm.Block2x2(1e-300 * eye, 1e-300 * eye, eye, eye))

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -110,6 +111,15 @@ class TestRunSuite:
     def test_grid_accepts_large_finite_energy_scale(self):
         verify.GridSpec(mass=1e70)
 
+    @pytest.mark.parametrize(
+        "scales, named",
+        [({"mass": 1e-200}, "m c^2 = 1e-200"), ({"c": 1e-200}, "m c^2 = 0"),
+         ({"c": 1e-78}, "m c^2 = 1e-156"), ({"mass": 1e-170, "c": 1e10}, "m c = 1e-160")],
+    )
+    def test_grid_rejects_underflowing_energy_scale(self, scales, named):
+        with pytest.raises(ValueError, match=f"energy scale out of range: {re.escape(named)} "):
+            verify.GridSpec(**scales)
+
     def test_checks_sorted_by_id(self):
         report = verify.run_suite("density", SMALL_GRID)
         ids = [c.id for c in report.checks]
@@ -180,9 +190,12 @@ class TestCli:
         _, out2, _ = self.run(*args)
         assert out1 == out2
 
-    @pytest.mark.parametrize("scale", [("--m", "1e-7"), ("--c", "1e-4")], ids=["m", "c"])
+    @pytest.mark.parametrize(
+        "scale", [("--m", "1e-7"), ("--c", "1e-4"), ("--m", "1e-150")], ids=["m", "c", "m-1e-150"]
+    )
     def test_small_scale_grid_exit_zero(self, scale):
-        # A = (mc^2 + R) 1 at trial energy -R is invertible however small mc^2 is
+        # A = (mc^2 + R) 1 at trial energy -R is invertible however small mc^2 is;
+        # at m = 1e-150, (m c^2)^2 is still a normal float and no residual is nan
         code, out, err = self.run("verify", *scale, "--angles", "2x2")
         assert (code, err) == (0, "")
         summary = out.splitlines()[-1]
@@ -372,8 +385,11 @@ class TestCli:
             (("boost", "--c", "1e200", "--eta", "0.5"), "non-finite value in output"),
             (("verify", "--m", "1e200", "--angles", "2x2"), "energy scale out of range"),
             (("verify", "--c", "1e300", "--angles", "2x2"), "energy scale out of range"),
+            (("verify", "--m", "1e-200", "--angles", "2x2"), "energy scale out of range: m c^2 = 1e-200"),
+            (("verify", "--c", "1e-200", "--angles", "2x2"), "energy scale out of range: m c^2 = 0"),
         ],
-        ids=["density-p", "spinor-c", "density-c", "boost-c", "verify-m", "verify-c"],
+        ids=["density-p", "spinor-c", "density-c", "boost-c", "verify-m", "verify-c",
+             "verify-tiny-m", "verify-tiny-c"],
     )
     def test_overflow_ends_in_one_error_line(self, child_env, argv, message):
         child = subprocess.run(

@@ -150,7 +150,16 @@ def _finite_vec3(text: str) -> np.ndarray:
 
 
 def _parse_eta_list(text: str) -> tuple[float, ...]:
-    return tuple(float(p) for p in text.split(",") if p)
+    """argparse type of ``verify --eta``: finite numbers separated by single commas.
+
+    An empty list is left to ``GridSpec``, which rejects it.
+    """
+    if not text:
+        return ()
+    parts = text.split(",")
+    if "" in parts:
+        raise argparse.ArgumentTypeError(f"empty entry in the eta list {text!r}")
+    return tuple(_finite_float(p) for p in parts)
 
 
 def _parse_angles(text: str) -> tuple[int, int]:
@@ -275,6 +284,8 @@ def _emit(args, inputs: dict, outputs: dict) -> None:
 
 
 def _cmd_spinor(args) -> int:
+    if args.volume is not None and args.norm != "box":
+        raise DiracFreeError("--volume applies only to --norm box")
     state = _state_from_args(args)
     branch = _BRANCHES[args.branch]
     lam = _HELICITIES[args.lam]

@@ -8,6 +8,7 @@ the points it would sample one by one, and every stacked domain unstacks to
 exactly those points, seeded draws included.
 """
 
+import inspect
 import math
 
 import numpy as np
@@ -709,11 +710,16 @@ def test_first_uniforms_of_the_seed():
     assert verify._uniforms(verify._rng(), (2, 2)).tolist() == [first[:2], first[2:]]
 
 
-@pytest.mark.parametrize(
-    "draw", [verify._cmat_pairs, verify._schur_draws, verify._vector_pairs,
-             verify._boost_draws, verify._complex4s],
-    ids=["cmat_pairs", "schur_draws", "vector_pairs", "boost_draws", "complex4s"],
-)
+DRAWS = {
+    "cmat_pairs": verify._cmat_pairs,
+    "schur_draws": verify._schur_draws,
+    "vector_pairs": verify._vector_pairs,
+    "boost_draws": verify._boost_draws,
+    "complex4s": verify._complex4s,
+}
+
+
+@pytest.mark.parametrize("draw", list(DRAWS.values()), ids=list(DRAWS))
 def test_draws_are_a_prefix_of_more_draws(draw):
     grid = GRIDS[1]
     fewer = _unstack_point(draw(verify._rng(), grid, 7))
@@ -721,6 +727,43 @@ def test_draws_are_a_prefix_of_more_draws(draw):
     assert len(fewer) == 7 and len(more) == 14
     for a, b in zip(fewer, more):
         _same_point(a, b)
+
+
+def _stacked_arrays(point):
+    """Every array a stacked point holds, in order, each with the stack axis first."""
+    for item in point:
+        if isinstance(item, MomentumState):
+            yield item.p
+        elif isinstance(item, sm.Block2x2):
+            yield from (item.a, item.b, item.c, item.d)
+        else:
+            yield np.asarray(item)
+
+
+@pytest.mark.parametrize("draw", list(DRAWS.values()), ids=list(DRAWS))
+def test_draw_chunks_concatenate_to_one_stack(draw):
+    # a random domain holds at most 100 draws at once, and its chunks are
+    # the rows of the one stack a single call would draw, bit for bit
+    grid = GRIDS[1]
+    chunks = list(verify._draws(207, draw)(grid))
+    assert [_stack_len(chunk[0]) for chunk in chunks] == [100, 100, 7]
+    whole = list(_stacked_arrays(draw(verify._rng(), grid, 207)))
+    parts = list(zip(*(_stacked_arrays(chunk) for chunk in chunks)))
+    assert len(parts) == len(whole)
+    for rows, stack in zip(parts, whole):
+        joined = np.concatenate(rows)
+        assert joined.dtype == stack.dtype and joined.shape == stack.shape
+        assert joined.tobytes() == stack.tobytes()
+
+
+def test_every_row_is_defined_in_its_suite_module():
+    # each suite module names its rows' suite, and REGISTRY lists the suites in order
+    for entry in verify.REGISTRY:
+        residual = inspect.getclosurevars(entry.fn).nonlocals["residual"]
+        residual = getattr(residual, "func", residual)  # a functools.partial
+        assert residual.__module__ == f"diracfree.verify.{entry.suite}", entry.id
+    suites = [entry.suite for entry in verify.REGISTRY]
+    assert suites == sorted(suites, key=verify.SUITES.index)
 
 
 # --------------------------------------------------------------------------

@@ -285,6 +285,30 @@ class TestCli:
         assert out == ""
         assert message in err
 
+    @pytest.mark.parametrize(
+        "eta, message",
+        [
+            (",0.5", "empty entry in the eta list ',0.5'"),
+            ("0.5,,0.7", "empty entry in the eta list '0.5,,0.7'"),
+            ("0.5,", "empty entry in the eta list '0.5,'"),
+            ("0.5,abc", "expected a number, got 'abc'"),
+        ],
+    )
+    def test_malformed_eta_list_exit_two(self, capsys, eta, message):
+        # each of these used to sweep a grid other than the one typed, or to
+        # name argparse's type function instead of the entry
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--eta", eta])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(f"error: argument --eta: {message}\n")
+
+    @pytest.mark.parametrize("norm_args", [(), ("--norm", "unit"), ("--norm", "inv1"), ("--norm", "inv2mc")])
+    def test_volume_without_box_norm_exit_two(self, norm_args):
+        code, out, err = self.run("spinor", "--eta", "0.5", *norm_args, "--volume", "2")
+        assert (code, out, err) == (2, "", "error: --volume applies only to --norm box\n")
+
     def test_tolerance_env_override(self, monkeypatch):
         monkeypatch.setenv("DIRACFREE_TOL", "1e-30")
         code, out, _ = self.run(
@@ -332,6 +356,7 @@ class TestCli:
             (("density", "--m", "nan", "--p", "0,0,1"), "nan"),
             (("density", "--c", "nan", "--p", "0,0,1"), "nan"),
             (("boost", "--eta", "0.5", "--spinor", "1,nan,0,0"), "nan"),
+            (("verify", "--eta", "0.5,nan"), "nan"),
         ],
     )
     def test_non_finite_flag_exit_two(self, capsys, argv, value):

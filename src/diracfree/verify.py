@@ -14,7 +14,7 @@ check that reports one residual.  A registry row has the shape
     ``GridSpec.sample_points``, optionally with a rotated partner direction;
   - ``_draws(n, draw)``: ``n`` seeded random draws, each entry uniform on
     [-1, 1) (``_boost_draws``: eta in [0, 0.95), theta in [0, pi), phi in
-    [0, 2 pi), then a spinor);
+    [0, 2 pi), then a spinor), in batches of at most ``_DRAW_CHUNK`` = 100;
   - ``_with_spinor(domain)``: one seeded random unit two-spinor per state,
     its four parts uniform on [-1, 1) and then normalized;
   - ``_axis_states``, ``_rest_angles``, ``_dual_points``: the z-axis states,
@@ -44,8 +44,11 @@ against ``density.covariant_decomposition``.
 
 Every random input comes from ``random.Random(_SEED)``, a new generator
 per domain, through ``_uniforms``: each float64 takes 8 bytes of
-``randbytes`` and keeps 53 of their bits, and a domain draws its entries as
-one row-major stack, draw by draw in the order each draw function names.
+``randbytes`` and keeps 53 of their bits, and a domain draws its entries in
+row-major order, draw by draw in the order each draw function names.  A
+``_draws`` domain reads its one generator chunk after chunk, so its batches
+are the rows of the single stack ``draw(_rng(), grid, n)``: no check holds
+more than 100 draws at once, and every value is that of the one stack.
 The standard-library source keeps ``numpy.random`` (its bit generators,
 ``mtrand`` and the OpenSSL-backed ``secrets``) out of the process; every
 identity here is polynomial in its inputs, so uniform entries test it as
@@ -86,6 +89,7 @@ from .spinors import Helicity, Normalization
 
 SUITES = ("algebra", "spinors", "covariant", "density", "fermi")
 _SEED = 20240801
+_DRAW_CHUNK = 100  # the most draws a random domain stacks at once
 
 _POS = EnergyBranch.POSITIVE
 _NEG = EnergyBranch.NEGATIVE
@@ -297,10 +301,16 @@ def _points(per_eta: int = 8, partner: tuple[int, int] | None = None) -> _Domain
 
 
 def _draws(n: int, draw: Callable[[random.Random, GridSpec, int], tuple]) -> _Domain:
-    """``n`` seeded random points as one stacked point; ``draw(rng, grid, n)`` makes them."""
+    """``n`` seeded random points, as stacked points of at most ``_DRAW_CHUNK`` draws each.
+
+    ``draw(rng, grid, k)`` makes k points.  The chunks read one generator in
+    turn, so together they are the rows of ``draw(_rng(), grid, n)``.
+    """
 
     def domain(grid: GridSpec):
-        return (draw(_rng(), grid, n),)
+        rng = _rng()
+        for start in range(0, n, _DRAW_CHUNK):
+            yield draw(rng, grid, min(_DRAW_CHUNK, n - start))
 
     return domain
 

@@ -8,7 +8,6 @@ the points it would sample one by one, and every stacked domain unstacks to
 exactly those points, seeded draws included.
 """
 
-import inspect
 import math
 
 import numpy as np
@@ -754,16 +753,6 @@ def test_draw_chunks_concatenate_to_one_stack(draw):
         joined = np.concatenate(rows)
         assert joined.dtype == stack.dtype and joined.shape == stack.shape
         assert joined.tobytes() == stack.tobytes()
-
-
-def test_every_row_is_defined_in_its_suite_module():
-    # each suite module names its rows' suite, and REGISTRY lists the suites in order
-    for entry in verify.REGISTRY:
-        residual = inspect.getclosurevars(entry.fn).nonlocals["residual"]
-        residual = getattr(residual, "func", residual)  # a functools.partial
-        assert residual.__module__ == f"diracfree.verify.{entry.suite}", entry.id
-    suites = [entry.suite for entry in verify.REGISTRY]
-    assert suites == sorted(suites, key=verify.SUITES.index)
 
 
 # --------------------------------------------------------------------------

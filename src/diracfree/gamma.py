@@ -8,7 +8,8 @@ commutator / anticommutator helpers.  Conventions:
 * gamma^0 = beta, gamma^k = beta alpha_k;
 * gamma^5 = i gamma^0 gamma^1 gamma^2 gamma^3 = [[0, 1], [1, 0]] in blocks;
   the index-lowered companion is GAMMA5_LOWER = -GAMMA5;
-* Sigma_k = alpha_k gamma^5 (block-diagonal sigma_k).
+* Sigma_k = block-diagonal (sigma_k, sigma_k); that it equals
+  alpha_k gamma^5 is the ``spin-gamma5`` check, not its definition.
 
 All constants are immutable module-level arrays; every function here is
 pure, so the module is safe to use concurrently.  The vector contractions,
@@ -46,7 +47,7 @@ GAMMA5_LOWER = cmat(-GAMMA5)
 # is the defining construction, this is the independent cross-check.
 assert np.array_equal(GAMMA5, cmat(block4(ZERO2, ID2, ID2, ZERO2)))
 
-SPIN = tuple(cmat(a @ GAMMA5) for a in ALPHA)
+SPIN = tuple(cmat(block4(s, ZERO2, ZERO2, s)) for s in PAULI)
 
 METRIC = np.diag([1.0, -1.0, -1.0, -1.0])
 METRIC.setflags(write=False)

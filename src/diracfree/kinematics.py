@@ -105,19 +105,16 @@ def direction(angles: PolarAngles) -> np.ndarray:
     return n
 
 
-def _euclidean(v):
-    return np.sqrt(np.vecdot(v, v))
+def scaled_norm(v):
+    """Real length sqrt(v+ v) of a real or complex vector, or of each in a stack, without overflow.
 
-
-def scaled_norm(v, norm=_euclidean):
-    """``norm(v)`` of a vector, or of each vector in a stack, without overflow.
-
-    ``norm`` runs on ``v / s`` with ``s = power_of_two_scale(v, 1)``, and its
-    result is multiplied by ``s``, so a finite v never overflows to inf.  Both
-    scalings are exact: where ``norm(v)`` stays in range the result keeps its bits.
+    The length of ``v / s``, ``s = power_of_two_scale(v, 1)``, times ``s``: a
+    finite v never overflows to inf, and as both scalings are exact, a
+    length that stays in range keeps its bits.
     """
     s = power_of_two_scale(v, ndim=1)
-    return norm(v / s[..., None]) * s
+    w = v / s[..., None]
+    return np.sqrt(np.vecdot(w, w).real) * s
 
 
 def angles_of(v) -> PolarAngles:
@@ -232,9 +229,8 @@ def check_eta(eta: float) -> float:
     return eta[()]
 
 
-def from_eta(m: float, c: float, eta: float, dir: PolarAngles,
-             hbar: float = 1.0) -> MomentumState:
-    """State with |p| = 2 m c eta / (1 - eta^2) along the given direction.
+def from_eta(m: float, c: float, eta: float, dir: PolarAngles) -> MomentumState:
+    """State with |p| = 2 m c eta / (1 - eta^2) along the given direction, hbar = 1.
 
     ``eta`` and ``dir`` may be stacked; they broadcast to one stack of states.
     """
@@ -242,7 +238,7 @@ def from_eta(m: float, c: float, eta: float, dir: PolarAngles,
     if m <= 0:
         raise MasslessState("eta parametrization requires m > 0")
     p_abs = 2.0 * m * c * eta / (1.0 - np.square(eta))
-    return MomentumState(m, p_abs[..., None] * direction(dir), PhysicalConstants(c, hbar))
+    return MomentumState(m, p_abs[..., None] * direction(dir), PhysicalConstants(c))
 
 
 def to_eta(state: MomentumState) -> float:

@@ -7,7 +7,8 @@ Schur block-determinant formulas, and the block rank criterion.
 
 Every function also acts on stacks of matrices (leading batch axes), and a
 single matrix is the batch-of-one case.  Stacked vector products elsewhere
-in the library use ``np.vecdot`` and ``np.matvec``.
+in the library use ``np.vecdot`` and ``np.matvec``.  ``residual`` is the
+one measure every verdict and every emitted residual uses.
 """
 
 from __future__ import annotations
@@ -18,12 +19,10 @@ import numpy as np
 
 from .errors import NonCommutingBlocks, SingularA
 
-# The tolerance policy, in one table.
-DEFAULT_TOL = 1e-12  # residual bound of a verify check
+# The tolerance policy, in one table; a verify run judges every check by one tolerance.
+DEFAULT_TOL = 1e-12  # the default bound on the ``residual`` of a verify check
 IMAG_TOL = 1e-10  # imaginary part a real bilinear may carry, relative to max(1, |re|)
 UNIT_TOL = 1e-12  # |n.n - 1| allowed for a unit polarization direction
-DEPENDENCE_TOL = 1e-10  # fermi-dependence |det|: two columns divide by R - m c^2, which cancels near rest
-SPIN_BOUND_SLACK = 1e-15  # |<S>| - |<s>| spin-bound ignores: equal along p, each rounded (ulp of 1/2 ~ 1.1e-16)
 
 
 def cmat(entries) -> np.ndarray:
@@ -36,8 +35,17 @@ def cmat(entries) -> np.ndarray:
 
 
 def max_abs(x) -> float:
-    """Largest entry magnitude; the residual norm used throughout."""
+    """Largest entry magnitude, 0.0 for no entries."""
     return float(np.max(np.abs(np.asarray(x)))) if np.asarray(x).size else 0.0
+
+
+def residual(lhs, rhs, scale=1.0) -> float:
+    """The largest ``|lhs - rhs| / scale`` of any entry: how far an identity misses.
+
+    ``lhs``, ``rhs`` and ``scale`` broadcast against each other.  A nan entry
+    in any of them makes the result nan, and no entries at all give 0.0.
+    """
+    return float(np.max(np.abs(lhs - rhs) / scale, initial=0.0))
 
 
 def max_abs_each(x, ndim: int = 2) -> np.ndarray:

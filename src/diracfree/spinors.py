@@ -33,10 +33,11 @@ norm of the block solution is taken in its closed form
 The helicity spinors and column matrices, ``spin_basis_matrix``,
 ``bispinor_block``, ``helicity_bispinor``, ``negative_energy_eigenvector``,
 ``boost_bispinor``, ``helicity_basis``, ``eta_bispinor``,
-``charge_conjugate``, ``plane_wave`` and ``dirac_residual`` accept stacked
-angles, eta values, states and spinors (leading batch axes) and return
-stacked spinors, matrices and residuals; the unstacked call is the
-batch-of-one case.
+``charge_conjugate`` and ``plane_wave`` accept stacked angles, eta values,
+states and spinors (leading batch axes) and return stacked spinors and
+matrices; the unstacked call is the batch-of-one case.  The module builds
+objects and measures nothing: whoever checks an eigenvalue equation forms
+H u and E u itself and compares them with ``smallmat.residual``.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ from .errors import (
     UnnormalizablePhi,
     ZeroMomentum,
 )
-from .gamma import GAMMA, hamiltonian, sigma_dot
+from .gamma import GAMMA, sigma_dot
 from .kinematics import (
     EnergyBranch,
     MomentumState,
@@ -63,7 +64,7 @@ from .kinematics import (
     momentum_axis,
     rapidity,
 )
-from .smallmat import block4, max_abs_each, stack_last
+from .smallmat import block4, stack_last
 
 
 class Helicity(Enum):
@@ -304,17 +305,3 @@ def plane_wave(u: np.ndarray, state: MomentumState, branch: EnergyBranch,
     """Attach the propagation phase exp(+/- i (p.r - R t) / hbar) to u."""
     arg = (np.vecdot(state.p, np.asarray(r, dtype=float)) - state.R * t) / state.hbar
     return np.asarray(u) * np.exp(1j * branch.sign * arg)[..., None]
-
-
-def dirac_residual(u: np.ndarray, state: MomentumState, branch: EnergyBranch) -> float:
-    """Eigenvalue-equation residual of a bi-spinor, before any phase.
-
-    Positive branch: |H(p) u - R u|; negative branch: |H(-p) u + R u|,
-    matching the momentum carried by each branch's plane wave.  The largest
-    entry magnitude, one value per element of a stack.
-    """
-    if branch is EnergyBranch.NEGATIVE:
-        state = _mirrored(state)
-    u = np.asarray(u)
-    deviation = np.matvec(hamiltonian(state), u) - (branch.sign * state.R)[..., None] * u
-    return max_abs_each(deviation, ndim=1)[()]

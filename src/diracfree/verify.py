@@ -10,7 +10,7 @@ check that reports one residual.  A registry row has the shape
   - ``_angles``: the whole angle list;
   - ``_states``: all states, one batch per eta;
   - ``_sampled``: the strided states of ``GridSpec.sample_states``;
-  - ``_points(per_eta, partner)``: the strided ``(eta, angles, state)`` of
+  - ``_points(partner)``: the strided ``(eta, angles, state)`` of
     ``GridSpec.sample_points``, optionally with a rotated partner direction;
   - ``_draws(n, draw)``: ``n`` seeded random draws, each entry uniform on
     [-1, 1) (``_boost_draws``: eta in [0, 0.95), theta in [0, pi), phi in
@@ -28,13 +28,15 @@ check that reports one residual.  A registry row has the shape
   yielded as ``(x, 0.0)``.  ``_rel(got, want)`` is the item with the scale
   ``max(1, |want|)``.
 
-``_sweep`` alone measures the items: the check's residual is the largest
-``|lhs - rhs| / scale`` (scale 1 when none is given) over every item the
-residual yields on every batch of the domain, and a nan entry anywhere
-makes it nan.  It becomes the entry's ``fn(grid) -> float``.  Three checks
-measure by hand and yield their measure against 0: ``block-rank`` (a 0/1
-verdict of the rank criterion), ``nonrel-limit`` (the excess over the 3/c
-rate, and 1 where the deficit stops shrinking) and ``spin-bound`` (the
+``_sweep`` alone measures the items, each with ``smallmat.residual``: the
+check's residual is the largest ``|lhs - rhs| / scale`` (scale 1 when none
+is given) over every item the residual yields on every batch of the
+domain, and a nan entry anywhere makes it nan.  It becomes the entry's
+``fn(grid) -> float``, and ``run_suite`` compares every check's residual
+with the run's one tolerance.  Three checks measure by hand and yield
+their measure against 0: ``block-rank`` (a 0/1 verdict of the rank
+criterion), ``nonrel-limit`` (the excess of ``smallmat.residual`` over
+the 3/c rate, and 1 where it stops shrinking) and ``spin-bound`` (the
 one-sided excess of |<S>| over |<s>|).  Every other check compares objects
 the library builds -- matrices, vectors, scalars -- and no library function
 measures an identity for it: ``polarization-equation`` applies
@@ -84,12 +86,13 @@ from . import smallmat as sm
 from . import spinors as sp
 from .errors import UnknownSuite
 from .kinematics import EnergyBranch, MomentumState, PolarAngles
-from .smallmat import DEFAULT_TOL, max_abs
+from .smallmat import DEFAULT_TOL
 from .spinors import Helicity, Normalization
 
 SUITES = ("algebra", "spinors", "covariant", "density", "fermi")
 _SEED = 20240801
 _DRAW_CHUNK = 100  # the most draws a random domain stacks at once
+_PER_ETA = 8  # strided points per eta of the sampled domains
 
 _POS = EnergyBranch.POSITIVE
 _NEG = EnergyBranch.NEGATIVE
@@ -163,21 +166,22 @@ class GridSpec:
             for ang in self.angle_list()
         ]
 
-    def sample_points(self, per_eta: int = 8) -> tuple[np.ndarray, PolarAngles]:
+    def sample_points(self) -> tuple[np.ndarray, PolarAngles]:
         """Strided (eta, angles) subset for the more expensive sweeps, stacked.
 
-        Per eta, every ``step``-th entry of the angle list, the start rotated
-        by 3 entries per eta; eta-major order.
+        Per eta, every ``step``-th entry of the angle list, with the step that
+        gives about ``_PER_ETA`` entries, the start rotated by 3 entries per
+        eta; eta-major order.
         """
         count = self.theta_count * self.phi_count
-        offsets = np.arange(0, count, max(1, count // per_eta))
+        offsets = np.arange(0, count, max(1, count // _PER_ETA))
         shifts = 3 * np.arange(len(self.eta_values))[:, None]
         eta = np.repeat(np.array(self.eta_values, dtype=float), len(offsets))
         return eta, self.angle(((offsets + shifts) % count).ravel())
 
-    def sample_states(self, per_eta: int = 8) -> MomentumState:
+    def sample_states(self) -> MomentumState:
         """The states of ``sample_points``, as one stacked state."""
-        eta, angles = self.sample_points(per_eta)
+        eta, angles = self.sample_points()
         return ki.from_eta(self.mass, self.c, eta, angles)
 
     def describe(self) -> dict:
@@ -192,10 +196,11 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class IdentityCheck:
+    """One check's verdict: its residual against the report's tolerance."""
+
     id: str
     description: str
     residual: float
-    tolerance: float
     passed: bool
     deviation_note: str | None = None
 
@@ -236,7 +241,7 @@ _Domain = Callable[[GridSpec], Iterable[tuple]]
 
 
 def _sweep(domain: _Domain, residual: Callable[..., Iterable]) -> Callable[[GridSpec], float]:
-    """The check ``fn``: the largest ``|lhs - rhs| / scale`` of any item over the domain.
+    """The check ``fn``: the largest ``smallmat.residual`` of any item over the domain.
 
     Each item is ``(lhs, rhs)`` (scale 1) or ``(lhs, rhs, scale)``; anything
     else raises ``TypeError``.  A nan entry anywhere makes the result nan,
@@ -251,10 +256,7 @@ def _sweep(domain: _Domain, residual: Callable[..., Iterable]) -> Callable[[Grid
                     raise TypeError(
                         f"a residual yields (lhs, rhs) or (lhs, rhs, scale), got {type(item).__name__}"
                     )
-                deviation = np.abs(item[0] - item[1])
-                if len(item) == 3:
-                    deviation = deviation / item[2]
-                r = float(np.max(deviation, initial=0.0))
+                r = sm.residual(*item)
                 worst = math.nan if math.isnan(r) else max(worst, r)
         return worst
 
@@ -281,7 +283,7 @@ def _sampled(grid: GridSpec):
     return ((grid.sample_states(),),)
 
 
-def _points(per_eta: int = 8, partner: tuple[int, int] | None = None) -> _Domain:
+def _points(partner: tuple[int, int] | None = None) -> _Domain:
     """The strided ``(eta, angles, state)`` of ``grid.sample_points``, as one stacked point.
 
     With ``partner = (k, j)`` the i-th point also carries the rotated
@@ -289,8 +291,8 @@ def _points(per_eta: int = 8, partner: tuple[int, int] | None = None) -> _Domain
     """
 
     def domain(grid: GridSpec):
-        eta, angles = grid.sample_points(per_eta)
-        point = (eta, angles, grid.sample_states(per_eta))
+        eta, angles = grid.sample_points()
+        point = (eta, angles, grid.sample_states())
         if partner is not None:
             k, j = partner
             index = (k * np.arange(len(eta)) + j) % (grid.theta_count * grid.phi_count)
@@ -774,7 +776,7 @@ def _nonrel_limit():
     previous = math.inf
     for c in (10.0, 100.0, 1000.0):
         state = MomentumState(1.0, np.array([0.0, 0.0, 1.0]), ki.PhysicalConstants(c=c))
-        deficit = max_abs(sp.spin_basis_matrix(state) - rest)
+        deficit = sm.residual(sp.spin_basis_matrix(state), rest)
         yield max(0.0, deficit - 3.0 / c), 0.0
         if deficit >= previous:
             yield 1.0, 0.0
@@ -848,7 +850,7 @@ def _spin_relation_axis(state, phi):
 def _spin_bound(state, phi):
     s_rel = ob.spin_expectations(sp.bispinor_block(phi, state, _POS, Normalization.UNIT))
     s_rest = _rest_spin(phi)
-    excess = np.sqrt(np.vecdot(s_rel, s_rel)) - np.sqrt(np.vecdot(s_rest, s_rest)) - sm.SPIN_BOUND_SLACK
+    excess = np.sqrt(np.vecdot(s_rel, s_rel)) - np.sqrt(np.vecdot(s_rest, s_rest))
     yield np.maximum(0.0, excess), 0.0
 
 
@@ -1165,7 +1167,6 @@ class RegistryEntry:
     suite: str
     description: str
     fn: Callable[[GridSpec], float]
-    tol_override: float | None = None
     deviation_note: str | None = None
 
 
@@ -1258,7 +1259,7 @@ REGISTRY: tuple[RegistryEntry, ...] = (
     _entry(
         "projector-trace", "density",
         "difference between trace(mc + p-slash) and the printed value 2mc",
-        _points(per_eta=2), _projector_trace,
+        _points(), _projector_trace,
         deviation_note=(
             "trace(mc + p-slash) = 4mc (each of the two summed outer products "
             "contributes 2mc); the printed trace statement says 2mc."
@@ -1280,7 +1281,7 @@ REGISTRY: tuple[RegistryEntry, ...] = (
     _entry("parallel-polarization", "density", "polarization components for p along n", _points(), _parallel_polarization),
     # fermi
     _entry("fermi-eigen", "fermi", "all four original bi-spinors satisfy H u = +R u", _sampled, _fermi_eigen),
-    _entry("fermi-dependence", "fermi", "original bi-spinor determinant vanishes", _sampled, _fermi_dependence, tol_override=sm.DEPENDENCE_TOL),
+    _entry("fermi-dependence", "fermi", "original bi-spinor determinant vanishes", _sampled, _fermi_dependence),
     _entry("fermi-corrected", "fermi", "corrected set: (+R, +R, -R, -R) eigenvectors, unimodular", _sampled, _fermi_corrected),
     _entry("fermi-clifford", "fermi", "variant gamma set squares to 1 and pairwise anticommutes", _once, _fermi_clifford),
     _entry("fermi-alpha-relation", "fermi", "alpha_k = i beta gamma_k for the variant gammas", _once, _fermi_alpha_relation),
@@ -1297,7 +1298,7 @@ def registry_ids(suite: str | None = None) -> list[str]:
 
 def run_suite(suite: str = "all", grid: GridSpec | None = None,
               tol: float = DEFAULT_TOL) -> VerificationReport:
-    """Run one suite (or all) over the grid and collect the report."""
+    """Run one suite (or all) over the grid; a check passes when its residual is at most ``tol``."""
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tolerance must be positive and finite, got {tol}")
     if suite != "all" and suite not in SUITES:
@@ -1307,15 +1308,13 @@ def run_suite(suite: str = "all", grid: GridSpec | None = None,
     for entry in REGISTRY:
         if suite != "all" and entry.suite != suite:
             continue
-        tolerance = entry.tol_override if entry.tol_override is not None else tol
         residual = float(entry.fn(grid))
         checks.append(
             IdentityCheck(
                 id=entry.id,
                 description=entry.description,
                 residual=residual,
-                tolerance=tolerance,
-                passed=residual <= tolerance,
+                passed=residual <= tol,
                 deviation_note=entry.deviation_note,
             )
         )

@@ -43,10 +43,10 @@ def angle(grid, k):
     return PolarAngles(thetas[j], phis[l])
 
 
-def sample_points(grid, per_eta=8):
-    """Per eta, every step-th angle, the start rotated by 3 entries per eta."""
+def sample_points(grid):
+    """Per eta, every step-th angle (about 8 of them), the start rotated by 3 entries per eta."""
     count = grid.theta_count * grid.phi_count
-    step = max(1, count // per_eta)
+    step = max(1, count // 8)
     return [
         (eta, angle(grid, (j + 3 * i) % count))
         for i, eta in enumerate(grid.eta_values)
@@ -58,10 +58,10 @@ def sampled(grid):
     return [(ki.from_eta(grid.mass, grid.c, eta, ang),) for eta, ang in sample_points(grid)]
 
 
-def points(per_eta=8, partner=None):
+def points(partner=None):
     def domain(grid):
         out = []
-        for i, (eta, ang) in enumerate(sample_points(grid, per_eta)):
+        for i, (eta, ang) in enumerate(sample_points(grid)):
             point = (eta, ang, ki.from_eta(grid.mass, grid.c, eta, ang))
             if partner is not None:
                 k = (partner[0] * i + partner[1]) % (grid.theta_count * grid.phi_count)
@@ -454,7 +454,7 @@ def _spin_bound(state, phi):
     u = sp.bispinor_block(phi, state, _POS, Normalization.UNIT)
     s_rel = float(np.linalg.norm(ob.spin_expectations(u)))
     s_rest = float(np.linalg.norm(_rest_spin(phi)))
-    yield max(0.0, s_rel - s_rest - 1e-15)
+    yield max(0.0, s_rel - s_rest)
 
 
 # --------------------------------------------------------------------------
@@ -749,7 +749,7 @@ ORACLES = {
     "projector-sum-plus": (points(), partial(_projector_sum, branch=_POS)),
     "projector-sum-minus": (points(), partial(_projector_sum, branch=_NEG)),
     "density-trace": (points(), _density_trace),
-    "projector-trace": (points(per_eta=2), _projector_trace),
+    "projector-trace": (points(), _projector_trace),
     "density-outer-plus": (points(partner=(9, 5)), partial(_density_outer, branch=_POS)),
     "density-outer-minus": (points(partner=(9, 5)), partial(_density_outer, branch=_NEG)),
     "explicit-projector-plus": (points(), partial(_explicit_projector, branch=_POS)),

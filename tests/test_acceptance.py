@@ -49,9 +49,9 @@ def _grid_states():
     return GRID.states()
 
 
-def _sample_points(per_eta: int = 8):
+def _sample_points():
     """The strided grid points, one (eta, angles) pair at a time."""
-    eta, angles = GRID.sample_points(per_eta)
+    eta, angles = GRID.sample_points()
     return [(float(e), PolarAngles(t, p)) for e, t, p in zip(eta, angles.theta, angles.phi)]
 
 
@@ -245,7 +245,7 @@ def test_criterion_06_density_suite():
                 - rank_one_minus(eta, ang.theta, ang.phi)
             ))
     # block factorizations through the two-level density matrix
-    for eta, ang in _sample_points(per_eta=4):
+    for eta, ang in _sample_points():
         n = direction(ang)
         e2 = eta**2
         for lam in (PLUS, MINUS):
@@ -282,8 +282,8 @@ def test_criterion_07_fermi_audit():
         worst_corrected = max(worst_corrected, abs(abs(sm.det4(corrected)) - 1.0))
     _report(
         7,
-        "original set: +R eigenvectors (1e-12) with vanishing determinant (1e-10); corrected set unimodular",
-        worst_eigen <= TOL and worst_original_det <= 1e-10 and worst_corrected <= TOL,
+        "original set: +R eigenvectors with vanishing determinant (both 1e-12); corrected set unimodular",
+        worst_eigen <= TOL and worst_original_det <= TOL and worst_corrected <= TOL,
         f"eigen {worst_eigen:.1e}, det {worst_original_det:.1e}, corrected {worst_corrected:.1e}",
     )
 

@@ -206,3 +206,32 @@ class TestBlockRank:
             warnings.simplefilter("error")
             assert not sm.block_rank_is_n(sm.Block2x2(1e-300 * eye, eye, eye, eye))
             assert sm.block_rank_is_n(sm.Block2x2(1e-300 * eye, 1e-300 * eye, eye, eye))
+
+
+class TestResidual:
+    def test_largest_entry_deviation(self):
+        lhs = np.array([[1.0, 2.0], [3.0, 4.0]])
+        rhs = np.array([[1.0, 2.5], [2.0, 4.0]])
+        assert sm.residual(lhs, rhs) == 1.0
+        assert sm.residual(lhs, lhs) == 0.0
+
+    def test_scale_divides(self):
+        assert sm.residual(np.array([3.0, 1.0]), 0.0, 4.0) == 0.75
+        # entry by entry: 2/4 and 1/0.5
+        assert sm.residual(np.array([2.0, 1.0]), 0.0, np.array([4.0, 0.5])) == 2.0
+
+    def test_complex_entries(self):
+        # |(3 + 4i) - 0| = 5, |1j - 1| = sqrt(2)
+        assert sm.residual(np.array([3 + 4j, 1j]), np.array([0.0, 1.0])) == 5.0
+        assert sm.residual(np.array([1j]), np.array([1.0]), 2.0) == np.sqrt(2.0) / 2.0
+
+    @pytest.mark.parametrize("slot", range(3))
+    def test_nan_in_any_slot(self, slot):
+        args = [np.array([1.0, 2.0]), np.array([1.0, 2.5]), 1.0]
+        args[slot] = np.array([np.nan, 1.0])
+        with np.errstate(invalid="ignore"):
+            assert np.isnan(sm.residual(*args))
+
+    def test_empty_item_is_zero(self):
+        assert sm.residual(np.zeros((0, 4, 4)), np.zeros((0, 4, 4))) == 0.0
+        assert sm.residual(np.zeros(0), 0.0, 2.0) == 0.0

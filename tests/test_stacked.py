@@ -36,6 +36,7 @@ from diracfree.kinematics import EnergyBranch, MomentumState, PolarAngles
 from diracfree.spinors import Helicity, Normalization
 
 import scalar_sweep
+from test_spinors import dirac_deviation
 
 EPS = np.finfo(float).eps
 SCALES = (0.25, 1.0, 3.0, 137.0)
@@ -311,8 +312,8 @@ class TestStackedKernels:
         for branch in BRANCHES:
             u = sp.bispinor_block(chi, state, branch)
             assert_stacks(
-                sp.dirac_residual(u, state, branch),
-                [sp.dirac_residual(x, s, branch) for x, s in zip(u, scalars)],
+                dirac_deviation(u, state, branch),
+                [dirac_deviation(x, s, branch) for x, s in zip(u, scalars)],
             )
             assert_stacks(
                 sp.plane_wave(u, state, branch, r, 0.7),
@@ -673,7 +674,6 @@ _ss = scalar_sweep
         (verify._dual_points, _old_dual_points),
         (verify._sampled, _ss.sampled),
         (verify._points(), _ss.points()),
-        (verify._points(per_eta=2), _ss.points(per_eta=2)),
         (verify._points(partner=(9, 5)), _ss.points(partner=(9, 5))),
         (verify._axis_states, _ss.axis_states),
         (verify._with_spinor(verify._sampled), _ss.with_spinor(_ss.sampled)),
@@ -685,7 +685,7 @@ _ss = scalar_sweep
         (verify._draws(50, verify._complex4s), _ss.draws(50, _ss._complex4)),
     ],
     ids=[
-        "angles", "states", "rest_angles", "dual_points", "sampled", "points", "points_per_eta2",
+        "angles", "states", "rest_angles", "dual_points", "sampled", "points",
         "points_partner", "axis_states", "spinor_sampled", "spinor_axis_states", "cmat_pairs",
         "schur_draws", "vector_pairs", "boost_draws", "complex4s",
     ],

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import re
@@ -54,11 +55,24 @@ class TestRunSuite:
         failed = [c.id for c in report.checks if not c.passed and not c.deviation_note]
         assert failed == []
 
-    def test_fermi_suite_has_loose_determinant_tolerance(self):
-        report = verify.run_suite("fermi", SMALL_GRID)
-        by_id = {c.id: c for c in report.checks}
-        assert by_id["fermi-dependence"].tolerance == 1e-10
-        assert by_id["fermi-eigen"].tolerance == verify.DEFAULT_TOL
+    @pytest.mark.parametrize("tol", [1e-20, 1e-12, 1e-3])
+    def test_one_tolerance_for_every_check(self, tol):
+        report = verify.run_suite("all", SMALL_GRID, tol=tol)
+        assert report.tolerance == tol
+        assert all(c.passed == (c.residual <= tol) for c in report.checks)
+        # the determinant of the dependent set is judged like every other check
+        dependence = next(c for c in report.checks if c.id == "fermi-dependence")
+        assert dependence.passed == (tol > 1e-20)
+
+    def test_dependence_and_spin_bound_hold_across_scales(self):
+        # m x c x eta box; fermi-dependence divides by R - m c^2, which
+        # cancels near rest, and spin-bound is met with equality along p
+        entries = {e.id: e for e in verify.REGISTRY}
+        for m, c in itertools.product((1e-3, 1.0, 1e3), (1.0, 137.0, 3e8)):
+            grid = verify.GridSpec(eta_values=(0.001, 0.1, 0.5, 0.9, 0.99, 0.999),
+                                   theta_count=4, phi_count=4, mass=m, c=c)
+            for check_id in ("fermi-dependence", "spin-bound"):
+                assert entries[check_id].fn(grid) <= 1e-12, (check_id, m, c)
 
     def test_impossible_tolerance_fails_honestly(self):
         report = verify.run_suite("spinors", SMALL_GRID, tol=1e-30)
@@ -77,7 +91,7 @@ class TestRunSuite:
         assert "n3-convention" in dev
         # the deviation really is out of tolerance, it is just not counted
         note = next(c for c in report.checks if c.id == "n3-convention")
-        assert note.residual > note.tolerance
+        assert note.residual > report.tolerance
 
     def test_unknown_suite(self):
         with pytest.raises(UnknownSuite):
@@ -309,6 +323,11 @@ class TestCli:
         code, out, err = self.run("spinor", "--eta", "0.5", *norm_args, "--volume", "2")
         assert (code, out, err) == (2, "", "error: --volume applies only to --norm box\n")
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_box_norm_without_volume_exit_two(self, fmt):
+        code, out, err = self.run("spinor", "--eta", "0.5", "--norm", "box", "--format", fmt)
+        assert (code, out, err) == (2, "", "error: --norm box requires --volume\n")
+
     def test_tolerance_env_override(self, monkeypatch):
         monkeypatch.setenv("DIRACFREE_TOL", "1e-30")
         code, out, _ = self.run(
@@ -318,6 +337,7 @@ class TestCli:
         assert code == 1
         doc = json.loads(out)
         assert doc["inputs"]["tolerance"] == 1e-30
+        assert {c["tolerance"] for c in doc["checks"]} == {1e-30}
 
     @pytest.mark.parametrize(
         "argv, env_tol, message",

@@ -39,7 +39,6 @@ from .gamma import hamiltonian, helicity_operator
 from .kinematics import (
     EnergyBranch,
     MomentumState,
-    PhysicalConstants,
     PolarAngles,
     angles_of,
     from_eta,
@@ -176,15 +175,18 @@ def _add_kinematics_args(parser: argparse.ArgumentParser) -> None:
     group = parser.add_mutually_exclusive_group()
     group.add_argument("--p", type=_finite_vec3, metavar="X,Y,Z", help="momentum vector")
     group.add_argument("--eta", type=float, help="speed parameter in [0, 1)")
-    parser.add_argument("--theta", type=_finite_float, default=0.0, help="polar angle (with --eta)")
-    parser.add_argument("--phi", type=_finite_float, default=0.0, help="azimuth (with --eta)")
+    parser.add_argument("--theta", type=_finite_float, help="polar angle (with --eta; default 0)")
+    parser.add_argument("--phi", type=_finite_float, help="azimuth (with --eta; default 0)")
 
 
 def _state_from_args(args) -> MomentumState:
     if args.eta is not None:
-        return from_eta(args.m, args.c, args.eta, PolarAngles(args.theta, args.phi))
+        angles = PolarAngles(*(0.0 if a is None else a for a in (args.theta, args.phi)))
+        return from_eta(args.m, args.c, args.eta, angles)
+    if (args.theta, args.phi) != (None, None):
+        raise DiracFreeError("--theta and --phi apply only with --eta")
     p = args.p if args.p is not None else np.zeros(3)
-    return MomentumState(args.m, p, PhysicalConstants(c=args.c))
+    return MomentumState(args.m, p, args.c)
 
 
 def _state_inputs(args, state: MomentumState) -> dict:
@@ -290,7 +292,7 @@ def _relative_residual(lhs, rhs) -> float:
 
 def _dirac_residual(u, state: MomentumState, branch: EnergyBranch) -> float:
     """H(+-p) u against +-R u: each branch's plane wave carries momentum +-p."""
-    h = hamiltonian(MomentumState(state.m, branch.sign * state.p, state.constants))
+    h = hamiltonian(MomentumState(state.m, branch.sign * state.p, state.c, state.hbar))
     return _relative_residual(np.matvec(h, u), branch.sign * state.R * u)
 
 
@@ -467,17 +469,18 @@ def run() -> NoReturn:
 
     Once stdout and stderr are flushed the process ends through ``os._exit``,
     which skips interpreter finalization: that only frees memory the kernel
-    reclaims anyway.  A failed flush (a full disk, a closed pipe) ends it as
-    finalization would have: a failed stdout flush is reported as
-    "Exception ignored in: <stdout>" on stderr, and either failure makes the
-    exit code 120.  Exceptions, and ``SystemExit`` from argparse, leave
-    through the normal exit path.
+    reclaims anyway.  A failed write of the output (a full disk, a closed
+    pipe), whether while ``main`` prints a large output or in the final
+    flush, ends it as finalization would have: a failed stdout write is
+    reported as "Exception ignored in: <stdout>" on stderr, and it or a
+    failed stderr write makes the exit code 120.  Other exceptions, and
+    ``SystemExit`` from argparse, leave through the normal exit path.
     """
-    code = main()
     report = ""
     try:
+        code = main()
         sys.stdout.flush()
-    except OSError as exc:  # the buffered output is lost
+    except OSError as exc:  # the output is lost
         report = f"Exception ignored in: {sys.stdout!r}\n{type(exc).__name__}: {exc}\n"
         code = 120
     try:

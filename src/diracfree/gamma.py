@@ -14,7 +14,7 @@ commutator / anticommutator helpers.  Conventions:
 All constants are immutable module-level arrays; every function here is
 pure, so the module is safe to use concurrently.  The vector contractions,
 the slash and the momentum-dependent matrices accept stacked inputs
-(vectors of shape ``(N, 3)`` or ``(N, 4)``, stacked ``MomentumState``) and
+(vectors of shape ``(N, 3)``, stacked ``FourVector`` and ``MomentumState``) and
 return ``(N, 2, 2)`` or ``(N, 4, 4)`` stacks; the commutators broadcast.
 """
 
@@ -86,11 +86,9 @@ def spin_dot(v) -> np.ndarray:
     return _contract(v, SPIN)
 
 
-def gamma_slash(a) -> np.ndarray:
+def gamma_slash(a: FourVector) -> np.ndarray:
     """Feynman slash a0 gamma^0 - a . gamma of a contravariant four-vector."""
-    if isinstance(a, FourVector):
-        a = a.as_array()
-    a = np.asarray(a)[..., None, None]
+    a = a.as_array()[..., None, None]
     return (
         a[..., 0, :, :] * GAMMA[0] - a[..., 1, :, :] * GAMMA[1]
         - a[..., 2, :, :] * GAMMA[2] - a[..., 3, :, :] * GAMMA[3]

@@ -10,9 +10,11 @@ supported and kept mutually consistent:
   ``[0, 1)``, which rationalizes all half-angle formulas.
 
 Natural units (c = hbar = 1) are the default, but both constants stay
-explicit fields so dimensional factors can be exercised with c != 1.  The
-mass and both constants are stored as numpy float64, so a product or
-power beyond the float range is inf rather than an ``OverflowError``.
+explicit fields of ``MomentumState`` so dimensional factors can be
+exercised with c != 1.  The mass and both constants are stored as numpy
+float64, so a product or power beyond the float range is inf rather than
+an ``OverflowError``.  ``verify`` builds every state it sweeps through
+``GridSpec.states``, which stacks ``from_eta``.
 ``momentum_axis`` is the one home of the direction p/|p| (the z axis at
 rest).
 
@@ -45,28 +47,6 @@ class EnergyBranch(Enum):
     @property
     def sign(self) -> int:
         return self.value
-
-
-@dataclass(frozen=True)
-class PhysicalConstants:
-    """Speed of light and reduced Planck constant, stored as numpy float64.
-
-    As numpy scalars their powers and products overflow to inf, which an
-    emit then reports as a non-finite output, instead of raising
-    ``OverflowError`` as Python's ``float ** 2`` does.
-    """
-
-    c: float = 1.0
-    hbar: float = 1.0
-
-    def __post_init__(self):
-        if not (self.c > 0 and self.hbar > 0):
-            raise ValueError("physical constants must be strictly positive")
-        object.__setattr__(self, "c", np.float64(self.c))
-        object.__setattr__(self, "hbar", np.float64(self.hbar))
-
-
-NATURAL_UNITS = PhysicalConstants()
 
 
 @dataclass(frozen=True)
@@ -151,9 +131,6 @@ class FourVector:
     def as_array(self) -> np.ndarray:
         return np.concatenate((np.asarray(self.t)[..., None], self.r), axis=-1)
 
-    def __iter__(self):
-        return iter(self.as_array())
-
 
 def minkowski_dot(a: FourVector, b: FourVector) -> float:
     return a.t * b.t - np.vecdot(a.r, b.r)
@@ -161,18 +138,23 @@ def minkowski_dot(a: FourVector, b: FourVector) -> float:
 
 @dataclass(frozen=True, eq=False)
 class MomentumState:
-    """Mass, momentum, and unit system of a free particle; m >= 0.
+    """Mass, momentum, speed of light and reduced Planck constant of a free particle.
 
-    ``m`` is stored as numpy float64, like the constants.  ``p`` of shape
-    ``(N, 3)`` stacks N momenta of one mass and unit system; ``p_abs``,
-    ``R`` and ``energy`` then return ``(N,)`` arrays.
+    m >= 0 and c, hbar > 0, each stored as numpy float64: their powers and
+    products overflow to inf, which an emit then reports as a non-finite
+    output, instead of raising ``OverflowError`` as Python's ``float ** 2``
+    does.  ``p`` of shape ``(N, 3)`` stacks N momenta of one mass and unit
+    system; ``p_abs``, ``R`` and ``energy`` then return ``(N,)`` arrays.
     """
 
     m: float
     p: np.ndarray
-    constants: PhysicalConstants = NATURAL_UNITS
+    c: float = 1.0
+    hbar: float = 1.0
 
     def __post_init__(self):
+        if not (self.c > 0 and self.hbar > 0):
+            raise ValueError("physical constants must be strictly positive")
         p = np.array(self.p, dtype=float)
         if p.shape[-1:] != (3,):
             raise ValueError("momentum must be a 3-vector")
@@ -181,14 +163,8 @@ class MomentumState:
         p.setflags(write=False)
         object.__setattr__(self, "m", np.float64(self.m))
         object.__setattr__(self, "p", p)
-
-    @property
-    def c(self) -> float:
-        return self.constants.c
-
-    @property
-    def hbar(self) -> float:
-        return self.constants.hbar
+        object.__setattr__(self, "c", np.float64(self.c))
+        object.__setattr__(self, "hbar", np.float64(self.hbar))
 
     @cached_property
     def p_abs(self) -> float:
@@ -196,7 +172,8 @@ class MomentumState:
 
     @property
     def rest_energy(self) -> float:
-        return self.m * self.c**2
+        """m c^2, formed as (m c) c: c^2 alone goes subnormal for c below about 1.5e-154."""
+        return (self.m * self.c) * self.c
 
     @cached_property
     def R(self) -> float:
@@ -238,7 +215,7 @@ def from_eta(m: float, c: float, eta: float, dir: PolarAngles) -> MomentumState:
     if m <= 0:
         raise MasslessState("eta parametrization requires m > 0")
     p_abs = 2.0 * m * c * eta / (1.0 - np.square(eta))
-    return MomentumState(m, p_abs[..., None] * direction(dir), PhysicalConstants(c))
+    return MomentumState(m, p_abs[..., None] * direction(dir), c)
 
 
 def to_eta(state: MomentumState) -> float:

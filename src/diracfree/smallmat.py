@@ -58,12 +58,6 @@ def power_of_two_scale(x, ndim: int = 2) -> np.ndarray:
     return np.ldexp(1.0, np.frexp(max_abs_each(x, ndim))[1])
 
 
-def mat_mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    if x.shape != y.shape:
-        raise ValueError(f"dimension mismatch: {x.shape} vs {y.shape}")
-    return x @ y
-
-
 def dagger(m: np.ndarray) -> np.ndarray:
     """Conjugate transpose of a matrix or of each matrix in a stack."""
     return np.conjugate(np.asarray(m)).swapaxes(-1, -2)

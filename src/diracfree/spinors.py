@@ -201,7 +201,7 @@ def helicity_bispinor(lam: Helicity, branch: EnergyBranch, angles: PolarAngles,
 
 def _mirrored(state: MomentumState) -> MomentumState:
     """The state with momentum -p, same mass and units."""
-    return MomentumState(state.m, -state.p, state.constants)
+    return MomentumState(state.m, -state.p, state.c, state.hbar)
 
 
 def negative_energy_eigenvector(chi: np.ndarray, state: MomentumState,

@@ -5,11 +5,12 @@ check that reports one residual.  A registry row has the shape
 ``(id, suite, description, domain, residual)``:
 
 * the *domain* maps a ``GridSpec`` to the points the check samples, each
-  one batch with a leading stack axis:
+  one batch with a leading stack axis.  Every state a domain sweeps comes
+  from ``GridSpec.states(eta, angles)``, the one place that builds one:
 
   - ``_angles``: the whole angle list;
   - ``_states``: all states, one batch per eta;
-  - ``_sampled``: the strided states of ``GridSpec.sample_states``;
+  - ``_sampled``: the strided states at ``GridSpec.sample_points``;
   - ``_points(partner)``: the strided ``(eta, angles, state)`` of
     ``GridSpec.sample_points``, optionally with a rotated partner direction;
   - ``_draws(n, draw)``: ``n`` seeded random draws, each entry uniform on
@@ -18,7 +19,7 @@ check that reports one residual.  A registry row has the shape
   - ``_with_spinor(domain)``: one seeded random unit two-spinor per state,
     its four parts uniform on [-1, 1) and then normalized;
   - ``_axis_states``, ``_rest_angles``, ``_dual_points``: the z-axis states,
-    the rest state with every direction, and the eta x p x n grid;
+    the rest state (eta 0) with every direction, and the eta x p x n grid;
   - ``_once``: a single evaluation of constant tables;
 
 * the *residual* maps one batch to the two sides of the identity: it
@@ -107,6 +108,7 @@ class GridSpec:
     Every eta lies in [0, 1), and the largest energy R of the grid stays
     finite at the fourth power, the degree of ``eig-det`` in R.  (m c^2)^2 and
     (m c)^2, the scales of E (E + m c^2) and m (R + m c^2), stay normal floats.
+    ``states`` builds every state of the grid that a check sweeps.
     """
 
     eta_values: tuple[float, ...] = (0.1, 0.3, 0.5, 0.7, 0.9)
@@ -127,7 +129,7 @@ class GridSpec:
                 raise ValueError(f"{name} must be positive and finite, got {value}")
         top = np.max(ki.check_eta(self.eta_values))
         with np.errstate(over="ignore", invalid="ignore"):  # an out-of-range scale is rejected below
-            state = ki.from_eta(self.mass, self.c, top, PolarAngles(0.0))
+            state = self.states(top, PolarAngles(0.0))
             if not np.isfinite(state.R**4):
                 raise ValueError(
                     f"energy scale out of range: R = {state.R:.3g} at eta {top:g}, and eig-det "
@@ -159,12 +161,9 @@ class GridSpec:
         """The whole angle list as one stacked ``PolarAngles``, same order."""
         return self.angle(np.arange(self.theta_count * self.phi_count))
 
-    def states(self) -> list[MomentumState]:
-        return [
-            ki.from_eta(self.mass, self.c, eta, ang)
-            for eta in self.eta_values
-            for ang in self.angle_list()
-        ]
+    def states(self, eta, angles: PolarAngles) -> MomentumState:
+        """``from_eta`` at the grid's mass and c, ``eta`` broadcast against ``angles``."""
+        return ki.from_eta(self.mass, self.c, eta, angles)
 
     def sample_points(self) -> tuple[np.ndarray, PolarAngles]:
         """Strided (eta, angles) subset for the more expensive sweeps, stacked.
@@ -180,9 +179,8 @@ class GridSpec:
         return eta, self.angle(((offsets + shifts) % count).ravel())
 
     def sample_states(self) -> MomentumState:
-        """The states of ``sample_points``, as one stacked state."""
-        eta, angles = self.sample_points()
-        return ki.from_eta(self.mass, self.c, eta, angles)
+        """The states of ``sample_points``, as one stacked state; no domain calls it."""
+        return self.states(*self.sample_points())
 
     def describe(self) -> dict:
         return {
@@ -275,12 +273,12 @@ def _angles(grid: GridSpec):
 def _states(grid: GridSpec):
     """All states, one stacked point per eta."""
     angles = grid.angle_stack()
-    return ((ki.from_eta(grid.mass, grid.c, eta, angles),) for eta in grid.eta_values)
+    return ((grid.states(eta, angles),) for eta in grid.eta_values)
 
 
 def _sampled(grid: GridSpec):
-    """The strided states of ``grid.sample_states``, as one stacked point."""
-    return ((grid.sample_states(),),)
+    """The strided states of ``grid.sample_points``, as one stacked point."""
+    return ((grid.states(*grid.sample_points()),),)
 
 
 def _points(partner: tuple[int, int] | None = None) -> _Domain:
@@ -292,7 +290,7 @@ def _points(partner: tuple[int, int] | None = None) -> _Domain:
 
     def domain(grid: GridSpec):
         eta, angles = grid.sample_points()
-        point = (eta, angles, grid.sample_states())
+        point = (eta, angles, grid.states(eta, angles))
         if partner is not None:
             k, j = partner
             index = (k * np.arange(len(eta)) + j) % (grid.theta_count * grid.phi_count)
@@ -330,13 +328,12 @@ def _with_spinor(domain: _Domain) -> _Domain:
 
 def _axis_states(grid: GridSpec):
     """One state per eta with the momentum along the z axis, as one stacked point."""
-    return ((ki.from_eta(grid.mass, grid.c, grid.eta_values, PolarAngles(0.0, 0.0)),),)
+    return ((grid.states(grid.eta_values, PolarAngles(0.0, 0.0)),),)
 
 
 def _rest_angles(grid: GridSpec):
     """The rest state paired with the whole angle list, as one stacked point."""
-    rest = MomentumState(grid.mass, np.zeros(3), ki.PhysicalConstants(c=grid.c))
-    return ((rest, grid.angle_stack()),)
+    return ((grid.states(0.0, PolarAngles(0.0)), grid.angle_stack()),)
 
 
 def _dual_points(grid: GridSpec):
@@ -344,11 +341,11 @@ def _dual_points(grid: GridSpec):
 
     One stacked point per eta: every (p theta, n theta) pair, p-major.
     """
-    thetas, _ = grid._axes
+    thetas = grid.angle(grid.phi_count * np.arange(grid.theta_count)).theta
     p_angles = PolarAngles(np.repeat(thetas, len(thetas)), 1.0)
     n_angles = PolarAngles(np.tile(thetas, len(thetas)), 2.5)
     for eta in grid.eta_values:
-        yield ki.from_eta(grid.mass, grid.c, eta, p_angles), n_angles
+        yield grid.states(eta, p_angles), n_angles
 
 
 # --------------------------------------------------------------------------
@@ -705,7 +702,7 @@ def _boost_draws(rng, grid, n):
     u = _uniforms(rng, (n, 7))
     angles = PolarAngles(math.pi * u[:, 1], 2.0 * math.pi * u[:, 2])
     spinors = _unit_spinors(2.0 * u[:, 3:].reshape(n, 2, 2) - 1.0)
-    return ki.from_eta(grid.mass, grid.c, 0.95 * u[:, 0], angles), spinors
+    return grid.states(0.95 * u[:, 0], angles), spinors
 
 
 def _boost_direct(state, phi):
@@ -775,7 +772,7 @@ def _nonrel_limit():
     rest = np.diag([1.0, 1.0, -1.0, -1.0])
     previous = math.inf
     for c in (10.0, 100.0, 1000.0):
-        state = MomentumState(1.0, np.array([0.0, 0.0, 1.0]), ki.PhysicalConstants(c=c))
+        state = MomentumState(1.0, np.array([0.0, 0.0, 1.0]), c)
         deficit = sm.residual(sp.spin_basis_matrix(state), rest)
         yield max(0.0, deficit - 3.0 / c), 0.0
         if deficit >= previous:

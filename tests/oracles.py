@@ -1,8 +1,7 @@
 """Independent brute-force oracles used to freeze expected values.
 
-These deliberately avoid the library's own code paths: multiplication by
-triple loop, determinants by permutation expansion, rank by Gaussian
-elimination.
+These deliberately avoid the library's own code paths: determinants by
+permutation expansion, rank by Gaussian elimination.
 """
 
 from __future__ import annotations
@@ -10,18 +9,6 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
-
-
-def naive_matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    n = x.shape[0]
-    out = np.zeros((n, n), dtype=np.complex128)
-    for i in range(n):
-        for j in range(n):
-            acc = 0j
-            for k in range(n):
-                acc += x[i, k] * y[k, j]
-            out[i, j] = acc
-    return out
 
 
 def perm_parity(perm: tuple[int, ...]) -> int:

@@ -22,7 +22,6 @@ from diracfree import smallmat as sm
 from diracfree.kinematics import (
     EnergyBranch,
     MomentumState,
-    PhysicalConstants,
     PolarAngles,
     direction,
     from_eta,
@@ -46,7 +45,8 @@ def _report(num: int, description: str, passed: bool, detail: str = "") -> None:
 
 
 def _grid_states():
-    return GRID.states()
+    return [from_eta(GRID.mass, GRID.c, eta, ang)
+            for eta in GRID.eta_values for ang in GRID.angle_list()]
 
 
 def _sample_points():
@@ -308,7 +308,7 @@ def test_criterion_09_nonrelativistic_limit():
     deficits = []
     ok = True
     for c in (10.0, 100.0, 1000.0):
-        state = MomentumState(1.0, np.array([0.0, 0.0, 1.0]), PhysicalConstants(c=c))
+        state = MomentumState(1.0, np.array([0.0, 0.0, 1.0]), c)
         deficit = max_abs(sp.spin_basis_matrix(state) - rest)
         ok = ok and deficit < 3.0 / c
         deficits.append(deficit)

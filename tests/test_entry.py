@@ -59,6 +59,8 @@ def test_large_json_arrives_complete_through_a_pipe(child_env):
         ["spinor", "--eta", "0.3"],
         # about 5 KB: the one failed flush drops the buffer, so it must be reported then
         ["verify", "--suite", "algebra", "--format", "json", "--angles", "2x2"],
+        # about 19 KB, beyond the 8 KB buffer: the write inside print fails first
+        ["verify", "--format", "json"],
     ],
 )
 def test_failed_flush_exits_120_with_report(argv, child_env):

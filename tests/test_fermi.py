@@ -11,9 +11,7 @@ from oracles import perm_det, row_reduce_rank
 
 
 def moving_state(p=(0.3, -0.7, 1.1), m=1.0, c=1.0):
-    from diracfree.kinematics import PhysicalConstants
-
-    return MomentumState(m, np.array(p, dtype=float), PhysicalConstants(c=c))
+    return MomentumState(m, np.array(p, dtype=float), c)
 
 
 class TestOriginalBispinors:

@@ -32,11 +32,27 @@ class TestMomentumState:
             ki.MomentumState(-1.0, np.zeros(3))
 
     def test_dimensional_constants(self):
-        state = ki.MomentumState(
-            2.0, np.array([0.0, 0.0, 3.0]), ki.PhysicalConstants(c=10.0, hbar=0.5)
-        )
+        state = ki.MomentumState(2.0, np.array([0.0, 0.0, 3.0]), c=10.0, hbar=0.5)
         assert abs(state.R - math.hypot(30.0, 200.0)) <= 1e-12
         assert state.hbar == 0.5
+        assert (type(state.c), type(state.hbar)) == (np.float64, np.float64)
+
+    def test_constants_default_to_float64_one(self):
+        state = ki.MomentumState(1.0, np.zeros(3))
+        for value in (state.c, state.hbar):
+            assert type(value) is np.float64 and value == 1.0
+
+    @pytest.mark.parametrize("field", ["c", "hbar"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan])
+    def test_non_positive_constant_rejected(self, field, value):
+        with pytest.raises(ValueError, match="^physical constants must be strictly positive$"):
+            ki.MomentumState(1.0, np.zeros(3), **{field: value})
+
+    def test_rest_energy_forms_m_c_first(self):
+        # c^2 = 1e-320 is subnormal and keeps 3 digits; (m c) c keeps all of them
+        state = ki.MomentumState(1e300, np.zeros(3), c=1e-160)
+        assert state.rest_energy == (1e300 * 1e-160) * 1e-160
+        assert abs(state.rest_energy / 1e-20 - 1.0) <= 4e-16
 
 
 class TestEtaParametrization:
@@ -147,7 +163,7 @@ class TestFourVectors:
             assert abs(invariant - (state.m * state.c) ** 2) <= 1e-12
 
     def test_on_shell_with_c_not_one(self):
-        state = ki.MomentumState(0.5, np.array([3.0, 0.0, 4.0]), ki.PhysicalConstants(c=7.0))
+        state = ki.MomentumState(0.5, np.array([3.0, 0.0, 4.0]), c=7.0)
         p4 = state.momentum_four_vector()
         assert abs(ki.minkowski_dot(p4, p4) - (0.5 * 7.0) ** 2) <= 1e-10
 

@@ -9,7 +9,7 @@ from diracfree import smallmat as sm
 from diracfree.errors import NonCommutingBlocks, SingularA
 from diracfree.gamma import SIGMA1, SIGMA2, sigma_dot
 
-from oracles import naive_matmul, perm_det, row_reduce_rank
+from oracles import perm_det, row_reduce_rank
 
 RNG = np.random.default_rng(42)
 
@@ -23,24 +23,6 @@ def d9_matrix(m, c, p, e):
     sg = c * sigma_dot(p)
     eye = np.eye(2)
     return np.block([[(m * c**2 - e) * eye, sg], [sg, -(m * c**2 + e) * eye]])
-
-
-class TestMatMul:
-    def test_identity(self):
-        m = random_cmat()
-        assert sm.max_abs(sm.mat_mul(np.eye(4, dtype=complex), m) - m) == 0.0
-
-    def test_pauli_square(self):
-        assert sm.max_abs(sm.mat_mul(SIGMA1, SIGMA1) - np.eye(2)) == 0.0
-
-    def test_against_triple_loop_oracle(self):
-        for _ in range(20):
-            x, y = random_cmat(), random_cmat()
-            assert sm.max_abs(sm.mat_mul(x, y) - naive_matmul(x, y)) <= 1e-14
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            sm.mat_mul(random_cmat(2), random_cmat(4))
 
 
 class TestBlocks:

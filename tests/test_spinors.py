@@ -19,7 +19,6 @@ from diracfree.gamma import hamiltonian, helicity_operator, sigma_dot
 from diracfree.kinematics import (
     EnergyBranch,
     MomentumState,
-    PhysicalConstants,
     PolarAngles,
     angles_of,
     from_eta,
@@ -53,7 +52,7 @@ def dirac_deviation(u, state, branch):
     Each branch's Hamiltonian takes the momentum its plane wave carries; a
     stacked state and spinor give one deviation per element.
     """
-    moving = MomentumState(state.m, branch.sign * state.p, state.constants)
+    moving = MomentumState(state.m, branch.sign * state.p, state.c, state.hbar)
     return np.matvec(hamiltonian(moving), u) - (branch.sign * state.R)[..., None] * u
 
 
@@ -136,7 +135,7 @@ class TestSpinBasisMatrix:
         rest = np.diag([1.0, 1.0, -1.0, -1.0])
         deficits = []
         for c in (10.0, 100.0, 1000.0):
-            state = MomentumState(1.0, np.array([0.0, 0.0, 1.0]), PhysicalConstants(c=c))
+            state = MomentumState(1.0, np.array([0.0, 0.0, 1.0]), c)
             deficit = max_abs(sp.spin_basis_matrix(state) - rest)
             assert deficit <= 3.0 / c
             deficits.append(deficit)
@@ -208,7 +207,7 @@ class TestBispinorBlock:
 
     def test_negative_forms_related_by_momentum_flip(self):
         state = random_state()
-        flipped = MomentumState(state.m, -state.p, state.constants)
+        flipped = MomentumState(state.m, -state.p, state.c, state.hbar)
         chi = random_unit_spinor()
         direct = sp.negative_energy_eigenvector(chi, state, sp.Normalization.UNIT)
         mirrored = sp.bispinor_block(chi, flipped, NEG, sp.Normalization.UNIT)
@@ -430,9 +429,7 @@ class TestPlaneWave:
             assert max_abs(dirac_deviation(u, state, branch)) <= 1e-13
 
     def test_hbar_in_phase(self):
-        state = MomentumState(
-            1.0, np.array([0.0, 0.0, 2.0]), PhysicalConstants(c=1.0, hbar=2.0)
-        )
+        state = MomentumState(1.0, np.array([0.0, 0.0, 2.0]), c=1.0, hbar=2.0)
         u = np.array([1.0, 0, 0, 0])
         w = sp.plane_wave(u, state, POS, np.array([0.0, 0.0, 1.0]), 0.0)
         assert abs(w[0] - np.exp(1j * 2.0 * 1.0 / 2.0)) <= 1e-15

@@ -68,11 +68,11 @@ seeds = st.integers(0, 2**32 - 1)
 
 def _state(m, c, rows, spread):
     """A stacked state with momenta up to ``spread`` m c per component."""
-    return MomentumState(m, spread * m * c * rows, ki.PhysicalConstants(c=c))
+    return MomentumState(m, spread * m * c * rows, c)
 
 
 def _unstacked(state):
-    return [MomentumState(state.m, p, state.constants) for p in state.p]
+    return [MomentumState(state.m, p, state.c, state.hbar) for p in state.p]
 
 
 def _unit_rows(rows):
@@ -470,11 +470,12 @@ def _old_angles(grid):
 
 
 def _old_states(grid):
-    return [(state,) for state in grid.states()]
+    return [(ki.from_eta(grid.mass, grid.c, eta, ang),)
+            for eta in grid.eta_values for ang in grid.angle_list()]
 
 
 def _old_rest_angles(grid):
-    rest = MomentumState(grid.mass, np.zeros(3), ki.PhysicalConstants(c=grid.c))
+    rest = MomentumState(grid.mass, np.zeros(3), grid.c)
     return [(rest, ang) for ang in grid.angle_list()]
 
 
@@ -628,7 +629,7 @@ def _unstack_point(point):
         if isinstance(item, MomentumState):
             if item.p.ndim == 1:
                 return item
-            return MomentumState(item.m, item.p[k], item.constants)
+            return MomentumState(item.m, item.p[k], item.c, item.hbar)
         if isinstance(item, sm.Block2x2):
             return sm.Block2x2(item.a[k], item.b[k], item.c[k], item.d[k])
         return item[k]
@@ -642,7 +643,7 @@ def _same_point(a, b):
         if isinstance(x, PolarAngles):
             assert (x.theta, x.phi) == (y.theta, y.phi)
         elif isinstance(x, MomentumState):
-            assert (x.m, x.constants) == (y.m, y.constants)
+            assert (x.m, x.c, x.hbar) == (y.m, y.c, y.hbar)
             assert np.array_equal(x.p, y.p)
         elif isinstance(x, sm.Block2x2):
             for name in "abcd":
@@ -696,6 +697,57 @@ def test_stacked_domain_samples_old_points(grid, stacked, old):
     assert len(unstacked) == len(old_points)
     for a, b in zip(unstacked, old_points):
         _same_point(a, b)
+
+
+# --------------------------------------------------------------------------
+# GridSpec.states, the one builder of the states the checks sweep
+
+def test_grid_states_broadcast_like_from_eta():
+    grid = verify.GridSpec(theta_count=3, phi_count=4, mass=3.0, c=0.5)
+    angles = grid.angle_stack()
+    cases = [
+        (0.5, angles, (12, 3)),
+        (np.linspace(0.0, 0.9, 12), angles, (12, 3)),
+        (grid.eta_values, PolarAngles(0.3, 1.0), (5, 3)),
+        (0.7, PolarAngles(0.3, 1.0), (3,)),
+    ]
+    for eta, ang, shape in cases:
+        got, want = grid.states(eta, ang), ki.from_eta(grid.mass, grid.c, eta, ang)
+        assert got.p.shape == shape
+        assert got.p.tobytes() == want.p.tobytes()
+        assert (got.m, got.c, got.hbar) == (want.m, want.c, want.hbar)
+
+
+def test_grid_rest_state_has_zero_momentum_bits():
+    rest = verify.GridSpec(mass=3.0, c=0.5).states(0.0, PolarAngles(0.0))
+    assert rest.p.tobytes() == np.zeros(3).tobytes()  # +0.0 in every slot
+
+
+def test_every_swept_state_comes_from_grid_states(monkeypatch):
+    inside, calls = [], []
+    states, from_eta = verify.GridSpec.states, ki.from_eta
+
+    def guarded_states(self, *args):
+        inside.append(True)
+        try:
+            return states(self, *args)
+        finally:
+            inside.pop()
+
+    def guarded_from_eta(*args):
+        assert inside, "from_eta called outside GridSpec.states"
+        calls.append(args)
+        return from_eta(*args)
+
+    def no_sample_states(self):
+        # a span around it would enclose the one around states
+        raise AssertionError("the engine calls sample_states")
+
+    monkeypatch.setattr(verify.GridSpec, "states", guarded_states)
+    monkeypatch.setattr(verify.GridSpec, "sample_states", no_sample_states)
+    monkeypatch.setattr(ki, "from_eta", guarded_from_eta)
+    report = verify.run_suite("all", verify.GridSpec(eta_values=(0.2, 0.8), theta_count=2, phi_count=3))
+    assert report.all_passed and calls
 
 
 # --------------------------------------------------------------------------

@@ -134,6 +134,13 @@ class TestRunSuite:
         with pytest.raises(ValueError, match=f"energy scale out of range: {re.escape(named)} "):
             verify.GridSpec(**scales)
 
+    def test_tiny_c_keeps_the_rest_energy_digits(self):
+        # c^2 is subnormal below c = 1.5e-154, so m c^2 keeps its digits only as (m c) c
+        report = verify.run_suite("all", verify.GridSpec(theta_count=2, phi_count=2, mass=1e300, c=1e-160))
+        checks = {c.id: c for c in report.checks}
+        for check_id in ("eta-round-trip", "eta-rapidity", "boost-direct"):
+            assert checks[check_id].passed, (check_id, checks[check_id].residual)
+
     def test_checks_sorted_by_id(self):
         report = verify.run_suite("density", SMALL_GRID)
         ids = [c.id for c in report.checks]
@@ -322,6 +329,16 @@ class TestCli:
     def test_volume_without_box_norm_exit_two(self, norm_args):
         code, out, err = self.run("spinor", "--eta", "0.5", *norm_args, "--volume", "2")
         assert (code, out, err) == (2, "", "error: --volume applies only to --norm box\n")
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize(
+        "argv",
+        [("spinor", "--p", "0,0,1", "--theta", "1.0"), ("density", "--p", "0,0,1", "--phi", "2"),
+         ("boost", "--theta", "2"), ("spinor", "--theta", "0", "--phi", "0")],
+    )
+    def test_angles_without_eta_exit_two(self, argv, fmt):
+        code, out, err = self.run(*argv, "--format", fmt)
+        assert (code, out, err) == (2, "", "error: --theta and --phi apply only with --eta\n")
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_box_norm_without_volume_exit_two(self, fmt):

@@ -120,10 +120,12 @@ def relate_spin_expectations(state: MomentumState, s_nonrel: np.ndarray) -> np.n
 
     (m c^2 / E) <s> + c^2 p (p . <s>) / (E (E + m c^2)) with E = +R:
     the component along p is unchanged, transverse components shrink by
-    m c^2 / E.
+    m c^2 / E.  The longitudinal term is formed as (c p)(c p . <s>), never
+    through c^2, which is subnormal for c below about 1.5e-154.
     """
     s_nonrel = np.asarray(s_nonrel, dtype=float)
     e = state.R
     mc2 = state.rest_energy
-    longitudinal = state.c**2 * state.p * np.vecdot(state.p, s_nonrel)[..., None]
+    cp = state.c * state.p
+    longitudinal = cp * np.vecdot(cp, s_nonrel)[..., None]
     return (mc2 / e)[..., None] * s_nonrel + longitudinal / (e * (e + mc2))[..., None]

@@ -60,6 +60,10 @@ well as normal ones.
 The registry is the machine-checkable contract of the package:
 ``run_suite`` executes a suite (or all of them) and returns a
 ``VerificationReport`` whose pass/fail verdict feeds the CLI exit code.
+Each entry reads only the grid and its own seeded generator, so the
+entries are independent: with a second CPU, ``run_suite`` evaluates them
+in this process and one forked worker, which claim them one at a time,
+and the report and any error are those of evaluating them in order here.
 
 Three checks are *documented deviations*: places where a printed source
 formula disagrees with the mathematics that every other identity pins
@@ -71,6 +75,8 @@ never counted as failures.
 from __future__ import annotations
 
 import math
+import os
+import pickle
 import random
 from dataclasses import dataclass, field
 from functools import cached_property, partial
@@ -1293,28 +1299,113 @@ def registry_ids(suite: str | None = None) -> list[str]:
     return sorted(e.id for e in REGISTRY if suite is None or e.suite == suite)
 
 
+def _claim(grid: GridSpec, claims: int) -> dict[int, float | Exception]:
+    """Evaluate the registry entries claimed from the pipe ``claims``, one index byte per read.
+
+    Claims until the pipe is empty or an entry raises; the exception is that
+    entry's outcome, and nothing is claimed after it.
+    """
+    outcomes: dict[int, float | Exception] = {}
+    while claim := os.read(claims, 1):
+        index = claim[0]
+        try:
+            outcomes[index] = float(REGISTRY[index].fn(grid))
+        except Exception as exc:  # the lowest failing index is raised once all outcomes are in
+            outcomes[index] = exc
+            break
+    return outcomes
+
+
+def _claim_with_worker(grid: GridSpec, claims: int) -> dict[int, float | Exception]:
+    """``_claim`` in this process and in one forked worker, merged.
+
+    The worker sends its outcomes back pickled and ends with ``os._exit``:
+    it writes no output and runs no exit handler.  A worker that ends
+    without sending all of them raises ``RuntimeError``; if this process
+    fails first, the worker is killed.  Either way it is reaped here.
+    """
+    results, sink = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            with open(sink, "wb") as out:
+                pickle.dump(_claim(grid, claims), out)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(sink)
+    try:
+        outcomes = _claim(grid, claims)
+        with open(results, "rb", closefd=False) as stream:
+            sent = stream.read()
+        _, status = os.waitpid(pid, 0)
+        pid = 0
+        if status != 0:
+            raise RuntimeError(f"the verify worker ended with wait status {status} before it sent its results")
+        return outcomes | pickle.loads(sent)
+    finally:
+        os.close(results)
+        if pid:  # this process failed before it reaped the worker
+            import signal  # only this path needs it, so a verify run does not import it
+
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _evaluate(grid: GridSpec, indices: list[int]) -> dict[int, float]:
+    """The residual of each registry entry in ``indices``, keyed by index.
+
+    The indices go into a pipe as one byte each (the registry has fewer than
+    256 entries), and each process claims the next one with a 1-byte read,
+    which is atomic, so every entry runs exactly once.  With at least two
+    CPUs in this process's affinity a forked worker claims alongside; else
+    this process claims them all.  Each process stops at its first exception,
+    and the one of the lowest failing index is raised: every lower index was
+    claimed before it and evaluated, so that is the exception the registry
+    order meets first, whichever process claimed what.
+    """
+    payload = bytes(indices)
+    claims, feed = os.pipe()
+    os.write(feed, payload)  # fewer bytes than the pipe buffer: never blocks
+    os.close(feed)
+    try:
+        if hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2:
+            outcomes = _claim_with_worker(grid, claims)
+        else:
+            outcomes = _claim(grid, claims)
+    finally:
+        os.close(claims)
+    failed = [i for i, outcome in outcomes.items() if isinstance(outcome, Exception)]
+    if failed:
+        raise outcomes[min(failed)]
+    return outcomes
+
+
 def run_suite(suite: str = "all", grid: GridSpec | None = None,
               tol: float = DEFAULT_TOL) -> VerificationReport:
-    """Run one suite (or all) over the grid; a check passes when its residual is at most ``tol``."""
+    """Run one suite (or all) over the grid; a check passes when its residual is at most ``tol``.
+
+    The checks run in this process and, with a second CPU, in one forked
+    worker (see ``_evaluate``); the report does not depend on which ran where.
+    """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tolerance must be positive and finite, got {tol}")
     if suite != "all" and suite not in SUITES:
         raise UnknownSuite(f"unknown suite {suite!r}; expected one of {('all',) + SUITES}")
     grid = grid or GridSpec()
-    checks: list[IdentityCheck] = []
-    for entry in REGISTRY:
-        if suite != "all" and entry.suite != suite:
-            continue
-        residual = float(entry.fn(grid))
-        checks.append(
-            IdentityCheck(
-                id=entry.id,
-                description=entry.description,
-                residual=residual,
-                passed=residual <= tol,
-                deviation_note=entry.deviation_note,
-            )
+    selected = [(i, entry) for i, entry in enumerate(REGISTRY) if suite in ("all", entry.suite)]
+    residuals = _evaluate(grid, [i for i, _ in selected])
+    checks = [
+        IdentityCheck(
+            id=entry.id,
+            description=entry.description,
+            residual=residuals[i],
+            passed=residuals[i] <= tol,
+            deviation_note=entry.deviation_note,
         )
+        for i, entry in selected
+    ]
     checks.sort(key=lambda c: c.id)
     deviations = [c for c in checks if c.deviation_note is not None]
     return VerificationReport(

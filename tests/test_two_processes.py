@@ -1,0 +1,168 @@
+"""``run_suite`` splits the registry between this process and a forked worker.
+
+The split must not change a residual, an error or the exit code, and no
+worker may outlive ``run_suite``.  Each test fixes the CPU count it needs by
+patching ``os.sched_getaffinity``, so it runs the same on any host.
+"""
+
+import os
+import signal
+import time
+
+import pytest
+
+from diracfree import verify
+from diracfree.cli import main
+from diracfree.errors import ZeroMomentum
+
+ONE_CPU, TWO_CPUS = {0}, {0, 1}
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _cpus(monkeypatch, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+
+
+def _bits(report):
+    return [(c.id, c.residual.hex(), c.passed) for c in report.checks]
+
+
+def _registry(monkeypatch, fn, n):
+    entry = verify.REGISTRY[0]
+    monkeypatch.setattr(verify, "REGISTRY", tuple(
+        verify.RegistryEntry(f"{entry.id}-{i}", entry.suite, entry.description, fn) for i in range(n)
+    ))
+
+
+def test_registry_order_does_not_change_a_residual(monkeypatch):
+    _cpus(monkeypatch, ONE_CPU)
+    grid = verify.GridSpec()
+    indices = list(range(len(verify.REGISTRY)))
+    forward = verify._evaluate(grid, indices)
+    backward = verify._evaluate(grid, indices[::-1])
+    assert [forward[i].hex() for i in indices] == [backward[i].hex() for i in indices]
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [verify.GridSpec(), verify.GridSpec(theta_count=32, phi_count=32),
+     verify.GridSpec(theta_count=5, phi_count=7, mass=3.0, c=0.5)],
+    ids=["default", "32x32", "m3-c0.5-5x7"],
+)
+def test_worker_gives_the_one_process_report(monkeypatch, grid):
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    _cpus(monkeypatch, TWO_CPUS)
+    shared = verify.run_suite("all", grid)
+    assert forks == [1]
+    _cpus(monkeypatch, ONE_CPU)
+    alone = verify.run_suite("all", grid)
+    assert forks == [1]
+    assert shared == alone
+    assert _bits(shared) == _bits(alone)
+
+
+def test_every_entry_runs_exactly_once_across_both_processes(monkeypatch):
+    _cpus(monkeypatch, TWO_CPUS)
+    log, sink = os.pipe()
+
+    def fn(grid):
+        time.sleep(0.005)
+        os.write(sink, b"x")  # one byte per evaluation, from either process
+        return float(os.getpid())
+
+    _registry(monkeypatch, fn, 82)
+    try:
+        residuals = verify._evaluate(verify.GridSpec(), list(range(82)))
+        os.close(sink)
+        evaluations = os.read(log, 1000)
+    finally:
+        os.close(log)
+    assert sorted(residuals) == list(range(82))
+    assert evaluations == b"x" * 82
+    assert len(set(residuals.values())) == 2  # both processes claimed entries
+
+
+def _raise_in_worker(parent):
+    def fn(grid):
+        if os.getpid() == parent:
+            time.sleep(0.05)  # leaves the worker time to claim an entry
+            return 0.0
+        raise ZeroMomentum("helicity is undefined at rest")
+
+    return fn
+
+
+def test_worker_error_is_the_one_process_error(monkeypatch):
+    def always(grid):
+        raise ZeroMomentum("helicity is undefined at rest")
+
+    _cpus(monkeypatch, ONE_CPU)
+    _registry(monkeypatch, always, 4)
+    with pytest.raises(ZeroMomentum) as alone:
+        verify.run_suite("all")
+    _cpus(monkeypatch, TWO_CPUS)
+    _registry(monkeypatch, _raise_in_worker(os.getpid()), 8)
+    with pytest.raises(ZeroMomentum) as shared:
+        verify.run_suite("all")
+    assert type(shared.value) is type(alone.value)
+    assert str(shared.value) == str(alone.value)
+
+
+def test_killed_worker_raises_runtime_error(monkeypatch):
+    parent = os.getpid()
+
+    def fn(grid):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        time.sleep(0.05)
+        return 0.0
+
+    _cpus(monkeypatch, TWO_CPUS)
+    _registry(monkeypatch, fn, 8)
+    with pytest.raises(RuntimeError, match=f"wait status {signal.SIGKILL} "):
+        verify.run_suite("all")
+
+
+class _Interrupt(BaseException):
+    pass
+
+
+def test_failing_parent_kills_the_worker(monkeypatch):
+    parent = os.getpid()
+
+    def fn(grid):
+        if os.getpid() == parent:
+            time.sleep(0.05)
+            raise _Interrupt
+        time.sleep(30.0)  # only a kill ends the worker before the test times out
+        return 0.0
+
+    _cpus(monkeypatch, TWO_CPUS)
+    _registry(monkeypatch, fn, 4)
+    start = time.monotonic()
+    with pytest.raises(_Interrupt):
+        verify.run_suite("all")
+    assert time.monotonic() - start < 10.0
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [(["verify", "--angles", "3x3"], 0), (["verify", "--angles", "3x3", "--tol", "1e-30"], 1),
+     (["verify", "--eta", "0,0.5", "--angles", "3x3"], 2)],
+    ids=["pass", "fail", "error"],
+)
+def test_cli_output_and_exit_code_do_not_depend_on_the_worker(monkeypatch, capfd, argv, code):
+    _cpus(monkeypatch, ONE_CPU)
+    assert main(argv) == code
+    alone = capfd.readouterr()
+    _cpus(monkeypatch, TWO_CPUS)
+    assert main(argv) == code
+    assert capfd.readouterr() == alone

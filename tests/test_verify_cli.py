@@ -135,10 +135,11 @@ class TestRunSuite:
             verify.GridSpec(**scales)
 
     def test_tiny_c_keeps_the_rest_energy_digits(self):
-        # c^2 is subnormal below c = 1.5e-154, so m c^2 keeps its digits only as (m c) c
+        # c^2 is subnormal below c = 1.5e-154, so m c^2 keeps its digits only as (m c) c,
+        # and the longitudinal spin term only as (c p)(c p . s)
         report = verify.run_suite("all", verify.GridSpec(theta_count=2, phi_count=2, mass=1e300, c=1e-160))
         checks = {c.id: c for c in report.checks}
-        for check_id in ("eta-round-trip", "eta-rapidity", "boost-direct"):
+        for check_id in ("eta-round-trip", "eta-rapidity", "boost-direct", "spin-relation"):
             assert checks[check_id].passed, (check_id, checks[check_id].residual)
 
     def test_checks_sorted_by_id(self):

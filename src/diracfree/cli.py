@@ -15,12 +15,16 @@ Exit codes: 0 success, 1 verification failure, 2 usage or precondition
 error.  :func:`main` returns the exit code (argparse usage errors and
 ``--version`` raise ``SystemExit`` as usual); :func:`run`, the console entry
 point, ends the process with that code right after flushing the output.
-Numeric flags must be finite, and an emit whose output is not finite
-fails with exit 2 in either format.  The environment variable
-``DIRACFREE_TOL`` overrides the default tolerance of ``verify``, which
-must be positive and finite.  JSON output is deterministic byte for byte:
-keys keep insertion order, floats are printed with 17 significant digits,
-complex numbers as [re, im] pairs, matrices as row-major nested arrays.
+Numeric flags must be finite, each entry of ``--p``, ``--n`` and
+``--spinor`` included, ``--theta`` must lie in [0, pi], and an emit whose
+output is not finite fails with exit 2 in either format.  The library
+makes every decision: ``verify`` gives ``GridSpec`` only the grid flags
+the user gave, and ``run_suite`` rejects an unknown ``--suite`` (naming
+the suites) and a ``--tol`` that is not positive and finite.  JSON output
+is deterministic byte for byte on one CPU dispatch target and BLAS kernel
+(either can move a residual's last digits): keys keep insertion order,
+floats are printed with 17 significant digits, complex numbers as [re, im]
+pairs, matrices as row-major nested arrays.
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ from .kinematics import (
     PolarAngles,
     angles_of,
     from_eta,
+    mirrored,
     momentum_axis,
     rapidity,
     scaled_norm,
@@ -137,15 +142,11 @@ def _finite_floats(text: str) -> list[float]:
     return [_finite_float(p) for p in text.split(",")]
 
 
-def _parse_vec3(text: str, number=float) -> np.ndarray:
+def _finite_vec3(text: str) -> np.ndarray:
     parts = text.split(",")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError("expected three comma-separated numbers")
-    return np.array([number(p) for p in parts])
-
-
-def _finite_vec3(text: str) -> np.ndarray:
-    return _parse_vec3(text, _finite_float)
+    return np.array([_finite_float(p) for p in parts])
 
 
 def _parse_eta_list(text: str) -> tuple[float, ...]:
@@ -161,10 +162,11 @@ def _parse_eta_list(text: str) -> tuple[float, ...]:
     return tuple(_finite_float(p) for p in parts)
 
 
-def _parse_angles(text: str) -> tuple[int, int]:
+def _parse_angles(text: str) -> dict[str, int]:
+    """argparse type of ``verify --angles NxM``: the grid's theta and phi counts."""
     try:
         n, m = text.lower().split("x")
-        return int(n), int(m)
+        return {"theta_count": int(n), "phi_count": int(m)}
     except ValueError as exc:
         raise argparse.ArgumentTypeError("expected NxM, e.g. 8x8") from exc
 
@@ -173,10 +175,16 @@ def _add_kinematics_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--m", type=_finite_float, default=1.0, help="rest mass (default 1)")
     parser.add_argument("--c", type=_finite_float, default=1.0, help="speed of light (default 1)")
     group = parser.add_mutually_exclusive_group()
-    group.add_argument("--p", type=_finite_vec3, metavar="X,Y,Z", help="momentum vector")
+    group.add_argument("--p", type=_finite_vec3, default="0,0,0", metavar="X,Y,Z",
+                       help="momentum vector (default %(default)s)")
     group.add_argument("--eta", type=float, help="speed parameter in [0, 1)")
     parser.add_argument("--theta", type=_finite_float, help="polar angle (with --eta; default 0)")
     parser.add_argument("--phi", type=_finite_float, help="azimuth (with --eta; default 0)")
+
+
+def _add_helicity_args(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--branch", choices=tuple(_BRANCHES), default="pos")
+    parser.add_argument("--lambda", dest="lam", choices=tuple(_HELICITIES), default="+1/2")
 
 
 def _state_from_args(args) -> MomentumState:
@@ -185,8 +193,7 @@ def _state_from_args(args) -> MomentumState:
         return from_eta(args.m, args.c, args.eta, angles)
     if (args.theta, args.phi) != (None, None):
         raise DiracFreeError("--theta and --phi apply only with --eta")
-    p = args.p if args.p is not None else np.zeros(3)
-    return MomentumState(args.m, p, args.c)
+    return MomentumState(args.m, args.p, args.c)
 
 
 def _state_inputs(args, state: MomentumState) -> dict:
@@ -197,33 +204,15 @@ def _state_inputs(args, state: MomentumState) -> dict:
     }
 
 
-def _tolerance(args) -> float:
-    """``--tol``, else ``DIRACFREE_TOL``, else the default; ``run_suite`` checks its range."""
-    if args.tol is not None:
-        return args.tol
-    text = os.environ.get("DIRACFREE_TOL")
-    if text is None:
-        return DEFAULT_TOL
-    try:
-        return float(text)
-    except ValueError:
-        raise DiracFreeError(f"DIRACFREE_TOL must be a number, got {text!r}") from None
-
-
 # --------------------------------------------------------------------------
 # subcommands
 
 def _cmd_verify(args) -> int:
     from .verify import GridSpec, run_suite  # the engine loads only for verify
 
-    grid = GridSpec(
-        eta_values=args.eta_grid,
-        theta_count=args.angles[0],
-        phi_count=args.angles[1],
-        mass=args.m,
-        c=args.c,
-    )
-    report = run_suite(args.suite, grid, _tolerance(args))
+    given = {"eta_values": args.eta_values, "mass": args.m, "c": args.c, **(args.angles or {})}
+    grid = GridSpec(**{key: value for key, value in given.items() if value is not None})
+    report = run_suite(args.suite, grid, args.tol)
     if args.format == "json":
         checks = [
             {
@@ -292,8 +281,8 @@ def _relative_residual(lhs, rhs) -> float:
 
 def _dirac_residual(u, state: MomentumState, branch: EnergyBranch) -> float:
     """H(+-p) u against +-R u: each branch's plane wave carries momentum +-p."""
-    h = hamiltonian(MomentumState(state.m, branch.sign * state.p, state.c, state.hbar))
-    return _relative_residual(np.matvec(h, u), branch.sign * state.R * u)
+    wave = state if branch is EnergyBranch.POSITIVE else mirrored(state)
+    return _relative_residual(np.matvec(hamiltonian(wave), u), branch.sign * state.R * u)
 
 
 def _cmd_spinor(args) -> int:
@@ -332,7 +321,7 @@ def _cmd_density(args) -> int:
     lam = _HELICITIES[args.lam]
     if args.n is not None:
         length = scaled_norm(args.n)
-        if not 0.0 < length < math.inf:
+        if length == 0.0:
             raise DiracFreeError("--n must be a nonzero, finite direction vector")
         n = args.n / length
     else:
@@ -354,13 +343,10 @@ def _cmd_density(args) -> int:
 
 def _cmd_boost(args) -> int:
     state = _state_from_args(args)
-    if args.spinor is not None:
-        raw = args.spinor
-        if len(raw) != 4:
-            raise DiracFreeError("--spinor expects re1,im1,re2,im2")
-        phi = np.array([raw[0] + 1j * raw[1], raw[2] + 1j * raw[3]])
-    else:
-        phi = np.array([1.0 + 0.0j, 0.0j])
+    raw = args.spinor
+    if len(raw) != 4:
+        raise DiracFreeError("--spinor expects re1,im1,re2,im2")
+    phi = np.array([raw[0] + 1j * raw[1], raw[2] + 1j * raw[3]])
     u = boost_bispinor(phi, state)
     length = scaled_norm(phi)
     direct = bispinor_block(phi / length, state,
@@ -389,46 +375,40 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_verify = sub.add_parser("verify", help="run the identity verification suite")
-    p_verify.add_argument("--suite", default="all",
-                          choices=("all", "algebra", "spinors", "covariant", "density", "fermi"))
-    p_verify.add_argument("--tol", type=float, default=None,
-                          help=f"residual bound (default: DIRACFREE_TOL, else {DEFAULT_TOL:g})")
-    p_verify.add_argument("--eta", dest="eta_grid", type=_parse_eta_list,
-                          default=(0.1, 0.3, 0.5, 0.7, 0.9), metavar="LIST",
+    p_verify.add_argument("--suite", default="all", help="one suite, or all (the default)")
+    p_verify.add_argument("--tol", type=float, default=DEFAULT_TOL,
+                          help="residual bound (default %(default)g)")
+    p_verify.add_argument("--eta", dest="eta_values", type=_parse_eta_list, metavar="LIST",
                           help="comma-separated eta grid values")
-    p_verify.add_argument("--angles", type=_parse_angles, default=(8, 8), metavar="NxM",
-                          help="theta x phi grid counts (default 8x8)")
-    p_verify.add_argument("--m", type=_finite_float, default=1.0)
-    p_verify.add_argument("--c", type=_finite_float, default=1.0)
-    p_verify.add_argument("--format", choices=("text", "json"), default="text")
+    p_verify.add_argument("--angles", type=_parse_angles, metavar="NxM",
+                          help="theta x phi grid counts")
+    p_verify.add_argument("--m", type=_finite_float)
+    p_verify.add_argument("--c", type=_finite_float)
     p_verify.set_defaults(fn=_cmd_verify)
 
     p_spinor = sub.add_parser("spinor", help="emit one plane-wave bi-spinor")
     _add_kinematics_args(p_spinor)
-    p_spinor.add_argument("--branch", choices=tuple(_BRANCHES), default="pos")
-    p_spinor.add_argument("--lambda", dest="lam", choices=tuple(_HELICITIES), default="+1/2")
+    _add_helicity_args(p_spinor)
     p_spinor.add_argument("--norm", choices=tuple(_NORMS), default="unit")
     p_spinor.add_argument("--volume", type=_finite_float, default=None,
                           help="quantization volume (box norm only)")
-    p_spinor.add_argument("--format", choices=("text", "json"), default="text")
     p_spinor.set_defaults(fn=_cmd_spinor)
 
     p_density = sub.add_parser("density", help="emit a polarization density matrix")
     _add_kinematics_args(p_density)
-    p_density.add_argument("--branch", choices=tuple(_BRANCHES), default="pos")
-    p_density.add_argument("--lambda", dest="lam", choices=tuple(_HELICITIES), default="+1/2")
-    p_density.add_argument("--n", type=_parse_vec3, default=None, metavar="X,Y,Z",
+    _add_helicity_args(p_density)
+    p_density.add_argument("--n", type=_finite_vec3, default=None, metavar="X,Y,Z",
                            help="polarization direction (default: along p)")
-    p_density.add_argument("--format", choices=("text", "json"), default="text")
     p_density.set_defaults(fn=_cmd_density)
 
     p_boost = sub.add_parser("boost", help="boost a rest-frame spinor")
     _add_kinematics_args(p_boost)
-    p_boost.add_argument("--spinor", type=_finite_floats, default=None, metavar="RE,IM,RE,IM",
-                         help="rest-frame two-spinor components (default 1,0,0,0)")
-    p_boost.add_argument("--format", choices=("text", "json"), default="text")
+    p_boost.add_argument("--spinor", type=_finite_floats, default="1,0,0,0", metavar="RE,IM,RE,IM",
+                         help="rest-frame two-spinor components (default %(default)s)")
     p_boost.set_defaults(fn=_cmd_boost)
 
+    for command in sub.choices.values():
+        command.add_argument("--format", choices=("text", "json"), default="text")
     return parser
 
 

@@ -16,7 +16,7 @@ float64, so a product or power beyond the float range is inf rather than
 an ``OverflowError``.  ``verify`` builds every state it sweeps through
 ``GridSpec.states``, which stacks ``from_eta``.
 ``momentum_axis`` is the one home of the direction p/|p| (the z axis at
-rest).
+rest), and ``mirrored`` of the state with momentum -p.
 
 Angles, directions, four-vectors and momenta may be stacked: ``theta`` and
 ``phi`` of shape ``(N,)``, ``p`` of shape ``(N, 3)``.  Every quantity then
@@ -51,21 +51,22 @@ class EnergyBranch(Enum):
 
 @dataclass(frozen=True)
 class PolarAngles:
-    """Spherical direction (theta, phi); theta clamped to [0, pi], phi mod 2 pi.
+    """Spherical direction (theta, phi); theta in [0, pi], phi taken mod 2 pi.
 
     Either angle may be an ``(N,)`` array; the two are broadcast to one shape.
+    A theta below 0 or above pi raises ``ValueError`` naming the first one.
     """
 
     theta: float
     phi: float = 0.0
 
     def __post_init__(self):
-        theta = np.array(self.theta, dtype=float)[()]
+        theta = np.array(self.theta, dtype=float)
         phi = np.array(self.phi, dtype=float)[()] % (2.0 * math.pi)
-        low, high = theta < 0.0, theta > math.pi
-        if np.count_nonzero(low | high):
-            # where, not clip: -0.0 and nan pass through as under min/max
-            theta = np.where(low, 0.0, np.where(high, math.pi, theta))[()]
+        bad = (theta < 0.0) | (theta > math.pi)
+        if np.count_nonzero(bad):
+            raise ValueError(f"theta must lie in [0, pi], got {theta[bad][0]}")
+        theta = theta[()]
         if theta.shape != phi.shape:
             theta, phi = np.broadcast_arrays(theta, phi)
         object.__setattr__(self, "theta", theta)
@@ -186,6 +187,11 @@ class MomentumState:
     def momentum_four_vector(self, branch: EnergyBranch = EnergyBranch.POSITIVE) -> FourVector:
         """p^mu = (E/c, p); satisfies p.p = m^2 c^2 on either branch."""
         return FourVector(self.energy(branch) / self.c, self.p)
+
+
+def mirrored(state: MomentumState) -> MomentumState:
+    """The state with momentum -p, same mass and units, as a negative-branch wave carries."""
+    return MomentumState(state.m, -state.p, state.c, state.hbar)
 
 
 def momentum_axis(state: MomentumState) -> np.ndarray:

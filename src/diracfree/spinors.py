@@ -61,6 +61,7 @@ from .kinematics import (
     PolarAngles,
     angles_of,
     check_eta,
+    mirrored,
     momentum_axis,
     rapidity,
 )
@@ -113,9 +114,7 @@ def phi_matrix(angles: PolarAngles) -> np.ndarray:
 
 def phi_tilde_matrix(angles: PolarAngles) -> np.ndarray:
     """Companion matrix (phi(+1/2), -phi(-1/2)); sigma.n = tilde Phi . Phi+."""
-    return stack_last(
-        [helicity_spinor(Helicity.PLUS, angles), -helicity_spinor(Helicity.MINUS, angles)]
-    )
+    return phi_matrix(angles) * [1.0, -1.0]
 
 
 def spin_basis_matrix(state: MomentumState) -> np.ndarray:
@@ -199,11 +198,6 @@ def helicity_bispinor(lam: Helicity, branch: EnergyBranch, angles: PolarAngles,
     return bispinor_block(phi, state, branch, norm, volume)
 
 
-def _mirrored(state: MomentumState) -> MomentumState:
-    """The state with momentum -p, same mass and units."""
-    return MomentumState(state.m, -state.p, state.c, state.hbar)
-
-
 def negative_energy_eigenvector(chi: np.ndarray, state: MomentumState,
                                 norm: Normalization = Normalization.UNIT,
                                 volume: float | None = None) -> np.ndarray:
@@ -213,7 +207,7 @@ def negative_energy_eigenvector(chi: np.ndarray, state: MomentumState,
     ``bispinor_block`` of the momentum ``-p`` state, since sigma.(-p) is
     exactly -sigma.p.
     """
-    return -bispinor_block(chi, _mirrored(state), EnergyBranch.NEGATIVE, norm, volume)
+    return -bispinor_block(chi, mirrored(state), EnergyBranch.NEGATIVE, norm, volume)
 
 
 def boost_bispinor(phi: np.ndarray, state: MomentumState) -> np.ndarray:
@@ -254,11 +248,10 @@ def helicity_basis(state: MomentumState) -> HelicityBasis:
     angles = angles_of(state.p)
     kappa = (state.c * state.p_abs / (state.rest_energy + state.R))[..., None, None]
     phi_m = phi_matrix(angles)
-    phi_t = phi_tilde_matrix(angles)
+    phi_t = phi_m * [1.0, -1.0]  # phi_tilde_matrix(angles), from the columns just built
     v = block4(phi_m, kappa * phi_t, kappa * phi_t, -phi_m)
     v *= np.sqrt((state.rest_energy + state.R) / (2.0 * state.R))[..., None, None]
-    flip = np.diag([1.0, 1.0, -1.0, -1.0])
-    return HelicityBasis(V=v, V_tilde=v @ flip)
+    return HelicityBasis(V=v, V_tilde=v * [1.0, 1.0, -1.0, -1.0])
 
 
 def eta_bispinor(lam: Helicity, branch: EnergyBranch, eta: float,

@@ -138,7 +138,13 @@ class TestDirection:
         assert max_abs(sigma_dot(ki.direction(ang)) - target) <= 1e-15
 
     def test_angle_normalization(self):
-        ang = ki.PolarAngles(4.0, -1.0)
+        # theta outside [0, pi] is an error, not a clamp; -0.0 and nan pass as given
+        for theta in (4.0, -0.5):
+            with pytest.raises(ValueError, match=rf"theta must lie in \[0, pi\], got {theta}"):
+                ki.PolarAngles(theta, -1.0)
+        assert math.copysign(1.0, ki.PolarAngles(-0.0).theta) == -1.0
+        assert math.isnan(ki.PolarAngles(math.nan).theta)
+        ang = ki.PolarAngles(math.pi, -1.0)
         assert ang.theta == math.pi
         assert 0.0 <= ang.phi < 2.0 * math.pi
         assert abs(ang.phi - (2.0 * math.pi - 1.0)) <= 1e-15

@@ -349,11 +349,14 @@ class TestStackedKernels:
         assert ga.hamiltonian(state).shape == (4, 4)
 
     def test_angles_out_of_range_normalized(self):
-        stacked = PolarAngles(np.array([-0.5, -0.0, 4.0, 1.0]), np.array([7.0, -1.0, 0.0, 2.0]))
-        for k, (t, p) in enumerate([(-0.5, 7.0), (-0.0, -1.0), (4.0, 0.0), (1.0, 2.0)]):
+        stacked = PolarAngles(np.array([math.pi, -0.0, 0.0, 1.0]), np.array([7.0, -1.0, 0.0, 2.0]))
+        for k, (t, p) in enumerate([(math.pi, 7.0), (-0.0, -1.0), (0.0, 0.0), (1.0, 2.0)]):
             single = PolarAngles(t, p)
             assert math.copysign(1.0, stacked.theta[k]) == math.copysign(1.0, single.theta)
             assert (stacked.theta[k], stacked.phi[k]) == (single.theta, single.phi)
+        # a theta outside [0, pi] raises for the stack as for the single call, naming the first
+        with pytest.raises(ValueError, match=r"theta must lie in \[0, pi\], got 4.0"):
+            PolarAngles(np.array([1.0, 4.0, -0.5]), 0.0)
 
 
 class TestStackedValidation:

@@ -271,12 +271,24 @@ class TestCli:
         assert abs(trace[0] - 2.0) <= 1e-12  # 2mc with m = c = 1
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
-    @pytest.mark.parametrize("direction", ["0,0,0", "nan,0,1", "inf,0,0"])
-    def test_density_degenerate_direction_exit_two(self, fmt, direction):
-        code, out, err = self.run("density", "--p", "1,2,3", "--n", direction, "--format", fmt)
-        assert code == 2
-        assert out == ""
-        assert err == "error: --n must be a nonzero, finite direction vector\n"
+    @pytest.mark.parametrize(
+        "direction, error",
+        [
+            ("0,0,0", "error: --n must be a nonzero, finite direction vector\n"),
+            # a non-finite entry is argparse's usage error, as for --p
+            ("nan,0,1", "error: argument --n: expected a finite number, got 'nan'\n"),
+            ("inf,0,0", "error: argument --n: expected a finite number, got 'inf'\n"),
+        ],
+        ids=["0,0,0", "nan,0,1", "inf,0,0"],
+    )
+    def test_density_degenerate_direction_exit_two(self, capsys, fmt, direction, error):
+        try:
+            code = main(["density", "--p", "1,2,3", "--n", direction, "--format", fmt])
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err.endswith(error) and captured.err.count("error:") == 1
 
     def test_boost_json(self):
         code, out, _ = self.run(
@@ -346,40 +358,52 @@ class TestCli:
         code, out, err = self.run("spinor", "--eta", "0.5", "--norm", "box", "--format", fmt)
         assert (code, out, err) == (2, "", "error: --norm box requires --volume\n")
 
-    def test_tolerance_env_override(self, monkeypatch):
-        monkeypatch.setenv("DIRACFREE_TOL", "1e-30")
-        code, out, _ = self.run(
-            "verify", "--suite", "fermi", "--eta", "0.3", "--angles", "2x2",
-            "--format", "json",
-        )
-        assert code == 1
-        doc = json.loads(out)
-        assert doc["inputs"]["tolerance"] == 1e-30
-        assert {c["tolerance"] for c in doc["checks"]} == {1e-30}
-
     @pytest.mark.parametrize(
-        "argv, env_tol, message",
+        "argv, message",
         [
-            (("--tol", "nan"), None, "tolerance must be positive and finite, got nan"),
-            (("--tol", "inf"), None, "tolerance must be positive and finite, got inf"),
-            ((), "nan", "tolerance must be positive and finite, got nan"),
-            ((), "abc", "DIRACFREE_TOL must be a number, got 'abc'"),
+            (("--tol", "nan"), "tolerance must be positive and finite, got nan"),
+            (("--tol", "inf"), "tolerance must be positive and finite, got inf"),
         ],
-        ids=["tol-nan", "tol-inf", "env-nan", "env-unparsable"],
+        ids=["tol-nan", "tol-inf"],
     )
-    def test_bad_tolerance_exit_two(self, monkeypatch, argv, env_tol, message):
-        if env_tol is not None:
-            monkeypatch.setenv("DIRACFREE_TOL", env_tol)
+    def test_bad_tolerance_exit_two(self, argv, message):
         code, out, err = self.run("verify", "--suite", "fermi", "--angles", "2x2", *argv)
         assert code == 2
         assert out == ""
         assert err == f"error: {message}\n"
 
-    def test_unparsable_env_tolerance_leaves_emits_alone(self, monkeypatch):
-        monkeypatch.setenv("DIRACFREE_TOL", "abc")
-        code, out, _ = self.run("spinor", "--eta", "0.3", "--format", "json")
+    def test_inherited_tolerance_variable_changes_no_verdict(self, child_env):
+        child_env["DIRACFREE_TOL"] = "1e-30"
+        child = subprocess.run(
+            [sys.executable, "-m", "diracfree.cli", "verify", "--suite", "fermi", "--format", "json"],
+            capture_output=True, text=True, env=child_env,
+        )
+        assert (child.returncode, child.stderr) == (0, "")
+        doc = json.loads(child.stdout)
+        assert doc["inputs"]["tolerance"] == 1e-12
+        assert {c["tolerance"] for c in doc["checks"]} == {1e-12}
+
+    def test_unknown_suite_exit_two_names_the_suites(self):
+        # run_suite alone knows the suite names; the parser does not restate them
+        code, out, err = self.run("verify", "--suite", "bogus")
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: unknown suite 'bogus'; expected one of "
+            f"{('all',) + verify.SUITES}\n"
+        )
+
+    def test_default_grid_is_gridspecs(self):
+        code, out, _ = self.run("verify", "--format", "json")
         assert code == 0
-        assert json.loads(out)["outputs"]["helicity_residual"] <= 1e-12
+        assert json.loads(out)["inputs"]["grid"] == verify.GridSpec().describe()
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("theta", ["4", "-0.5"])
+    @pytest.mark.parametrize("command", ["spinor", "density", "boost"])
+    def test_theta_outside_range_exit_two(self, command, theta, fmt):
+        # theta = 4 used to be clamped to pi: the spinor of another direction, and exit 0
+        code, out, err = self.run(command, "--eta", "0.5", "--theta", theta, "--format", fmt)
+        assert (code, out, err) == (2, "", f"error: theta must lie in [0, pi], got {float(theta)}\n")
 
     @pytest.mark.parametrize(
         "argv, value",

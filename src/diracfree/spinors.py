@@ -258,30 +258,28 @@ def eta_bispinor(lam: Helicity, branch: EnergyBranch, eta: float,
                  angles: PolarAngles, volume: float = 1.0) -> np.ndarray:
     """Box-normalized helicity plane-wave column in the eta parametrization.
 
-    The branch/helicity table of explicit half-angle columns, prefactor
-    1/sqrt(V (1 + eta^2)).  Negative-branch columns describe waves with
-    physical momentum opposite to the (theta, phi) direction.
+    The branch/helicity table of columns, each over sqrt(V (1 + eta^2)),
+    built from the helicity spinors phi(+/-1/2) along (theta, phi):
+
+    * positive branch: (phi+, eta phi+) for +1/2 and (-phi-, eta phi-) for -1/2;
+    * negative branch: (-eta phi-, phi-) for +1/2 and (eta phi+, phi+) for -1/2.
+
+    Each column carries the two-spinor of ``helicity_bispinor``'s label
+    convention.  Negative-branch columns describe waves with physical
+    momentum opposite to the (theta, phi) direction.
     """
     eta = check_eta(eta)
     if volume <= 0:
         raise NonPositiveVolume("volume must be positive")
-    half = 0.5 * angles.theta
-    minus, plus = np.exp(-0.5j * angles.phi), np.exp(0.5j * angles.phi)
-    a = np.cos(half) * minus
-    b = np.sin(half) * plus
-    sm = np.sin(half) * minus
-    cm = np.cos(half) * plus
+    phi = helicity_spinor(lam if branch is EnergyBranch.POSITIVE else lam.flipped, angles)
+    signed = phi if lam is Helicity.PLUS else -phi
+    e = np.asarray(eta)[..., None]
     if branch is EnergyBranch.POSITIVE:
-        if lam is Helicity.PLUS:
-            column = [a, b, eta * a, eta * b]
-        else:
-            column = [sm, -cm, -eta * sm, eta * cm]
+        halves = (signed, e * phi)
     else:
-        if lam is Helicity.PLUS:
-            column = [eta * sm, -eta * cm, -sm, cm]
-        else:
-            column = [eta * a, eta * b, a, b]
-    return stack_last(np.broadcast_arrays(*column)) / np.sqrt(volume * (1.0 + np.square(eta)))[..., None]
+        halves = (-e * signed, phi)
+    column = np.concatenate(np.broadcast_arrays(*halves), axis=-1)
+    return column / np.sqrt(volume * (1.0 + np.square(eta)))[..., None]
 
 
 def charge_conjugate(u: np.ndarray) -> np.ndarray:

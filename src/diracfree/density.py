@@ -38,17 +38,10 @@ from .gamma import (
     sigma_dot,
     spin_dot,
 )
-from .kinematics import (
-    EnergyBranch,
-    FourVector,
-    MomentumState,
-    PolarAngles,
-    angles_of,
-    from_eta,
-)
+from .kinematics import EnergyBranch, FourVector, MomentumState, PolarAngles, angles_of
 from .observables import adjoint_norm, dirac_adjoint, polarization_four_vector
 from .smallmat import UNIT_TOL, Block2x2, disassemble
-from .spinors import Helicity, Normalization, helicity_bispinor
+from .spinors import Helicity, Normalization, eta_bispinor, helicity_bispinor
 
 
 def _check_unit(n) -> np.ndarray:
@@ -109,10 +102,11 @@ def density4_outer(state: MomentumState, branch: EnergyBranch, lam: Helicity, n)
 
 
 def density_block_form(eta: float, angles: PolarAngles, branch: EnergyBranch,
-                       lam: Helicity, m: float = 1.0, c: float = 1.0) -> Block2x2:
+                       lam: Helicity) -> Block2x2:
     """Density matrix of an eta-parametrized helicity state, in 2x2 blocks.
 
-    Returns ``+/-(1 - eta^2) u u-bar / (u-bar u)``, which factorizes as a
+    Returns ``+/-(1 - eta^2) u u-bar / (u-bar u)`` of the ``eta_bispinor``
+    column u, the same for any scale of u, mass or c.  It factorizes as a
     scalar block pattern times the two-level density matrix of the
     polarization direction: for positive energy
     ``[[rho, -s eta rho], [s eta rho, -eta^2 rho]]`` and for negative energy
@@ -121,8 +115,7 @@ def density_block_form(eta: float, angles: PolarAngles, branch: EnergyBranch,
     In the rest limit eta -> 0 the positive branch reduces to
     diag(rho, 0).
     """
-    state = from_eta(m, c, eta, angles)
-    u = helicity_bispinor(lam, branch, angles, state, Normalization.INVARIANT_2MC)
+    u = eta_bispinor(lam, branch, eta, angles)
     scale = branch.sign * (1.0 - np.square(eta))
     scaled = scale[..., None, None] * outer_with_adjoint(u) / adjoint_norm(u)[..., None, None]
     return disassemble(scaled)

@@ -99,7 +99,7 @@ def polarization_constraint(a: FourVector) -> np.ndarray:
     return GAMMA5_LOWER @ gamma_slash(a) + ID4
 
 
-def current_density(u: np.ndarray, state: MomentumState) -> FourVector:
+def current_density(u: np.ndarray) -> FourVector:
     """Current four-vector j^mu = u-bar gamma^mu u.
 
     Proportional to p^mu: j^mu = (p^mu / m c) u-bar u for any normalization

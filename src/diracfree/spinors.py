@@ -4,7 +4,8 @@ Covers the two-component helicity eigenspinors and their unitary column
 matrices Phi / Phi-tilde, the axis-3 spin basis matrix U with bi-spinor
 columns u(1)..u(4), the relativistic helicity basis matrices V / V-tilde
 (built both by the direct block solution and by the Lorentz boost), the
-box-normalized eta-parametrized columns, and charge conjugation.
+box-normalized eta-parametrized columns built from the same helicity
+spinors, and charge conjugation.
 
 Sign and phase conventions are fixed once here and never rephased:
 
@@ -22,7 +23,8 @@ Sign and phase conventions are fixed once here and never rephased:
   state, ``(c(sigma.p)/(R + m c^2) chi, -chi)``;
 * so the negative-branch bi-spinor of helicity lambda carries the
   two-spinor phi(-lambda): the helicity of its momentum -p is lambda.
-  ``helicity_bispinor`` is the one place that applies this label flip.
+  ``helicity_bispinor`` and ``eta_bispinor`` take their two-spinor by
+  this rule from one helper.
 
 Normalization is always an explicit final step: internal construction is
 unnormalized and a ``Normalization`` value selects among u+u = 1, |u-bar u|
@@ -103,6 +105,11 @@ def helicity_spinor(lam: Helicity, angles: PolarAngles) -> np.ndarray:
     if lam is Helicity.PLUS:
         return stack_last([np.cos(half_theta) * minus, np.sin(half_theta) * plus])
     return stack_last([-np.sin(half_theta) * minus, np.cos(half_theta) * plus])
+
+
+def _branch_spinor(lam: Helicity, branch: EnergyBranch, angles: PolarAngles) -> np.ndarray:
+    """phi(lam), or phi(-lam) on the negative branch: the label convention above."""
+    return helicity_spinor(lam if branch is EnergyBranch.POSITIVE else lam.flipped, angles)
 
 
 def phi_matrix(angles: PolarAngles) -> np.ndarray:
@@ -194,8 +201,7 @@ def helicity_bispinor(lam: Helicity, branch: EnergyBranch, angles: PolarAngles,
     that carries the label convention of the module docstring: ``lam`` on
     the positive branch, ``lam.flipped`` on the negative one.
     """
-    phi = helicity_spinor(lam if branch is EnergyBranch.POSITIVE else lam.flipped, angles)
-    return bispinor_block(phi, state, branch, norm, volume)
+    return bispinor_block(_branch_spinor(lam, branch, angles), state, branch, norm, volume)
 
 
 def negative_energy_eigenvector(chi: np.ndarray, state: MomentumState,
@@ -258,26 +264,20 @@ def eta_bispinor(lam: Helicity, branch: EnergyBranch, eta: float,
                  angles: PolarAngles, volume: float = 1.0) -> np.ndarray:
     """Box-normalized helicity plane-wave column in the eta parametrization.
 
-    The branch/helicity table of columns, each over sqrt(V (1 + eta^2)),
-    built from the helicity spinors phi(+/-1/2) along (theta, phi):
-
-    * positive branch: (phi+, eta phi+) for +1/2 and (-phi-, eta phi-) for -1/2;
-    * negative branch: (-eta phi-, phi-) for +1/2 and (eta phi+, phi+) for -1/2.
-
-    Each column carries the two-spinor of ``helicity_bispinor``'s label
-    convention.  Negative-branch columns describe waves with physical
-    momentum opposite to the (theta, phi) direction.
+    The branch/helicity table of columns over sqrt(V (1 + eta^2)), from the
+    helicity spinors phi+/- along (theta, phi): (phi+, eta phi+) and
+    (-phi-, eta phi-) on the positive branch for +1/2 and -1/2,
+    (-eta phi-, phi-) and (eta phi+, phi+) on the negative one; the block
+    solutions of ``helicity_bispinor`` up to scale.  Negative-branch
+    columns describe waves with physical momentum opposite to (theta, phi).
     """
     eta = check_eta(eta)
     if volume <= 0:
         raise NonPositiveVolume("volume must be positive")
-    phi = helicity_spinor(lam if branch is EnergyBranch.POSITIVE else lam.flipped, angles)
+    phi = _branch_spinor(lam, branch, angles)
     signed = phi if lam is Helicity.PLUS else -phi
     e = np.asarray(eta)[..., None]
-    if branch is EnergyBranch.POSITIVE:
-        halves = (signed, e * phi)
-    else:
-        halves = (-e * signed, phi)
+    halves = (signed, e * phi) if branch is EnergyBranch.POSITIVE else (-e * signed, phi)
     column = np.concatenate(np.broadcast_arrays(*halves), axis=-1)
     return column / np.sqrt(volume * (1.0 + np.square(eta)))[..., None]
 

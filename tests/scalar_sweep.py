@@ -421,7 +421,7 @@ def _polarization_equation(eta, ang, state, n_ang):
 
 def _current(state, phi):
     u = sp.bispinor_block(1.7 * phi, state, _POS, Normalization.UNIT) * 1.3
-    j = ob.current_density(u, state).as_array()
+    j = ob.current_density(u).as_array()
     norm = ob.adjoint_norm(u)
     p4 = state.momentum_four_vector(_POS).as_array()
     yield max_abs(j / norm - p4 / (state.m * state.c))
@@ -613,7 +613,7 @@ def _block_factor(eta, ang, state, branch):
     n = ki.direction(ang)
     e2 = eta**2
     for lam in _LAMBDAS:
-        got = de.density_block_form(eta, ang, branch, lam, state.m, state.c)
+        got = de.density_block_form(eta, ang, branch, lam)
         s = lam.sign
         if branch is _POS:
             rho = de.nonrel_density(lam, n)

@@ -182,7 +182,7 @@ def test_criterion_05_covariant_suite():
         worst = max(worst, max_abs(ob.polarization_constraint(a) @ u))
         phi = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         w = sp.bispinor_block(phi, state, POS)
-        j = ob.current_density(w, state).as_array()
+        j = ob.current_density(w).as_array()
         worst = max(worst, max_abs(
             j / ob.adjoint_norm(w) - p4.as_array() / (state.m * state.c)
         ))

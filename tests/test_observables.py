@@ -128,14 +128,14 @@ class TestCurrent:
     def test_rest_frame(self):
         state = MomentumState(1.0, np.zeros(3))
         u = sp.bispinor_block(unit_spinor(), state, POS, sp.Normalization.INVARIANT_UNIT)
-        j = ob.current_density(u, state)
+        j = ob.current_density(u)
         assert abs(j.t - 1.0) <= 1e-14
         assert max_abs(j.r) <= 1e-14
 
     def test_proportional_to_momentum(self):
         state = helicity_state(0.52, 0.4, 1.0)
         u = sp.bispinor_block(unit_spinor(), state, POS)
-        j = ob.current_density(u, state).as_array()
+        j = ob.current_density(u).as_array()
         p4 = state.momentum_four_vector(POS).as_array()
         assert max_abs(j / ob.adjoint_norm(u) - p4 / (state.m * state.c)) <= 1e-12
 
@@ -144,8 +144,8 @@ class TestCurrent:
         phi = unit_spinor()
         u1 = sp.bispinor_block(phi, state, POS, sp.Normalization.INVARIANT_UNIT)
         u2 = 2.0 * u1
-        j1 = ob.current_density(u1, state).as_array()
-        j2 = ob.current_density(u2, state).as_array()
+        j1 = ob.current_density(u1).as_array()
+        j2 = ob.current_density(u2).as_array()
         assert max_abs(j2 - 4.0 * j1) <= 1e-12
         ratio1 = j1 / ob.adjoint_norm(u1)
         ratio2 = j2 / ob.adjoint_norm(u2)

@@ -65,14 +65,24 @@ class TestRunSuite:
         assert dependence.passed == (tol > 1e-20)
 
     def test_dependence_and_spin_bound_hold_across_scales(self):
-        # m x c x eta box; fermi-dependence divides by R - m c^2, which
-        # cancels near rest, and spin-bound is met with equality along p
+        # m x c x eta box, from next to rest to the light cone; the printed
+        # Fermi set's 1/(R - m c^2) must not cancel near rest, and spin-bound
+        # is met with equality along p
         entries = {e.id: e for e in verify.REGISTRY}
+        etas = (1e-300, 1e-10, 1e-8, 1e-6, 0.001, 0.1, 0.5, 0.9, 0.99, 0.999)
         for m, c in itertools.product((1e-3, 1.0, 1e3), (1.0, 137.0, 3e8)):
-            grid = verify.GridSpec(eta_values=(0.001, 0.1, 0.5, 0.9, 0.99, 0.999),
-                                   theta_count=4, phi_count=4, mass=m, c=c)
+            grid = verify.GridSpec(eta_values=etas, theta_count=4, phi_count=4, mass=m, c=c)
             for check_id in ("fermi-dependence", "spin-bound"):
                 assert entries[check_id].fn(grid) <= 1e-12, (check_id, m, c)
+
+    @pytest.mark.parametrize("m", [1e-3, 1.0, 1e3])
+    def test_fermi_eigen_holds_near_rest(self, m):
+        # R - m c^2 is 0 in floats at eta = 1e-10 and below; the printed set
+        # is evaluated without it, so H u = +R u keeps its digits
+        fermi_eigen = next(e for e in verify.REGISTRY if e.id == "fermi-eigen")
+        for eta in (1e-300, 1e-10, 1e-8, 1e-6):
+            grid = verify.GridSpec(eta_values=(eta,), theta_count=4, phi_count=4, mass=m)
+            assert fermi_eigen.fn(grid) <= 1e-12, (m, eta)
 
     def test_impossible_tolerance_fails_honestly(self):
         report = verify.run_suite("spinors", SMALL_GRID, tol=1e-30)
@@ -222,6 +232,14 @@ class TestCli:
         assert (code, err) == (0, "")
         summary = out.splitlines()[-1]
         assert summary.startswith("summary: 82 checks,") and summary.endswith("all passed")
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_near_rest_grid_exit_zero(self, fmt):
+        # R - m c^2 is exactly 0 here; the Fermi audit never forms it
+        code, out, err = self.run("verify", "--eta", "1e-10", "--format", fmt)
+        assert (code, err) == (0, "")
+        if fmt == "json":
+            assert json.loads(out)["outputs"]["all_passed"] is True
 
     def test_verify_failure_exit_one(self):
         code, out, _ = self.run(

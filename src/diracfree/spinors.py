@@ -276,7 +276,7 @@ def eta_bispinor(lam: Helicity, branch: EnergyBranch, eta: float,
         raise NonPositiveVolume("volume must be positive")
     phi = _branch_spinor(lam, branch, angles)
     signed = phi if lam is Helicity.PLUS else -phi
-    e = np.asarray(eta)[..., None]
+    e = eta[..., None]
     halves = (signed, e * phi) if branch is EnergyBranch.POSITIVE else (-e * signed, phi)
     column = np.concatenate(np.broadcast_arrays(*halves), axis=-1)
     return column / np.sqrt(volume * (1.0 + np.square(eta)))[..., None]

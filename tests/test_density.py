@@ -217,10 +217,10 @@ class TestBlockFactorization:
     @pytest.mark.parametrize("m", [1.0, 3.0])
     @pytest.mark.parametrize("c", [0.5, 1.0, 137.0])
     def test_matches_state_route(self, m, c):
-        # the route before the eta column: the 2mc-normalized block solution
-        # of the state with that eta, at mass m and speed of light c; the
-        # result is scale-free, so the two agree to rounding, which the
-        # state's |p| = 2 m c eta / (1 - eta^2) amplifies by 1/(1 - eta^2)
+        # the 2mc-normalized block solution of the state with that eta, at
+        # mass m and speed of light c: the result is scale-free, so the two
+        # routes agree to rounding, which the state's
+        # |p| = 2 m c eta / (1 - eta^2) amplifies by 1/(1 - eta^2)
         theta, phi = np.meshgrid(np.linspace(0.0, math.pi, 5), np.linspace(0.0, 6.0, 4))
         ang = PolarAngles(theta.ravel(), phi.ravel())
         for eta in (0.0, 1e-8, 0.2, 0.5, 0.9, 0.99):
@@ -229,10 +229,10 @@ class TestBlockFactorization:
                 for lam in (PLUS, MINUS):
                     u = sp.helicity_bispinor(lam, branch, ang, state, sp.Normalization.INVARIANT_2MC)
                     scale = branch.sign * (1.0 - eta**2) / ob.adjoint_norm(u)
-                    old = scale[:, None, None] * de.outer_with_adjoint(u)
+                    via_state = scale[:, None, None] * de.outer_with_adjoint(u)
                     got = assemble(de.density_block_form(eta, ang, branch, lam))
                     bound = 16 * np.finfo(float).eps / (1.0 - eta**2)
-                    assert max_abs(got - old) <= bound, (eta, branch, lam)
+                    assert max_abs(got - via_state) <= bound, (eta, branch, lam)
 
     def test_rest_limit(self):
         ang = PolarAngles(0.5, 0.5)

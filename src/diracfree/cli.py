@@ -30,6 +30,7 @@ pairs, matrices as row-major nested arrays.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import os
 import sys
@@ -229,7 +230,7 @@ def _cmd_verify(args) -> int:
             inputs={
                 "suite": report.suite,
                 "tolerance": report.tolerance,
-                "grid": report.grid.describe(),
+                "grid": dataclasses.asdict(report.grid),
             },
             outputs={
                 "all_passed": report.all_passed,
@@ -241,12 +242,12 @@ def _cmd_verify(args) -> int:
         )
         print(render_json(payload))
     else:
-        grid_desc = report.grid.describe()
+        grid = report.grid
         print(
             f"suite: {report.suite}   tol: {report.tolerance:g}   "
-            f"grid: eta={grid_desc['eta_values']} "
-            f"angles={grid_desc['theta_count']}x{grid_desc['phi_count']} "
-            f"m={grid_desc['mass']:g} c={grid_desc['c']:g}"
+            f"grid: eta={list(grid.eta_values)} "
+            f"angles={grid.theta_count}x{grid.phi_count} "
+            f"m={grid.mass:g} c={grid.c:g}"
         )
         for c in report.checks:
             if c.deviation_note is not None:

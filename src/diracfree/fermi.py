@@ -5,12 +5,12 @@ plane-wave bi-spinors, the second pair attributed to the negative energy
 eigenvalue -R.  Direct substitution shows all four are +R eigenvectors of
 the free Hamiltonian and the set is linearly dependent (vanishing
 determinant).  This module preserves the original set as a regression
-fixture, evaluated without ever forming its R - m c^2, provides the
-corrected set (the axis-3 spin basis, whose last two columns really are -R
-eigenvectors), the energy projection operators built from H/R, and
-Fermi's variant gamma representation with the primed spin matrices.  The
-state-dependent constructions accept a stacked state and return stacked
-bi-spinors and projectors.
+fixture (its first pair taken from the corrected set, its second never
+forming R - m c^2), provides the corrected set (the axis-3 spin basis,
+whose last two columns really are -R eigenvectors), the energy projection
+operators built from H/R, and Fermi's variant gamma representation with the
+primed spin matrices.  The state-dependent constructions accept a stacked
+state and return stacked bi-spinors and projectors.
 """
 
 from __future__ import annotations
@@ -73,9 +73,10 @@ def fermi_sigma_primes() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def fermi_bispinors_original(state: MomentumState) -> list[np.ndarray]:
     """The four bi-spinors as printed in the notes.
 
+    The printed u1 and u2 are the corrected set's first pair, taken from it.
     u3 and u4 are printed with sqrt((R - m c^2)/2R) c p/(R - m c^2) and
-    sqrt((R - m c^2)/2R), which are N p/|p| and N eta with N the first
-    pair's sqrt((R + m c^2)/2R) and eta = c|p|/(R + m c^2); they are
+    sqrt((R - m c^2)/2R), which are N p/|p| and N eta with N = sqrt((R +
+    m c^2)/2R), u1's first entry, and eta = c|p|/(R + m c^2); they are
     evaluated so, and R - m c^2, which cancels near rest, is never formed.
     The printed 1/(R - m c^2) blows up at rest, hence the |p| > 0
     precondition.  All four satisfy H u = +R u; the set has a vanishing
@@ -84,18 +85,13 @@ def fermi_bispinors_original(state: MomentumState) -> list[np.ndarray]:
     """
     if np.count_nonzero(state.p_abs == 0.0):
         raise ZeroMomentum("the original set is singular at p = 0")
-    c = state.c
-    px, py, pz = np.moveaxis(state.p, -1, 0)
+    u1, u2, _, _ = fermi_bispinors_corrected(state)
+    n = u1[..., :1]
     nx, ny, nz = np.moveaxis(momentum_axis(state), -1, 0)
-    r = state.R
-    dp = state.rest_energy + r
-    plus = np.sqrt(dp / (2.0 * r))[..., None]
-    eta = c * state.p_abs / dp
-    one, zero = np.ones_like(r), np.zeros_like(r)
-    u1 = plus * stack_last([one, zero, c * pz / dp, c * (px + 1j * py) / dp])
-    u2 = plus * stack_last([zero, one, c * (px - 1j * py) / dp, -c * pz / dp])
-    u3 = plus * stack_last([nz, nx + 1j * ny, eta, zero])
-    u4 = plus * stack_last([nx - 1j * ny, -nz, zero, eta])
+    eta = state.c * state.p_abs / (state.rest_energy + state.R)
+    zero = np.zeros_like(eta)
+    u3 = n * stack_last([nz, nx + 1j * ny, eta, zero])
+    u4 = n * stack_last([nx - 1j * ny, -nz, zero, eta])
     return [u1, u2, u3, u4]
 
 

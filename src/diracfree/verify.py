@@ -160,6 +160,7 @@ class GridSpec:
         return PolarAngles(np.take(thetas, j), np.take(phis, l))
 
     def angle_list(self) -> list[PolarAngles]:
+        """Each direction alone; read by ``perfbench/traced_cli.py --kernels`` and the tests."""
         thetas, phis = self._axes
         return [PolarAngles(t, p) for t in thetas for p in phis]
 
@@ -185,17 +186,8 @@ class GridSpec:
         return eta, self.angle(((offsets + shifts) % count).ravel())
 
     def sample_states(self) -> MomentumState:
-        """The states of ``sample_points``, as one stacked state; no domain calls it."""
+        """The states of ``sample_points``, stacked; no domain calls it, ``perfbench/traced_cli.py`` wraps it."""
         return self.states(*self.sample_points())
-
-    def describe(self) -> dict:
-        return {
-            "eta_values": list(self.eta_values),
-            "theta_count": self.theta_count,
-            "phi_count": self.phi_count,
-            "mass": self.mass,
-            "c": self.c,
-        }
 
 
 @dataclass(frozen=True)
@@ -409,9 +401,9 @@ def _rest_spin(phi: np.ndarray) -> np.ndarray:
     return sm.stack_last([0.5 * np.vecdot(phi, np.matvec(s, phi)).real for s in ga.PAULI])
 
 
-def _d9_blocks(state: MomentumState, e) -> sm.Block2x2:
+def _d9_blocks(h: np.ndarray, e) -> sm.Block2x2:
     """Blocks of the plane-wave eigenproblem matrix H - e at trial energy e."""
-    return sm.disassemble(ga.hamiltonian(state) - _scaled_eye(e))
+    return sm.disassemble(h - _scaled_eye(e))
 
 
 def _scaled_eye(x, n: int = 4) -> np.ndarray:
@@ -460,9 +452,10 @@ def _eig_det(state):
     on-shell zero is compared at the determinant's own rounding scale
     (entry magnitude to the fourth power: degree-4 cancellation floor).
     """
+    h = ga.hamiltonian(state)
     for e in (state.R, -state.R, state.R + 0.7, 0.25 * state.R):
         closed = (e**2 - (state.c * state.p_abs) ** 2 - state.rest_energy**2) ** 2
-        blocks = _d9_blocks(state, e)
+        blocks = _d9_blocks(h, e)
         dense_matrix = sm.assemble(blocks)
         on_shell = closed == 0.0
         # relative to |closed| off shell (|x - 0| / max(1, 0) = |x| on shell)
@@ -473,8 +466,9 @@ def _eig_det(state):
 
 def _block_rank(state):
     """The rank criterion holds at trial energy -R and fails one unit below."""
-    yield (0.0 if np.all(sm.block_rank_is_n(_d9_blocks(state, -state.R))) else 1.0), 0.0
-    yield (1.0 if np.any(sm.block_rank_is_n(_d9_blocks(state, -state.R - 1.0))) else 0.0), 0.0
+    h = ga.hamiltonian(state)
+    yield (0.0 if np.all(sm.block_rank_is_n(_d9_blocks(h, -state.R))) else 1.0), 0.0
+    yield (1.0 if np.any(sm.block_rank_is_n(_d9_blocks(h, -state.R - 1.0))) else 0.0), 0.0
 
 
 def _clifford():
@@ -632,10 +626,8 @@ def _phi_swap(ang):
 
 
 def _completeness_2(ang):
-    total = sum(
-        _outer(sp.helicity_spinor(lam, ang), sp.helicity_spinor(lam, ang)) for lam in _LAMBDAS
-    )
-    yield total, np.eye(2)
+    phis = [sp.helicity_spinor(lam, ang) for lam in _LAMBDAS]
+    yield sum(_outer(phi, phi) for phi in phis), np.eye(2)
 
 
 def _spin_basis(state):
@@ -867,7 +859,7 @@ def _nonrel_density(ang):
         rho = de.nonrel_density(lam, n)
         yield _outer(phi, phi), rho
         yield rho @ rho, rho
-        yield np.trace(rho, axis1=-2, axis2=-1).real, 1.0
+        yield _trace(rho).real, 1.0
 
 
 def _projector_algebra(state):
@@ -902,7 +894,7 @@ def _density_trace(eta, ang, state):
         yield _trace(de.outer_with_adjoint(u)), mc2
 
 
-def _projector_trace(eta, ang, state):
+def _projector_trace(state):
     """Documented deviation: printed trace 2mc vs actual 4mc."""
     trace = _trace(de.energy_projector(state, _POS))
     yield trace, 2.0 * state.m * state.c
@@ -1065,7 +1057,7 @@ def _slash_pair(eta, ang, state, n_ang):
     yield lhs, -(ga.GAMMA5_LOWER @ contraction)
 
 
-def _covariant_decomposition(eta, ang, state):
+def _covariant_decomposition(state):
     """Projector times polarizer: its covariant expansion, and its 2x2-block product.
 
     The polarization direction is p/|p|, or the z axis at rest.
@@ -1262,7 +1254,7 @@ REGISTRY: tuple[RegistryEntry, ...] = (
     _entry(
         "projector-trace", "density",
         "difference between trace(mc + p-slash) and the printed value 2mc",
-        _points(), _projector_trace,
+        _sampled, _projector_trace,
         deviation_note=(
             "trace(mc + p-slash) = 4mc (each of the two summed outer products "
             "contributes 2mc); the printed trace statement says 2mc."
@@ -1280,7 +1272,7 @@ REGISTRY: tuple[RegistryEntry, ...] = (
     _entry("block-factor-minus", "density", "negative-branch block factorization through rho(n)", _points(), partial(_block_factor, branch=_NEG)),
     _entry("sigma-tensor", "density", "antisymmetric gamma-pair tensor matches its component table", _once, _sigma_tensor),
     _entry("slash-pair", "density", "p-slash gamma_5 a-slash = -gamma_5 (pa-contraction)", _points(partner=(13, 0)), _slash_pair),
-    _entry("covariant-decomposition", "density", "covariant density decomposition, dense and block routes", _points(), _covariant_decomposition),
+    _entry("covariant-decomposition", "density", "covariant density decomposition, dense and block routes", _sampled, _covariant_decomposition),
     _entry("parallel-polarization", "density", "polarization components for p along n", _points(), _parallel_polarization),
     # fermi
     _entry("fermi-eigen", "fermi", "all four original bi-spinors satisfy H u = +R u", _sampled, _fermi_eigen),
@@ -1325,7 +1317,12 @@ def _claim_with_worker(grid: GridSpec, claims: int) -> dict[int, float | Excepti
     fails first, the worker is killed.  Either way it is reaped here.
     """
     results, sink = os.pipe()
-    pid = os.fork()
+    try:
+        pid = os.fork()
+    except OSError:  # a process limit: this process claims every entry alone
+        os.close(results)
+        os.close(sink)
+        return _claim(grid, claims)
     if pid == 0:
         code = 1
         try:

@@ -6,6 +6,7 @@ from diracfree.errors import ZeroMomentum
 from diracfree.gamma import ALPHA, BETA, SPIN, anticommutator, hamiltonian
 from diracfree.kinematics import MomentumState
 from diracfree.smallmat import det4, max_abs
+from diracfree.verify import GridSpec
 
 from oracles import perm_det, row_reduce_rank
 
@@ -34,6 +35,13 @@ class TestOriginalBispinors:
         u1_original = fe.fermi_bispinors_original(state)[0]
         u1_corrected = fe.fermi_bispinors_corrected(state)[0]
         assert max_abs(u1_original - u1_corrected) <= 1e-15
+
+    def test_first_pair_is_the_corrected_pair(self):
+        grid = GridSpec(mass=3, c=0.5, theta_count=5, phi_count=7)
+        state = grid.states(0.6, grid.angle_stack())
+        original = fe.fermi_bispinors_original(state)[:2]
+        corrected = fe.fermi_bispinors_corrected(state)[:2]
+        assert all(np.array_equal(u, v) for u, v in zip(original, corrected))
 
     def test_linearly_dependent(self):
         state = moving_state()

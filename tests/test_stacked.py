@@ -603,7 +603,8 @@ ORACLES = {
     # the strided, drawn and spinor-carrying checks: tests/scalar_sweep.py
     **scalar_sweep.ORACLES,
 }
-GRIDS = [verify.GridSpec(theta_count=5, phi_count=7), verify.GridSpec(mass=3, c=0.5)]
+GRIDS = [verify.GridSpec(theta_count=5, phi_count=7), verify.GridSpec(mass=3, c=0.5),
+         verify.GridSpec(eta_values=(0.5,), theta_count=1, phi_count=1)]
 
 
 def test_every_check_on_a_stacked_domain_has_an_oracle():
@@ -656,7 +657,7 @@ def _same_point(a, b):
             assert np.array_equal(x, y)
 
 
-@pytest.mark.parametrize("grid", GRIDS, ids=["5x7", "m3-c0.5"])
+@pytest.mark.parametrize("grid", GRIDS, ids=["5x7", "m3-c0.5", "1x1"])
 @pytest.mark.parametrize("check_id", sorted(ORACLES))
 def test_moved_check_matches_scalar_oracle(grid, check_id):
     entry = next(e for e in verify.REGISTRY if e.id == check_id)
@@ -669,7 +670,7 @@ def test_moved_check_matches_scalar_oracle(grid, check_id):
 _ss = scalar_sweep
 
 
-@pytest.mark.parametrize("grid", GRIDS, ids=["5x7", "m3-c0.5"])
+@pytest.mark.parametrize("grid", GRIDS, ids=["5x7", "m3-c0.5", "1x1"])
 @pytest.mark.parametrize(
     "stacked, old",
     [

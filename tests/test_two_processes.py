@@ -69,6 +69,27 @@ def test_worker_gives_the_one_process_report(monkeypatch, grid):
     assert _bits(shared) == _bits(alone)
 
 
+def _lowest_free_fd():
+    fd = os.dup(0)
+    os.close(fd)
+    return fd
+
+
+def test_failed_fork_falls_back_to_one_process(monkeypatch):
+    grid = verify.GridSpec(theta_count=5, phi_count=7, mass=3.0, c=0.5)
+    _cpus(monkeypatch, ONE_CPU)
+    alone = verify.run_suite("all", grid)
+
+    def fork():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", fork)
+    _cpus(monkeypatch, TWO_CPUS)
+    free = _lowest_free_fd()
+    assert _bits(verify.run_suite("all", grid)) == _bits(alone)
+    assert _lowest_free_fd() == free  # both ends of the results pipe are closed
+
+
 def test_every_entry_runs_exactly_once_across_both_processes(monkeypatch):
     _cpus(monkeypatch, TWO_CPUS)
     log, sink = os.pipe()

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -413,7 +414,8 @@ class TestCli:
     def test_default_grid_is_gridspecs(self):
         code, out, _ = self.run("verify", "--format", "json")
         assert code == 0
-        assert json.loads(out)["inputs"]["grid"] == verify.GridSpec().describe()
+        grid = dataclasses.asdict(verify.GridSpec())
+        assert json.loads(out)["inputs"]["grid"] == grid | {"eta_values": list(grid["eta_values"])}
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
     @pytest.mark.parametrize("theta", ["4", "-0.5"])

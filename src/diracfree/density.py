@@ -32,8 +32,8 @@ from .gamma import (
     GAMMA,
     GAMMA5_LOWER,
     ID4,
-    METRIC,
     alpha_dot,
+    commutator,
     gamma_slash,
     sigma_dot,
     spin_dot,
@@ -122,27 +122,20 @@ def density_block_form(eta: float, angles: PolarAngles, branch: EnergyBranch,
 
 
 def sigma_tensor(mu: int, nu: int) -> np.ndarray:
-    """Antisymmetric tensor of matrices (gamma^mu gamma^nu - gamma^nu gamma^mu)/2."""
+    """Antisymmetric tensor of matrices, half the commutator [gamma^mu, gamma^nu]."""
     if mu not in range(4) or nu not in range(4):
         raise IndexOutOfRange("tensor indices must lie in 0..3")
-    return 0.5 * (GAMMA[mu] @ GAMMA[nu] - GAMMA[nu] @ GAMMA[mu])
+    return 0.5 * commutator(GAMMA[mu], GAMMA[nu])
 
 
 def slash_pair(p: FourVector, a: FourVector) -> np.ndarray:
-    """Contraction Sigma^{mu nu} p_mu a_nu of two four-vectors.
+    """Contraction Sigma^{mu nu} p_mu a_nu of two four-vectors, (1/2)[p-slash, a-slash].
 
     Equals -p0 (alpha.a) + a0 (alpha.p) - i Sigma.(p x a); the relation
     p-slash gamma_5 a-slash = -gamma_5 (this contraction) holds whenever
     p.a = 0.
     """
-    p_low = np.matvec(METRIC, p.as_array())
-    a_low = np.matvec(METRIC, a.as_array())
-    total = np.zeros(p_low.shape[:-1] + (4, 4), dtype=np.complex128)
-    for mu in range(4):
-        for nu in range(4):
-            if mu != nu:
-                total += sigma_tensor(mu, nu) * (p_low[..., mu] * a_low[..., nu])[..., None, None]
-    return total
+    return 0.5 * commutator(gamma_slash(p), gamma_slash(a))
 
 
 def slash_pair_components(p: FourVector, a: FourVector) -> np.ndarray:

@@ -88,11 +88,7 @@ def spin_dot(v) -> np.ndarray:
 
 def gamma_slash(a: FourVector) -> np.ndarray:
     """Feynman slash a0 gamma^0 - a . gamma of a contravariant four-vector."""
-    a = a.as_array()[..., None, None]
-    return (
-        a[..., 0, :, :] * GAMMA[0] - a[..., 1, :, :] * GAMMA[1]
-        - a[..., 2, :, :] * GAMMA[2] - a[..., 3, :, :] * GAMMA[3]
-    )
+    return np.asarray(a.t)[..., None, None] * GAMMA[0] - _contract(a.r, GAMMA[1:])
 
 
 def hamiltonian(state: MomentumState) -> np.ndarray:

@@ -213,7 +213,10 @@ def _cmd_verify(args) -> int:
 
     given = {"eta_values": args.eta_values, "mass": args.m, "c": args.c, **(args.angles or {})}
     grid = GridSpec(**{key: value for key, value in given.items() if value is not None})
-    report = run_suite(args.suite, grid, args.tol)
+    try:
+        report = run_suite(args.suite, grid, args.tol)
+    except OSError as exc:  # a descriptor limit in the engine; run() reads OSError as a failed write
+        raise DiracFreeError(str(exc)) from exc
     if args.format == "json":
         checks = [
             {

@@ -29,7 +29,8 @@ from .spinors import Helicity, Normalization, helicity_bispinor
 
 def dirac_adjoint(u: np.ndarray) -> np.ndarray:
     """Row vector u+ gamma^0 of a column or of each column in a stack."""
-    return np.conjugate(np.asarray(u)) @ GAMMA0
+    # gamma^0 = beta is diagonal in the Dirac representation
+    return np.conjugate(np.asarray(u)) * GAMMA0.diagonal().real
 
 
 def bilinear(u_left: np.ndarray, m: np.ndarray, u_right: np.ndarray) -> complex:

@@ -78,6 +78,7 @@ import math
 import os
 import pickle
 import random
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from typing import Callable, Iterable
@@ -1316,12 +1317,13 @@ def _claim_with_worker(grid: GridSpec, claims: int) -> dict[int, float | Excepti
     without sending all of them raises ``RuntimeError``; if this process
     fails first, the worker is killed.  Either way it is reaped here.
     """
-    results, sink = os.pipe()
+    opened = ()
     try:
+        opened = results, sink = os.pipe()
         pid = os.fork()
-    except OSError:  # a process limit: this process claims every entry alone
-        os.close(results)
-        os.close(sink)
+    except OSError:  # a descriptor or process limit: this process claims every entry alone
+        for fd in opened:
+            os.close(fd)
         return _claim(grid, claims)
     if pid == 0:
         code = 1
@@ -1356,18 +1358,23 @@ def _evaluate(grid: GridSpec, indices: list[int]) -> dict[int, float]:
     The indices go into a pipe as one byte each (the registry has fewer than
     256 entries), and each process claims the next one with a 1-byte read,
     which is atomic, so every entry runs exactly once.  With at least two
-    CPUs in this process's affinity a forked worker claims alongside; else
-    this process claims them all.  Each process stops at its first exception,
-    and the one of the lowest failing index is raised: every lower index was
-    claimed before it and evaluated, so that is the exception the registry
-    order meets first, whichever process claimed what.
+    CPUs in this process's affinity and no other Python thread running, a
+    forked worker claims alongside; else this process claims them all.
+    Each process stops at its first exception, and the one of the lowest
+    failing index is raised: every lower index was claimed before it and
+    evaluated, so that is the exception the registry order meets first,
+    whichever process claimed what.
     """
     payload = bytes(indices)
     claims, feed = os.pipe()
     os.write(feed, payload)  # fewer bytes than the pipe buffer: never blocks
     os.close(feed)
+    # read from sys.modules so that a verify run imports nothing new; a fork
+    # beside another thread could copy a lock that thread holds
+    threading = sys.modules.get("threading")
     try:
-        if hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2:
+        if (hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2
+                and (threading is None or threading.active_count() == 1)):
             outcomes = _claim_with_worker(grid, claims)
         else:
             outcomes = _claim(grid, claims)

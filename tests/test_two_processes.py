@@ -5,8 +5,12 @@ worker may outlive ``run_suite``.  Each test fixes the CPU count it needs by
 patching ``os.sched_getaffinity``, so it runs the same on any host.
 """
 
+import errno
 import os
 import signal
+import subprocess
+import sys
+import threading
 import time
 
 import pytest
@@ -75,19 +79,75 @@ def _lowest_free_fd():
     return fd
 
 
-def test_failed_fork_falls_back_to_one_process(monkeypatch):
+def _falls_back_to_one_process(monkeypatch, name, failing):
+    """With ``os.<name>`` patched to ``failing``, two CPUs give the one-process report."""
     grid = verify.GridSpec(theta_count=5, phi_count=7, mass=3.0, c=0.5)
     _cpus(monkeypatch, ONE_CPU)
     alone = verify.run_suite("all", grid)
-
-    def fork():
-        raise BlockingIOError(11, "Resource temporarily unavailable")
-
-    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(os, name, failing)
     _cpus(monkeypatch, TWO_CPUS)
     free = _lowest_free_fd()
     assert _bits(verify.run_suite("all", grid)) == _bits(alone)
-    assert _lowest_free_fd() == free  # both ends of the results pipe are closed
+    assert _lowest_free_fd() == free  # every pipe end that was opened is closed
+
+
+def test_failed_fork_falls_back_to_one_process(monkeypatch):
+    def fork():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    _falls_back_to_one_process(monkeypatch, "fork", fork)
+
+
+def test_failed_results_pipe_falls_back_to_one_process(monkeypatch):
+    pipe, calls = os.pipe, []
+
+    def second_pipe_fails():  # the claims pipe opens, the results pipe hits the descriptor limit
+        calls.append(1)
+        if len(calls) == 2:
+            raise OSError(errno.EMFILE, "Too many open files")
+        return pipe()
+
+    _falls_back_to_one_process(monkeypatch, "pipe", second_pipe_fails)
+    assert len(calls) == 2
+
+
+def test_failed_claims_pipe_exits_2_with_one_error_line(child_env):
+    # the limit is a patched os.pipe in the child: no real descriptor limit is lowered
+    probe = (
+        "import os, sys\n"
+        "import diracfree.cli\n"
+        "def pipe():\n"
+        "    raise OSError(24, 'Too many open files')\n"
+        "os.pipe = pipe\n"
+        "os.sched_getaffinity = lambda pid: {0}\n"
+        "sys.argv[1:] = ['verify', '--format', 'json']\n"
+        "diracfree.cli.run()\n"
+    )
+    free = _lowest_free_fd()
+    child = subprocess.run([sys.executable, "-c", probe], env=child_env, capture_output=True, text=True)
+    assert (child.returncode, child.stdout, child.stderr) == (2, "", "error: [Errno 24] Too many open files\n")
+    assert _lowest_free_fd() == free
+
+
+def test_no_fork_beside_another_thread(monkeypatch):
+    grid = verify.GridSpec(theta_count=5, phi_count=7, mass=3.0, c=0.5)
+    _cpus(monkeypatch, ONE_CPU)
+    alone = verify.run_suite("all", grid)
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    _cpus(monkeypatch, TWO_CPUS)
+    release = threading.Event()
+    waiter = threading.Thread(target=release.wait, args=(30.0,))
+    waiter.start()
+    try:
+        beside = verify.run_suite("all", grid)
+    finally:
+        release.set()
+        waiter.join(10.0)
+    assert not waiter.is_alive()
+    assert forks == []
+    assert _bits(beside) == _bits(alone)
 
 
 def test_every_entry_runs_exactly_once_across_both_processes(monkeypatch):

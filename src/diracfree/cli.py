@@ -215,7 +215,7 @@ def _cmd_verify(args) -> int:
     grid = GridSpec(**{key: value for key, value in given.items() if value is not None})
     try:
         report = run_suite(args.suite, grid, args.tol)
-    except OSError as exc:  # a descriptor limit in the engine; run() reads OSError as a failed write
+    except OSError as exc:  # one the engine does not absorb; run() reads OSError as a failed write
         raise DiracFreeError(str(exc)) from exc
     if args.format == "json":
         checks = [

@@ -50,7 +50,6 @@ from enum import Enum
 import numpy as np
 
 from .errors import (
-    EtaOutOfRange,
     MasslessState,
     NonPositiveVolume,
     UnnormalizablePhi,

@@ -79,7 +79,7 @@ import os
 import pickle
 import random
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import Callable, Iterable
 
@@ -208,7 +208,11 @@ class VerificationReport:
     grid: GridSpec
     tolerance: float
     checks: list[IdentityCheck]
-    deviations: list[IdentityCheck] = field(default_factory=list)
+
+    @property
+    def deviations(self) -> list[IdentityCheck]:
+        """The documented deviations among ``checks``, in their order."""
+        return [c for c in self.checks if c.deviation_note is not None]
 
     @property
     def max_residual(self) -> float:
@@ -1292,39 +1296,44 @@ def registry_ids(suite: str | None = None) -> list[str]:
     return sorted(e.id for e in REGISTRY if suite is None or e.suite == suite)
 
 
-def _claim(grid: GridSpec, claims: int) -> dict[int, float | Exception]:
-    """Evaluate the registry entries claimed from the pipe ``claims``, one index byte per read.
+def _claim(grid: GridSpec, claims: int) -> dict[int, float]:
+    """The residuals of the registry entries claimed from the pipe ``claims``, one index byte per read.
 
-    Claims until the pipe is empty or an entry raises; the exception is that
-    entry's outcome, and nothing is claimed after it.
+    Claims until the pipe is empty or an entry raises.  The raising entry is
+    left out, and nothing is claimed after it: ``_evaluate``'s loop runs it
+    again and raises its exception where the registry order meets it.
     """
-    outcomes: dict[int, float | Exception] = {}
+    done: dict[int, float] = {}
     while claim := os.read(claims, 1):
-        index = claim[0]
         try:
-            outcomes[index] = float(REGISTRY[index].fn(grid))
-        except Exception as exc:  # the lowest failing index is raised once all outcomes are in
-            outcomes[index] = exc
+            done[claim[0]] = float(REGISTRY[claim[0]].fn(grid))
+        except Exception:
             break
-    return outcomes
+    return done
 
 
-def _claim_with_worker(grid: GridSpec, claims: int) -> dict[int, float | Exception]:
-    """``_claim`` in this process and in one forked worker, merged.
+def _claim_with_worker(grid: GridSpec, indices: list[int]) -> dict[int, float]:
+    """Residuals that this process and one forked worker ``_claim`` from a pipe of ``indices``.
 
-    The worker sends its outcomes back pickled and ends with ``os._exit``:
-    it writes no output and runs no exit handler.  A worker that ends
-    without sending all of them raises ``RuntimeError``; if this process
-    fails first, the worker is killed.  Either way it is reaped here.
+    The indices go into the pipe one byte each (the registry has fewer than
+    256 entries); a 1-byte read is atomic, so no entry runs twice.  The
+    worker pickles its residuals back and ends with ``os._exit``, writing no
+    output and running no exit handler; they count only as a complete
+    pickle.  A failed pipe, write or fork claims nothing.  The worker is
+    reaped here, and killed first if this process fails before that.
     """
-    opened = ()
+    fds: list[int] = []
     try:
-        opened = results, sink = os.pipe()
+        fds += os.pipe()
+        fds += os.pipe()
+        claims, feed, results, sink = fds
+        os.write(feed, bytes(indices))  # fewer bytes than the pipe buffer: never blocks
         pid = os.fork()
-    except OSError:  # a descriptor or process limit: this process claims every entry alone
-        for fd in opened:
+    except OSError:  # a descriptor or process limit: the loop evaluates every entry
+        for fd in fds:
             os.close(fd)
-        return _claim(grid, claims)
+        return {}
+    os.close(feed)
     if pid == 0:
         code = 1
         try:
@@ -1335,15 +1344,20 @@ def _claim_with_worker(grid: GridSpec, claims: int) -> dict[int, float | Excepti
             os._exit(code)
     os.close(sink)
     try:
-        outcomes = _claim(grid, claims)
+        done = _claim(grid, claims)
         with open(results, "rb", closefd=False) as stream:
             sent = stream.read()
-        _, status = os.waitpid(pid, 0)
+        try:
+            os.waitpid(pid, 0)
+        except ChildProcessError:  # SIGCHLD is ignored: the kernel has reaped the worker
+            pass
         pid = 0
-        if status != 0:
-            raise RuntimeError(f"the verify worker ended with wait status {status} before it sent its results")
-        return outcomes | pickle.loads(sent)
+        try:
+            return done | pickle.loads(sent)
+        except (EOFError, pickle.UnpicklingError):  # the worker died before it sent them all
+            return done
     finally:
+        os.close(claims)
         os.close(results)
         if pid:  # this process failed before it reaped the worker
             import signal  # only this path needs it, so a verify run does not import it
@@ -1355,35 +1369,21 @@ def _claim_with_worker(grid: GridSpec, claims: int) -> dict[int, float | Excepti
 def _evaluate(grid: GridSpec, indices: list[int]) -> dict[int, float]:
     """The residual of each registry entry in ``indices``, keyed by index.
 
-    The indices go into a pipe as one byte each (the registry has fewer than
-    256 entries), and each process claims the next one with a 1-byte read,
-    which is atomic, so every entry runs exactly once.  With at least two
-    CPUs in this process's affinity and no other Python thread running, a
-    forked worker claims alongside; else this process claims them all.
-    Each process stops at its first exception, and the one of the lowest
-    failing index is raised: every lower index was claimed before it and
-    evaluated, so that is the exception the registry order meets first,
-    whichever process claimed what.
+    One loop evaluates the entries in the order given, so the first
+    exception it meets is the one raised.  With at least two CPUs in this
+    process's affinity and no other Python thread running, this process and
+    a forked worker fill in ``done`` ahead of the loop.  Each entry reads
+    only the grid and its own seeded generator, so where it ran changes no
+    residual and no exception.
     """
-    payload = bytes(indices)
-    claims, feed = os.pipe()
-    os.write(feed, payload)  # fewer bytes than the pipe buffer: never blocks
-    os.close(feed)
     # read from sys.modules so that a verify run imports nothing new; a fork
     # beside another thread could copy a lock that thread holds
     threading = sys.modules.get("threading")
-    try:
-        if (hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2
-                and (threading is None or threading.active_count() == 1)):
-            outcomes = _claim_with_worker(grid, claims)
-        else:
-            outcomes = _claim(grid, claims)
-    finally:
-        os.close(claims)
-    failed = [i for i, outcome in outcomes.items() if isinstance(outcome, Exception)]
-    if failed:
-        raise outcomes[min(failed)]
-    return outcomes
+    done: dict[int, float] = {}
+    if (hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2
+            and (threading is None or threading.active_count() == 1)):
+        done = _claim_with_worker(grid, indices)
+    return {i: done[i] if i in done else float(REGISTRY[i].fn(grid)) for i in indices}
 
 
 def run_suite(suite: str = "all", grid: GridSpec | None = None,
@@ -1411,7 +1411,4 @@ def run_suite(suite: str = "all", grid: GridSpec | None = None,
         for i, entry in selected
     ]
     checks.sort(key=lambda c: c.id)
-    deviations = [c for c in checks if c.deviation_note is not None]
-    return VerificationReport(
-        suite=suite, grid=grid, tolerance=tol, checks=checks, deviations=deviations
-    )
+    return VerificationReport(suite=suite, grid=grid, tolerance=tol, checks=checks)

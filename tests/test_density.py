@@ -7,7 +7,7 @@ from diracfree import density as de
 from diracfree import observables as ob
 from diracfree import spinors as sp
 from diracfree.errors import IndexOutOfRange, NonUnitDirection
-from diracfree.gamma import ALPHA, GAMMA5_LOWER, SPIN, gamma_slash, sigma_dot
+from diracfree.gamma import ALPHA, GAMMA5_LOWER, SPIN, gamma_slash
 from diracfree.kinematics import (
     EnergyBranch,
     MomentumState,

@@ -8,7 +8,6 @@ from diracfree import spinors as sp
 from diracfree.gamma import GAMMA, GAMMA5_LOWER, PAULI
 from diracfree.kinematics import (
     EnergyBranch,
-    FourVector,
     MomentumState,
     PolarAngles,
     angles_of,

@@ -463,6 +463,14 @@ class TestStackedValidation:
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("suite, count", [("covariant", 9), ("density", 20)])
+    def test_verify_rest_eta_passes_covariant_and_density(self, capsys, suite, count):
+        assert main(["verify", "--eta", "0,0.5", "--angles", "3x3", "--suite", suite]) == 0
+        captured = capsys.readouterr()
+        assert f"summary: {count} checks, max residual " in captured.out
+        assert captured.out.rstrip().endswith("all passed")
+        assert captured.err == ""
+
 
 # --------------------------------------------------------------------------
 # scalar loop oracles for the 13 checks on stacked domains: the per-point

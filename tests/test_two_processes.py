@@ -12,6 +12,7 @@ import subprocess
 import sys
 import threading
 import time
+from functools import partial
 
 import pytest
 
@@ -37,10 +38,10 @@ def _bits(report):
     return [(c.id, c.residual.hex(), c.passed) for c in report.checks]
 
 
-def _registry(monkeypatch, fn, n):
+def _registry(monkeypatch, fns):
     entry = verify.REGISTRY[0]
     monkeypatch.setattr(verify, "REGISTRY", tuple(
-        verify.RegistryEntry(f"{entry.id}-{i}", entry.suite, entry.description, fn) for i in range(n)
+        verify.RegistryEntry(f"{entry.id}-{i}", entry.suite, entry.description, fn) for i, fn in enumerate(fns)
     ))
 
 
@@ -98,35 +99,71 @@ def test_failed_fork_falls_back_to_one_process(monkeypatch):
     _falls_back_to_one_process(monkeypatch, "fork", fork)
 
 
-def test_failed_results_pipe_falls_back_to_one_process(monkeypatch):
+def _nth_pipe_fails(n):
     pipe, calls = os.pipe, []
 
-    def second_pipe_fails():  # the claims pipe opens, the results pipe hits the descriptor limit
+    def failing():  # the n-th pipe hits the descriptor limit
         calls.append(1)
-        if len(calls) == 2:
+        if len(calls) == n:
             raise OSError(errno.EMFILE, "Too many open files")
         return pipe()
 
-    _falls_back_to_one_process(monkeypatch, "pipe", second_pipe_fails)
+    return failing, calls
+
+
+def test_failed_claims_pipe_falls_back_to_one_process(monkeypatch):
+    failing, calls = _nth_pipe_fails(1)
+    _falls_back_to_one_process(monkeypatch, "pipe", failing)
+    assert len(calls) == 1
+
+
+def test_failed_results_pipe_falls_back_to_one_process(monkeypatch):
+    failing, calls = _nth_pipe_fails(2)
+    _falls_back_to_one_process(monkeypatch, "pipe", failing)
     assert len(calls) == 2
 
 
-def test_failed_claims_pipe_exits_2_with_one_error_line(child_env):
-    # the limit is a patched os.pipe in the child: no real descriptor limit is lowered
+def test_killed_worker_falls_back_to_one_process(monkeypatch):
+    read, parent = os.read, os.getpid()
+
+    def claim_then_die(fd, n):  # the entry the worker claims dies with it
+        data = read(fd, n)
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return data
+
+    _falls_back_to_one_process(monkeypatch, "read", claim_then_die)
+
+
+def test_ignored_sigchld_gives_the_normal_output(child_env):
+    # SIG_IGN for SIGCHLD survives exec; the kernel then reaps the worker itself
     probe = (
         "import os, sys\n"
         "import diracfree.cli\n"
-        "def pipe():\n"
-        "    raise OSError(24, 'Too many open files')\n"
-        "os.pipe = pipe\n"
-        "os.sched_getaffinity = lambda pid: {0}\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
         "sys.argv[1:] = ['verify', '--format', 'json']\n"
         "diracfree.cli.run()\n"
     )
-    free = _lowest_free_fd()
+    argv = [sys.executable, "-c", probe]
+    normal = subprocess.run(argv, env=child_env, capture_output=True, text=True)
+    ignored = subprocess.run(argv, env=child_env, capture_output=True, text=True,
+                             preexec_fn=lambda: signal.signal(signal.SIGCHLD, signal.SIG_IGN))
+    assert (normal.returncode, normal.stderr) == (0, "")
+    assert (ignored.returncode, ignored.stdout, ignored.stderr) == (0, normal.stdout, "")
+
+
+def test_engine_os_error_exits_2_with_one_error_line(child_env):
+    probe = (
+        "import sys\n"
+        "import diracfree.cli, diracfree.verify\n"
+        "def run_suite(*args):\n"
+        "    raise OSError(24, 'Too many open files')\n"
+        "diracfree.verify.run_suite = run_suite\n"
+        "sys.argv[1:] = ['verify', '--format', 'json']\n"
+        "diracfree.cli.run()\n"
+    )
     child = subprocess.run([sys.executable, "-c", probe], env=child_env, capture_output=True, text=True)
     assert (child.returncode, child.stdout, child.stderr) == (2, "", "error: [Errno 24] Too many open files\n")
-    assert _lowest_free_fd() == free
 
 
 def test_no_fork_beside_another_thread(monkeypatch):
@@ -159,7 +196,7 @@ def test_every_entry_runs_exactly_once_across_both_processes(monkeypatch):
         os.write(sink, b"x")  # one byte per evaluation, from either process
         return float(os.getpid())
 
-    _registry(monkeypatch, fn, 82)
+    _registry(monkeypatch, [fn] * 82)
     try:
         residuals = verify._evaluate(verify.GridSpec(), list(range(82)))
         os.close(sink)
@@ -171,45 +208,33 @@ def test_every_entry_runs_exactly_once_across_both_processes(monkeypatch):
     assert len(set(residuals.values())) == 2  # both processes claimed entries
 
 
-def _raise_in_worker(parent):
-    def fn(grid):
-        if os.getpid() == parent:
-            time.sleep(0.05)  # leaves the worker time to claim an entry
-            return 0.0
-        raise ZeroMomentum("helicity is undefined at rest")
-
-    return fn
-
-
 def test_worker_error_is_the_one_process_error(monkeypatch):
-    def always(grid):
-        raise ZeroMomentum("helicity is undefined at rest")
-
-    _cpus(monkeypatch, ONE_CPU)
-    _registry(monkeypatch, always, 4)
-    with pytest.raises(ZeroMomentum) as alone:
-        verify.run_suite("all")
-    _cpus(monkeypatch, TWO_CPUS)
-    _registry(monkeypatch, _raise_in_worker(os.getpid()), 8)
-    with pytest.raises(ZeroMomentum) as shared:
-        verify.run_suite("all")
-    assert type(shared.value) is type(alone.value)
-    assert str(shared.value) == str(alone.value)
-
-
-def test_killed_worker_raises_runtime_error(monkeypatch):
+    log, sink = os.pipe()
     parent = os.getpid()
 
-    def fn(grid):
-        if os.getpid() != parent:
-            os.kill(os.getpid(), signal.SIGKILL)
-        time.sleep(0.05)
-        return 0.0
+    def fn(k, grid):
+        if k < 4:
+            return float(k)
+        os.write(sink, b"p" if os.getpid() == parent else b"w")
+        raise ZeroMomentum(f"entry {k}")
 
-    _cpus(monkeypatch, TWO_CPUS)
-    _registry(monkeypatch, fn, 8)
-    with pytest.raises(RuntimeError, match=f"wait status {signal.SIGKILL} "):
-        verify.run_suite("all")
+    # each process stops at its first raising claim, so both meet one of the
+    # twelve raising entries; the loop then raises entry 4 in this process
+    _registry(monkeypatch, [partial(fn, k) for k in range(16)])
+    errors = []
+    try:
+        for cpus in (ONE_CPU, TWO_CPUS):
+            _cpus(monkeypatch, cpus)
+            with pytest.raises(ZeroMomentum) as error:
+                verify.run_suite("all")
+            errors.append(str(error.value))
+        os.close(sink)
+        raised = os.read(log, 100)
+    finally:
+        os.close(log)
+    assert errors == ["entry 4", "entry 4"]
+    # one CPU: the loop; two: this process's claim, the worker's claim, the loop
+    assert (raised.count(b"p"), raised.count(b"w")) == (3, 1)
 
 
 class _Interrupt(BaseException):
@@ -227,7 +252,7 @@ def test_failing_parent_kills_the_worker(monkeypatch):
         return 0.0
 
     _cpus(monkeypatch, TWO_CPUS)
-    _registry(monkeypatch, fn, 4)
+    _registry(monkeypatch, [fn] * 4)
     start = time.monotonic()
     with pytest.raises(_Interrupt):
         verify.run_suite("all")

@@ -12,9 +12,13 @@ Subcommands:
   direct construction.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or precondition
-error.  :func:`main` returns the exit code (argparse usage errors and
-``--version`` raise ``SystemExit`` as usual); :func:`run`, the console entry
-point, ends the process with that code right after flushing the output.
+error.  Any other exception that escapes ``run_suite`` (a fault in a check,
+or ``MemoryError`` on a huge grid) also exits 2, with the one line
+``error: internal error: <type>: <message>`` and no report, so exit 1
+always means a verification ran and failed.  :func:`main` returns the exit
+code (argparse usage errors and ``--version`` raise ``SystemExit`` as
+usual); :func:`run`, the console entry point, ends the process with that
+code right after flushing the output.
 Numeric flags must be finite, each entry of ``--p``, ``--n`` and
 ``--spinor`` included, ``--theta`` must lie in [0, pi], and an emit whose
 output is not finite fails with exit 2 in either format.  The library
@@ -215,8 +219,12 @@ def _cmd_verify(args) -> int:
     grid = GridSpec(**{key: value for key, value in given.items() if value is not None})
     try:
         report = run_suite(args.suite, grid, args.tol)
+    except (DiracFreeError, ValueError):  # a precondition: main() prints its own message
+        raise
     except OSError as exc:  # one the engine does not absorb; run() reads OSError as a failed write
         raise DiracFreeError(str(exc)) from exc
+    except Exception as exc:  # a fault in a check, or MemoryError: exit 2, as 1 means failed checks
+        raise DiracFreeError(f"internal error: {type(exc).__name__}: {exc}") from exc
     if args.format == "json":
         checks = [
             {

@@ -30,15 +30,22 @@ import numpy as np
 from .errors import IndexOutOfRange, NonUnitDirection
 from .gamma import (
     GAMMA,
-    GAMMA5_LOWER,
     ID4,
     alpha_dot,
     commutator,
+    gamma5_lower_times,
     gamma_slash,
     sigma_dot,
     spin_dot,
 )
-from .kinematics import EnergyBranch, FourVector, MomentumState, PolarAngles, angles_of
+from .kinematics import (
+    EnergyBranch,
+    FourVector,
+    MomentumState,
+    PolarAngles,
+    angles_of,
+    one_minus_eta_squared,
+)
 from .observables import adjoint_norm, dirac_adjoint, polarization_four_vector
 from .smallmat import UNIT_TOL, Block2x2, disassemble
 from .spinors import Helicity, Normalization, eta_bispinor, helicity_bispinor
@@ -74,7 +81,7 @@ def outer_with_adjoint(u: np.ndarray) -> np.ndarray:
 
 def polarizer(a: FourVector) -> np.ndarray:
     """Polarization factor 1 - gamma_5,lower a-slash of a four-vector a."""
-    return ID4 - GAMMA5_LOWER @ gamma_slash(a)
+    return ID4 - gamma5_lower_times(gamma_slash(a))
 
 
 def density4(state: MomentumState, branch: EnergyBranch, lam: Helicity, n) -> np.ndarray:
@@ -116,7 +123,7 @@ def density_block_form(eta: float, angles: PolarAngles, branch: EnergyBranch,
     diag(rho, 0).
     """
     u = eta_bispinor(lam, branch, eta, angles)
-    scale = branch.sign * (1.0 - np.square(eta))
+    scale = branch.sign * one_minus_eta_squared(eta)
     scaled = scale[..., None, None] * outer_with_adjoint(u) / adjoint_norm(u)[..., None, None]
     return disassemble(scaled)
 
@@ -159,5 +166,5 @@ def covariant_decomposition(state: MomentumState, branch: EnergyBranch,
     p4 = state.momentum_four_vector(EnergyBranch.POSITIVE)
     return (
         state.m * state.c * polarizer(a)
-        + branch.sign * (gamma_slash(p4) + GAMMA5_LOWER @ slash_pair(p4, a))
+        + branch.sign * (gamma_slash(p4) + gamma5_lower_times(slash_pair(p4, a)))
     )

@@ -76,7 +76,8 @@ def fermi_bispinors_original(state: MomentumState) -> list[np.ndarray]:
     The printed u1 and u2 are the corrected set's first pair, taken from it.
     u3 and u4 are printed with sqrt((R - m c^2)/2R) c p/(R - m c^2) and
     sqrt((R - m c^2)/2R), which are N p/|p| and N eta with N = sqrt((R +
-    m c^2)/2R), u1's first entry, and eta = c|p|/(R + m c^2); they are
+    m c^2)/2R), u1's first entry, and eta = c|p|/(R + m c^2), the state's
+    ``eta``; they are
     evaluated so, and R - m c^2, which cancels near rest, is never formed.
     The printed 1/(R - m c^2) blows up at rest, hence the |p| > 0
     precondition.  All four satisfy H u = +R u; the set has a vanishing
@@ -88,7 +89,7 @@ def fermi_bispinors_original(state: MomentumState) -> list[np.ndarray]:
     u1, u2, _, _ = fermi_bispinors_corrected(state)
     n = u1[..., :1]
     nx, ny, nz = np.moveaxis(momentum_axis(state), -1, 0)
-    eta = state.c * state.p_abs / (state.rest_energy + state.R)
+    eta = state.eta
     zero = np.zeros_like(eta)
     u3 = n * stack_last([nz, nx + 1j * ny, eta, zero])
     u4 = n * stack_last([nx - 1j * ny, -nz, zero, eta])

@@ -7,7 +7,8 @@ commutator / anticommutator helpers.  Conventions:
 * metric g = diag(1, -1, -1, -1), stored in ``METRIC``;
 * gamma^0 = beta, gamma^k = beta alpha_k;
 * gamma^5 = i gamma^0 gamma^1 gamma^2 gamma^3 = [[0, 1], [1, 0]] in blocks;
-  the index-lowered companion is GAMMA5_LOWER = -GAMMA5;
+  the index-lowered companion is GAMMA5_LOWER = -GAMMA5, and
+  ``gamma5_lower_times`` is the one function that multiplies by it;
 * Sigma_k = block-diagonal (sigma_k, sigma_k); that it equals
   alpha_k gamma^5 is the ``spin-gamma5`` check, not its definition.
 
@@ -102,6 +103,11 @@ def helicity_operator(state: MomentumState) -> np.ndarray:
     if np.count_nonzero(p_abs == 0.0):
         raise ZeroMomentum("helicity is undefined at rest")
     return spin_dot(state.p) / (2.0 * p_abs)[..., None, None]
+
+
+def gamma5_lower_times(x: np.ndarray) -> np.ndarray:
+    """GAMMA5_LOWER x, of a 4x4 matrix or of each matrix of a stack."""
+    return GAMMA5_LOWER @ x
 
 
 def commutator(x: np.ndarray, y: np.ndarray) -> np.ndarray:

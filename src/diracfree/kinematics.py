@@ -16,7 +16,10 @@ float64, so a product or power beyond the float range is inf rather than
 an ``OverflowError``.  ``verify`` builds every state it sweeps through
 ``GridSpec.states``, which stacks ``from_eta``.
 ``momentum_axis`` is the one home of the direction p/|p| (the z axis at
-rest), and ``mirrored`` of the state with momentum -p.
+rest), and ``mirrored`` of the state with momentum -p.  Each factor of the
+eta parametrization is formed in one function: ``MomentumState.eta`` is
+eta of a state (``to_eta`` adds the m > 0 guard), and
+``one_minus_eta_squared`` is 1 - eta^2.
 
 Angles, directions, four-vectors and momenta may be stacked: ``theta`` and
 ``phi`` of shape ``(N,)``, ``p`` of shape ``(N, 3)``.  Every quantity then
@@ -181,6 +184,11 @@ class MomentumState:
         """Energy magnitude sqrt(c^2 p^2 + m^2 c^4)."""
         return np.hypot(self.c * self.p_abs, self.rest_energy)
 
+    @cached_property
+    def eta(self) -> float:
+        """Speed parameter c|p| / (R + m c^2); 1 at m = 0, where ``to_eta`` raises instead."""
+        return self.c * self.p_abs / (self.R + self.rest_energy)
+
     def energy(self, branch: EnergyBranch = EnergyBranch.POSITIVE) -> float:
         return branch.sign * self.R
 
@@ -212,6 +220,11 @@ def check_eta(eta: float) -> float:
     return eta[()]
 
 
+def one_minus_eta_squared(eta):
+    """1 - eta^2, of a value or of each entry of an array: the one place it is formed."""
+    return 1.0 - np.square(eta)
+
+
 def from_eta(m: float, c: float, eta: float, dir: PolarAngles) -> MomentumState:
     """State with |p| = 2 m c eta / (1 - eta^2) along the given direction, hbar = 1.
 
@@ -220,15 +233,15 @@ def from_eta(m: float, c: float, eta: float, dir: PolarAngles) -> MomentumState:
     eta = check_eta(eta)
     if m <= 0:
         raise MasslessState("eta parametrization requires m > 0")
-    p_abs = 2.0 * m * c * eta / (1.0 - np.square(eta))
+    p_abs = 2.0 * m * c * eta / one_minus_eta_squared(eta)
     return MomentumState(m, p_abs[..., None] * direction(dir), c)
 
 
 def to_eta(state: MomentumState) -> float:
-    """eta = c|p| / (R + m c^2); inverse of ``from_eta`` on [0, 1)."""
+    """eta = c|p| / (R + m c^2), ``state.eta``; inverse of ``from_eta`` on [0, 1)."""
     if state.m == 0:
         raise MasslessState("eta parameter is undefined for m = 0")
-    return state.c * state.p_abs / (state.R + state.rest_energy)
+    return state.eta
 
 
 def rapidity(state: MomentumState) -> float:

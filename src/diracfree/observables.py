@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import MasslessState
-from .gamma import GAMMA, GAMMA0, GAMMA5_LOWER, ID4, SPIN, gamma_slash
+from .gamma import GAMMA, GAMMA0, ID4, SPIN, gamma5_lower_times, gamma_slash
 from .kinematics import EnergyBranch, FourVector, MomentumState, angles_of
 from .smallmat import IMAG_TOL, stack_last
 from .spinors import Helicity, Normalization, helicity_bispinor
@@ -87,7 +87,7 @@ def polarization_from_bilinear(state: MomentumState, n) -> FourVector:
     u = helicity_bispinor(
         Helicity.PLUS, EnergyBranch.POSITIVE, angles_of(n), state, Normalization.INVARIANT_UNIT
     )
-    return _bilinear_four_vector(u, [GAMMA5_LOWER @ g for g in GAMMA], "a")
+    return _bilinear_four_vector(u, [gamma5_lower_times(g) for g in GAMMA], "a")
 
 
 def polarization_constraint(a: FourVector) -> np.ndarray:
@@ -97,7 +97,7 @@ def polarization_constraint(a: FourVector) -> np.ndarray:
     eigenvector of sigma.n when a is the polarization four-vector of n; its
     action on the wrong helicity is of order one.
     """
-    return GAMMA5_LOWER @ gamma_slash(a) + ID4
+    return gamma5_lower_times(gamma_slash(a)) + ID4
 
 
 def current_density(u: np.ndarray) -> FourVector:

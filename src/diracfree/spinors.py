@@ -32,6 +32,13 @@ unnormalized and a ``Normalization`` value selects among u+u = 1, |u-bar u|
 norm of the block solution is taken in its closed form
 |phi|^2 2mc^2 / (mc^2 + R), which keeps its digits at any |p|.
 
+Each factor of the block solution is formed in one function: the coupling
+kappa = c / (m c^2 + R) of sigma.p in ``_coupling``, the block norm
+N = sqrt((m c^2 + R) / 2R) in ``_block_basis``, which builds
+N [[A, B], [B, -A]] for both ``spin_basis_matrix`` (A = 1, B = kappa
+sigma.p) and ``helicity_basis`` (A = Phi, B = eta Phi-tilde), and eta itself
+in ``kinematics.MomentumState.eta``.
+
 The helicity spinors and column matrices, ``spin_basis_matrix``,
 ``bispinor_block``, ``helicity_bispinor``, ``negative_energy_eigenvector``,
 ``boost_bispinor``, ``helicity_basis``, ``eta_bispinor``,
@@ -123,17 +130,24 @@ def phi_tilde_matrix(angles: PolarAngles) -> np.ndarray:
     return phi_matrix(angles) * [1.0, -1.0]
 
 
+def _coupling(state: MomentumState) -> np.ndarray:
+    """kappa = c / (m c^2 + R), the factor of sigma.p in the block solution."""
+    return state.c / (state.rest_energy + state.R)
+
+
+def _block_basis(state: MomentumState, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """N [[A, B], [B, -A]] with the block norm N = sqrt((m c^2 + R) / 2R): both 4x4 bases."""
+    norm = np.sqrt((state.rest_energy + state.R) / (2.0 * state.R))
+    return norm[..., None, None] * block4(a, b, b, -a)
+
+
 def spin_basis_matrix(state: MomentumState) -> np.ndarray:
     """Hermitian involutive matrix whose columns are the axis-3 spin bi-spinors.
 
     Columns 1-2 are +R eigenvectors of the Hamiltonian, columns 3-4 are -R
     eigenvectors; at p = 0 the matrix reduces to diag(1, 1, -1, -1).
     """
-    kappa = state.c / (state.rest_energy + state.R)
-    sp = kappa[..., None, None] * sigma_dot(state.p)
-    eye = np.eye(2)
-    u = block4(eye, sp, sp, -eye)
-    return np.sqrt((state.rest_energy + state.R) / (2.0 * state.R))[..., None, None] * u
+    return _block_basis(state, np.eye(2), _coupling(state)[..., None, None] * sigma_dot(state.p))
 
 
 def _normalize(raw: np.ndarray, phi: np.ndarray, state: MomentumState, norm: Normalization,
@@ -180,8 +194,7 @@ def bispinor_block(phi: np.ndarray, state: MomentumState, branch: EnergyBranch,
     so the 2mc convention yields +2mc and -2mc respectively.
     """
     phi = _two_spinor(phi)
-    kappa = state.c / (state.rest_energy + state.R)
-    coupled = kappa[..., None] * np.matvec(sigma_dot(state.p), phi)
+    coupled = _coupling(state)[..., None] * np.matvec(sigma_dot(state.p), phi)
     if phi.shape != coupled.shape:
         phi, coupled = np.broadcast_arrays(phi, coupled)
     if branch is EnergyBranch.POSITIVE:
@@ -250,12 +263,9 @@ def helicity_basis(state: MomentumState) -> HelicityBasis:
     """V and V-tilde of a state, or ``(N, 4, 4)`` stacks of a stacked state."""
     if np.count_nonzero(state.p_abs == 0.0):
         raise ZeroMomentum("helicity basis needs a momentum direction")
-    angles = angles_of(state.p)
-    kappa = (state.c * state.p_abs / (state.rest_energy + state.R))[..., None, None]
-    phi_m = phi_matrix(angles)
-    phi_t = phi_m * [1.0, -1.0]  # phi_tilde_matrix(angles), from the columns just built
-    v = block4(phi_m, kappa * phi_t, kappa * phi_t, -phi_m)
-    v *= np.sqrt((state.rest_energy + state.R) / (2.0 * state.R))[..., None, None]
+    phi_m = phi_matrix(angles_of(state.p))
+    phi_t = phi_m * [1.0, -1.0]  # phi_tilde_matrix of the same angles, from the columns just built
+    v = _block_basis(state, phi_m, state.eta[..., None, None] * phi_t)
     return HelicityBasis(V=v, V_tilde=v * [1.0, 1.0, -1.0, -1.0])
 
 

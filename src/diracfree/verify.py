@@ -11,8 +11,12 @@ check that reports one residual.  A registry row has the shape
   - ``_angles``: the whole angle list;
   - ``_states``: all states, one batch per eta;
   - ``_sampled``: the strided states at ``GridSpec.sample_points``;
-  - ``_points(partner)``: the strided ``(eta, angles, state)`` of
-    ``GridSpec.sample_points``, optionally with a rotated partner direction;
+  - ``_eta_angles``: the strided ``(eta, angles)`` of
+    ``GridSpec.sample_points``, with no state, for the seven checks that
+    read none (``eta-determinant``, ``conjugation-plus``/``-minus``,
+    ``explicit-rank-one-plus``/``-minus``, ``block-factor-plus``/``-minus``);
+  - ``_points(partner)``: the same points, each with its state
+    ``(eta, angles, state)``, optionally with a rotated partner direction;
   - ``_draws(n, draw)``: ``n`` seeded random draws, each entry uniform on
     [-1, 1) (``_boost_draws``: eta in [0, 0.95), theta in [0, pi), phi in
     [0, 2 pi), then a spinor), in batches of at most ``_DRAW_CHUNK`` = 100;
@@ -284,21 +288,26 @@ def _sampled(grid: GridSpec):
     return ((grid.states(*grid.sample_points()),),)
 
 
+def _eta_angles(grid: GridSpec):
+    """The strided ``(eta, angles)`` of ``grid.sample_points``, as one stacked point, with no state."""
+    return (grid.sample_points(),)
+
+
 def _points(partner: tuple[int, int] | None = None) -> _Domain:
-    """The strided ``(eta, angles, state)`` of ``grid.sample_points``, as one stacked point.
+    """The points of ``_eta_angles``, each with its state: ``(eta, angles, state)``.
 
     With ``partner = (k, j)`` the i-th point also carries the rotated
     direction ``angles[(k i + j) % len(angles)]`` of the angle list.
     """
 
     def domain(grid: GridSpec):
-        eta, angles = grid.sample_points()
-        point = (eta, angles, grid.states(eta, angles))
-        if partner is not None:
-            k, j = partner
-            index = (k * np.arange(len(eta)) + j) % (grid.theta_count * grid.phi_count)
-            point += (grid.angle(index),)
-        return (point,)
+        for eta, angles in _eta_angles(grid):
+            point = (eta, angles, grid.states(eta, angles))
+            if partner is not None:
+                k, j = partner
+                index = (k * np.arange(len(eta)) + j) % (grid.theta_count * grid.phi_count)
+                point += (grid.angle(index),)
+            yield point
 
     return domain
 
@@ -574,7 +583,7 @@ def _eta_rapidity(state):
 
 def _eta_round_trip(eta, ang, state):
     yield ki.to_eta(state), eta
-    yield _rel(state.rest_energy * (1.0 + eta**2) / (1.0 - eta**2), state.R)
+    yield _rel(state.rest_energy * (1.0 + eta**2) / ki.one_minus_eta_squared(eta), state.R)
 
 
 def _wave_numbers(eta, ang, state):
@@ -731,21 +740,21 @@ def _norm_ratio(state, phi):
     yield _rel(ratio, state.R / state.rest_energy)
 
 
-def _eta_determinant(eta, ang, state):
+def _eta_determinant(eta, ang):
     cols = [
         sp.eta_bispinor(lam, branch, eta, ang, volume=1.0)
         for branch in _BRANCHES
         for lam in _LAMBDAS
     ]
     m = sm.stack_last(cols) * np.sqrt(1.0 + eta**2)[..., None, None]
-    yield sm.det4(m), (1.0 - eta**2) ** 2
+    yield sm.det4(m), ki.one_minus_eta_squared(eta) ** 2
 
 
 def _norm_conversion(eta, ang, state):
     """Box -> 2mc-invariant normalization replacement factor."""
     volume = 2.5
     factor = np.sqrt(volume * (1.0 + eta**2)) * np.sqrt(
-        2.0 * state.m * state.c / (1.0 - eta**2)
+        2.0 * state.m * state.c / ki.one_minus_eta_squared(eta)
     )
     for branch in _BRANCHES:
         for lam in _LAMBDAS:
@@ -754,7 +763,7 @@ def _norm_conversion(eta, ang, state):
             yield norm, branch.sign * 2.0 * state.m * state.c
 
 
-def _conjugation(eta, ang, state, lam):
+def _conjugation(eta, ang, lam):
     plus = sp.eta_bispinor(lam, _POS, eta, ang)
     minus = sp.eta_bispinor(lam, _NEG, eta, ang)
     yield sp.charge_conjugate(plus), minus
@@ -983,13 +992,13 @@ def _rank_one_matrices(eta, ang: PolarAngles):
             [eta * s * ep, eta * st2, -s * ep, -st2],
         ]
     )
-    scale = (1 - e2)[..., None, None]
+    scale = ki.one_minus_eta_squared(eta)[..., None, None]
     return scale * plus, scale * minus
 
 
 def _explicit_projector(eta, ang, state, branch):
     proj_plus, proj_minus, _, _ = _eta_matrices(eta, ang)
-    scale = (1.0 - eta**2) / (2.0 * state.m * state.c)
+    scale = ki.one_minus_eta_squared(eta) / (2.0 * state.m * state.c)
     got = scale[..., None, None] * de.energy_projector(state, branch)
     yield got, (proj_plus if branch is _POS else -proj_minus)
 
@@ -997,11 +1006,11 @@ def _explicit_projector(eta, ang, state, branch):
 def _explicit_polarizer(eta, ang, state, lam):
     _, _, pol_plus, pol_minus = _eta_matrices(eta, ang)
     a = ob.polarization_four_vector(state, lam.sign * ki.direction(ang))
-    got = (0.5 * (1.0 - eta**2))[..., None, None] * de.polarizer(a)
+    got = (0.5 * ki.one_minus_eta_squared(eta))[..., None, None] * de.polarizer(a)
     yield got, (pol_plus if lam is Helicity.PLUS else pol_minus)
 
 
-def _explicit_rank_one(eta, ang, state, branch):
+def _explicit_rank_one(eta, ang, branch):
     """Printed factor products equal the explicit rank-one matrices.
 
     Both routes are checked: the product of the two printed component
@@ -1016,10 +1025,10 @@ def _explicit_rank_one(eta, ang, state, branch):
         product, target, lam = proj_minus @ pol_minus, rank_minus, Helicity.MINUS
     yield product, target
     raw = sp.eta_bispinor(lam, branch, eta, ang, volume=1.0) * np.sqrt(1.0 + eta**2)[..., None]
-    yield (1.0 - eta**2)[..., None, None] * de.outer_with_adjoint(raw), target
+    yield ki.one_minus_eta_squared(eta)[..., None, None] * de.outer_with_adjoint(raw), target
 
 
-def _block_factor(eta, ang, state, branch):
+def _block_factor(eta, ang, branch):
     """Density matrices factor into a scalar block pattern times rho(n)."""
     n = ki.direction(ang)
     eta_ = eta[..., None, None]
@@ -1083,8 +1092,8 @@ def _parallel_polarization(eta, ang, state):
     """Polarization components when p is along n."""
     n = ki.direction(ang)
     a = ob.polarization_four_vector(state, n)
-    yield a.t, 2.0 * eta / (1.0 - eta**2)
-    yield a.r, ((1.0 + eta**2) / (1.0 - eta**2))[..., None] * n
+    yield a.t, 2.0 * eta / ki.one_minus_eta_squared(eta)
+    yield a.r, ((1.0 + eta**2) / ki.one_minus_eta_squared(eta))[..., None] * n
 
 
 # --------------------------------------------------------------------------
@@ -1234,10 +1243,10 @@ REGISTRY: tuple[RegistryEntry, ...] = (
     _entry("boost-direct", "spinors", "boosted rest spinor equals the direct block construction", _draws(100, _boost_draws), _boost_direct),
     _entry("adjoint-orthogonality", "spinors", "u-bar v = 0 across branches", _sampled, _adjoint_orthogonality),
     _entry("norm-ratio", "spinors", "u+u / phi+phi = 2E/(E + mc^2) shape of the block solution", _with_spinor(_sampled), _norm_ratio),
-    _entry("eta-determinant", "spinors", "stacked eta columns have determinant (1 - eta^2)^2", _points(), _eta_determinant),
+    _entry("eta-determinant", "spinors", "stacked eta columns have determinant (1 - eta^2)^2", _eta_angles, _eta_determinant),
     _entry("norm-conversion", "spinors", "box to 2mc-invariant conversion factor", _points(), _norm_conversion),
-    _entry("conjugation-plus", "spinors", "i gamma^2 conj maps (+R, +1/2) onto (-R, +1/2)", _points(), partial(_conjugation, lam=Helicity.PLUS)),
-    _entry("conjugation-minus", "spinors", "i gamma^2 conj maps (+R, -1/2) onto (-R, -1/2)", _points(), partial(_conjugation, lam=Helicity.MINUS)),
+    _entry("conjugation-plus", "spinors", "i gamma^2 conj maps (+R, +1/2) onto (-R, +1/2)", _eta_angles, partial(_conjugation, lam=Helicity.PLUS)),
+    _entry("conjugation-minus", "spinors", "i gamma^2 conj maps (+R, -1/2) onto (-R, -1/2)", _eta_angles, partial(_conjugation, lam=Helicity.MINUS)),
     _entry("conjugation-square", "spinors", "double charge conjugation is the identity", _draws(50, _complex4s), _conjugation_square),
     _entry("nonrel-limit", "spinors", "spin basis approaches its rest form below 3/c", _once, _nonrel_limit),
     # covariant
@@ -1271,10 +1280,10 @@ REGISTRY: tuple[RegistryEntry, ...] = (
     _entry("explicit-projector-minus", "density", "explicit eta matrix of mc - p-slash", _points(), partial(_explicit_projector, branch=_NEG)),
     _entry("explicit-polarizer-plus", "density", "explicit eta matrix of 1 - gamma_5 a-slash", _points(), partial(_explicit_polarizer, lam=Helicity.PLUS)),
     _entry("explicit-polarizer-minus", "density", "explicit eta matrix of 1 + gamma_5 a-slash", _points(), partial(_explicit_polarizer, lam=Helicity.MINUS)),
-    _entry("explicit-rank-one-plus", "density", "explicit positive-branch rank-one product matrix", _points(), partial(_explicit_rank_one, branch=_POS)),
-    _entry("explicit-rank-one-minus", "density", "explicit negative-branch rank-one product matrix", _points(), partial(_explicit_rank_one, branch=_NEG)),
-    _entry("block-factor-plus", "density", "positive-branch block factorization through rho(n)", _points(), partial(_block_factor, branch=_POS)),
-    _entry("block-factor-minus", "density", "negative-branch block factorization through rho(n)", _points(), partial(_block_factor, branch=_NEG)),
+    _entry("explicit-rank-one-plus", "density", "explicit positive-branch rank-one product matrix", _eta_angles, partial(_explicit_rank_one, branch=_POS)),
+    _entry("explicit-rank-one-minus", "density", "explicit negative-branch rank-one product matrix", _eta_angles, partial(_explicit_rank_one, branch=_NEG)),
+    _entry("block-factor-plus", "density", "positive-branch block factorization through rho(n)", _eta_angles, partial(_block_factor, branch=_POS)),
+    _entry("block-factor-minus", "density", "negative-branch block factorization through rho(n)", _eta_angles, partial(_block_factor, branch=_NEG)),
     _entry("sigma-tensor", "density", "antisymmetric gamma-pair tensor matches its component table", _once, _sigma_tensor),
     _entry("slash-pair", "density", "p-slash gamma_5 a-slash = -gamma_5 (pa-contraction)", _points(partner=(13, 0)), _slash_pair),
     _entry("covariant-decomposition", "density", "covariant density decomposition, dense and block routes", _sampled, _covariant_decomposition),
@@ -1320,7 +1329,8 @@ def _claim_with_worker(grid: GridSpec, indices: list[int]) -> dict[int, float]:
     worker pickles its residuals back and ends with ``os._exit``, writing no
     output and running no exit handler; they count only as a complete
     pickle.  A failed pipe, write or fork claims nothing.  The worker is
-    reaped here, and killed first if this process fails before that.
+    reaped here.  If this process fails before that, a worker that has not
+    ended is killed first, and the failure is the exception raised.
     """
     fds: list[int] = []
     try:
@@ -1360,10 +1370,16 @@ def _claim_with_worker(grid: GridSpec, indices: list[int]) -> dict[int, float]:
         os.close(claims)
         os.close(results)
         if pid:  # this process failed before it reaped the worker
-            import signal  # only this path needs it, so a verify run does not import it
+            try:
+                # signal only a worker that has not ended: with SIGCHLD ignored the
+                # kernel may have reaped it already, and its pid could be reused
+                if os.waitpid(pid, os.WNOHANG) == (0, 0):
+                    import signal  # only this path needs it, so a verify run does not import it
 
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
+            except (ChildProcessError, ProcessLookupError):  # the kernel reaped it: it has ended
+                pass
 
 
 def _evaluate(grid: GridSpec, indices: list[int]) -> dict[int, float]:

@@ -1,9 +1,10 @@
 """Scalar reference sweep for the stacked verify checks.
 
 Every check whose domain is stacked is evaluated here one point at a time:
-the strided states and ``(eta, angles, state)`` points, the seeded draws
-(each drawn alone, one uniform at a time from ``random.Random``, in the
-order the stacked draws must reproduce) and the per-point residuals, each
+the strided states, ``(eta, angles)`` and ``(eta, angles, state)`` points,
+the seeded draws (each drawn alone, one uniform at a time from
+``random.Random``, in the order the stacked draws must reproduce) and the
+per-point residuals, each
 a plain scalar expression over the library's unstacked calls.  ``ORACLES`` maps a check id to its
 ``(domain, residual)``; ``oracle(check_id, grid)`` is the max residual.
 """
@@ -362,7 +363,7 @@ def _norm_ratio(state, phi):
     yield _rel(ratio, state.R / state.rest_energy)
 
 
-def _eta_determinant(eta, ang, state):
+def _eta_determinant(eta, ang):
     cols = [
         sp.eta_bispinor(lam, branch, eta, ang, volume=1.0) * math.sqrt(1.0 + eta**2)
         for branch in _BRANCHES
@@ -383,7 +384,7 @@ def _norm_conversion(eta, ang, state):
             yield abs(norm - branch.sign * 2.0 * state.m * state.c)
 
 
-def _conjugation(eta, ang, state, lam):
+def _conjugation(eta, ang, lam):
     plus = sp.eta_bispinor(lam, _POS, eta, ang)
     minus = sp.eta_bispinor(lam, _NEG, eta, ang)
     yield max_abs(sp.charge_conjugate(plus) - minus)
@@ -590,7 +591,7 @@ def _explicit_polarizer(eta, ang, state, lam):
     yield max_abs(got - (pol_plus if lam is Helicity.PLUS else pol_minus))
 
 
-def _explicit_rank_one(eta, ang, state, branch):
+def _explicit_rank_one(eta, ang, branch):
     """Printed factor products equal the explicit rank-one matrices.
 
     Both routes are checked: the product of the two printed component
@@ -608,7 +609,7 @@ def _explicit_rank_one(eta, ang, state, branch):
     yield max_abs((1.0 - eta**2) * de.outer_with_adjoint(raw) - target)
 
 
-def _block_factor(eta, ang, state, branch):
+def _block_factor(eta, ang, branch):
     """Density matrices factor into a scalar block pattern times rho(n)."""
     n = ki.direction(ang)
     e2 = eta**2
@@ -733,10 +734,10 @@ ORACLES = {
     "boost-direct": (draws(100, _boost_draw), _boost_direct),
     "adjoint-orthogonality": (sampled, _adjoint_orthogonality),
     "norm-ratio": (with_spinor(sampled), _norm_ratio),
-    "eta-determinant": (points(), _eta_determinant),
+    "eta-determinant": (sample_points, _eta_determinant),
     "norm-conversion": (points(), _norm_conversion),
-    "conjugation-plus": (points(), partial(_conjugation, lam=Helicity.PLUS)),
-    "conjugation-minus": (points(), partial(_conjugation, lam=Helicity.MINUS)),
+    "conjugation-plus": (sample_points, partial(_conjugation, lam=Helicity.PLUS)),
+    "conjugation-minus": (sample_points, partial(_conjugation, lam=Helicity.MINUS)),
     "conjugation-square": (draws(50, _complex4), _conjugation_square),
     "polarization-invariants": (points(partner=(7, 0)), _polarization_invariants),
     "polarization-equation": (points(partner=(11, 0)), _polarization_equation),
@@ -756,10 +757,10 @@ ORACLES = {
     "explicit-projector-minus": (points(), partial(_explicit_projector, branch=_NEG)),
     "explicit-polarizer-plus": (points(), partial(_explicit_polarizer, lam=Helicity.PLUS)),
     "explicit-polarizer-minus": (points(), partial(_explicit_polarizer, lam=Helicity.MINUS)),
-    "explicit-rank-one-plus": (points(), partial(_explicit_rank_one, branch=_POS)),
-    "explicit-rank-one-minus": (points(), partial(_explicit_rank_one, branch=_NEG)),
-    "block-factor-plus": (points(), partial(_block_factor, branch=_POS)),
-    "block-factor-minus": (points(), partial(_block_factor, branch=_NEG)),
+    "explicit-rank-one-plus": (sample_points, partial(_explicit_rank_one, branch=_POS)),
+    "explicit-rank-one-minus": (sample_points, partial(_explicit_rank_one, branch=_NEG)),
+    "block-factor-plus": (sample_points, partial(_block_factor, branch=_POS)),
+    "block-factor-minus": (sample_points, partial(_block_factor, branch=_NEG)),
     "slash-pair": (points(partner=(13, 0)), _slash_pair),
     "covariant-decomposition": (points(), _covariant_decomposition),
     "parallel-polarization": (points(), _parallel_polarization),

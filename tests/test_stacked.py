@@ -687,6 +687,7 @@ _ss = scalar_sweep
         (verify._rest_angles, _old_rest_angles),
         (verify._dual_points, _old_dual_points),
         (verify._sampled, _ss.sampled),
+        (verify._eta_angles, _ss.sample_points),
         (verify._points(), _ss.points()),
         (verify._points(partner=(9, 5)), _ss.points(partner=(9, 5))),
         (verify._axis_states, _ss.axis_states),
@@ -699,7 +700,7 @@ _ss = scalar_sweep
         (verify._draws(50, verify._complex4s), _ss.draws(50, _ss._complex4)),
     ],
     ids=[
-        "angles", "states", "rest_angles", "dual_points", "sampled", "points",
+        "angles", "states", "rest_angles", "dual_points", "sampled", "eta_angles", "points",
         "points_partner", "axis_states", "spinor_sampled", "spinor_axis_states", "cmat_pairs",
         "schur_draws", "vector_pairs", "boost_draws", "complex4s",
     ],

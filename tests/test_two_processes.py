@@ -135,35 +135,111 @@ def test_killed_worker_falls_back_to_one_process(monkeypatch):
     _falls_back_to_one_process(monkeypatch, "read", claim_then_die)
 
 
-def test_ignored_sigchld_gives_the_normal_output(child_env):
-    # SIG_IGN for SIGCHLD survives exec; the kernel then reaps the worker itself
+def _verify_child(env, patch="", preexec_fn=None):
+    """``cli.run()`` of ``verify --format json`` in a child with two CPUs, after the ``patch`` source."""
     probe = (
         "import os, sys\n"
         "import diracfree.cli\n"
         "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        f"{patch}"
         "sys.argv[1:] = ['verify', '--format', 'json']\n"
         "diracfree.cli.run()\n"
     )
-    argv = [sys.executable, "-c", probe]
-    normal = subprocess.run(argv, env=child_env, capture_output=True, text=True)
-    ignored = subprocess.run(argv, env=child_env, capture_output=True, text=True,
-                             preexec_fn=lambda: signal.signal(signal.SIGCHLD, signal.SIG_IGN))
-    assert (normal.returncode, normal.stderr) == (0, "")
-    assert (ignored.returncode, ignored.stdout, ignored.stderr) == (0, normal.stdout, "")
+    child = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+                           preexec_fn=preexec_fn)
+    return child.returncode, child.stdout, child.stderr
+
+
+def _nth_pipe_fails_source(n):
+    """Source that makes a child's n-th ``os.pipe()`` hit the descriptor limit."""
+    return (
+        "pipe, calls = os.pipe, []\n"
+        "def failing():\n"
+        "    calls.append(1)\n"
+        f"    if len(calls) == {n}:\n"
+        "        raise OSError(24, 'Too many open files')\n"
+        "    return pipe()\n"
+        "os.pipe = failing\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "patch, preexec_fn",
+    [
+        # a process limit: this process runs every check
+        ("def fork():\n    raise BlockingIOError(11, 'Resource temporarily unavailable')\n"
+         "os.fork = fork\n", None),
+        # the descriptor limit, at either pipe
+        (_nth_pipe_fails_source(1), None),
+        (_nth_pipe_fails_source(2), None),
+        # SIG_IGN for SIGCHLD survives exec; the kernel then reaps the worker itself
+        ("", lambda: signal.signal(signal.SIGCHLD, signal.SIG_IGN)),
+    ],
+    ids=["failed-fork", "failed-claims-pipe", "failed-results-pipe", "ignored-sigchld"],
+)
+def test_worker_failure_gives_the_normal_output(child_env, patch, preexec_fn):
+    normal = _verify_child(child_env)
+    assert (normal[0], normal[2]) == (0, "")
+    assert _verify_child(child_env, patch, preexec_fn) == normal
+
+
+@pytest.mark.parametrize("error", ["RuntimeError", "MemoryError"])
+def test_exception_in_a_check_exits_2_with_an_internal_error_line(child_env, error):
+    patch = (
+        "import dataclasses\n"
+        "import diracfree.verify as verify\n"
+        "def fault(grid):\n"
+        f"    raise {error}('in a check')\n"
+        "verify.REGISTRY = (dataclasses.replace(verify.REGISTRY[0], fn=fault),) + verify.REGISTRY[1:]\n"
+    )
+    assert _verify_child(child_env, patch) == (2, "", f"error: internal error: {error}: in a check\n")
+
+
+def test_failing_parent_keeps_its_exception_when_the_worker_was_reaped(child_env):
+    # with SIGCHLD ignored the kernel reaps the worker as it ends; the parent's
+    # check then raises, and its kill-and-reap must find the worker gone
+    probe = (
+        "import dataclasses, os, signal, time\n"
+        "from diracfree import verify\n"
+        "signal.signal(signal.SIGCHLD, signal.SIG_IGN)\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "parent = os.getpid()\n"
+        "gate, opened = os.pipe()\n"
+        "pids, sent = os.pipe()\n"
+        "def fn(grid):\n"
+        "    if os.getpid() != parent:  # the worker: wait for the parent's claim, name itself, end\n"
+        "        os.read(gate, 1)\n"
+        "        os.write(sent, str(os.getpid()).encode())\n"
+        "        return 0.0\n"
+        "    os.write(opened, b'x')\n"
+        "    worker = int(os.read(pids, 32))\n"
+        "    deadline = time.monotonic() + 30.0\n"
+        "    while time.monotonic() < deadline:\n"
+        "        try:\n"
+        "            os.kill(worker, 0)\n"
+        "        except ProcessLookupError:\n"
+        "            break\n"
+        "        time.sleep(0.01)\n"
+        "    raise KeyboardInterrupt\n"
+        "verify.REGISTRY = tuple(dataclasses.replace(verify.REGISTRY[0], id=str(k), fn=fn) for k in range(2))\n"
+        "try:\n"
+        "    verify.run_suite('all')\n"
+        "except BaseException as exc:\n"
+        "    print(type(exc).__name__, type(exc.__context__).__name__)\n"
+    )
+    child = subprocess.run([sys.executable, "-c", probe], env=child_env, capture_output=True, text=True,
+                           timeout=60)
+    assert (child.returncode, child.stdout, child.stderr) == (0, "KeyboardInterrupt NoneType\n", "")
 
 
 def test_engine_os_error_exits_2_with_one_error_line(child_env):
-    probe = (
-        "import sys\n"
-        "import diracfree.cli, diracfree.verify\n"
+    patch = (
+        "import diracfree.verify\n"
         "def run_suite(*args):\n"
         "    raise OSError(24, 'Too many open files')\n"
         "diracfree.verify.run_suite = run_suite\n"
-        "sys.argv[1:] = ['verify', '--format', 'json']\n"
-        "diracfree.cli.run()\n"
     )
-    child = subprocess.run([sys.executable, "-c", probe], env=child_env, capture_output=True, text=True)
-    assert (child.returncode, child.stdout, child.stderr) == (2, "", "error: [Errno 24] Too many open files\n")
+    assert _verify_child(child_env, patch) == (2, "", "error: [Errno 24] Too many open files\n")
 
 
 def test_no_fork_beside_another_thread(monkeypatch):

@@ -9,17 +9,16 @@ supported and kept mutually consistent:
 * the subluminal parameter ``eta = tanh(th/2) = c|p| / (R + m c^2)`` on
   ``[0, 1)``, which rationalizes all half-angle formulas.
 
-Natural units (c = hbar = 1) are the default, but both constants stay
-explicit fields of ``MomentumState`` so dimensional factors can be
-exercised with c != 1.  The mass and both constants are stored as numpy
-float64, so a product or power beyond the float range is inf rather than
-an ``OverflowError``.  ``verify`` builds every state it sweeps through
-``GridSpec.states``, which stacks ``from_eta``.
-``momentum_axis`` is the one home of the direction p/|p| (the z axis at
-rest), and ``mirrored`` of the state with momentum -p.  Each factor of the
-eta parametrization is formed in one function: ``MomentumState.eta`` is
-eta of a state (``to_eta`` adds the m > 0 guard), and
-``one_minus_eta_squared`` is 1 - eta^2.
+Units have hbar = 1 throughout; c is an explicit field of
+``MomentumState``, 1 by default, so dimensional factors can be exercised
+with c != 1.  The mass and c are stored as numpy float64, so a product or
+power beyond the float range is inf rather than an ``OverflowError``.
+``verify`` builds every state it sweeps through ``GridSpec.states``, which
+stacks ``from_eta``.  ``momentum_axis`` is the one home of the direction
+p/|p| (the z axis at rest), and ``mirrored`` of the state with momentum -p.
+Each factor of the eta parametrization is formed in one function:
+``MomentumState.eta`` is eta of a state (``to_eta`` adds the m > 0 guard),
+and ``one_minus_eta_squared`` is 1 - eta^2.
 
 Angles, directions, four-vectors and momenta may be stacked: ``theta`` and
 ``phi`` of shape ``(N,)``, ``p`` of shape ``(N, 3)``.  Every quantity then
@@ -142,9 +141,9 @@ def minkowski_dot(a: FourVector, b: FourVector) -> float:
 
 @dataclass(frozen=True, eq=False)
 class MomentumState:
-    """Mass, momentum, speed of light and reduced Planck constant of a free particle.
+    """Mass, momentum and speed of light of a free particle, in units with hbar = 1.
 
-    m >= 0 and c, hbar > 0, each stored as numpy float64: their powers and
+    m >= 0 and c > 0, each stored as numpy float64: their powers and
     products overflow to inf, which an emit then reports as a non-finite
     output, instead of raising ``OverflowError`` as Python's ``float ** 2``
     does.  ``p`` of shape ``(N, 3)`` stacks N momenta of one mass and unit
@@ -154,10 +153,9 @@ class MomentumState:
     m: float
     p: np.ndarray
     c: float = 1.0
-    hbar: float = 1.0
 
     def __post_init__(self):
-        if not (self.c > 0 and self.hbar > 0):
+        if not self.c > 0:
             raise ValueError("physical constants must be strictly positive")
         p = np.array(self.p, dtype=float)
         if p.shape[-1:] != (3,):
@@ -168,7 +166,6 @@ class MomentumState:
         object.__setattr__(self, "m", np.float64(self.m))
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "c", np.float64(self.c))
-        object.__setattr__(self, "hbar", np.float64(self.hbar))
 
     @cached_property
     def p_abs(self) -> float:
@@ -199,7 +196,7 @@ class MomentumState:
 
 def mirrored(state: MomentumState) -> MomentumState:
     """The state with momentum -p, same mass and units, as a negative-branch wave carries."""
-    return MomentumState(state.m, -state.p, state.c, state.hbar)
+    return MomentumState(state.m, -state.p, state.c)
 
 
 def momentum_axis(state: MomentumState) -> np.ndarray:
@@ -226,7 +223,7 @@ def one_minus_eta_squared(eta):
 
 
 def from_eta(m: float, c: float, eta: float, dir: PolarAngles) -> MomentumState:
-    """State with |p| = 2 m c eta / (1 - eta^2) along the given direction, hbar = 1.
+    """State with |p| = 2 m c eta / (1 - eta^2) along the given direction.
 
     ``eta`` and ``dir`` may be stacked; they broadcast to one stack of states.
     """

@@ -15,7 +15,7 @@ Sign and phase conventions are fixed once here and never rephased:
   ``(phi, c(sigma.p)/(m c^2 + E) phi)``;
 * negative-branch bi-spinors use the mirrored form with the momentum
   factor in the upper block, ``(c(sigma.p)/(R + m c^2) phi, phi)``.  Their
-  plane wave carries phase ``exp(+i(R t - p.r)/hbar)``, i.e. physical
+  plane wave carries phase ``exp(+i(R t - p.r))`` (hbar = 1), i.e. physical
   momentum ``-p``: they are eigenvectors of the Hamiltonian built from
   ``-p``, not of the one built from ``p``.  The direct ``-R`` eigenvector
   of the momentum-``p`` Hamiltonian is ``negative_energy_eigenvector``:
@@ -302,6 +302,6 @@ def charge_conjugate(u: np.ndarray) -> np.ndarray:
 
 def plane_wave(u: np.ndarray, state: MomentumState, branch: EnergyBranch,
                r, t: float) -> np.ndarray:
-    """Attach the propagation phase exp(+/- i (p.r - R t) / hbar) to u."""
-    arg = (np.vecdot(state.p, np.asarray(r, dtype=float)) - state.R * t) / state.hbar
+    """Attach the propagation phase exp(+/- i (p.r - R t)) to u, hbar = 1."""
+    arg = np.vecdot(state.p, np.asarray(r, dtype=float)) - state.R * t
     return np.asarray(u) * np.exp(1j * branch.sign * arg)[..., None]

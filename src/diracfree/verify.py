@@ -84,7 +84,7 @@ import pickle
 import random
 import sys
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import partial
 from typing import Callable, Iterable
 
 import numpy as np
@@ -116,9 +116,11 @@ _LAMBDAS = (Helicity.PLUS, Helicity.MINUS)
 class GridSpec:
     """Parameter grid swept by the checks; at least one eta and one angle.
 
-    Every eta lies in [0, 1), and the largest energy R of the grid stays
-    finite at the fourth power, the degree of ``eig-det`` in R.  (m c^2)^2 and
-    (m c)^2, the scales of E (E + m c^2) and m (R + m c^2), stay normal floats.
+    ``angle(k)`` computes direction ``k`` from its index, and there are at
+    most as many directions as a numpy index counts.  Every eta lies in
+    [0, 1), and the largest energy R of the grid stays finite at the fourth
+    power, the degree of ``eig-det`` in R.  (m c^2)^2 and (m c)^2, the
+    scales of E (E + m c^2) and m (R + m c^2), stay normal floats.
     ``states`` builds every state of the grid that a check sweeps.
     """
 
@@ -134,6 +136,11 @@ class GridSpec:
         if self.theta_count < 1 or self.phi_count < 1:
             raise ValueError(
                 f"angle counts must be positive, got {self.theta_count}x{self.phi_count}"
+            )
+        if self.theta_count * self.phi_count > np.iinfo(np.intp).max:
+            raise ValueError(
+                f"angle counts {self.theta_count}x{self.phi_count} give more directions than "
+                f"a numpy index holds ({np.iinfo(np.intp).max})"
             )
         for name, value in (("mass", self.mass), ("c", self.c)):
             if not 0.0 < value < math.inf:
@@ -151,23 +158,19 @@ class GridSpec:
                     raise ValueError(f"energy scale out of range: {name} = {value:.3g} at m = {self.mass:g}, "
                                      f"c = {self.c:g}, and ({name})^2 underflows below the smallest normal float64")
 
-    @cached_property
-    def _axes(self) -> tuple[list[float], list[float]]:
-        """The theta and the phi values the angle list combines."""
-        thetas = [math.pi * (j + 0.5) / self.theta_count for j in range(self.theta_count)]
-        phis = [2.0 * math.pi * k / self.phi_count for k in range(self.phi_count)]
-        return thetas, phis
-
     def angle(self, k) -> PolarAngles:
-        """Entry ``k`` of ``angle_list()``, or the stacked entries of an index array."""
-        thetas, phis = self._axes
+        """Direction ``k`` of the grid, or the stacked directions of an index array.
+
+        Row-major over theta (slowest) and phi: theta = pi (j + 1/2) / theta_count
+        and phi = 2 pi l / phi_count for ``j, l = divmod(k, phi_count)``.
+        """
         j, l = np.divmod(k, self.phi_count)
-        return PolarAngles(np.take(thetas, j), np.take(phis, l))
+        return PolarAngles(math.pi * (j + 0.5) / self.theta_count, 2.0 * math.pi * l / self.phi_count)
 
     def angle_list(self) -> list[PolarAngles]:
         """Each direction alone; read by ``perfbench/traced_cli.py --kernels`` and the tests."""
-        thetas, phis = self._axes
-        return [PolarAngles(t, p) for t in thetas for p in phis]
+        stack = self.angle_stack()
+        return [PolarAngles(t, p) for t, p in zip(stack.theta.tolist(), stack.phi.tolist())]
 
     def angle_stack(self) -> PolarAngles:
         """The whole angle list as one stacked ``PolarAngles``, same order."""
@@ -469,11 +472,10 @@ def _eig_det(state):
     h = ga.hamiltonian(state)
     for e in (state.R, -state.R, state.R + 0.7, 0.25 * state.R):
         closed = (e**2 - (state.c * state.p_abs) ** 2 - state.rest_energy**2) ** 2
-        blocks = _d9_blocks(h, e)
-        dense_matrix = sm.assemble(blocks)
+        dense_matrix = h - _scaled_eye(e)
         on_shell = closed == 0.0
         # relative to |closed| off shell (|x - 0| / max(1, 0) = |x| on shell)
-        yield _rel(sm.schur_det(blocks), closed)
+        yield _rel(sm.schur_det(sm.disassemble(dense_matrix)), closed)
         scale = np.where(on_shell, sm.max_abs_each(dense_matrix) ** 4, np.abs(closed))
         yield sm.det4(dense_matrix), closed, np.maximum(1.0, scale)
 
@@ -587,14 +589,14 @@ def _eta_round_trip(eta, ang, state):
 
 
 def _wave_numbers(eta, ang, state):
-    """k eta = w/c - mc/hbar and k/eta = w/c + mc/hbar for eta > 0."""
+    """k eta = w/c - mc/hbar and k/eta = w/c + mc/hbar for eta > 0, hbar = 1."""
     moving = eta != 0.0
     eta = eta[moving]
-    k = state.p_abs[moving] / state.hbar
-    w = state.R[moving] / state.hbar
-    mclh = state.m * state.c / state.hbar
-    yield k * eta, w / state.c - mclh
-    yield k / eta, w / state.c + mclh
+    k = state.p_abs[moving]
+    w = state.R[moving]
+    mc = state.m * state.c
+    yield k * eta, w / state.c - mc
+    yield k / eta, w / state.c + mc
 
 
 def _n3_convention(ang):

@@ -38,10 +38,9 @@ _LAMBDAS = (Helicity.PLUS, Helicity.MINUS)
 
 
 def angle(grid, k):
-    """Entry k of the grid's angle list, built alone."""
-    thetas, phis = grid._axes
+    """Direction k of the grid, by the rule alone: theta-major, theta at half steps, phi from 0."""
     j, l = divmod(k, grid.phi_count)
-    return PolarAngles(thetas[j], phis[l])
+    return PolarAngles(math.pi * (j + 0.5) / grid.theta_count, 2.0 * math.pi * l / grid.phi_count)
 
 
 def sample_points(grid):
@@ -271,14 +270,14 @@ def _eta_round_trip(eta, ang, state):
 
 
 def _wave_numbers(eta, ang, state):
-    """k eta = w/c - mc/hbar and k/eta = w/c + mc/hbar for eta > 0."""
+    """k eta = w/c - mc/hbar and k/eta = w/c + mc/hbar for eta > 0, hbar = 1."""
     if eta == 0.0:
         return
-    k = state.p_abs / state.hbar
-    w = state.R / state.hbar
-    mclh = state.m * state.c / state.hbar
-    yield abs(k * eta - (w / state.c - mclh))
-    yield abs(k / eta - (w / state.c + mclh))
+    k = state.p_abs
+    w = state.R
+    mc = state.m * state.c
+    yield abs(k * eta - (w / state.c - mc))
+    yield abs(k / eta - (w / state.c + mc))
 
 
 # --------------------------------------------------------------------------

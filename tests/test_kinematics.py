@@ -32,17 +32,15 @@ class TestMomentumState:
             ki.MomentumState(-1.0, np.zeros(3))
 
     def test_dimensional_constants(self):
-        state = ki.MomentumState(2.0, np.array([0.0, 0.0, 3.0]), c=10.0, hbar=0.5)
+        state = ki.MomentumState(2.0, np.array([0.0, 0.0, 3.0]), c=10.0)
         assert abs(state.R - math.hypot(30.0, 200.0)) <= 1e-12
-        assert state.hbar == 0.5
-        assert (type(state.c), type(state.hbar)) == (np.float64, np.float64)
+        assert type(state.c) is np.float64 and state.c == 10.0
 
     def test_constants_default_to_float64_one(self):
         state = ki.MomentumState(1.0, np.zeros(3))
-        for value in (state.c, state.hbar):
-            assert type(value) is np.float64 and value == 1.0
+        assert type(state.c) is np.float64 and state.c == 1.0
 
-    @pytest.mark.parametrize("field", ["c", "hbar"])
+    @pytest.mark.parametrize("field", ["c"])
     @pytest.mark.parametrize("value", [0.0, -1.0, math.nan])
     def test_non_positive_constant_rejected(self, field, value):
         with pytest.raises(ValueError, match="^physical constants must be strictly positive$"):

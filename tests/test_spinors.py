@@ -52,7 +52,7 @@ def dirac_deviation(u, state, branch):
     Each branch's Hamiltonian takes the momentum its plane wave carries; a
     stacked state and spinor give one deviation per element.
     """
-    moving = MomentumState(state.m, branch.sign * state.p, state.c, state.hbar)
+    moving = MomentumState(state.m, branch.sign * state.p, state.c)
     return np.matvec(hamiltonian(moving), u) - (branch.sign * state.R)[..., None] * u
 
 
@@ -207,7 +207,7 @@ class TestBispinorBlock:
 
     def test_negative_forms_related_by_momentum_flip(self):
         state = random_state()
-        flipped = MomentumState(state.m, -state.p, state.c, state.hbar)
+        flipped = MomentumState(state.m, -state.p, state.c)
         chi = random_unit_spinor()
         direct = sp.negative_energy_eigenvector(chi, state, sp.Normalization.UNIT)
         mirrored = sp.bispinor_block(chi, flipped, NEG, sp.Normalization.UNIT)
@@ -428,8 +428,8 @@ class TestPlaneWave:
             u = sp.bispinor_block(random_unit_spinor(), state, branch)
             assert max_abs(dirac_deviation(u, state, branch)) <= 1e-13
 
-    def test_hbar_in_phase(self):
-        state = MomentumState(1.0, np.array([0.0, 0.0, 2.0]), c=1.0, hbar=2.0)
+    def test_phase_is_p_dot_r_minus_R_t(self):
+        state = MomentumState(1.0, np.array([0.0, 0.0, 2.0]))
         u = np.array([1.0, 0, 0, 0])
-        w = sp.plane_wave(u, state, POS, np.array([0.0, 0.0, 1.0]), 0.0)
-        assert abs(w[0] - np.exp(1j * 2.0 * 1.0 / 2.0)) <= 1e-15
+        w = sp.plane_wave(u, state, POS, np.array([0.0, 0.0, 1.0]), 0.5)
+        assert abs(w[0] - np.exp(1j * (2.0 - math.sqrt(5.0) * 0.5))) <= 1e-15

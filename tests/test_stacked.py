@@ -73,7 +73,7 @@ def _state(m, c, rows, spread):
 
 
 def _unstacked(state):
-    return [MomentumState(state.m, p, state.c, state.hbar) for p in state.p]
+    return [MomentumState(state.m, p, state.c) for p in state.p]
 
 
 def _unit_rows(rows):
@@ -477,22 +477,27 @@ class TestStackedValidation:
 # residuals over the points each check sampled one at a time
 
 
+def _old_angle_list(grid):
+    """Every direction of the grid by ``scalar_sweep.angle``'s rule, not the engine's."""
+    return [scalar_sweep.angle(grid, k) for k in range(grid.theta_count * grid.phi_count)]
+
+
 def _old_angles(grid):
-    return [(ang,) for ang in grid.angle_list()]
+    return [(ang,) for ang in _old_angle_list(grid)]
 
 
 def _old_states(grid):
     return [(ki.from_eta(grid.mass, grid.c, eta, ang),)
-            for eta in grid.eta_values for ang in grid.angle_list()]
+            for eta in grid.eta_values for ang in _old_angle_list(grid)]
 
 
 def _old_rest_angles(grid):
     rest = MomentumState(grid.mass, np.zeros(3), grid.c)
-    return [(rest, ang) for ang in grid.angle_list()]
+    return [(rest, ang) for ang in _old_angle_list(grid)]
 
 
 def _old_dual_points(grid):
-    thetas = [ang.theta for ang in grid.angle_list()[:: grid.phi_count]]
+    thetas = [ang.theta for ang in _old_angle_list(grid)[:: grid.phi_count]]
     points = []
     for eta in grid.eta_values:
         for t in thetas:
@@ -642,7 +647,7 @@ def _unstack_point(point):
         if isinstance(item, MomentumState):
             if item.p.ndim == 1:
                 return item
-            return MomentumState(item.m, item.p[k], item.c, item.hbar)
+            return MomentumState(item.m, item.p[k], item.c)
         if isinstance(item, sm.Block2x2):
             return sm.Block2x2(item.a[k], item.b[k], item.c[k], item.d[k])
         return item[k]
@@ -656,7 +661,7 @@ def _same_point(a, b):
         if isinstance(x, PolarAngles):
             assert (x.theta, x.phi) == (y.theta, y.phi)
         elif isinstance(x, MomentumState):
-            assert (x.m, x.c, x.hbar) == (y.m, y.c, y.hbar)
+            assert (x.m, x.c) == (y.m, y.c)
             assert np.array_equal(x.p, y.p)
         elif isinstance(x, sm.Block2x2):
             for name in "abcd":
@@ -729,7 +734,7 @@ def test_grid_states_broadcast_like_from_eta():
         got, want = grid.states(eta, ang), ki.from_eta(grid.mass, grid.c, eta, ang)
         assert got.p.shape == shape
         assert got.p.tobytes() == want.p.tobytes()
-        assert (got.m, got.c, got.hbar) == (want.m, want.c, want.hbar)
+        assert (got.m, got.c) == (want.m, want.c)
 
 
 def test_grid_rest_state_has_zero_momentum_bits():

@@ -126,6 +126,15 @@ class TestRunSuite:
         with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
             verify.GridSpec(**{field: value})
 
+    @pytest.mark.parametrize("counts", [(10**20, 1), (1, 10**20), (2**32, 2**32)])
+    def test_grid_rejects_more_directions_than_an_index_holds(self, counts):
+        with pytest.raises(ValueError, match=f"^angle counts {counts[0]}x{counts[1]} give more directions"):
+            verify.GridSpec(theta_count=counts[0], phi_count=counts[1])
+
+    def test_grid_accepts_as_many_directions_as_an_index_holds(self):
+        # the grid stores only its counts: nothing the size of the grid is built here
+        verify.GridSpec(theta_count=np.iinfo(np.intp).max, phi_count=1)
+
     @pytest.mark.parametrize(
         "scales", [{"mass": 1e200}, {"c": 1e300}, {"c": 1e80}, {"mass": 1e300, "c": 1e300}]
     )
@@ -330,13 +339,14 @@ class TestCli:
             (("--angles", "0x0"), "angle counts must be positive, got 0x0"),
             (("--angles", "4x0"), "angle counts must be positive, got 4x0"),
             (("--angles=-2x4",), "angle counts must be positive, got -2x4"),
+            (("--angles", "100000000000000000000x1"), "angle counts 100000000000000000000x1 give more directions"),
         ],
     )
     def test_degenerate_grid_exit_two(self, grid_args, message):
         code, out, err = self.run("verify", *grid_args)
         assert code == 2
         assert out == ""
-        assert message in err
+        assert message in err and err.startswith("error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "eta, message",

@@ -19,12 +19,14 @@ always means a verification ran and failed.  :func:`main` returns the exit
 code (argparse usage errors and ``--version`` raise ``SystemExit`` as
 usual); :func:`run`, the console entry point, ends the process with that
 code right after flushing the output.
-Numeric flags must be finite, each entry of ``--p``, ``--n`` and
-``--spinor`` included, ``--theta`` must lie in [0, pi], and an emit whose
-output is not finite fails with exit 2 in either format.  The library
-makes every decision: ``verify`` gives ``GridSpec`` only the grid flags
-the user gave, and ``run_suite`` rejects an unknown ``--suite`` (naming
-the suites) and a ``--tol`` that is not positive and finite.  JSON output
+Numeric flags must be finite, each entry of ``--p``, ``--n`` (3 entries
+each) and ``--spinor`` (4) included; a wrong count is a usage error.
+``--theta`` must lie in [0, pi], and an emit whose output is not finite
+fails with exit 2 in either format.  The library makes every decision:
+``verify`` gives ``GridSpec`` only the grid flags the user gave,
+``run_suite`` rejects an unknown ``--suite`` (naming the suites) and a
+``--tol`` that is not positive and finite, and ``helicity_operator``
+refuses a ``spinor`` at rest ("helicity is undefined at rest").  JSON output
 is deterministic byte for byte on one CPU dispatch target and BLAS kernel
 (either can move a residual's last digits): keys keep insertion order,
 floats are printed with 17 significant digits, complex numbers as [re, im]
@@ -43,7 +45,7 @@ from typing import NoReturn
 import numpy as np
 
 from . import __version__
-from .errors import DiracFreeError, ZeroMomentum
+from .errors import DiracFreeError
 from .gamma import hamiltonian, helicity_operator
 from .kinematics import (
     EnergyBranch,
@@ -143,15 +145,16 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _finite_floats(text: str) -> list[float]:
-    return [_finite_float(p) for p in text.split(",")]
+def _finite_floats(count: int):
+    """argparse type of a vector flag: exactly ``count`` comma-separated finite floats."""
 
+    def parse(text: str) -> np.ndarray:
+        parts = text.split(",")
+        if len(parts) != count:
+            raise argparse.ArgumentTypeError(f"expected {count} comma-separated numbers")
+        return np.array([_finite_float(p) for p in parts])
 
-def _finite_vec3(text: str) -> np.ndarray:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError("expected three comma-separated numbers")
-    return np.array([_finite_float(p) for p in parts])
+    return parse
 
 
 def _parse_eta_list(text: str) -> tuple[float, ...]:
@@ -180,7 +183,7 @@ def _add_kinematics_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--m", type=_finite_float, default=1.0, help="rest mass (default 1)")
     parser.add_argument("--c", type=_finite_float, default=1.0, help="speed of light (default 1)")
     group = parser.add_mutually_exclusive_group()
-    group.add_argument("--p", type=_finite_vec3, default="0,0,0", metavar="X,Y,Z",
+    group.add_argument("--p", type=_finite_floats(3), default="0,0,0", metavar="X,Y,Z",
                        help="momentum vector (default %(default)s)")
     group.add_argument("--eta", type=float, help="speed parameter in [0, 1)")
     parser.add_argument("--theta", type=_finite_float, help="polar angle (with --eta; default 0)")
@@ -305,10 +308,9 @@ def _cmd_spinor(args) -> int:
     state = _state_from_args(args)
     branch = _BRANCHES[args.branch]
     lam = _HELICITIES[args.lam]
-    if state.p_abs == 0.0:
-        raise ZeroMomentum("helicity spinor requires |p| > 0")
+    helicity = helicity_operator(state)  # raises at rest, before u needs a direction
     u = helicity_bispinor(lam, branch, angles_of(state.p), state, _NORMS[args.norm], args.volume)
-    helicity_residual = _relative_residual(branch.sign * helicity_operator(state) @ u, lam.half * u)
+    helicity_residual = _relative_residual(branch.sign * helicity @ u, lam.half * u)
     inputs = {
         **_state_inputs(args, state),
         "branch": args.branch,
@@ -355,10 +357,7 @@ def _cmd_density(args) -> int:
 
 def _cmd_boost(args) -> int:
     state = _state_from_args(args)
-    raw = args.spinor
-    if len(raw) != 4:
-        raise DiracFreeError("--spinor expects re1,im1,re2,im2")
-    phi = np.array([raw[0] + 1j * raw[1], raw[2] + 1j * raw[3]])
+    phi = args.spinor[0::2] + 1j * args.spinor[1::2]
     u = boost_bispinor(phi, state)
     length = scaled_norm(phi)
     direct = bispinor_block(phi / length, state,
@@ -409,13 +408,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_density = sub.add_parser("density", help="emit a polarization density matrix")
     _add_kinematics_args(p_density)
     _add_helicity_args(p_density)
-    p_density.add_argument("--n", type=_finite_vec3, default=None, metavar="X,Y,Z",
+    p_density.add_argument("--n", type=_finite_floats(3), default=None, metavar="X,Y,Z",
                            help="polarization direction (default: along p)")
     p_density.set_defaults(fn=_cmd_density)
 
     p_boost = sub.add_parser("boost", help="boost a rest-frame spinor")
     _add_kinematics_args(p_boost)
-    p_boost.add_argument("--spinor", type=_finite_floats, default="1,0,0,0", metavar="RE,IM,RE,IM",
+    p_boost.add_argument("--spinor", type=_finite_floats(4), default="1,0,0,0", metavar="RE,IM,RE,IM",
                          help="rest-frame two-spinor components (default %(default)s)")
     p_boost.set_defaults(fn=_cmd_boost)
 

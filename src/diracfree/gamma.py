@@ -24,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import IndexOutOfRange, ZeroMomentum
-from .kinematics import FourVector, MomentumState
+from .kinematics import FourVector, MomentumState, momentum_axis
 from .smallmat import block4, cmat
 
 SIGMA1 = cmat([[0, 1], [1, 0]])
@@ -98,11 +98,10 @@ def hamiltonian(state: MomentumState) -> np.ndarray:
 
 
 def helicity_operator(state: MomentumState) -> np.ndarray:
-    """Spin projection on the momentum direction, (1/2) Sigma.p / |p|."""
-    p_abs = state.p_abs
-    if np.count_nonzero(p_abs == 0.0):
+    """Spin projection (1/2) Sigma.p-hat, with p-hat from ``momentum_axis``."""
+    if np.count_nonzero(state.p_abs == 0.0):
         raise ZeroMomentum("helicity is undefined at rest")
-    return spin_dot(state.p) / (2.0 * p_abs)[..., None, None]
+    return 0.5 * spin_dot(momentum_axis(state))
 
 
 def gamma5_lower_times(x: np.ndarray) -> np.ndarray:

@@ -57,7 +57,7 @@ def _real_part(value, what: str):
 def _bilinear_four_vector(u, matrices, symbol: str) -> FourVector:
     """The four real bilinears u-bar M^mu u, one per matrix, as a four-vector."""
     comps = [_real_part(bilinear(u, m, u), f"{symbol}^{mu}") for mu, m in enumerate(matrices)]
-    return FourVector(comps[0], np.stack(comps[1:], axis=-1))
+    return FourVector(comps[0], stack_last(comps[1:]))
 
 
 def polarization_four_vector(state: MomentumState, n) -> FourVector:

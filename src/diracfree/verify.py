@@ -418,11 +418,6 @@ def _rest_spin(phi: np.ndarray) -> np.ndarray:
     return sm.stack_last([0.5 * np.vecdot(phi, np.matvec(s, phi)).real for s in ga.PAULI])
 
 
-def _d9_blocks(h: np.ndarray, e) -> sm.Block2x2:
-    """Blocks of the plane-wave eigenproblem matrix H - e at trial energy e."""
-    return sm.disassemble(h - _scaled_eye(e))
-
-
 def _scaled_eye(x, n: int = 4) -> np.ndarray:
     """x times the n x n identity, for a scalar x or each entry of a stack."""
     return np.asarray(x)[..., None, None] * np.eye(n)
@@ -483,8 +478,9 @@ def _eig_det(state):
 def _block_rank(state):
     """The rank criterion holds at trial energy -R and fails one unit below."""
     h = ga.hamiltonian(state)
-    yield (0.0 if np.all(sm.block_rank_is_n(_d9_blocks(h, -state.R))) else 1.0), 0.0
-    yield (1.0 if np.any(sm.block_rank_is_n(_d9_blocks(h, -state.R - 1.0))) else 0.0), 0.0
+    on_shell, off_shell = (sm.disassemble(h - _scaled_eye(e)) for e in (-state.R, -state.R - 1.0))
+    yield (0.0 if np.all(sm.block_rank_is_n(on_shell)) else 1.0), 0.0
+    yield (1.0 if np.any(sm.block_rank_is_n(off_shell)) else 0.0), 0.0
 
 
 def _clifford():

@@ -342,6 +342,15 @@ class TestStackedKernels:
             for x, y in zip(boosted[1].view(float), want.view(float))
         )
 
+    def test_helicity_operator_subnormal_momentum(self):
+        # |p| = 1e-320 is subnormal: p-hat is still a unit vector, not nan
+        p = np.array([[0.3, 0.1, 0.2], [1e-320, 0.0, 0.0], [0.0, 0.5, -0.1]])
+        state = MomentumState(1.0, p)
+        stacked = ga.helicity_operator(state)
+        assert np.all(np.isfinite(stacked))
+        assert_stacks(stacked, [ga.helicity_operator(s) for s in _unstacked(state)])
+        assert np.array_equal(stacked[1], 0.5 * ga.SPIN[0])
+
     def test_unstacked_scalars_stay_floats(self):
         state = ki.from_eta(1.0, 1.0, 0.5, PolarAngles(0.4, 1.1))
         for value in (state.p_abs, state.R, state.energy(EnergyBranch.NEGATIVE)):

@@ -243,10 +243,15 @@ class TestCli:
         summary = out.splitlines()[-1]
         assert summary.startswith("summary: 82 checks,") and summary.endswith("all passed")
 
-    @pytest.mark.parametrize("fmt", ["text", "json"])
-    def test_near_rest_grid_exit_zero(self, fmt):
-        # R - m c^2 is exactly 0 here; the Fermi audit never forms it
-        code, out, err = self.run("verify", "--eta", "1e-10", "--format", fmt)
+    @pytest.mark.parametrize(
+        "eta, fmt",
+        [("1e-10", "text"), ("1e-10", "json"), ("1e-310", "text"), ("1e-310", "json")],
+        ids=["text", "json", "1e-310-text", "1e-310-json"],
+    )
+    def test_near_rest_grid_exit_zero(self, eta, fmt):
+        # R - m c^2 is exactly 0 here; the Fermi audit never forms it.  At 1e-310
+        # |p| is subnormal, and p-hat must still be a unit vector, never nan
+        code, out, err = self.run("verify", "--eta", eta, "--format", fmt)
         assert (code, err) == (0, "")
         if fmt == "json":
             assert json.loads(out)["outputs"]["all_passed"] is True
@@ -284,7 +289,7 @@ class TestCli:
     def test_spinor_zero_momentum_exit_two(self):
         code, _, err = self.run("spinor", "--p", "0,0,0", "--branch", "pos")
         assert code == 2
-        assert "|p| > 0" in err
+        assert "helicity is undefined at rest" in err
 
     def test_density_json(self):
         code, out, _ = self.run(
@@ -459,6 +464,23 @@ class TestCli:
         assert captured.out == ""
         assert f"expected a finite number, got {value!r}" in captured.err
 
+    @pytest.mark.parametrize(
+        "argv, flag, count",
+        [
+            (("boost", "--spinor", "1,0"), "--spinor", 4),
+            (("spinor", "--p", "1,2"), "--p", 3),
+            (("density", "--n", "1,0,0,0"), "--n", 3),
+        ],
+        ids=["spinor", "p", "n"],
+    )
+    def test_vector_flag_count_exit_two(self, capsys, argv, flag, count):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(f"error: argument {flag}: expected {count} comma-separated numbers\n")
+
     @pytest.mark.parametrize("command", ["spinor", "boost"])
     def test_non_finite_text_emit_exit_two(self, command):
         with np.errstate(all="ignore"):
@@ -474,8 +496,9 @@ class TestCli:
             ("spinor", "--p", "1e200,0,0"),
             ("density", "--eta", "0.5", "--n", "1e200,0,0"),
             ("boost", "--eta", "0.5", "--spinor", "1e200,0,0,0"),
+            ("spinor", "--p", "1e-320,0,0"),
         ],
-        ids=["spinor-p", "density-n", "boost-spinor"],
+        ids=["spinor-p", "density-n", "boost-spinor", "spinor-subnormal-p"],
     )
     def test_huge_vector_inputs_emit_finite_output(self, argv, fmt):
         code, out, err = self.run(*argv, "--format", fmt)

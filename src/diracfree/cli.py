@@ -303,8 +303,6 @@ def _dirac_residual(u, state: MomentumState, branch: EnergyBranch) -> float:
 def _cmd_spinor(args) -> int:
     if args.volume is not None and args.norm != "box":
         raise DiracFreeError("--volume applies only to --norm box")
-    if args.volume is None and args.norm == "box":
-        raise DiracFreeError("--norm box requires --volume")
     state = _state_from_args(args)
     branch = _BRANCHES[args.branch]
     lam = _HELICITIES[args.lam]

@@ -47,7 +47,7 @@ from .kinematics import (
     one_minus_eta_squared,
 )
 from .observables import adjoint_norm, dirac_adjoint, polarization_four_vector
-from .smallmat import UNIT_TOL, Block2x2, disassemble
+from .smallmat import UNIT_TOL
 from .spinors import Helicity, Normalization, eta_bispinor, helicity_bispinor
 
 
@@ -109,13 +109,13 @@ def density4_outer(state: MomentumState, branch: EnergyBranch, lam: Helicity, n)
 
 
 def density_block_form(eta: float, angles: PolarAngles, branch: EnergyBranch,
-                       lam: Helicity) -> Block2x2:
-    """Density matrix of an eta-parametrized helicity state, in 2x2 blocks.
+                       lam: Helicity) -> np.ndarray:
+    """Density matrix of an eta-parametrized helicity state, whose 2x2 blocks follow one pattern.
 
-    Returns ``+/-(1 - eta^2) u u-bar / (u-bar u)`` of the ``eta_bispinor``
-    column u, the same for any scale of u, mass or c.  It factorizes as a
-    scalar block pattern times the two-level density matrix of the
-    polarization direction: for positive energy
+    Returns the 4x4 matrix ``+/-(1 - eta^2) u u-bar / (u-bar u)`` of the
+    ``eta_bispinor`` column u, the same for any scale of u, mass or c.  Its
+    2x2 blocks factorize as a scalar block pattern times the two-level
+    density matrix of the polarization direction: for positive energy
     ``[[rho, -s eta rho], [s eta rho, -eta^2 rho]]`` and for negative energy
     ``[[eta^2 rho, s eta rho], [-s eta rho, -rho]]`` with s = sign(2 lambda)
     and rho evaluated along s n (positive branch) or -s n (negative).
@@ -124,8 +124,7 @@ def density_block_form(eta: float, angles: PolarAngles, branch: EnergyBranch,
     """
     u = eta_bispinor(lam, branch, eta, angles)
     scale = branch.sign * one_minus_eta_squared(eta)
-    scaled = scale[..., None, None] * outer_with_adjoint(u) / adjoint_norm(u)[..., None, None]
-    return disassemble(scaled)
+    return scale[..., None, None] * outer_with_adjoint(u) / adjoint_norm(u)[..., None, None]
 
 
 def sigma_tensor(mu: int, nu: int) -> np.ndarray:

@@ -37,7 +37,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import EtaOutOfRange, MasslessState
-from .smallmat import power_of_two_scale, stack_last
+from .smallmat import divide_by_power_of_two, power_of_two_scale, stack_last
 
 
 class EnergyBranch(Enum):
@@ -96,7 +96,7 @@ def scaled_norm(v):
     length that stays in range keeps its bits.
     """
     s = power_of_two_scale(v, ndim=1)
-    w = v / s[..., None]
+    w = divide_by_power_of_two(v, s[..., None])
     return np.sqrt(np.vecdot(w, w).real) * s
 
 

@@ -23,7 +23,7 @@ import numpy as np
 from .errors import MasslessState
 from .gamma import GAMMA, GAMMA0, ID4, SPIN, gamma5_lower_times, gamma_slash
 from .kinematics import EnergyBranch, FourVector, MomentumState, angles_of
-from .smallmat import IMAG_TOL, stack_last
+from .smallmat import IMAG_TOL, divide_by_power_of_two, power_of_two_scale, stack_last
 from .spinors import Helicity, Normalization, helicity_bispinor
 
 
@@ -111,7 +111,7 @@ def current_density(u: np.ndarray) -> FourVector:
 
 def spin_expectations(u: np.ndarray) -> np.ndarray:
     """Expectation value of the spin operator (1/2) Sigma in state u."""
-    u = np.asarray(u)
+    u = divide_by_power_of_two(u, power_of_two_scale(u, 1)[..., None])  # exact: keeps |u|^2 in range
     nsq = np.vecdot(u, u).real
     return stack_last([0.5 * np.vecdot(u, np.matvec(s, u)).real / nsq for s in SPIN])
 

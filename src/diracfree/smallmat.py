@@ -3,7 +3,8 @@
 Everything in this library is carried by fixed-size complex matrices, so
 this module deliberately supports nothing else: value-semantic numpy
 arrays, 2x2-block composition of 4x4 matrices, cofactor determinants, the
-Schur block-determinant formulas, and the block rank criterion.
+Schur block-determinant formulas, and the block rank criterion.  The block
+kernels read 4x4 matrices and split them with ``disassemble``.
 
 Every function also acts on stacks of matrices (leading batch axes), and a
 single matrix is the batch-of-one case.  Stacked vector products elsewhere
@@ -12,8 +13,6 @@ one measure every verdict and every emitted residual uses.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,31 +57,24 @@ def power_of_two_scale(x, ndim: int = 2) -> np.ndarray:
     return np.ldexp(1.0, np.frexp(max_abs_each(x, ndim))[1])
 
 
+def divide_by_power_of_two(x, s) -> np.ndarray:
+    """``x / s`` for a power of two ``s`` broadcast against ``x``, by ``np.ldexp``: exact at any scale.
+
+    numpy's complex / real multiplies by 1/s, which is inf for s below about 2.8e-309.
+    """
+    x = np.asarray(x)
+    shift = 1 - np.frexp(s)[1]  # s = 2**-shift
+    if not np.iscomplexobj(x):
+        return np.ldexp(x, shift)
+    out = np.empty(np.broadcast_shapes(x.shape, np.shape(shift)), dtype=x.dtype)
+    out.real = np.ldexp(x.real, shift)
+    out.imag = np.ldexp(x.imag, shift)
+    return out
+
+
 def dagger(m: np.ndarray) -> np.ndarray:
     """Conjugate transpose of a matrix or of each matrix in a stack."""
     return np.conjugate(np.asarray(m)).swapaxes(-1, -2)
-
-
-@dataclass(frozen=True)
-class Block2x2:
-    """A 4x4 matrix partitioned into four 2x2 blocks.
-
-    Layout: ``[[a, b], [c, d]]`` with a top-left, b top-right, c bottom-left,
-    d bottom-right.  Each block may be a stack of shape ``(..., 2, 2)``.
-    """
-
-    a: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
-    d: np.ndarray
-
-    def __post_init__(self):
-        for name in ("a", "b", "c", "d"):
-            block = np.asarray(getattr(self, name), dtype=np.complex128)
-            if block.shape[-2:] != (2, 2):
-                raise ValueError(f"block {name} must be 2x2, got {block.shape}")
-            block.setflags(write=False)
-            object.__setattr__(self, name, block)
 
 
 def stack_last(entries) -> np.ndarray:
@@ -100,27 +92,18 @@ def block4(a, b, c, d) -> np.ndarray:
     return m
 
 
-def assemble(blocks: Block2x2) -> np.ndarray:
-    m = block4(blocks.a, blocks.b, blocks.c, blocks.d)
-    m.setflags(write=False)
-    return m
-
-
-def disassemble(m: np.ndarray) -> Block2x2:
-    m = np.asarray(m)
+def disassemble(m: np.ndarray) -> tuple:
+    """The 2x2 blocks ``(a, b, c, d)`` of ``[[a, b], [c, d]]``: complex views of a 4x4 matrix or stack."""
+    m = np.asarray(m, dtype=np.complex128)
     if m.shape[-2:] != (4, 4):
         raise ValueError(f"expected 4x4, got {m.shape}")
-    return Block2x2(m[..., :2, :2], m[..., :2, 2:], m[..., 2:, :2], m[..., 2:, 2:])
+    return m[..., :2, :2], m[..., :2, 2:], m[..., 2:, :2], m[..., 2:, 2:]
 
 
-def block_mul(x: Block2x2, y: Block2x2) -> Block2x2:
-    """Blockwise product: top-left = A1 A2 + B1 C2, and so on."""
-    return Block2x2(
-        x.a @ y.a + x.b @ y.c,
-        x.a @ y.b + x.b @ y.d,
-        x.c @ y.a + x.d @ y.c,
-        x.c @ y.b + x.d @ y.d,
-    )
+def block_mul(x: tuple, y: tuple) -> np.ndarray:
+    """The 4x4 product of two ``disassemble`` splits, blockwise: top-left = A1 A2 + B1 C2, and so on."""
+    (a1, b1, c1, d1), (a2, b2, c2, d2) = x, y
+    return block4(a1 @ a2 + b1 @ c2, a1 @ b2 + b1 @ d2, c1 @ a2 + d1 @ c2, c1 @ b2 + d1 @ d2)
 
 
 def det2(m: np.ndarray) -> complex:
@@ -168,14 +151,15 @@ def _inv2(m: np.ndarray) -> np.ndarray:
     return inv / det2(m)[..., None, None]
 
 
-def schur_det(blocks: Block2x2) -> complex:
-    """Block determinant via the Schur reduction formulas.
+def schur_det(m: np.ndarray) -> complex:
+    """Determinant of a 4x4 matrix via the Schur reduction formulas of its 2x2 blocks.
 
-    Uses det(AD - CB) when AC = CA, else det(AD - BC) when CD = DC, each
-    commutator within ``DEFAULT_TOL``; the AC = CA route is preferred when
-    both apply.  The route is chosen per stack element.
+    With ``m = [[A, B], [C, D]]``, uses det(AD - CB) when AC = CA, else
+    det(AD - BC) when CD = DC, each commutator within ``DEFAULT_TOL``; the
+    AC = CA route is preferred when both apply.  The route is chosen per
+    stack element.
     """
-    a, b, c, d = blocks.a, blocks.b, blocks.c, blocks.d
+    a, b, c, d = disassemble(m)
     ac = max_abs_each(a @ c - c @ a) <= DEFAULT_TOL
     cd = max_abs_each(c @ d - d @ c) <= DEFAULT_TOL
     if not np.all(ac | cd):
@@ -186,16 +170,17 @@ def schur_det(blocks: Block2x2) -> complex:
     return np.where(ac, det2(a @ d - c @ b), det2(a @ d - b @ c))[()]
 
 
-def block_rank_is_n(blocks: Block2x2) -> bool:
-    """Rank criterion for a partitioned matrix with nonsingular top-left block.
+def block_rank_is_n(m: np.ndarray) -> bool:
+    """Rank criterion for a 4x4 matrix ``[[A, B], [C, D]]`` with nonsingular A.
 
-    With A invertible, the 4x4 matrix has rank 2 exactly when D = C A^-1 B,
+    With A invertible, the matrix has rank 2 exactly when D = C A^-1 B,
     one verdict per stack element.  With s = ``power_of_two_scale(A)``, A is
     singular when |det(A / s)| <= ``DEFAULT_TOL`` at any scale (a zero block
     stays singular), and A^-1 = (A / s)^-1 / s keeps det A clear of underflow.
     """
-    s = power_of_two_scale(blocks.a)[..., None, None]
-    a = blocks.a / s
+    a, b, c, d = disassemble(m)
+    s = power_of_two_scale(a)[..., None, None]
+    a = a / s
     if np.count_nonzero(np.abs(det2(a)) <= DEFAULT_TOL):
         raise SingularA("top-left block is singular within tolerance")
-    return (max_abs_each(blocks.d - blocks.c @ (_inv2(a) / s) @ blocks.b) <= DEFAULT_TOL)[()]
+    return (max_abs_each(d - c @ (_inv2(a) / s) @ b) <= DEFAULT_TOL)[()]

@@ -30,7 +30,8 @@ Normalization is always an explicit final step: internal construction is
 unnormalized and a ``Normalization`` value selects among u+u = 1, |u-bar u|
 = 1, |u-bar u| = 2mc, and the box convention u+u = 1/V.  The invariant
 norm of the block solution is taken in its closed form
-|phi|^2 2mc^2 / (mc^2 + R), which keeps its digits at any |p|.
+|phi|^2 2mc^2 / (mc^2 + R), which keeps its digits at any |p|; phi is
+first divided by its power-of-two scale, so any finite nonzero phi normalizes.
 
 Each factor of the block solution is formed in one function: the coupling
 kappa = c / (m c^2 + R) of sigma.p in ``_coupling``, the block norm
@@ -73,7 +74,7 @@ from .kinematics import (
     momentum_axis,
     rapidity,
 )
-from .smallmat import block4, stack_last
+from .smallmat import block4, divide_by_power_of_two, power_of_two_scale, stack_last
 
 
 class Helicity(Enum):
@@ -153,8 +154,6 @@ def spin_basis_matrix(state: MomentumState) -> np.ndarray:
 def _normalize(raw: np.ndarray, phi: np.ndarray, state: MomentumState, norm: Normalization,
                volume: float | None) -> np.ndarray:
     nsq = np.vecdot(raw, raw).real
-    if np.count_nonzero(nsq == 0.0):
-        raise UnnormalizablePhi("two-spinor must be nonzero")
     if norm is Normalization.UNIT:
         return raw / np.sqrt(nsq)[..., None]
     if norm is Normalization.BOX:
@@ -194,6 +193,8 @@ def bispinor_block(phi: np.ndarray, state: MomentumState, branch: EnergyBranch,
     so the 2mc convention yields +2mc and -2mc respectively.
     """
     phi = _two_spinor(phi)
+    # exact, and divided out by every norm: keeps |phi|^2 and |raw|^2 in range
+    phi = divide_by_power_of_two(phi, power_of_two_scale(phi, 1)[..., None])
     coupled = _coupling(state)[..., None] * np.matvec(sigma_dot(state.p), phi)
     if phi.shape != coupled.shape:
         phi, coupled = np.broadcast_arrays(phi, coupled)

@@ -394,7 +394,7 @@ def _complex_pairs(r: np.ndarray) -> np.ndarray:
 def _unit_spinors(parts: np.ndarray) -> np.ndarray:
     """Unit two-spinors from drawn parts ``(..., 2, 2)``: two real, then two imaginary."""
     phi = _complex_pairs(parts)
-    return phi / np.sqrt(np.vecdot(phi, phi).real)[..., None]
+    return phi / ki.scaled_norm(phi)[..., None]
 
 
 def _cmat_pairs(rng, grid, n):
@@ -428,7 +428,7 @@ def _scaled_eye(x, n: int = 4) -> np.ndarray:
 
 def _blockmul_oracle(x, y):
     """Block product against an explicit index sum, independent of BLAS ``@``."""
-    got = sm.assemble(sm.block_mul(sm.disassemble(x), sm.disassemble(y)))
+    got = sm.block_mul(sm.disassemble(x), sm.disassemble(y))
     yield got, np.einsum("...ik,...kj->...ij", x, y)
 
 
@@ -450,11 +450,11 @@ def _schur_draws(rng, grid, n):
 
     a = cmat2(0)
     c = r[:, 8, None, None] * a + r[:, 9, None, None] * np.eye(2)
-    return (sm.Block2x2(a, cmat2(10), c, cmat2(18)),)
+    return (sm.block4(a, cmat2(10), c, cmat2(18)),)
 
 
-def _schur_oracle(blocks):
-    yield _rel(sm.schur_det(blocks), sm.det4(sm.assemble(blocks)))
+def _schur_oracle(m):
+    yield _rel(sm.schur_det(m), sm.det4(m))
 
 
 def _eig_det(state):
@@ -470,7 +470,7 @@ def _eig_det(state):
         dense_matrix = h - _scaled_eye(e)
         on_shell = closed == 0.0
         # relative to |closed| off shell (|x - 0| / max(1, 0) = |x| on shell)
-        yield _rel(sm.schur_det(sm.disassemble(dense_matrix)), closed)
+        yield _rel(sm.schur_det(dense_matrix), closed)
         scale = np.where(on_shell, sm.max_abs_each(dense_matrix) ** 4, np.abs(closed))
         yield sm.det4(dense_matrix), closed, np.maximum(1.0, scale)
 
@@ -478,7 +478,7 @@ def _eig_det(state):
 def _block_rank(state):
     """The rank criterion holds at trial energy -R and fails one unit below."""
     h = ga.hamiltonian(state)
-    on_shell, off_shell = (sm.disassemble(h - _scaled_eye(e)) for e in (-state.R, -state.R - 1.0))
+    on_shell, off_shell = (h - _scaled_eye(e) for e in (-state.R, -state.R - 1.0))
     yield (0.0 if np.all(sm.block_rank_is_n(on_shell)) else 1.0), 0.0
     yield (1.0 if np.any(sm.block_rank_is_n(off_shell)) else 0.0), 0.0
 
@@ -1036,11 +1036,11 @@ def _block_factor(eta, ang, branch):
         s = lam.sign
         if branch is _POS:
             rho = de.nonrel_density(lam, n)
-            target = sm.Block2x2(rho, -s * eta_ * rho, s * eta_ * rho, -e2 * rho)
+            target = sm.block4(rho, -s * eta_ * rho, s * eta_ * rho, -e2 * rho)
         else:
             rho = de.nonrel_density(lam.flipped, n)
-            target = sm.Block2x2(e2 * rho, s * eta_ * rho, -s * eta_ * rho, -rho)
-        yield sm.assemble(got), sm.assemble(target)
+            target = sm.block4(e2 * rho, s * eta_ * rho, -s * eta_ * rho, -rho)
+        yield got, target
 
 
 def _sigma_tensor():
@@ -1082,8 +1082,7 @@ def _covariant_decomposition(state):
             polarizer = de.polarizer(a)
             product = projector @ polarizer
             yield product, de.covariant_decomposition(state, branch, a)
-            blocks = sm.block_mul(sm.disassemble(projector), sm.disassemble(polarizer))
-            yield sm.assemble(blocks), product
+            yield sm.block_mul(sm.disassemble(projector), sm.disassemble(polarizer)), product
 
 
 def _parallel_polarization(eta, ang, state):

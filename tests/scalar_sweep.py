@@ -144,13 +144,11 @@ def _rest_spin(phi: np.ndarray) -> np.ndarray:
     return sm.stack_last([0.5 * np.vecdot(phi, np.matvec(s, phi)).real for s in ga.PAULI])
 
 
-def _d9_blocks(state: MomentumState, e: float) -> sm.Block2x2:
-    """Blocks of the plane-wave eigenproblem matrix at trial energy e."""
+def _d9_blocks(state: MomentumState, e: float) -> np.ndarray:
+    """The plane-wave eigenproblem matrix at trial energy e, joined from its explicit blocks."""
     sg = state.c * ga.sigma_dot(state.p)
     eye = np.eye(2)
-    return sm.Block2x2(
-        (state.rest_energy - e) * eye, sg, sg, -(state.rest_energy + e) * eye
-    )
+    return sm.block4((state.rest_energy - e) * eye, sg, sg, -(state.rest_energy + e) * eye)
 
 
 # --------------------------------------------------------------------------
@@ -159,7 +157,7 @@ def _d9_blocks(state: MomentumState, e: float) -> sm.Block2x2:
 
 def _blockmul_oracle(x, y):
     """Block product against an explicit index sum, independent of BLAS ``@``."""
-    got = sm.assemble(sm.block_mul(sm.disassemble(x), sm.disassemble(y)))
+    got = sm.block_mul(sm.disassemble(x), sm.disassemble(y))
     yield max_abs(got - np.einsum("ik,kj->ij", x, y))
 
 
@@ -176,11 +174,11 @@ def _schur_draw(rng, grid):
     a = _random_cmat(rng, 2)
     x, y = _symmetric(rng, 2)
     c = x * a + y * np.eye(2)
-    return (sm.Block2x2(a, _random_cmat(rng, 2), c, _random_cmat(rng, 2)),)
+    return (sm.block4(a, _random_cmat(rng, 2), c, _random_cmat(rng, 2)),)
 
 
-def _schur_oracle(blocks):
-    yield _rel(sm.schur_det(blocks), sm.det4(sm.assemble(blocks)))
+def _schur_oracle(m):
+    yield _rel(sm.schur_det(m), sm.det4(m))
 
 
 def _eig_det(state):
@@ -192,12 +190,12 @@ def _eig_det(state):
     """
     for e in (state.R, -state.R, state.R + 0.7, 0.25 * state.R):
         closed = (e**2 - (state.c * state.p_abs) ** 2 - state.rest_energy**2) ** 2
-        blocks = _d9_blocks(state, e)
-        got = sm.schur_det(blocks)
-        dense = sm.det4(sm.assemble(blocks))
+        m = _d9_blocks(state, e)
+        got = sm.schur_det(m)
+        dense = sm.det4(m)
         if closed == 0.0:
             yield abs(got)
-            yield abs(dense) / max(1.0, max_abs(sm.assemble(blocks)) ** 4)
+            yield abs(dense) / max(1.0, max_abs(m) ** 4)
         else:
             yield _rel(got, closed)
             yield _rel(dense, closed)
@@ -617,11 +615,11 @@ def _block_factor(eta, ang, branch):
         s = lam.sign
         if branch is _POS:
             rho = de.nonrel_density(lam, n)
-            target = sm.Block2x2(rho, -s * eta * rho, s * eta * rho, -e2 * rho)
+            target = sm.block4(rho, -s * eta * rho, s * eta * rho, -e2 * rho)
         else:
             rho = de.nonrel_density(lam.flipped, n)
-            target = sm.Block2x2(e2 * rho, s * eta * rho, -s * eta * rho, -rho)
-        yield max_abs(sm.assemble(got) - sm.assemble(target))
+            target = sm.block4(e2 * rho, s * eta * rho, -s * eta * rho, -rho)
+        yield max_abs(got - target)
 
 
 def _slash_pair(eta, ang, state, n_ang):
@@ -641,8 +639,8 @@ def _covariant_decomposition(eta, ang, state):
             projector, polarizer = de.energy_projector(state, branch), de.polarizer(a)
             product = projector @ polarizer
             yield max_abs(product - de.covariant_decomposition(state, branch, a))
-            blocks = sm.block_mul(sm.disassemble(projector), sm.disassemble(polarizer))
-            yield max_abs(sm.assemble(blocks) - product)
+            via_blocks = sm.block_mul(sm.disassemble(projector), sm.disassemble(polarizer))
+            yield max_abs(via_blocks - product)
 
 
 def _parallel_polarization(eta, ang, state):

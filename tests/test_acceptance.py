@@ -140,11 +140,9 @@ def test_criterion_04_determinant_claims():
         for e in (state.R + 0.7, -state.R - 0.3, 0.25 * state.R):
             sg = state.c * ga.sigma_dot(state.p)
             eye = np.eye(2)
-            blocks = sm.Block2x2(
-                (state.rest_energy - e) * eye, sg, sg, -(state.rest_energy + e) * eye
-            )
+            m = sm.block4((state.rest_energy - e) * eye, sg, sg, -(state.rest_energy + e) * eye)
             closed = (e**2 - (state.c * state.p_abs) ** 2 - state.rest_energy**2) ** 2
-            got = sm.schur_det(blocks)
+            got = sm.schur_det(m)
             worst_rel = max(worst_rel, abs(got - closed) / abs(closed))
     worst_abs = 0.0
     for eta in GRID.eta_values:
@@ -252,12 +250,12 @@ def test_criterion_06_density_suite():
             s = lam.sign
             got = de.density_block_form(eta, ang, POS, lam)
             rho = de.nonrel_density(lam, n)
-            target = sm.Block2x2(rho, -s * eta * rho, s * eta * rho, -e2 * rho)
-            worst = max(worst, max_abs(sm.assemble(got) - sm.assemble(target)))
+            target = sm.block4(rho, -s * eta * rho, s * eta * rho, -e2 * rho)
+            worst = max(worst, max_abs(got - target))
             got = de.density_block_form(eta, ang, NEG, lam)
             rho = de.nonrel_density(MINUS if lam is PLUS else PLUS, n)
-            target = sm.Block2x2(e2 * rho, s * eta * rho, -s * eta * rho, -rho)
-            worst = max(worst, max_abs(sm.assemble(got) - sm.assemble(target)))
+            target = sm.block4(e2 * rho, s * eta * rho, -s * eta * rho, -rho)
+            worst = max(worst, max_abs(got - target))
     _report(
         6,
         "projector algebra, closed-vs-outer density matrices, explicit and block forms below 1e-12",

@@ -174,3 +174,14 @@ class TestFourVectors:
     def test_as_array(self):
         a = ki.FourVector(2.0, np.array([1.0, 0.0, -1.0]))
         assert np.array_equal(a.as_array(), [2.0, 1.0, 0.0, -1.0])
+
+
+class TestScaledNorm:
+    @pytest.mark.parametrize("v, want", [
+        (np.array([1e-320 + 0j, 0j]), 1e-320),
+        (np.array([0j, 3e-310j]), 3e-310),
+    ])
+    def test_complex_with_subnormal_scale(self, v, want):
+        # the scale is below 2.8e-309, whose reciprocal is inf
+        with np.errstate(all="raise"):
+            assert ki.scaled_norm(v) == want

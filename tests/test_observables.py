@@ -152,6 +152,13 @@ class TestCurrent:
 
 
 class TestSpinExpectations:
+    @pytest.mark.parametrize("scale", [1e200, 1e-170, 1e-320])
+    def test_any_bispinor_scale(self, scale):
+        # u+ u overflows at 1e200 and underflows to 0 at 1e-170 and 1e-320
+        with np.errstate(all="raise"):
+            got = ob.spin_expectations(np.array([scale, 0.0, 0.0, 0.0]))
+        assert np.array_equal(got, [0.0, 0.0, 0.5])
+
     def test_rest_frame_equals_two_spinor_value(self):
         state = MomentumState(1.0, np.zeros(3))
         phi = unit_spinor()

@@ -28,13 +28,12 @@ def d9_matrix(m, c, p, e):
 class TestBlocks:
     def test_round_trip(self):
         m = random_cmat()
-        assert np.array_equal(sm.assemble(sm.disassemble(m)), m)
+        assert np.array_equal(sm.block4(*sm.disassemble(m)), m)
 
     def test_block_identity(self):
-        eye, zero = np.eye(2, dtype=complex), np.zeros((2, 2), dtype=complex)
-        ident = sm.Block2x2(eye, zero, zero, eye)
+        ident = sm.disassemble(np.eye(4))
         out = sm.block_mul(ident, ident)
-        assert sm.max_abs(sm.assemble(out) - np.eye(4)) == 0.0
+        assert sm.max_abs(out - np.eye(4)) == 0.0
 
     def test_eigenproblem_product(self):
         # m = c = 1, p = (0,0,1), E = 2: the two partitioned factors multiply
@@ -43,19 +42,21 @@ class TestBlocks:
         first = sm.disassemble(d9_matrix(1.0, 1.0, p, 2.0))
         sg = sigma_dot(p)
         eye = np.eye(2)
-        second = sm.Block2x2((1.0 + 2.0) * eye, sg, sg, -(1.0 - 2.0) * eye)
-        got = sm.assemble(sm.block_mul(first, second))
+        second = sm.disassemble(sm.block4((1.0 + 2.0) * eye, sg, sg, -(1.0 - 2.0) * eye))
+        got = sm.block_mul(first, second)
         assert sm.max_abs(got - (-2.0) * np.eye(4)) <= 1e-14
 
     def test_matches_dense_product(self):
         for _ in range(50):
             x, y = random_cmat(), random_cmat()
-            got = sm.assemble(sm.block_mul(sm.disassemble(x), sm.disassemble(y)))
+            got = sm.block_mul(sm.disassemble(x), sm.disassemble(y))
             assert sm.max_abs(got - x @ y) <= 1e-13
 
-    def test_bad_block_shape(self):
+    @pytest.mark.parametrize("kernel", [sm.disassemble, sm.schur_det, sm.block_rank_is_n])
+    @pytest.mark.parametrize("shape", [(3, 3), (4, 2)], ids=["3x3", "4x2"])
+    def test_rejects_non_4x4(self, kernel, shape):
         with pytest.raises(ValueError):
-            sm.Block2x2(np.eye(3), np.eye(2), np.eye(2), np.eye(2))
+            kernel(np.eye(*shape))
 
 
 class TestDagger:
@@ -111,44 +112,44 @@ class TestDeterminants:
 class TestSchurDet:
     def test_trivial_blocks(self):
         eye, zero = np.eye(2, dtype=complex), np.zeros((2, 2), dtype=complex)
-        assert sm.schur_det(sm.Block2x2(eye, zero, zero, eye)) == 1.0
+        assert sm.schur_det(sm.block4(eye, zero, zero, eye)) == 1.0
 
     def test_eigenproblem_determinant(self):
         # Schur route on the plane-wave matrix: (E^2 - c^2 p^2 - m^2 c^4)^2.
         p = np.array([0.1, 0.7, -0.3])
         for e in (2.0, -1.5, 0.25):
             closed = (e**2 - np.dot(p, p) - 1.0) ** 2
-            got = sm.schur_det(sm.disassemble(d9_matrix(1.0, 1.0, p, e)))
+            got = sm.schur_det(d9_matrix(1.0, 1.0, p, e))
             assert abs(got - closed) <= 1e-12 * max(1.0, abs(closed))
 
     def test_matches_dense_determinant(self):
         for _ in range(50):
             a = random_cmat(2)
             c = 0.7 * a + 1.3 * np.eye(2)
-            blocks = sm.Block2x2(a, random_cmat(2), c, random_cmat(2))
-            got = sm.schur_det(blocks)
-            want = sm.det4(sm.assemble(blocks))
+            m = sm.block4(a, random_cmat(2), c, random_cmat(2))
+            got = sm.schur_det(m)
+            want = sm.det4(m)
             assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
     def test_second_formula_route(self):
         # blocks where only CD = DC holds
         d = random_cmat(2)
         c = 0.4 * d + 0.9 * np.eye(2)
-        blocks = sm.Block2x2(random_cmat(2), random_cmat(2), c, d)
-        got = sm.schur_det(blocks)
-        want = sm.det4(sm.assemble(blocks))
+        m = sm.block4(random_cmat(2), random_cmat(2), c, d)
+        got = sm.schur_det(m)
+        want = sm.det4(m)
         assert abs(got - want) <= 1e-11 * max(1.0, abs(want))
 
     def test_non_commuting_raises(self):
-        blocks = sm.Block2x2(SIGMA1, random_cmat(2), SIGMA2, SIGMA1 @ SIGMA2)
+        m = sm.block4(SIGMA1, random_cmat(2), SIGMA2, SIGMA1 @ SIGMA2)
         with pytest.raises(NonCommutingBlocks):
-            sm.schur_det(blocks)
+            sm.schur_det(m)
 
 
 class TestBlockRank:
     def test_trivial_rank_two(self):
         eye, zero = np.eye(2, dtype=complex), np.zeros((2, 2), dtype=complex)
-        assert sm.block_rank_is_n(sm.Block2x2(eye, zero, zero, zero))
+        assert sm.block_rank_is_n(sm.block4(eye, zero, zero, zero))
 
     def test_on_shell_rank_two(self):
         # the solution-generating matrix has rank 2 exactly on shell
@@ -156,38 +157,55 @@ class TestBlockRank:
         r = np.sqrt(np.dot(p, p) + 1.0)
         sg = sigma_dot(p)
         eye = np.eye(2)
-        blocks = sm.Block2x2((1.0 + r) * eye, sg, sg, -(1.0 - r) * eye)
-        assert sm.block_rank_is_n(blocks)
-        assert row_reduce_rank(sm.assemble(blocks)) == 2
+        m = sm.block4((1.0 + r) * eye, sg, sg, -(1.0 - r) * eye)
+        assert sm.block_rank_is_n(m)
+        assert row_reduce_rank(m) == 2
 
     def test_off_shell_full_rank(self):
         p = np.array([0.3, -0.4, 0.5])
         r = np.sqrt(np.dot(p, p) + 1.0) + 1.0
         sg = sigma_dot(p)
         eye = np.eye(2)
-        blocks = sm.Block2x2((1.0 + r) * eye, sg, sg, -(1.0 - r) * eye)
-        assert not sm.block_rank_is_n(blocks)
-        assert row_reduce_rank(sm.assemble(blocks)) == 4
+        m = sm.block4((1.0 + r) * eye, sg, sg, -(1.0 - r) * eye)
+        assert not sm.block_rank_is_n(m)
+        assert row_reduce_rank(m) == 4
 
     def test_singular_a_raises(self):
         zero = np.zeros((2, 2), dtype=complex)
         with pytest.raises(SingularA):
-            sm.block_rank_is_n(sm.Block2x2(zero, np.eye(2), np.eye(2), zero))
+            sm.block_rank_is_n(sm.block4(zero, np.eye(2), np.eye(2), zero))
 
     @pytest.mark.parametrize("scale", [1e-150, 1e-8, 1.0, 1e8])
     def test_singular_a_is_scale_free(self, scale):
         eye = np.eye(2)
-        sm.block_rank_is_n(sm.Block2x2(scale * eye, eye, eye, eye))  # |det A| = scale^2
+        sm.block_rank_is_n(sm.block4(scale * eye, eye, eye, eye))  # |det A| = scale^2
         with pytest.raises(SingularA):
-            sm.block_rank_is_n(sm.Block2x2(scale * np.ones((2, 2)), eye, eye, eye))
+            sm.block_rank_is_n(sm.block4(scale * np.ones((2, 2)), eye, eye, eye))
 
     def test_tiny_a_inverts_without_underflow(self):
         # det A = 1e-600 underflows; A^-1 = 1e300 I does not
         eye = np.eye(2)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert not sm.block_rank_is_n(sm.Block2x2(1e-300 * eye, eye, eye, eye))
-            assert sm.block_rank_is_n(sm.Block2x2(1e-300 * eye, 1e-300 * eye, eye, eye))
+            assert not sm.block_rank_is_n(sm.block4(1e-300 * eye, eye, eye, eye))
+            assert sm.block_rank_is_n(sm.block4(1e-300 * eye, 1e-300 * eye, eye, eye))
+
+
+class TestDivideByPowerOfTwo:
+    def test_subnormal_divisor(self):
+        # numpy's complex / real multiplies by 1/s, which is inf for this s
+        x = np.array([1e-320 + 2e-320j, -3e-321j])
+        s = sm.power_of_two_scale(x, 1)
+        with np.errstate(all="raise"):
+            got = sm.divide_by_power_of_two(x, s)
+        assert np.array_equal(got * s, x)
+        assert 0.5 <= sm.max_abs(got) < 1.0
+
+    def test_matches_division_in_range(self):
+        x = random_cmat()
+        s = sm.power_of_two_scale(x)
+        assert np.array_equal(sm.divide_by_power_of_two(x, s), x / s)
+        assert np.array_equal(sm.divide_by_power_of_two(x.real, s), x.real / s)
 
 
 class TestResidual:

@@ -198,6 +198,29 @@ class TestBispinorBlock:
         assert max_abs(dirac_deviation(u, state, POS)) <= 1e-13
         assert max_abs(dirac_deviation(v, state, NEG)) <= 1e-13
 
+    @pytest.mark.parametrize("scale", [1e200, 1e-170, 1e-320])
+    @pytest.mark.parametrize("branch", [POS, NEG])
+    def test_norms_at_any_spinor_scale(self, scale, branch):
+        # |phi|^2 overflows at 1e200 and underflows to 0 at 1e-170 and 1e-320
+        state = MomentumState(1.4, [0.3, -0.7, 0.5], 2.0)
+        phi = np.array([scale, 0.0])
+        with np.errstate(all="raise"):
+            unit = sp.bispinor_block(phi, state, branch, sp.Normalization.UNIT)
+            inv1 = sp.bispinor_block(phi, state, branch, sp.Normalization.INVARIANT_UNIT)
+            inv2mc = sp.bispinor_block(phi, state, branch, sp.Normalization.INVARIANT_2MC)
+        assert abs(float(np.vdot(unit, unit).real) - 1.0) <= 1e-15
+        assert abs(abs(adjoint_norm(inv1)) - 1.0) <= 1e-15
+        assert abs(abs(adjoint_norm(inv2mc)) - 2.0 * state.m * state.c) <= 1e-14
+        assert max_abs(dirac_deviation(unit, state, branch)) <= 1e-14
+
+    @pytest.mark.parametrize("norm", list(sp.Normalization))
+    def test_spinor_scales_stack(self, norm):
+        state = MomentumState(1.4, [0.3, -0.7, 0.5], 2.0)
+        phis = np.array([[1e200, 0.0], [0.6, 0.8j], [0.0, 1e-170], [1e-320, 1e-320j], [3.0, -4.0]])
+        stacked = sp.bispinor_block(phis, state, POS, norm, volume=2.5)
+        singles = [sp.bispinor_block(phi, state, POS, norm, volume=2.5) for phi in phis]
+        assert np.array_equal(stacked, singles)
+
     def test_negative_eigenvector_direct(self):
         state = random_state()
         chi = random_unit_spinor()

@@ -193,8 +193,8 @@ class TestStackedKernels:
                 assert_stacks(column, [sp.eta_bispinor(lam, branch, e, a, 2.5) for e, a in singles])
                 assert_stacks(sp.charge_conjugate(column), [sp.charge_conjugate(u) for u in column])
                 assert_stacks(
-                    sm.assemble(de.density_block_form(eta, angles, branch, lam)),
-                    [sm.assemble(de.density_block_form(e, a, branch, lam)) for e, a in singles],
+                    de.density_block_form(eta, angles, branch, lam),
+                    [de.density_block_form(e, a, branch, lam) for e, a in singles],
                 )
 
     @settings(max_examples=60, deadline=None)
@@ -283,20 +283,18 @@ class TestStackedKernels:
         x, y = _cmats(seed, len(rows)), _cmats(seed + 1, len(rows))
         assert_stacks(sm.det4(x), [sm.det4(v) for v in x])
         assert_stacks(sm.det2(x[:, :2, :2]), [sm.det2(v[:2, :2]) for v in x])
-        product = sm.assemble(sm.block_mul(sm.disassemble(x), sm.disassemble(y)))
+        product = sm.block_mul(sm.disassemble(x), sm.disassemble(y))
         assert_stacks(
-            product,
-            [sm.assemble(sm.block_mul(sm.disassemble(v), sm.disassemble(w))) for v, w in zip(x, y)],
+            product, [sm.block_mul(sm.disassemble(v), sm.disassemble(w)) for v, w in zip(x, y)]
         )
         # plane-wave blocks: on shell at -R, off shell above +R
         sg = c * ga.sigma_dot(state.p)
         for e in (-state.R, state.R + 0.5):
             a_block = (state.rest_energy - e)[:, None, None] * np.eye(2)
             d_block = -(state.rest_energy + e)[:, None, None] * np.eye(2)
-            blocks = sm.Block2x2(a_block, sg, sg, d_block)
-            singles = [sm.Block2x2(*parts) for parts in zip(a_block, sg, sg, d_block)]
-            assert_stacks(sm.schur_det(blocks), [sm.schur_det(b) for b in singles])
-            assert list(sm.block_rank_is_n(blocks)) == [sm.block_rank_is_n(b) for b in singles]
+            m_stack = sm.block4(a_block, sg, sg, d_block)
+            assert_stacks(sm.schur_det(m_stack), [sm.schur_det(m) for m in m_stack])
+            assert list(sm.block_rank_is_n(m_stack)) == [sm.block_rank_is_n(m) for m in m_stack]
 
     @settings(max_examples=60, deadline=None)
     @given(momenta, st.sampled_from(SCALES), st.sampled_from(SCALES), st.floats(0.0, 5.0), seeds)
@@ -328,7 +326,7 @@ class TestStackedKernels:
         assert isinstance(ob.adjoint_norm(u), float)
         assert isinstance(sm.det4(ga.hamiltonian(state)), complex)
         assert sp.boost_bispinor(np.array([1.0, 0.5j]), state).shape == (4,)
-        assert isinstance(sm.block_rank_is_n(sm.disassemble(np.eye(4))), (bool, np.bool_))
+        assert isinstance(sm.block_rank_is_n(np.eye(4)), (bool, np.bool_))
 
     def test_boost_at_rest_is_exact(self):
         p = np.array([[0.3, 0.1, 0.2], [0.0, 0.0, 0.0]])
@@ -412,9 +410,9 @@ class TestStackedValidation:
         a[1] = ga.SIGMA1
         d = _cmats(4, 3, size=2)
         d[1] = ga.SIGMA1 @ ga.SIGMA2
-        blocks = sm.Block2x2(a, _cmats(5, 3, size=2), c, d)
+        m = sm.block4(a, _cmats(5, 3, size=2), c, d)
         with pytest.raises(NonCommutingBlocks, match="the Schur formulas do not apply"):
-            sm.schur_det(blocks)
+            sm.schur_det(m)
 
     def test_boost_zero_spinor_element(self):
         state = ki.from_eta(1.0, 1.0, 0.5, PolarAngles(np.array([0.3, 1.0, 2.0]), 0.4))
@@ -424,9 +422,9 @@ class TestStackedValidation:
 
     def test_block_rank_singular_element(self):
         a = np.stack([np.eye(2), np.zeros((2, 2)), 2.0 * np.eye(2)])
-        blocks = sm.Block2x2(a, np.eye(2), np.eye(2), np.zeros((2, 2)))
+        m = sm.block4(a, np.eye(2), np.eye(2), np.zeros((2, 2)))
         with pytest.raises(SingularA, match="top-left block is singular"):
-            sm.block_rank_is_n(blocks)
+            sm.block_rank_is_n(m)
 
     def test_density_non_finite_direction_element(self):
         state = ki.from_eta(1.0, 1.0, 0.5, PolarAngles(np.array([0.3, 1.0, 2.0]), 0.4))
@@ -642,8 +640,6 @@ def _stack_len(item):
         return np.size(item.theta)
     if isinstance(item, MomentumState):
         return len(item.p) if item.p.ndim == 2 else 0
-    if isinstance(item, sm.Block2x2):
-        return len(item.a)
     return len(item)
 
 
@@ -657,8 +653,6 @@ def _unstack_point(point):
             if item.p.ndim == 1:
                 return item
             return MomentumState(item.m, item.p[k], item.c)
-        if isinstance(item, sm.Block2x2):
-            return sm.Block2x2(item.a[k], item.b[k], item.c[k], item.d[k])
         return item[k]
 
     n = max(map(_stack_len, point))
@@ -672,9 +666,6 @@ def _same_point(a, b):
         elif isinstance(x, MomentumState):
             assert (x.m, x.c) == (y.m, y.c)
             assert np.array_equal(x.p, y.p)
-        elif isinstance(x, sm.Block2x2):
-            for name in "abcd":
-                assert np.array_equal(getattr(x, name), getattr(y, name))
         else:
             assert np.array_equal(x, y)
 
@@ -816,8 +807,6 @@ def _stacked_arrays(point):
     for item in point:
         if isinstance(item, MomentumState):
             yield item.p
-        elif isinstance(item, sm.Block2x2):
-            yield from (item.a, item.b, item.c, item.d)
         else:
             yield np.asarray(item)
 

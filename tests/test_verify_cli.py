@@ -390,7 +390,7 @@ class TestCli:
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_box_norm_without_volume_exit_two(self, fmt):
         code, out, err = self.run("spinor", "--eta", "0.5", "--norm", "box", "--format", fmt)
-        assert (code, out, err) == (2, "", "error: --norm box requires --volume\n")
+        assert (code, out, err) == (2, "", "error: box normalization requires volume > 0\n")
 
     @pytest.mark.parametrize(
         "argv, message",

@@ -266,8 +266,8 @@ def _cmd_verify(args) -> int:
         for c in report.checks:
             if c.deviation_note is not None:
                 continue
-            verdict = "PASS" if c.passed else "FAIL"
-            print(f"{verdict}  {c.id:<24} {c.residual:9.3e} <= {report.tolerance:g}  {c.description}")
+            verdict, relation = ("PASS", "<=") if c.passed else ("FAIL", ">")
+            print(f"{verdict}  {c.id:<24} {c.residual:9.3e} {relation} {report.tolerance:g}  {c.description}")
         if report.deviations:
             print("documented deviations (reported, never counted as failures):")
             for c in report.deviations:

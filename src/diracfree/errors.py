@@ -30,7 +30,7 @@ class NonCommutingBlocks(DiracFreeError):
 
 
 class SingularA(DiracFreeError):
-    """Top-left block is singular; the block rank criterion does not apply."""
+    """Top-left block is singular; the Schur complement D - C A^-1 B is undefined."""
 
 
 class UnnormalizablePhi(DiracFreeError):

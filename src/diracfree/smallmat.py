@@ -3,8 +3,8 @@
 Everything in this library is carried by fixed-size complex matrices, so
 this module deliberately supports nothing else: value-semantic numpy
 arrays, 2x2-block composition of 4x4 matrices, cofactor determinants, the
-Schur block-determinant formulas, and the block rank criterion.  The block
-kernels read 4x4 matrices and split them with ``disassemble``.
+Schur block-determinant formulas, and the Schur complement, which vanishes
+exactly at rank 2.  The block kernels split 4x4 matrices with ``disassemble``.
 
 Every function also acts on stacks of matrices (leading batch axes), and a
 single matrix is the batch-of-one case.  Stacked vector products elsewhere
@@ -151,17 +151,22 @@ def _inv2(m: np.ndarray) -> np.ndarray:
     return inv / det2(m)[..., None, None]
 
 
+def _commute(x, y) -> np.ndarray:
+    """Whether xy = yx within ``DEFAULT_TOL`` per stack element, each side at its ``power_of_two_scale``."""
+    x, y = (divide_by_power_of_two(v, power_of_two_scale(v)[..., None, None]) for v in (x, y))
+    return max_abs_each(x @ y - y @ x) <= DEFAULT_TOL
+
+
 def schur_det(m: np.ndarray) -> complex:
     """Determinant of a 4x4 matrix via the Schur reduction formulas of its 2x2 blocks.
 
     With ``m = [[A, B], [C, D]]``, uses det(AD - CB) when AC = CA, else
-    det(AD - BC) when CD = DC, each commutator within ``DEFAULT_TOL``; the
-    AC = CA route is preferred when both apply.  The route is chosen per
-    stack element.
+    det(AD - BC) when CD = DC; the AC = CA route is preferred when both
+    apply.  The commutators are tested by ``_commute``, so at any scale of
+    the blocks, and the route is chosen per stack element.
     """
     a, b, c, d = disassemble(m)
-    ac = max_abs_each(a @ c - c @ a) <= DEFAULT_TOL
-    cd = max_abs_each(c @ d - d @ c) <= DEFAULT_TOL
+    ac, cd = _commute(a, c), _commute(c, d)
     if not np.all(ac | cd):
         raise NonCommutingBlocks(
             "neither AC = CA nor CD = DC holds within tolerance; "
@@ -170,17 +175,17 @@ def schur_det(m: np.ndarray) -> complex:
     return np.where(ac, det2(a @ d - c @ b), det2(a @ d - b @ c))[()]
 
 
-def block_rank_is_n(m: np.ndarray) -> bool:
-    """Rank criterion for a 4x4 matrix ``[[A, B], [C, D]]`` with nonsingular A.
+def schur_complement(m: np.ndarray) -> np.ndarray:
+    """The Schur complement D - C A^-1 B of a 4x4 matrix ``[[A, B], [C, D]]`` with nonsingular A.
 
-    With A invertible, the matrix has rank 2 exactly when D = C A^-1 B,
-    one verdict per stack element.  With s = ``power_of_two_scale(A)``, A is
-    singular when |det(A / s)| <= ``DEFAULT_TOL`` at any scale (a zero block
-    stays singular), and A^-1 = (A / s)^-1 / s keeps det A clear of underflow.
+    It vanishes exactly when the matrix has rank 2.  With s =
+    ``power_of_two_scale(A)``, A is singular when |det(A / s)| <= ``DEFAULT_TOL``
+    at any scale (a zero block stays singular), and C A^-1 B is formed as
+    (C (A / s)^-1)(B / s) with exact divisions, in range where A^-1 is not.
     """
     a, b, c, d = disassemble(m)
     s = power_of_two_scale(a)[..., None, None]
-    a = a / s
+    a = divide_by_power_of_two(a, s)
     if np.count_nonzero(np.abs(det2(a)) <= DEFAULT_TOL):
         raise SingularA("top-left block is singular within tolerance")
-    return (max_abs_each(d - c @ (_inv2(a) / s) @ b) <= DEFAULT_TOL)[()]
+    return d - c @ _inv2(a) @ divide_by_power_of_two(b, s)

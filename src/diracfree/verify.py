@@ -38,13 +38,13 @@ check's residual is the largest ``|lhs - rhs| / scale`` (scale 1 when none
 is given) over every item the residual yields on every batch of the
 domain, and a nan entry anywhere makes it nan.  It becomes the entry's
 ``fn(grid) -> float``, and ``run_suite`` compares every check's residual
-with the run's one tolerance.  Three checks measure by hand and yield
-their measure against 0: ``block-rank`` (a 0/1 verdict of the rank
-criterion), ``nonrel-limit`` (the excess of ``smallmat.residual`` over
-the 3/c rate, and 1 where it stops shrinking) and ``spin-bound`` (the
+with the run's one tolerance.  Two checks measure by hand and yield their
+measure against 0: ``nonrel-limit`` (the excess of ``smallmat.residual``
+over the 3/c rate, and 1 where it stops shrinking) and ``spin-bound`` (the
 one-sided excess of |<S>| over |<s>|).  Every other check compares objects
 the library builds -- matrices, vectors, scalars -- and no library function
-measures an identity for it: ``polarization-equation`` applies
+measures an identity for it: ``block-rank`` yields ``smallmat.schur_complement``
+of H - E against its closed form, ``polarization-equation`` applies
 ``observables.polarization_constraint`` and yields the product against 0,
 and ``covariant-decomposition`` yields the projector-polarizer product
 against ``density.covariant_decomposition``.
@@ -476,11 +476,11 @@ def _eig_det(state):
 
 
 def _block_rank(state):
-    """The rank criterion holds at trial energy -R and fails one unit below."""
+    """The Schur complement of H - E vs (E - R)(E + R) / (mc^2 - E): 0 at E = -R, not one unit below."""
     h = ga.hamiltonian(state)
-    on_shell, off_shell = (h - _scaled_eye(e) for e in (-state.R, -state.R - 1.0))
-    yield (0.0 if np.all(sm.block_rank_is_n(on_shell)) else 1.0), 0.0
-    yield (1.0 if np.any(sm.block_rank_is_n(off_shell)) else 0.0), 0.0
+    for e in (-state.R, -state.R - 1.0):
+        closed = (e - state.R) * (e + state.R) / (state.rest_energy - e)
+        yield _rel(sm.schur_complement(h - _scaled_eye(e)), _scaled_eye(closed, 2))
 
 
 def _clifford():

@@ -202,9 +202,12 @@ def _eig_det(state):
 
 
 def _block_rank(state):
-    """The rank criterion holds at trial energy -R and fails one unit below."""
-    yield 0.0 if sm.block_rank_is_n(_d9_blocks(state, -state.R)) else 1.0
-    yield 1.0 if sm.block_rank_is_n(_d9_blocks(state, -state.R - 1.0)) else 0.0
+    """The Schur complement vs (E - R)(E + R) / (mc^2 - E), entry by entry: 0 at E = -R, not one unit below."""
+    for e in (-state.R, -state.R - 1.0):
+        closed = (e - state.R) * (e + state.R) / (state.rest_energy - e)
+        got = sm.schur_complement(_d9_blocks(state, e))
+        for k, l in np.ndindex(2, 2):
+            yield _rel(got[k, l], closed if k == l else 0.0)
 
 
 def _h_spin_comm(state):

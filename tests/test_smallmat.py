@@ -12,6 +12,7 @@ from diracfree.gamma import SIGMA1, SIGMA2, sigma_dot
 from oracles import perm_det, row_reduce_rank
 
 RNG = np.random.default_rng(42)
+SCALES = [1e-150, 1e-8, 1.0, 1e4, 1e6, 1e8, 1e150]
 
 
 def random_cmat(n=4):
@@ -52,7 +53,7 @@ class TestBlocks:
             got = sm.block_mul(sm.disassemble(x), sm.disassemble(y))
             assert sm.max_abs(got - x @ y) <= 1e-13
 
-    @pytest.mark.parametrize("kernel", [sm.disassemble, sm.schur_det, sm.block_rank_is_n])
+    @pytest.mark.parametrize("kernel", [sm.disassemble, sm.schur_det, sm.schur_complement])
     @pytest.mark.parametrize("shape", [(3, 3), (4, 2)], ids=["3x3", "4x2"])
     def test_rejects_non_4x4(self, kernel, shape):
         with pytest.raises(ValueError):
@@ -140,55 +141,90 @@ class TestSchurDet:
         want = sm.det4(m)
         assert abs(got - want) <= 1e-11 * max(1.0, abs(want))
 
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_commuting_blocks_at_any_scale(self, scale):
+        # AC = CA exactly; the commutator of the raw blocks rounds at scale^2 * eps
+        rng = np.random.default_rng(7)
+        a, b, d = (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)) for _ in range(3))
+        m = sm.block4(scale * a, b, scale * (2.0 * a + np.eye(2)), d)
+        want = sm.det4(m)
+        assert abs(sm.schur_det(m) - want) <= 1e-14 * abs(want)
+
     def test_non_commuting_raises(self):
-        m = sm.block4(SIGMA1, random_cmat(2), SIGMA2, SIGMA1 @ SIGMA2)
-        with pytest.raises(NonCommutingBlocks):
-            sm.schur_det(m)
+        b = random_cmat(2)
+        for scale in SCALES:
+            m = sm.block4(scale * SIGMA1, b, scale * SIGMA2, scale * SIGMA1 @ SIGMA2)
+            with pytest.raises(NonCommutingBlocks):
+                sm.schur_det(m)
 
 
 class TestBlockRank:
+    """``schur_complement``, the matrix the ``block-rank`` check compares with its closed form."""
+
+    P = np.array([0.3, -0.4, 0.5])
+    R = np.sqrt(np.dot(P, P) + 1.0)
+
     def test_trivial_rank_two(self):
         eye, zero = np.eye(2, dtype=complex), np.zeros((2, 2), dtype=complex)
-        assert sm.block_rank_is_n(sm.block4(eye, zero, zero, zero))
+        assert np.array_equal(sm.schur_complement(sm.block4(eye, zero, zero, zero)), zero)
 
     def test_on_shell_rank_two(self):
-        # the solution-generating matrix has rank 2 exactly on shell
-        p = np.array([0.3, -0.4, 0.5])
-        r = np.sqrt(np.dot(p, p) + 1.0)
-        sg = sigma_dot(p)
-        eye = np.eye(2)
-        m = sm.block4((1.0 + r) * eye, sg, sg, -(1.0 - r) * eye)
-        assert sm.block_rank_is_n(m)
+        # the solution-generating matrix has rank 2 exactly on shell, where the complement vanishes
+        m = d9_matrix(1.0, 1.0, self.P, -self.R)
+        assert sm.max_abs(sm.schur_complement(m)) <= 1e-15
         assert row_reduce_rank(m) == 2
 
     def test_off_shell_full_rank(self):
-        p = np.array([0.3, -0.4, 0.5])
-        r = np.sqrt(np.dot(p, p) + 1.0) + 1.0
-        sg = sigma_dot(p)
-        eye = np.eye(2)
-        m = sm.block4((1.0 + r) * eye, sg, sg, -(1.0 - r) * eye)
-        assert not sm.block_rank_is_n(m)
+        # one unit below -R the complement is (2R + 1) / (R + 2) times the identity
+        e = -self.R - 1.0
+        closed = (e - self.R) * (e + self.R) / (1.0 - e)
+        m = d9_matrix(1.0, 1.0, self.P, e)
+        got = sm.schur_complement(m)
+        assert got.shape == (2, 2) and got.dtype == np.complex128
+        assert sm.max_abs(got - closed * np.eye(2)) <= 1e-15 * closed
         assert row_reduce_rank(m) == 4
 
     def test_singular_a_raises(self):
         zero = np.zeros((2, 2), dtype=complex)
         with pytest.raises(SingularA):
-            sm.block_rank_is_n(sm.block4(zero, np.eye(2), np.eye(2), zero))
+            sm.schur_complement(sm.block4(zero, np.eye(2), np.eye(2), zero))
 
     @pytest.mark.parametrize("scale", [1e-150, 1e-8, 1.0, 1e8])
     def test_singular_a_is_scale_free(self, scale):
         eye = np.eye(2)
-        sm.block_rank_is_n(sm.block4(scale * eye, eye, eye, eye))  # |det A| = scale^2
+        sm.schur_complement(sm.block4(scale * eye, eye, eye, eye))  # |det A| = scale^2
         with pytest.raises(SingularA):
-            sm.block_rank_is_n(sm.block4(scale * np.ones((2, 2)), eye, eye, eye))
+            sm.schur_complement(sm.block4(scale * np.ones((2, 2)), eye, eye, eye))
 
     def test_tiny_a_inverts_without_underflow(self):
         # det A = 1e-600 underflows; A^-1 = 1e300 I does not
         eye = np.eye(2)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert not sm.block_rank_is_n(sm.block4(1e-300 * eye, eye, eye, eye))
-            assert sm.block_rank_is_n(sm.block4(1e-300 * eye, 1e-300 * eye, eye, eye))
+            got = sm.schur_complement(sm.block4(1e-300 * eye, eye, eye, eye))
+            assert sm.max_abs(got + 1e300 * eye) <= 1e-15 * 1e300
+            rank_two = sm.schur_complement(sm.block4(1e-300 * eye, 1e-300 * eye, eye, eye))
+            assert sm.max_abs(rank_two) <= 1e-15
+
+    @pytest.mark.parametrize("scale", [1e-310, 1e300])
+    def test_rank_two_at_extreme_scales_is_exact(self, scale):
+        # A = B = scale I, C = D = I: C A^-1 B = I, formed without leaving the float range
+        eye = np.eye(2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = sm.schur_complement(sm.block4(scale * eye, scale * eye, eye, eye))
+        assert np.array_equal(got, np.zeros((2, 2)))
+
+    def test_stack_mixing_scales_matches_single_calls(self):
+        eye = np.eye(2)
+        ms = [sm.block4(s * eye, s * eye, eye, eye) for s in (1e-310, 1.0, 1e300)]
+        ms += [d9_matrix(1.0, 1.0, self.P, e) for e in (-self.R, -self.R - 1.0)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = sm.schur_complement(np.stack(ms))
+            assert got.shape == (5, 2, 2)
+            for g, m in zip(got, ms):
+                assert np.array_equal(g, sm.schur_complement(m))
 
 
 class TestDivideByPowerOfTwo:

@@ -294,7 +294,7 @@ class TestStackedKernels:
             d_block = -(state.rest_energy + e)[:, None, None] * np.eye(2)
             m_stack = sm.block4(a_block, sg, sg, d_block)
             assert_stacks(sm.schur_det(m_stack), [sm.schur_det(m) for m in m_stack])
-            assert list(sm.block_rank_is_n(m_stack)) == [sm.block_rank_is_n(m) for m in m_stack]
+            assert_stacks(sm.schur_complement(m_stack), [sm.schur_complement(m) for m in m_stack])
 
     @settings(max_examples=60, deadline=None)
     @given(momenta, st.sampled_from(SCALES), st.sampled_from(SCALES), st.floats(0.0, 5.0), seeds)
@@ -326,7 +326,8 @@ class TestStackedKernels:
         assert isinstance(ob.adjoint_norm(u), float)
         assert isinstance(sm.det4(ga.hamiltonian(state)), complex)
         assert sp.boost_bispinor(np.array([1.0, 0.5j]), state).shape == (4,)
-        assert isinstance(sm.block_rank_is_n(np.eye(4)), (bool, np.bool_))
+        complement = sm.schur_complement(np.eye(4))
+        assert complement.shape == (2, 2) and complement.dtype == np.complex128
 
     def test_boost_at_rest_is_exact(self):
         p = np.array([[0.3, 0.1, 0.2], [0.0, 0.0, 0.0]])
@@ -424,7 +425,7 @@ class TestStackedValidation:
         a = np.stack([np.eye(2), np.zeros((2, 2)), 2.0 * np.eye(2)])
         m = sm.block4(a, np.eye(2), np.eye(2), np.zeros((2, 2)))
         with pytest.raises(SingularA, match="top-left block is singular"):
-            sm.block_rank_is_n(m)
+            sm.schur_complement(m)
 
     def test_density_non_finite_direction_element(self):
         state = ki.from_eta(1.0, 1.0, 0.5, PolarAngles(np.array([0.3, 1.0, 2.0]), 0.4))

@@ -85,6 +85,16 @@ class TestRunSuite:
                                phi_count=4, mass=m)
         assert fermi_eigen.fn(grid) <= 1e-12
 
+    def test_block_rank_is_judged_by_the_run_tolerance(self):
+        # at c = 137 the Schur complement rounds at about eps * R; --tol alone decides
+        grid = verify.GridSpec(c=137.0, eta_values=(0.9,), theta_count=2, phi_count=2)
+        for tol in (1e-6, 1e-12):
+            block_rank = next(c for c in verify.run_suite("algebra", grid, tol=tol).checks
+                              if c.id == "block-rank")
+            assert 0.0 < block_rank.residual < 1e-6
+            assert block_rank.passed == (block_rank.residual <= tol)
+        assert not block_rank.passed
+
     def test_impossible_tolerance_fails_honestly(self):
         report = verify.run_suite("spinors", SMALL_GRID, tol=1e-30)
         assert not report.all_passed
@@ -263,6 +273,15 @@ class TestCli:
         )
         assert code == 1
         assert json.loads(out)["outputs"]["all_passed"] is False
+
+    def test_verify_text_rows_state_the_true_inequality(self):
+        code, out, _ = self.run("verify", "--c", "137", "--suite", "algebra", "--angles", "2x2")
+        assert code == 1
+        rows = [line.split() for line in out.splitlines() if line.startswith(("PASS", "FAIL"))]
+        assert {row[0] for row in rows} == {"PASS", "FAIL"}
+        for verdict, _, residual, relation, tol, *_ in rows:
+            assert relation == ("<=" if verdict == "PASS" else ">")
+            assert (float(residual) <= float(tol)) == (verdict == "PASS")
 
     def test_spinor_unit_norm(self):
         code, out, _ = self.run(

@@ -36,7 +36,6 @@ pairs, matrices as row-major nested arrays.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import math
 import os
 import sys
@@ -59,7 +58,6 @@ from .kinematics import (
     scaled_norm,
     to_eta,
 )
-from .density import density4
 from .smallmat import DEFAULT_TOL, max_abs, residual
 from .spinors import (
     Helicity,
@@ -216,6 +214,8 @@ def _state_inputs(args, state: MomentumState) -> dict:
 # subcommands
 
 def _cmd_verify(args) -> int:
+    import dataclasses
+
     from .verify import GridSpec, run_suite  # the engine loads only for verify
 
     given = {"eta_values": args.eta_values, "mass": args.m, "c": args.c, **(args.angles or {})}
@@ -328,6 +328,8 @@ def _cmd_spinor(args) -> int:
 
 
 def _cmd_density(args) -> int:
+    from .density import density4  # with observables: only this command loads them
+
     state = _state_from_args(args)
     branch = _BRANCHES[args.branch]
     lam = _HELICITIES[args.lam]

@@ -15,7 +15,7 @@ state and return stacked bi-spinors and projectors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -106,8 +106,7 @@ def fermi_bispinors_corrected(state: MomentumState) -> list[np.ndarray]:
     return [u[..., k].copy() for k in range(4)]
 
 
-@dataclass(frozen=True)
-class FermiProjectors:
+class FermiProjectors(NamedTuple):
     """Complementary projectors onto the energy branches."""
 
     P: np.ndarray

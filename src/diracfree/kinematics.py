@@ -30,7 +30,6 @@ batch-of-one case of the same code: its scalars are numpy float64 values
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 
@@ -51,28 +50,40 @@ class EnergyBranch(Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class PolarAngles:
+class _Frozen:
+    """Fields set once in ``__init__``: assigning or deleting one raises ``AttributeError``.
+
+    ``__init__`` stores the fields in ``__dict__``, where ``cached_property``
+    also writes.  A plain class, not a frozen dataclass, so that importing
+    the module generates and compiles no methods.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class PolarAngles(_Frozen):
     """Spherical direction (theta, phi); theta in [0, pi], phi taken mod 2 pi.
 
     Either angle may be an ``(N,)`` array; the two are broadcast to one shape.
     A theta below 0 or above pi raises ``ValueError`` naming the first one.
     """
 
-    theta: float
-    phi: float = 0.0
-
-    def __post_init__(self):
-        theta = np.array(self.theta, dtype=float)
-        phi = np.array(self.phi, dtype=float)[()] % (2.0 * math.pi)
+    def __init__(self, theta: float, phi: float = 0.0):
+        theta = np.array(theta, dtype=float)
+        phi = np.array(phi, dtype=float)[()] % (2.0 * math.pi)
         bad = (theta < 0.0) | (theta > math.pi)
         if np.count_nonzero(bad):
             raise ValueError(f"theta must lie in [0, pi], got {theta[bad][0]}")
         theta = theta[()]
         if theta.shape != phi.shape:
             theta, phi = np.broadcast_arrays(theta, phi)
-        object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "phi", phi)
+        self.__dict__.update(theta=theta, phi=phi)
 
 
 def direction(angles: PolarAngles) -> np.ndarray:
@@ -112,24 +123,19 @@ def angles_of(v) -> PolarAngles:
     return PolarAngles(np.arccos(cos_theta), np.arctan2(v[..., 1], v[..., 0]))
 
 
-@dataclass(frozen=True, eq=False)
-class FourVector:
+class FourVector(_Frozen):
     """Contravariant four-vector a^mu = (a0, a) with metric diag(1,-1,-1,-1).
 
     A stack of N four-vectors has ``t`` of shape ``(N,)`` and ``r`` of shape
     ``(N, 3)``.
     """
 
-    t: float
-    r: np.ndarray = field(default_factory=lambda: np.zeros(3))
-
-    def __post_init__(self):
-        r = np.array(self.r, dtype=float)
+    def __init__(self, t: float, r: np.ndarray = (0.0, 0.0, 0.0)):
+        r = np.array(r, dtype=float)
         if r.shape[-1:] != (3,):
             raise ValueError("spatial part must be a 3-vector")
         r.setflags(write=False)
-        object.__setattr__(self, "t", np.asarray(self.t, dtype=float)[()])
-        object.__setattr__(self, "r", r)
+        self.__dict__.update(t=np.asarray(t, dtype=float)[()], r=r)
 
     def as_array(self) -> np.ndarray:
         return np.concatenate((np.asarray(self.t)[..., None], self.r), axis=-1)
@@ -139,8 +145,7 @@ def minkowski_dot(a: FourVector, b: FourVector) -> float:
     return a.t * b.t - np.vecdot(a.r, b.r)
 
 
-@dataclass(frozen=True, eq=False)
-class MomentumState:
+class MomentumState(_Frozen):
     """Mass, momentum and speed of light of a free particle, in units with hbar = 1.
 
     m >= 0 and c > 0, each stored as numpy float64: their powers and
@@ -150,22 +155,16 @@ class MomentumState:
     system; ``p_abs``, ``R`` and ``energy`` then return ``(N,)`` arrays.
     """
 
-    m: float
-    p: np.ndarray
-    c: float = 1.0
-
-    def __post_init__(self):
-        if not self.c > 0:
+    def __init__(self, m: float, p: np.ndarray, c: float = 1.0):
+        if not c > 0:
             raise ValueError("physical constants must be strictly positive")
-        p = np.array(self.p, dtype=float)
+        p = np.array(p, dtype=float)
         if p.shape[-1:] != (3,):
             raise ValueError("momentum must be a 3-vector")
-        if self.m < 0:
+        if m < 0:
             raise ValueError("mass must be nonnegative")
         p.setflags(write=False)
-        object.__setattr__(self, "m", np.float64(self.m))
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "c", np.float64(self.c))
+        self.__dict__.update(m=np.float64(m), p=p, c=np.float64(c))
 
     @cached_property
     def p_abs(self) -> float:

@@ -52,8 +52,8 @@ H u and E u itself and compares them with ``smallmat.residual``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -247,8 +247,7 @@ def boost_bispinor(phi: np.ndarray, state: MomentumState) -> np.ndarray:
     return np.where(moving, boosted, rest)
 
 
-@dataclass(frozen=True)
-class HelicityBasis:
+class HelicityBasis(NamedTuple):
     """Unitary matrix V of helicity bi-spinor columns and its partner.
 
     Columns of V: (+R, +1/2), (+R, -1/2), (-R, +1/2), (-R, -1/2) by energy

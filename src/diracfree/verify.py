@@ -85,7 +85,7 @@ import random
 import sys
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -105,6 +105,7 @@ SUITES = ("algebra", "spinors", "covariant", "density", "fermi")
 _SEED = 20240801
 _DRAW_CHUNK = 100  # the most draws a random domain stacks at once
 _PER_ETA = 8  # strided points per eta of the sampled domains
+_PID_BYTES = 8  # the worker's pid, the first bytes it sends
 
 _POS = EnergyBranch.POSITIVE
 _NEG = EnergyBranch.NEGATIVE
@@ -198,8 +199,7 @@ class GridSpec:
         return self.states(*self.sample_points())
 
 
-@dataclass(frozen=True)
-class IdentityCheck:
+class IdentityCheck(NamedTuple):
     """One check's verdict: its residual against the report's tolerance."""
 
     id: str
@@ -209,8 +209,7 @@ class IdentityCheck:
     deviation_note: str | None = None
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     suite: str
     grid: GridSpec
     tolerance: float
@@ -1323,11 +1322,15 @@ def _claim_with_worker(grid: GridSpec, indices: list[int]) -> dict[int, float]:
 
     The indices go into the pipe one byte each (the registry has fewer than
     256 entries); a 1-byte read is atomic, so no entry runs twice.  The
-    worker pickles its residuals back and ends with ``os._exit``, writing no
-    output and running no exit handler; they count only as a complete
-    pickle.  A failed pipe, write or fork claims nothing.  The worker is
-    reaped here.  If this process fails before that, a worker that has not
-    ended is killed first, and the failure is the exception raised.
+    worker first sends its pid, then pickles its residuals back and ends
+    with ``os._exit``, writing no output and running no exit handler; they
+    count only as a complete pickle.  A failed pipe, write or fork claims
+    nothing.  A fork can also raise after the worker exists, as Python
+    3.12's warning about forking a multi-threaded process does under
+    ``-W error``: the pid it sent then names the worker to kill and reap.
+    The worker is reaped here.  If this process fails before that, a worker
+    that has not ended is killed first, and the failure is the exception
+    raised.
     """
     fds: list[int] = []
     try:
@@ -1340,10 +1343,20 @@ def _claim_with_worker(grid: GridSpec, indices: list[int]) -> dict[int, float]:
         for fd in fds:
             os.close(fd)
         return {}
+    except Exception:  # raised once the worker may exist: end it, and the loop evaluates every entry
+        os.close(feed)
+        os.close(sink)
+        sent = os.read(results, _PID_BYTES)  # empty if no worker holds the write end
+        os.close(claims)
+        os.close(results)
+        if sent:
+            _end_worker(int.from_bytes(sent, "little"))
+        return {}
     os.close(feed)
     if pid == 0:
         code = 1
         try:
+            os.write(sink, os.getpid().to_bytes(_PID_BYTES, "little"))
             with open(sink, "wb") as out:
                 pickle.dump(_claim(grid, claims), out)
             code = 0
@@ -1360,23 +1373,28 @@ def _claim_with_worker(grid: GridSpec, indices: list[int]) -> dict[int, float]:
             pass
         pid = 0
         try:
-            return done | pickle.loads(sent)
+            return done | pickle.loads(sent[_PID_BYTES:])
         except (EOFError, pickle.UnpicklingError):  # the worker died before it sent them all
             return done
     finally:
         os.close(claims)
         os.close(results)
         if pid:  # this process failed before it reaped the worker
-            try:
-                # signal only a worker that has not ended: with SIGCHLD ignored the
-                # kernel may have reaped it already, and its pid could be reused
-                if os.waitpid(pid, os.WNOHANG) == (0, 0):
-                    import signal  # only this path needs it, so a verify run does not import it
+            _end_worker(pid)
 
-                    os.kill(pid, signal.SIGKILL)
-                    os.waitpid(pid, 0)
-            except (ChildProcessError, ProcessLookupError):  # the kernel reaped it: it has ended
-                pass
+
+def _end_worker(pid: int) -> None:
+    """Kill the worker ``pid`` unless it has ended, and reap it."""
+    try:
+        # signal only a worker that has not ended: with SIGCHLD ignored the
+        # kernel may have reaped it already, and its pid could be reused
+        if os.waitpid(pid, os.WNOHANG) == (0, 0):
+            import signal  # only this path needs it, so a verify run does not import it
+
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    except (ChildProcessError, ProcessLookupError):  # the kernel reaped it: it has ended
+        pass
 
 
 def _evaluate(grid: GridSpec, indices: list[int]) -> dict[int, float]:

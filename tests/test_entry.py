@@ -99,15 +99,32 @@ def test_run_ends_the_process_with_mains_code(monkeypatch, capsys):
 # modules an emit process loads
 
 def test_importing_the_cli_leaves_verify_unloaded(child_env):
+    # an emit loads only the layers it runs: dataclasses comes with verify,
+    # density and observables with the density command
     probe = (
-        "import sys, diracfree.cli\n"
-        "print('diracfree.verify' in sys.modules, 'diracfree.fermi' in sys.modules)\n"
-        "import diracfree.verify, diracfree.fermi\n"
-        "print('diracfree.verify' in sys.modules, 'diracfree.fermi' in sys.modules)\n"
+        "import contextlib, io, sys\n"
+        "from diracfree.cli import main\n"
+        "names = ('dataclasses', 'diracfree.density', 'diracfree.observables', 'diracfree.verify',\n"
+        "         'diracfree.fermi')\n"
+        "def loaded():\n"
+        "    print(' '.join(str(n in sys.modules) for n in names))\n"
+        "loaded()\n"
+        "for argv in (['spinor', '--eta', '0.5'], ['boost', '--eta', '0.5'], ['density', '--eta', '0.5']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main(argv) == 0\n"
+        "    loaded()\n"
+        "import diracfree.verify\n"
+        "loaded()\n"
     )
     child = subprocess.run([sys.executable, "-c", probe], env=child_env,
                            capture_output=True, text=True, check=True)
-    assert child.stdout == "False False\nTrue True\n"
+    assert child.stdout.splitlines() == [
+        "False False False False False",  # import diracfree.cli
+        "False False False False False",  # spinor
+        "False False False False False",  # boost
+        "False True True False False",  # density
+        "True True True True True",  # import diracfree.verify
+    ]
 
 
 def test_verify_run_leaves_numpy_random_unloaded(child_env):

@@ -185,3 +185,42 @@ class TestScaledNorm:
         # the scale is below 2.8e-309, whose reciprocal is inf
         with np.errstate(all="raise"):
             assert ki.scaled_norm(v) == want
+
+
+def _immutable_instances():
+    from diracfree.fermi import fermi_projectors
+    from diracfree.spinors import helicity_basis
+    from diracfree.verify import GridSpec, IdentityCheck, VerificationReport
+
+    state = ki.MomentumState(1.0, np.array([0.2, -0.5, 0.9]))
+    check = IdentityCheck("clifford", "gamma anticommutators", 0.0, True)
+    return {
+        "PolarAngles": (ki.PolarAngles(0.5, 0.1), "theta"),
+        "FourVector": (ki.FourVector(1.0, [0.0, 0.0, 1.0]), "t"),
+        "MomentumState": (state, "m"),
+        "HelicityBasis": (helicity_basis(state), "V"),
+        "FermiProjectors": (fermi_projectors(state), "P"),
+        "IdentityCheck": (check, "residual"),
+        "VerificationReport": (VerificationReport("all", GridSpec(), 1e-12, [check]), "tolerance"),
+    }
+
+
+@pytest.mark.parametrize("name", list(_immutable_instances()))
+def test_value_types_refuse_assignment_and_deletion(name):
+    value, field = _immutable_instances()[name]
+    assert type(value).__name__ == name
+    with pytest.raises(AttributeError):
+        setattr(value, field, 0.0)
+    with pytest.raises(AttributeError):
+        setattr(value, "extra", 0.0)
+    with pytest.raises(AttributeError):
+        delattr(value, field)
+
+
+def test_momentum_state_caches_its_derived_values():
+    state = ki.MomentumState(1.0, np.array([0.2, -0.5, 0.9]))
+    assert state.R is state.R
+    assert state.p_abs is state.p_abs
+    assert state.eta is state.eta
+    with pytest.raises(AttributeError):
+        del state.R

@@ -99,6 +99,26 @@ def test_failed_fork_falls_back_to_one_process(monkeypatch):
     _falls_back_to_one_process(monkeypatch, "fork", fork)
 
 
+def test_fork_that_raises_after_the_worker_exists_falls_back_to_one_process(monkeypatch):
+    # Python 3.12 warns in the parent after the fork of a multi-threaded
+    # process, and -W error turns the warning into this raise: the worker runs
+    fork, workers = os.fork, []
+
+    def raising_fork():
+        pid = fork()
+        if pid:
+            workers.append(pid)
+            raise DeprecationWarning("use of fork() may lead to deadlocks in the child")
+        return pid
+
+    open_fds = len(os.listdir("/proc/self/fd"))
+    _falls_back_to_one_process(monkeypatch, "fork", raising_fork)
+    assert len(workers) == 1
+    with pytest.raises(ChildProcessError):  # the worker is reaped
+        os.waitpid(-1, os.WNOHANG)
+    assert len(os.listdir("/proc/self/fd")) <= open_fds  # every pipe end is closed
+
+
 def _nth_pipe_fails(n):
     pipe, calls = os.pipe, []
 
@@ -169,13 +189,21 @@ def _nth_pipe_fails_source(n):
         # a process limit: this process runs every check
         ("def fork():\n    raise BlockingIOError(11, 'Resource temporarily unavailable')\n"
          "os.fork = fork\n", None),
+        # a fork that raises once the worker exists, as 3.12's fork warning under -W error
+        ("fork = os.fork\n"
+         "def raising_fork():\n"
+         "    pid = fork()\n"
+         "    if pid:\n"
+         "        raise DeprecationWarning('use of fork() may lead to deadlocks in the child')\n"
+         "    return pid\n"
+         "os.fork = raising_fork\n", None),
         # the descriptor limit, at either pipe
         (_nth_pipe_fails_source(1), None),
         (_nth_pipe_fails_source(2), None),
         # SIG_IGN for SIGCHLD survives exec; the kernel then reaps the worker itself
         ("", lambda: signal.signal(signal.SIGCHLD, signal.SIG_IGN)),
     ],
-    ids=["failed-fork", "failed-claims-pipe", "failed-results-pipe", "ignored-sigchld"],
+    ids=["failed-fork", "raising-fork", "failed-claims-pipe", "failed-results-pipe", "ignored-sigchld"],
 )
 def test_worker_failure_gives_the_normal_output(child_env, patch, preexec_fn):
     normal = _verify_child(child_env)

@@ -18,9 +18,10 @@ Sign and phase conventions are fixed once here and never rephased:
   plane wave carries phase ``exp(+i(R t - p.r))`` (hbar = 1), i.e. physical
   momentum ``-p``: they are eigenvectors of the Hamiltonian built from
   ``-p``, not of the one built from ``p``.  The direct ``-R`` eigenvector
-  of the momentum-``p`` Hamiltonian is ``negative_energy_eigenvector``:
-  minus the mirrored negative-branch bi-spinor of the momentum ``-p``
-  state, ``(c(sigma.p)/(R + m c^2) chi, -chi)``;
+  of the momentum-``p`` Hamiltonian is minus the negative-branch
+  bi-spinor of the momentum ``-p`` state,
+  ``-bispinor_block(chi, mirrored(state), NEGATIVE)`` =
+  ``(c(sigma.p)/(R + m c^2) chi, -chi)``;
 * so the negative-branch bi-spinor of helicity lambda carries the
   two-spinor phi(-lambda): the helicity of its momentum -p is lambda.
   ``helicity_bispinor`` and ``eta_bispinor`` take their two-spinor by
@@ -41,13 +42,13 @@ sigma.p) and ``helicity_basis`` (A = Phi, B = eta Phi-tilde), and eta itself
 in ``kinematics.MomentumState.eta``.
 
 The helicity spinors and column matrices, ``spin_basis_matrix``,
-``bispinor_block``, ``helicity_bispinor``, ``negative_energy_eigenvector``,
-``boost_bispinor``, ``helicity_basis``, ``eta_bispinor``,
-``charge_conjugate`` and ``plane_wave`` accept stacked angles, eta values,
-states and spinors (leading batch axes) and return stacked spinors and
-matrices; the unstacked call is the batch-of-one case.  The module builds
-objects and measures nothing: whoever checks an eigenvalue equation forms
-H u and E u itself and compares them with ``smallmat.residual``.
+``bispinor_block``, ``helicity_bispinor``, ``boost_bispinor``,
+``helicity_basis``, ``eta_bispinor`` and ``charge_conjugate`` accept
+stacked angles, eta values, states and spinors (leading batch axes) and
+return stacked spinors and matrices; the unstacked call is the
+batch-of-one case.  The module builds objects and measures nothing:
+whoever checks an eigenvalue equation forms H u and E u itself and
+compares them with ``smallmat.residual``.
 """
 
 from __future__ import annotations
@@ -70,7 +71,6 @@ from .kinematics import (
     PolarAngles,
     angles_of,
     check_eta,
-    mirrored,
     momentum_axis,
     rapidity,
 )
@@ -217,18 +217,6 @@ def helicity_bispinor(lam: Helicity, branch: EnergyBranch, angles: PolarAngles,
     return bispinor_block(_branch_spinor(lam, branch, angles), state, branch, norm, volume)
 
 
-def negative_energy_eigenvector(chi: np.ndarray, state: MomentumState,
-                                norm: Normalization = Normalization.UNIT,
-                                volume: float | None = None) -> np.ndarray:
-    """Direct -R eigenvector of the momentum-p Hamiltonian.
-
-    ``(c(sigma.p)/(m c^2 + R) chi, -chi)``: minus the negative-branch
-    ``bispinor_block`` of the momentum ``-p`` state, since sigma.(-p) is
-    exactly -sigma.p.
-    """
-    return -bispinor_block(chi, mirrored(state), EnergyBranch.NEGATIVE, norm, volume)
-
-
 def boost_bispinor(phi: np.ndarray, state: MomentumState) -> np.ndarray:
     """Positive-branch bi-spinor by boosting the rest-frame solution (phi, 0).
 
@@ -299,9 +287,3 @@ def charge_conjugate(u: np.ndarray) -> np.ndarray:
     """
     return 1j * np.matvec(GAMMA[2], np.conjugate(np.asarray(u)))
 
-
-def plane_wave(u: np.ndarray, state: MomentumState, branch: EnergyBranch,
-               r, t: float) -> np.ndarray:
-    """Attach the propagation phase exp(+/- i (p.r - R t)) to u, hbar = 1."""
-    arg = np.vecdot(state.p, np.asarray(r, dtype=float)) - state.R * t
-    return np.asarray(u) * np.exp(1j * branch.sign * arg)[..., None]

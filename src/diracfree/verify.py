@@ -925,13 +925,16 @@ def _matrix(rows) -> np.ndarray:
     return sm.stack_last(entries).reshape(entries[0].shape + (len(rows), len(rows[0])))
 
 
-def _eta_matrices(eta, ang: PolarAngles):
-    """The four explicit eta-parametrized component matrices."""
-    ct, st = np.cos(ang.theta), np.sin(ang.theta)
-    ch, sh = np.cos(0.5 * ang.theta), np.sin(0.5 * ang.theta)
-    em, ep = np.exp(-1j * ang.phi), np.exp(1j * ang.phi)
-    e2 = eta**2
-    proj_plus = _matrix(
+def _factors(eta, ang: PolarAngles):
+    """The printed matrices' factors: cos, sin of theta and theta/2, exp(-/+ i phi), eta^2."""
+    return (np.cos(ang.theta), np.sin(ang.theta), np.cos(0.5 * ang.theta),
+            np.sin(0.5 * ang.theta), np.exp(-1j * ang.phi), np.exp(1j * ang.phi), eta**2)
+
+
+def _projector_plus(eta, ang: PolarAngles):
+    """Printed eta matrix of mc + p-slash."""
+    ct, st, _, _, em, ep, e2 = _factors(eta, ang)
+    return _matrix(
         [
             [1, 0, -eta * ct, -eta * st * em],
             [0, 1, -eta * st * ep, eta * ct],
@@ -939,7 +942,12 @@ def _eta_matrices(eta, ang: PolarAngles):
             [eta * st * ep, -eta * ct, 0, -e2],
         ]
     )
-    proj_minus = _matrix(
+
+
+def _projector_minus(eta, ang: PolarAngles):
+    """Printed eta matrix of p-slash - mc."""
+    ct, st, _, _, em, ep, e2 = _factors(eta, ang)
+    return _matrix(
         [
             [e2, 0, -eta * ct, -eta * st * em],
             [0, e2, -eta * st * ep, eta * ct],
@@ -947,7 +955,12 @@ def _eta_matrices(eta, ang: PolarAngles):
             [eta * st * ep, -eta * ct, 0, -1],
         ]
     )
-    pol_plus = _matrix(
+
+
+def _polarizer_plus(eta, ang: PolarAngles):
+    """Printed eta matrix of 1 - gamma_5 a-slash."""
+    _, st, ch, sh, em, ep, e2 = _factors(eta, ang)
+    return _matrix(
         [
             [ch**2 - e2 * sh**2, 0.5 * (1 + e2) * st * em, -eta, 0],
             [0.5 * (1 + e2) * st * ep, sh**2 - e2 * ch**2, 0, -eta],
@@ -955,7 +968,12 @@ def _eta_matrices(eta, ang: PolarAngles):
             [0, eta, -0.5 * (1 + e2) * st * ep, ch**2 - e2 * sh**2],
         ]
     )
-    pol_minus = _matrix(
+
+
+def _polarizer_minus(eta, ang: PolarAngles):
+    """Printed eta matrix of 1 + gamma_5 a-slash."""
+    _, st, ch, sh, em, ep, e2 = _factors(eta, ang)
+    return _matrix(
         [
             [sh**2 - e2 * ch**2, -0.5 * (1 + e2) * st * em, eta, 0],
             [-0.5 * (1 + e2) * st * ep, ch**2 - e2 * sh**2, 0, eta],
@@ -963,17 +981,13 @@ def _eta_matrices(eta, ang: PolarAngles):
             [0, -eta, 0.5 * (1 + e2) * st * ep, sh**2 - e2 * ch**2],
         ]
     )
-    return proj_plus, proj_minus, pol_plus, pol_minus
 
 
-def _rank_one_matrices(eta, ang: PolarAngles):
-    """Explicit rank-one products for the two reference helicity states."""
-    ct2 = np.cos(0.5 * ang.theta) ** 2
-    st2 = np.sin(0.5 * ang.theta) ** 2
-    s = 0.5 * np.sin(ang.theta)
-    em, ep = np.exp(-1j * ang.phi), np.exp(1j * ang.phi)
-    e2 = eta**2
-    plus = _matrix(
+def _rank_one_plus(eta, ang: PolarAngles):
+    """Printed rank-one product of the positive-branch, helicity +1/2 state."""
+    _, st, ch, sh, em, ep, e2 = _factors(eta, ang)
+    ct2, st2, s = ch**2, sh**2, 0.5 * st
+    return ki.one_minus_eta_squared(eta)[..., None, None] * _matrix(
         [
             [ct2, s * em, -eta * ct2, -eta * s * em],
             [s * ep, st2, -eta * s * ep, -eta * st2],
@@ -981,7 +995,13 @@ def _rank_one_matrices(eta, ang: PolarAngles):
             [eta * s * ep, eta * st2, -e2 * s * ep, -e2 * st2],
         ]
     )
-    minus = _matrix(
+
+
+def _rank_one_minus(eta, ang: PolarAngles):
+    """Printed rank-one product of the negative-branch, helicity -1/2 state."""
+    _, st, ch, sh, em, ep, e2 = _factors(eta, ang)
+    ct2, st2, s = ch**2, sh**2, 0.5 * st
+    return ki.one_minus_eta_squared(eta)[..., None, None] * _matrix(
         [
             [e2 * ct2, e2 * s * em, -eta * ct2, -eta * s * em],
             [e2 * s * ep, e2 * st2, -eta * s * ep, -eta * st2],
@@ -989,22 +1009,18 @@ def _rank_one_matrices(eta, ang: PolarAngles):
             [eta * s * ep, eta * st2, -s * ep, -st2],
         ]
     )
-    scale = ki.one_minus_eta_squared(eta)[..., None, None]
-    return scale * plus, scale * minus
 
 
 def _explicit_projector(eta, ang, state, branch):
-    proj_plus, proj_minus, _, _ = _eta_matrices(eta, ang)
     scale = ki.one_minus_eta_squared(eta) / (2.0 * state.m * state.c)
     got = scale[..., None, None] * de.energy_projector(state, branch)
-    yield got, (proj_plus if branch is _POS else -proj_minus)
+    yield got, (_projector_plus(eta, ang) if branch is _POS else -_projector_minus(eta, ang))
 
 
 def _explicit_polarizer(eta, ang, state, lam):
-    _, _, pol_plus, pol_minus = _eta_matrices(eta, ang)
     a = ob.polarization_four_vector(state, lam.sign * ki.direction(ang))
     got = (0.5 * ki.one_minus_eta_squared(eta))[..., None, None] * de.polarizer(a)
-    yield got, (pol_plus if lam is Helicity.PLUS else pol_minus)
+    yield got, (_polarizer_plus(eta, ang) if lam is Helicity.PLUS else _polarizer_minus(eta, ang))
 
 
 def _explicit_rank_one(eta, ang, branch):
@@ -1014,12 +1030,12 @@ def _explicit_rank_one(eta, ang, branch):
     matrices, and the outer product of the corresponding eta column with
     the box prefactor removed.
     """
-    proj_plus, proj_minus, pol_plus, pol_minus = _eta_matrices(eta, ang)
-    rank_plus, rank_minus = _rank_one_matrices(eta, ang)
     if branch is _POS:
-        product, target, lam = proj_plus @ pol_plus, rank_plus, Helicity.PLUS
+        product = _projector_plus(eta, ang) @ _polarizer_plus(eta, ang)
+        target, lam = _rank_one_plus(eta, ang), Helicity.PLUS
     else:
-        product, target, lam = proj_minus @ pol_minus, rank_minus, Helicity.MINUS
+        product = _projector_minus(eta, ang) @ _polarizer_minus(eta, ang)
+        target, lam = _rank_one_minus(eta, ang), Helicity.MINUS
     yield product, target
     raw = sp.eta_bispinor(lam, branch, eta, ang, volume=1.0) * np.sqrt(1.0 + eta**2)[..., None]
     yield ki.one_minus_eta_squared(eta)[..., None, None] * de.outer_with_adjoint(raw), target
@@ -1325,9 +1341,9 @@ def _claim_with_worker(grid: GridSpec, indices: list[int]) -> dict[int, float]:
     worker first sends its pid, then pickles its residuals back and ends
     with ``os._exit``, writing no output and running no exit handler; they
     count only as a complete pickle.  A failed pipe, write or fork claims
-    nothing.  A fork can also raise after the worker exists, as Python
-    3.12's warning about forking a multi-threaded process does under
-    ``-W error``: the pid it sent then names the worker to kill and reap.
+    nothing.  A fork can raise after the worker exists, as Python 3.12's
+    warning on threads left in the parent (OpenBLAS stops its pool at a
+    fork) does under ``-W error``: its sent pid goes to ``_end_worker``.
     The worker is reaped here.  If this process fails before that, a worker
     that has not ended is killed first, and the failure is the exception
     raised.

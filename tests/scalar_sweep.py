@@ -508,13 +508,15 @@ def _density_outer(eta, ang, state, partner, branch):
             yield max_abs(closed - de.density4_outer(state, branch, lam, n))
 
 
-def _eta_matrices(eta: float, ang: PolarAngles):
-    """The four explicit eta-parametrized component matrices."""
-    ct, st = math.cos(ang.theta), math.sin(ang.theta)
-    ch, sh = math.cos(0.5 * ang.theta), math.sin(0.5 * ang.theta)
-    em, ep = np.exp(-1j * ang.phi), np.exp(1j * ang.phi)
-    e2 = eta**2
-    proj_plus = np.array(
+def _factors(eta: float, ang: PolarAngles):
+    """The printed matrices' factors: cos, sin of theta and theta/2, exp(-/+ i phi), eta^2."""
+    return (math.cos(ang.theta), math.sin(ang.theta), math.cos(0.5 * ang.theta),
+            math.sin(0.5 * ang.theta), np.exp(-1j * ang.phi), np.exp(1j * ang.phi), eta**2)
+
+
+def _projector_plus(eta: float, ang: PolarAngles):
+    ct, st, _, _, em, ep, e2 = _factors(eta, ang)
+    return np.array(
         [
             [1, 0, -eta * ct, -eta * st * em],
             [0, 1, -eta * st * ep, eta * ct],
@@ -522,7 +524,11 @@ def _eta_matrices(eta: float, ang: PolarAngles):
             [eta * st * ep, -eta * ct, 0, -e2],
         ]
     )
-    proj_minus = np.array(
+
+
+def _projector_minus(eta: float, ang: PolarAngles):
+    ct, st, _, _, em, ep, e2 = _factors(eta, ang)
+    return np.array(
         [
             [e2, 0, -eta * ct, -eta * st * em],
             [0, e2, -eta * st * ep, eta * ct],
@@ -530,7 +536,11 @@ def _eta_matrices(eta: float, ang: PolarAngles):
             [eta * st * ep, -eta * ct, 0, -1],
         ]
     )
-    pol_plus = np.array(
+
+
+def _polarizer_plus(eta: float, ang: PolarAngles):
+    _, st, ch, sh, em, ep, e2 = _factors(eta, ang)
+    return np.array(
         [
             [ch**2 - e2 * sh**2, 0.5 * (1 + e2) * st * em, -eta, 0],
             [0.5 * (1 + e2) * st * ep, sh**2 - e2 * ch**2, 0, -eta],
@@ -538,7 +548,11 @@ def _eta_matrices(eta: float, ang: PolarAngles):
             [0, eta, -0.5 * (1 + e2) * st * ep, ch**2 - e2 * sh**2],
         ]
     )
-    pol_minus = np.array(
+
+
+def _polarizer_minus(eta: float, ang: PolarAngles):
+    _, st, ch, sh, em, ep, e2 = _factors(eta, ang)
+    return np.array(
         [
             [sh**2 - e2 * ch**2, -0.5 * (1 + e2) * st * em, eta, 0],
             [-0.5 * (1 + e2) * st * ep, ch**2 - e2 * sh**2, 0, eta],
@@ -546,17 +560,12 @@ def _eta_matrices(eta: float, ang: PolarAngles):
             [0, -eta, 0.5 * (1 + e2) * st * ep, sh**2 - e2 * ch**2],
         ]
     )
-    return proj_plus, proj_minus, pol_plus, pol_minus
 
 
-def _rank_one_matrices(eta: float, ang: PolarAngles):
-    """Explicit rank-one products for the two reference helicity states."""
-    ct2 = math.cos(0.5 * ang.theta) ** 2
-    st2 = math.sin(0.5 * ang.theta) ** 2
-    s = 0.5 * math.sin(ang.theta)
-    em, ep = np.exp(-1j * ang.phi), np.exp(1j * ang.phi)
-    e2 = eta**2
-    plus = (1 - e2) * np.array(
+def _rank_one_plus(eta: float, ang: PolarAngles):
+    _, st, ch, sh, em, ep, e2 = _factors(eta, ang)
+    ct2, st2, s = ch**2, sh**2, 0.5 * st
+    return (1 - e2) * np.array(
         [
             [ct2, s * em, -eta * ct2, -eta * s * em],
             [s * ep, st2, -eta * s * ep, -eta * st2],
@@ -564,7 +573,12 @@ def _rank_one_matrices(eta: float, ang: PolarAngles):
             [eta * s * ep, eta * st2, -e2 * s * ep, -e2 * st2],
         ]
     )
-    minus = (1 - e2) * np.array(
+
+
+def _rank_one_minus(eta: float, ang: PolarAngles):
+    _, st, ch, sh, em, ep, e2 = _factors(eta, ang)
+    ct2, st2, s = ch**2, sh**2, 0.5 * st
+    return (1 - e2) * np.array(
         [
             [e2 * ct2, e2 * s * em, -eta * ct2, -eta * s * em],
             [e2 * s * ep, e2 * st2, -eta * s * ep, -eta * st2],
@@ -572,23 +586,21 @@ def _rank_one_matrices(eta: float, ang: PolarAngles):
             [eta * s * ep, eta * st2, -s * ep, -st2],
         ]
     )
-    return plus, minus
 
 
 def _explicit_projector(eta, ang, state, branch):
-    proj_plus, proj_minus, _, _ = _eta_matrices(eta, ang)
     scale = (1.0 - eta**2) / (2.0 * state.m * state.c)
     got = scale * de.energy_projector(state, branch)
-    yield max_abs(got - (proj_plus if branch is _POS else -proj_minus))
+    yield max_abs(got - (_projector_plus(eta, ang) if branch is _POS else -_projector_minus(eta, ang)))
 
 
 def _explicit_polarizer(eta, ang, state, lam):
-    _, _, pol_plus, pol_minus = _eta_matrices(eta, ang)
     a = ob.polarization_four_vector(state, ki.direction(ang))
     got = 0.5 * (1.0 - eta**2) * (
         np.eye(4) - lam.sign * ga.GAMMA5_LOWER @ ga.gamma_slash(a)
     )
-    yield max_abs(got - (pol_plus if lam is Helicity.PLUS else pol_minus))
+    target = _polarizer_plus(eta, ang) if lam is Helicity.PLUS else _polarizer_minus(eta, ang)
+    yield max_abs(got - target)
 
 
 def _explicit_rank_one(eta, ang, branch):
@@ -598,12 +610,12 @@ def _explicit_rank_one(eta, ang, branch):
     matrices, and the outer product of the corresponding eta column with
     the box prefactor removed.
     """
-    proj_plus, proj_minus, pol_plus, pol_minus = _eta_matrices(eta, ang)
-    rank_plus, rank_minus = _rank_one_matrices(eta, ang)
     if branch is _POS:
-        product, target, lam = proj_plus @ pol_plus, rank_plus, Helicity.PLUS
+        product = _projector_plus(eta, ang) @ _polarizer_plus(eta, ang)
+        target, lam = _rank_one_plus(eta, ang), Helicity.PLUS
     else:
-        product, target, lam = proj_minus @ pol_minus, rank_minus, Helicity.MINUS
+        product = _projector_minus(eta, ang) @ _polarizer_minus(eta, ang)
+        target, lam = _rank_one_minus(eta, ang), Helicity.MINUS
     yield max_abs(product - target)
     raw = sp.eta_bispinor(lam, branch, eta, ang, volume=1.0) * math.sqrt(1.0 + eta**2)
     yield max_abs((1.0 - eta**2) * de.outer_with_adjoint(raw) - target)

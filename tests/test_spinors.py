@@ -22,6 +22,7 @@ from diracfree.kinematics import (
     PolarAngles,
     angles_of,
     from_eta,
+    mirrored,
     rapidity,
 )
 from diracfree.observables import adjoint_norm
@@ -222,19 +223,31 @@ class TestBispinorBlock:
         assert np.array_equal(stacked, singles)
 
     def test_negative_eigenvector_direct(self):
+        # minus the negative-branch bi-spinor of the mirrored state: H(p) v = -R v
         state = random_state()
         chi = random_unit_spinor()
-        v = sp.negative_energy_eigenvector(chi, state, sp.Normalization.UNIT)
+        v = -sp.bispinor_block(chi, mirrored(state), NEG, sp.Normalization.UNIT)
         h = hamiltonian(state)
         assert max_abs(h @ v + state.R * v) <= 1e-13
 
     def test_negative_forms_related_by_momentum_flip(self):
+        # the direct -R eigenvector is (c(sigma.p)/(R + m c^2) chi, -chi), normalized
         state = random_state()
         flipped = MomentumState(state.m, -state.p, state.c)
         chi = random_unit_spinor()
-        direct = sp.negative_energy_eigenvector(chi, state, sp.Normalization.UNIT)
-        mirrored = sp.bispinor_block(chi, flipped, NEG, sp.Normalization.UNIT)
-        assert max_abs(mirrored + direct) <= 1e-13
+        direct = -sp.bispinor_block(chi, mirrored(state), NEG, sp.Normalization.UNIT)
+        by_hand = -sp.bispinor_block(chi, flipped, NEG, sp.Normalization.UNIT)
+        kappa = state.c / (state.rest_energy + state.R)
+        raw = np.concatenate([kappa * sigma_dot(state.p) @ chi, -chi])
+        assert max_abs(direct - by_hand) <= 1e-13
+        assert max_abs(direct - raw / np.linalg.norm(raw)) <= 1e-13
+        assert max_abs(hamiltonian(state) @ direct + state.R * direct) <= 1e-13
+
+    def test_eigen_residual(self):
+        state = random_state()
+        for branch in (POS, NEG):
+            u = sp.bispinor_block(random_unit_spinor(), state, branch)
+            assert max_abs(dirac_deviation(u, state, branch)) <= 1e-13
 
 
 class TestHelicityBispinor:
@@ -430,29 +443,3 @@ class TestChargeConjugation:
     def test_double_application_is_identity(self):
         u = RNG.standard_normal(4) + 1j * RNG.standard_normal(4)
         assert max_abs(sp.charge_conjugate(sp.charge_conjugate(u)) - u) == 0.0
-
-
-class TestPlaneWave:
-    def test_origin_unchanged(self):
-        state = random_state()
-        u = sp.bispinor_block(random_unit_spinor(), state, POS)
-        assert max_abs(sp.plane_wave(u, state, POS, np.zeros(3), 0.0) - u) == 0.0
-
-    def test_unimodular_phase(self):
-        state = random_state()
-        u = sp.bispinor_block(random_unit_spinor(), state, POS)
-        for branch in (POS, NEG):
-            w = sp.plane_wave(u, state, branch, np.array([0.4, -2.0, 1.0]), 3.7)
-            assert abs(float(np.vdot(w, w).real) - float(np.vdot(u, u).real)) <= 1e-13
-
-    def test_eigen_residual_before_phase(self):
-        state = random_state()
-        for branch in (POS, NEG):
-            u = sp.bispinor_block(random_unit_spinor(), state, branch)
-            assert max_abs(dirac_deviation(u, state, branch)) <= 1e-13
-
-    def test_phase_is_p_dot_r_minus_R_t(self):
-        state = MomentumState(1.0, np.array([0.0, 0.0, 2.0]))
-        u = np.array([1.0, 0, 0, 0])
-        w = sp.plane_wave(u, state, POS, np.array([0.0, 0.0, 1.0]), 0.5)
-        assert abs(w[0] - np.exp(1j * (2.0 - math.sqrt(5.0) * 0.5))) <= 1e-15

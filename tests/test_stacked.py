@@ -298,25 +298,15 @@ class TestStackedKernels:
 
     @settings(max_examples=60, deadline=None)
     @given(momenta, st.sampled_from(SCALES), st.sampled_from(SCALES), st.floats(0.0, 5.0), seeds)
-    def test_eigenvector_residual_and_phase_kernels(self, rows, m, c, spread, seed):
+    def test_eigenvector_residual_kernels(self, rows, m, c, spread, seed):
         state = _state(m, c, rows, spread)
         scalars = _unstacked(state)
         chi = _spinors(seed, len(rows))
-        for norm in (Normalization.UNIT, Normalization.INVARIANT_2MC):
-            assert_stacks(
-                sp.negative_energy_eigenvector(chi, state, norm),
-                [sp.negative_energy_eigenvector(x, s, norm) for x, s in zip(chi, scalars)],
-            )
-        r = np.random.default_rng(seed).standard_normal(3)
         for branch in BRANCHES:
             u = sp.bispinor_block(chi, state, branch)
             assert_stacks(
                 dirac_deviation(u, state, branch),
                 [dirac_deviation(x, s, branch) for x, s in zip(u, scalars)],
-            )
-            assert_stacks(
-                sp.plane_wave(u, state, branch, r, 0.7),
-                [sp.plane_wave(x, s, branch, r, 0.7) for x, s in zip(u, scalars)],
             )
 
     def test_unstacked_results_keep_their_scalar_types(self):

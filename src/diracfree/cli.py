@@ -214,8 +214,6 @@ def _state_inputs(args, state: MomentumState) -> dict:
 # subcommands
 
 def _cmd_verify(args) -> int:
-    import dataclasses
-
     from .verify import GridSpec, run_suite  # the engine loads only for verify
 
     given = {"eta_values": args.eta_values, "mass": args.m, "c": args.c, **(args.angles or {})}
@@ -244,7 +242,13 @@ def _cmd_verify(args) -> int:
             inputs={
                 "suite": report.suite,
                 "tolerance": report.tolerance,
-                "grid": dataclasses.asdict(report.grid),
+                "grid": {
+                    "eta_values": grid.eta_values,
+                    "theta_count": grid.theta_count,
+                    "phi_count": grid.phi_count,
+                    "mass": grid.mass,
+                    "c": grid.c,
+                },
             },
             outputs={
                 "all_passed": report.all_passed,
@@ -256,7 +260,6 @@ def _cmd_verify(args) -> int:
         )
         print(render_json(payload))
     else:
-        grid = report.grid
         print(
             f"suite: {report.suite}   tol: {report.tolerance:g}   "
             f"grid: eta={list(grid.eta_values)} "

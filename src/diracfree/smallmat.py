@@ -38,13 +38,18 @@ def max_abs(x) -> float:
     return float(np.max(np.abs(np.asarray(x)))) if np.asarray(x).size else 0.0
 
 
-def residual(lhs, rhs, scale=1.0) -> float:
+def residual(lhs, rhs, scale=None) -> float:
     """The largest ``|lhs - rhs| / scale`` of any entry: how far an identity misses.
 
-    ``lhs``, ``rhs`` and ``scale`` broadcast against each other.  A nan entry
-    in any of them makes the result nan, and no entries at all give 0.0.
+    ``lhs``, ``rhs`` and ``scale`` broadcast against each other.  With no
+    scale the deviation is not divided at all, which is the scale 1 bit for
+    bit.  A nan entry in any of them makes the result nan, and no entries at
+    all give 0.0.
     """
-    return float(np.max(np.abs(lhs - rhs) / scale, initial=0.0))
+    deviation = np.abs(lhs - rhs)
+    if scale is not None:
+        deviation = deviation / scale
+    return float(np.max(deviation, initial=0.0))
 
 
 def max_abs_each(x, ndim: int = 2) -> np.ndarray:

@@ -10,13 +10,15 @@ check that reports one residual.  A registry row has the shape
 
   - ``_angles``: the whole angle list;
   - ``_states``: all states, one batch per eta;
-  - ``_sampled``: the strided states at ``GridSpec.sample_points``;
-  - ``_eta_angles``: the strided ``(eta, angles)`` of
-    ``GridSpec.sample_points``, with no state, for the seven checks that
-    read none (``eta-determinant``, ``conjugation-plus``/``-minus``,
-    ``explicit-rank-one-plus``/``-minus``, ``block-factor-plus``/``-minus``);
-  - ``_points(partner)``: the same points, each with its state
-    ``(eta, angles, state)``, optionally with a rotated partner direction;
+  - ``_sampled``: the strided states of the grid's one shared sample, at
+    most ``_PER_ETA`` states per eta whatever the angle counts, which the
+    grid builds once, on first use, as read-only arrays;
+  - ``_eta_angles``: the strided ``(eta, angles)`` of that sample, with no
+    state, for the seven checks that read none (``eta-determinant``,
+    ``conjugation-plus``/``-minus``, ``explicit-rank-one-plus``/``-minus``,
+    ``block-factor-plus``/``-minus``);
+  - ``_points(partner)``: the same sample as ``(eta, angles, state)``,
+    optionally with a rotated partner direction;
   - ``_draws(n, draw)``: ``n`` seeded random draws, each entry uniform on
     [-1, 1) (``_boost_draws``: eta in [0, 0.95), theta in [0, pi), phi in
     [0, 2 pi), then a spinor), in batches of at most ``_DRAW_CHUNK`` = 100;
@@ -24,6 +26,9 @@ check that reports one residual.  A registry row has the shape
     its four parts uniform on [-1, 1) and then normalized;
   - ``_axis_states``, ``_rest_angles``, ``_dual_points``: the z-axis states,
     the rest state (eta 0) with every direction, and the eta x p x n grid;
+    these, ``_angles``, ``_states`` and the ``_draws`` domains are built
+    anew by each check that sweeps them, so no grid-sized stack outlives
+    its check;
   - ``_once``: a single evaluation of constant tables;
 
 * the *residual* maps one batch to the two sides of the identity: it
@@ -64,10 +69,11 @@ well as normal ones.
 The registry is the machine-checkable contract of the package:
 ``run_suite`` executes a suite (or all of them) and returns a
 ``VerificationReport`` whose pass/fail verdict feeds the CLI exit code.
-Each entry reads only the grid and its own seeded generator, so the
-entries are independent: with a second CPU, ``run_suite`` evaluates them
-in this process and one forked worker, which claim them one at a time,
-and the report and any error are those of evaluating them in order here.
+Each entry reads only the grid, whose shared sample is read-only, and
+its own seeded generator, so the entries are independent: with a second
+CPU, ``run_suite`` evaluates them in this process and one forked worker,
+which claim them one at a time, and the report and any error are those of
+evaluating them in order here.
 
 Three checks are *documented deviations*: places where a printed source
 formula disagrees with the mathematics that every other identity pins
@@ -84,7 +90,7 @@ import pickle
 import random
 import sys
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
@@ -113,8 +119,7 @@ _BRANCHES = (_POS, _NEG)
 _LAMBDAS = (Helicity.PLUS, Helicity.MINUS)
 
 
-@dataclass(frozen=True)
-class GridSpec:
+class GridSpec(ki._Frozen):
     """Parameter grid swept by the checks; at least one eta and one angle.
 
     ``angle(k)`` computes direction ``k`` from its index, and there are at
@@ -122,31 +127,30 @@ class GridSpec:
     [0, 1), and the largest energy R of the grid stays finite at the fourth
     power, the degree of ``eig-det`` in R.  (m c^2)^2 and (m c)^2, the
     scales of E (E + m c^2) and m (R + m c^2), stay normal floats.
-    ``states`` builds every state of the grid that a check sweeps.
+    ``states`` builds every state of the grid that a check sweeps.  A plain
+    class, not a frozen dataclass, so that importing the module generates
+    and compiles no methods.
     """
 
-    eta_values: tuple[float, ...] = (0.1, 0.3, 0.5, 0.7, 0.9)
-    theta_count: int = 8
-    phi_count: int = 8
-    mass: float = 1.0
-    c: float = 1.0
-
-    def __post_init__(self):
-        if len(self.eta_values) == 0:
+    def __init__(self, eta_values: tuple[float, ...] = (0.1, 0.3, 0.5, 0.7, 0.9), theta_count: int = 8,
+                 phi_count: int = 8, mass: float = 1.0, c: float = 1.0):
+        # a tuple of its own: a caller's list changed later must not move the cached sample
+        eta_values = tuple(eta_values)
+        self.__dict__.update(eta_values=eta_values, theta_count=theta_count, phi_count=phi_count,
+                             mass=mass, c=c)
+        if len(eta_values) == 0:
             raise ValueError("grid needs at least one eta value")
-        if self.theta_count < 1 or self.phi_count < 1:
+        if theta_count < 1 or phi_count < 1:
+            raise ValueError(f"angle counts must be positive, got {theta_count}x{phi_count}")
+        if theta_count * phi_count > np.iinfo(np.intp).max:
             raise ValueError(
-                f"angle counts must be positive, got {self.theta_count}x{self.phi_count}"
-            )
-        if self.theta_count * self.phi_count > np.iinfo(np.intp).max:
-            raise ValueError(
-                f"angle counts {self.theta_count}x{self.phi_count} give more directions than "
+                f"angle counts {theta_count}x{phi_count} give more directions than "
                 f"a numpy index holds ({np.iinfo(np.intp).max})"
             )
-        for name, value in (("mass", self.mass), ("c", self.c)):
+        for name, value in (("mass", mass), ("c", c)):
             if not 0.0 < value < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {value}")
-        top = np.max(ki.check_eta(self.eta_values))
+        top = np.max(ki.check_eta(eta_values))
         with np.errstate(over="ignore", invalid="ignore"):  # an out-of-range scale is rejected below
             state = self.states(top, PolarAngles(0.0))
             if not np.isfinite(state.R**4):
@@ -156,8 +160,8 @@ class GridSpec:
                 )
             for name, value in (("m c^2", state.rest_energy), ("m c", state.m * state.c)):
                 if value * value < np.finfo(float).tiny:
-                    raise ValueError(f"energy scale out of range: {name} = {value:.3g} at m = {self.mass:g}, "
-                                     f"c = {self.c:g}, and ({name})^2 underflows below the smallest normal float64")
+                    raise ValueError(f"energy scale out of range: {name} = {value:.3g} at m = {mass:g}, "
+                                     f"c = {c:g}, and ({name})^2 underflows below the smallest normal float64")
 
     def angle(self, k) -> PolarAngles:
         """Direction ``k`` of the grid, or the stacked directions of an index array.
@@ -181,22 +185,34 @@ class GridSpec:
         """``from_eta`` at the grid's mass and c, ``eta`` broadcast against ``angles``."""
         return ki.from_eta(self.mass, self.c, eta, angles)
 
-    def sample_points(self) -> tuple[np.ndarray, PolarAngles]:
-        """Strided (eta, angles) subset for the more expensive sweeps, stacked.
+    @cached_property
+    def _sample(self) -> tuple[np.ndarray, PolarAngles, MomentumState]:
+        """The strided ``(eta, angles, states)`` subset for the more expensive sweeps, stacked.
 
         Per eta, every ``step``-th entry of the angle list, with the step that
         gives about ``_PER_ETA`` entries, the start rotated by 3 entries per
-        eta; eta-major order.
+        eta; eta-major order.  Built once per grid, in the process that first
+        reads it, and shared by every check that sweeps it, so every array in
+        it is read-only, the state's cached ``p_abs``, ``R`` and ``eta``
+        included.
         """
         count = self.theta_count * self.phi_count
         offsets = np.arange(0, count, max(1, count // _PER_ETA))
         shifts = 3 * np.arange(len(self.eta_values))[:, None]
         eta = np.repeat(np.array(self.eta_values, dtype=float), len(offsets))
-        return eta, self.angle(((offsets + shifts) % count).ravel())
+        angles = self.angle(((offsets + shifts) % count).ravel())
+        state = self.states(eta, angles)
+        for array in (eta, angles.theta, angles.phi, state.p_abs, state.R, state.eta):
+            array.setflags(write=False)
+        return eta, angles, state
+
+    def sample_points(self) -> tuple[np.ndarray, PolarAngles]:
+        """The strided ``(eta, angles)`` of the shared sample."""
+        return self._sample[:2]
 
     def sample_states(self) -> MomentumState:
-        """The states of ``sample_points``, stacked; no domain calls it, ``perfbench/traced_cli.py`` wraps it."""
-        return self.states(*self.sample_points())
+        """The states of the shared sample; no domain calls it, ``perfbench/traced_cli.py`` wraps it."""
+        return self._sample[2]
 
 
 class IdentityCheck(NamedTuple):
@@ -286,30 +302,29 @@ def _states(grid: GridSpec):
 
 
 def _sampled(grid: GridSpec):
-    """The strided states of ``grid.sample_points``, as one stacked point."""
-    return ((grid.states(*grid.sample_points()),),)
+    """The strided states of the grid's shared sample, as one stacked point."""
+    return ((grid._sample[2],),)
 
 
 def _eta_angles(grid: GridSpec):
-    """The strided ``(eta, angles)`` of ``grid.sample_points``, as one stacked point, with no state."""
-    return (grid.sample_points(),)
+    """The strided ``(eta, angles)`` of the grid's shared sample, as one stacked point, with no state."""
+    return (grid._sample[:2],)
 
 
 def _points(partner: tuple[int, int] | None = None) -> _Domain:
-    """The points of ``_eta_angles``, each with its state: ``(eta, angles, state)``.
+    """The points of the grid's shared sample, each with its state: ``(eta, angles, state)``.
 
     With ``partner = (k, j)`` the i-th point also carries the rotated
     direction ``angles[(k i + j) % len(angles)]`` of the angle list.
     """
 
     def domain(grid: GridSpec):
-        for eta, angles in _eta_angles(grid):
-            point = (eta, angles, grid.states(eta, angles))
-            if partner is not None:
-                k, j = partner
-                index = (k * np.arange(len(eta)) + j) % (grid.theta_count * grid.phi_count)
-                point += (grid.angle(index),)
-            yield point
+        point = grid._sample
+        if partner is not None:
+            k, j = partner
+            index = (k * np.arange(len(point[0])) + j) % (grid.theta_count * grid.phi_count)
+            point += (grid.angle(index),)
+        return (point,)
 
     return domain
 

@@ -202,6 +202,7 @@ def _immutable_instances():
         "FermiProjectors": (fermi_projectors(state), "P"),
         "IdentityCheck": (check, "residual"),
         "VerificationReport": (VerificationReport("all", GridSpec(), 1e-12, [check]), "tolerance"),
+        "GridSpec": (GridSpec(), "mass"),
     }
 
 

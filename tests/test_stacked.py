@@ -733,6 +733,15 @@ def test_grid_rest_state_has_zero_momentum_bits():
     assert rest.p.tobytes() == np.zeros(3).tobytes()  # +0.0 in every slot
 
 
+def test_grid_keeps_its_eta_values_when_the_callers_list_changes():
+    etas = [0.2, 0.8]
+    grid = verify.GridSpec(eta_values=etas, theta_count=2, phi_count=2)
+    grid.sample_points()  # the cached sample
+    etas[0] = 0.5
+    assert grid.eta_values == (0.2, 0.8)
+    assert grid.sample_points()[0].tolist() == [0.2] * 4 + [0.8] * 4  # every direction of the 2x2 grid
+
+
 def test_every_swept_state_comes_from_grid_states(monkeypatch):
     inside, calls = [], []
     states, from_eta = verify.GridSpec.states, ki.from_eta

@@ -14,6 +14,7 @@ import threading
 import time
 from functools import partial
 
+import numpy as np
 import pytest
 
 from diracfree import verify
@@ -46,12 +47,38 @@ def _registry(monkeypatch, fns):
 
 
 def test_registry_order_does_not_change_a_residual(monkeypatch):
-    _cpus(monkeypatch, ONE_CPU)
-    grid = verify.GridSpec()
+    # the checks share each grid's strided sample: a check run alone on a
+    # fresh grid, after the whole registry, or in reverse order reads the
+    # same values, in one process and with the worker
     indices = list(range(len(verify.REGISTRY)))
-    forward = verify._evaluate(grid, indices)
-    backward = verify._evaluate(grid, indices[::-1])
-    assert [forward[i].hex() for i in indices] == [backward[i].hex() for i in indices]
+    runs = []
+    for cpus in (ONE_CPU, TWO_CPUS):
+        _cpus(monkeypatch, cpus)
+        alone = {i: verify._evaluate(verify.GridSpec(), [i])[i] for i in indices}
+        forward = verify._evaluate(verify.GridSpec(), indices)
+        backward = verify._evaluate(verify.GridSpec(), indices[::-1])
+        runs += [alone, forward, backward]
+    bits = [[run[i].hex() for i in indices] for run in runs]
+    assert bits == [bits[0]] * len(runs)
+
+
+def test_strided_sample_is_built_once_and_read_only(monkeypatch):
+    _cpus(monkeypatch, ONE_CPU)
+    calls = []
+    states = verify.GridSpec.states
+    monkeypatch.setattr(verify.GridSpec, "states", lambda self, *args: calls.append(args) or states(self, *args))
+    grid = verify.GridSpec()
+    verify.run_suite("all", grid)
+    eta, angles = grid.sample_points()
+    assert len(calls) == 20  # the grid's own range check, the strided sample, 18 per-check domains
+    assert sum(np.shape(args[0]) == eta.shape and np.array_equal(args[0], eta) for args in calls) == 1
+    state = grid.sample_states()
+    assert grid.sample_states() is state and grid.sample_points()[1] is angles
+    cached = {name: value for name, value in vars(state).items() if isinstance(value, np.ndarray)}
+    assert set(cached) == {"p", "p_abs", "R", "eta"}
+    for array in (eta, angles.theta, angles.phi, *cached.values()):
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = 0.0
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import json
 import math
@@ -448,8 +447,14 @@ class TestCli:
     def test_default_grid_is_gridspecs(self):
         code, out, _ = self.run("verify", "--format", "json")
         assert code == 0
-        grid = dataclasses.asdict(verify.GridSpec())
-        assert json.loads(out)["inputs"]["grid"] == grid | {"eta_values": list(grid["eta_values"])}
+        grid = verify.GridSpec()
+        assert json.loads(out)["inputs"]["grid"] == {
+            "eta_values": list(grid.eta_values),
+            "theta_count": grid.theta_count,
+            "phi_count": grid.phi_count,
+            "mass": grid.mass,
+            "c": grid.c,
+        }
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
     @pytest.mark.parametrize("theta", ["4", "-0.5"])

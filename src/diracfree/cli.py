@@ -19,6 +19,8 @@ always means a verification ran and failed.  :func:`main` returns the exit
 code (argparse usage errors and ``--version`` raise ``SystemExit`` as
 usual); :func:`run`, the console entry point, ends the process with that
 code right after flushing the output.
+Any flag takes a negative value in either spelling, ``--phi=-1e-3`` or
+``--phi -1e-3`` (which argparse alone reads as an unknown option).
 Numeric flags must be finite, each entry of ``--p``, ``--n`` (3 entries
 each) and ``--spinor`` (4) included; a wrong count is a usage error.
 ``--theta`` must lie in [0, pi], and an emit whose output is not finite
@@ -70,6 +72,7 @@ from .spinors import (
 _BRANCHES = {"pos": EnergyBranch.POSITIVE, "neg": EnergyBranch.NEGATIVE}
 _HELICITIES = {"+1/2": Helicity.PLUS, "-1/2": Helicity.MINUS}
 _NORMS = {n.value: n for n in Normalization}
+_NEGATIVE = ("-.", "-inf", "-nan", *(f"-{digit}" for digit in range(10)))  # how a negative value starts
 
 
 # --------------------------------------------------------------------------
@@ -427,20 +430,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _fuse_negative_values(argv: list[str]) -> list[str]:
-    """Join ``--lambda -1/2`` style pairs so argparse accepts the value."""
-    fused = []
-    skip = False
-    for i, token in enumerate(argv):
-        if skip:
-            skip = False
-            continue
-        if (
-            token in ("--lambda", "--p", "--n", "--spinor")
-            and i + 1 < len(argv)
-            and argv[i + 1].startswith("-")
-        ):
-            fused.append(f"{token}={argv[i + 1]}")
-            skip = True
+    """Join a ``--flag`` and a next token that starts with a minus and a number, as ``--flag=-1e-3``.
+
+    argparse reads ``-1`` and ``-0.5`` as values but ``-1e-3``, ``-0.5,0.3``,
+    ``-1x2`` and ``-inf`` as unknown options.
+    """
+    fused: list[str] = []
+    for token in argv:
+        flag = fused[-1] if fused else ""
+        if flag.startswith("--") and len(flag) > 2 and "=" not in flag and token.lower().startswith(_NEGATIVE):
+            fused[-1] += f"={token}"
         else:
             fused.append(token)
     return fused

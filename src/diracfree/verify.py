@@ -86,12 +86,12 @@ from __future__ import annotations
 
 import math
 import os
-import pickle
 import random
+import struct
 import sys
 from dataclasses import dataclass
 from functools import cached_property, partial
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -112,6 +112,7 @@ _SEED = 20240801
 _DRAW_CHUNK = 100  # the most draws a random domain stacks at once
 _PER_ETA = 8  # strided points per eta of the sampled domains
 _PID_BYTES = 8  # the worker's pid, the first bytes it sends
+_RECORD = struct.Struct("<Bd")  # then, per residual: its registry index and its float64
 
 _POS = EnergyBranch.POSITIVE
 _NEG = EnergyBranch.NEGATIVE
@@ -1332,20 +1333,19 @@ def registry_ids(suite: str | None = None) -> list[str]:
     return sorted(e.id for e in REGISTRY if suite is None or e.suite == suite)
 
 
-def _claim(grid: GridSpec, claims: int) -> dict[int, float]:
-    """The residuals of the registry entries claimed from the pipe ``claims``, one index byte per read.
+def _claim(grid: GridSpec, claims: int) -> Iterator[tuple[int, float]]:
+    """``(index, residual)`` of each registry entry claimed from the pipe ``claims``, one index byte per read.
 
     Claims until the pipe is empty or an entry raises.  The raising entry is
     left out, and nothing is claimed after it: ``_evaluate``'s loop runs it
     again and raises its exception where the registry order meets it.
     """
-    done: dict[int, float] = {}
     while claim := os.read(claims, 1):
         try:
-            done[claim[0]] = float(REGISTRY[claim[0]].fn(grid))
+            residual = float(REGISTRY[claim[0]].fn(grid))
         except Exception:
-            break
-    return done
+            return
+        yield claim[0], residual
 
 
 def _claim_with_worker(grid: GridSpec, indices: list[int]) -> dict[int, float]:
@@ -1353,15 +1353,16 @@ def _claim_with_worker(grid: GridSpec, indices: list[int]) -> dict[int, float]:
 
     The indices go into the pipe one byte each (the registry has fewer than
     256 entries); a 1-byte read is atomic, so no entry runs twice.  The
-    worker first sends its pid, then pickles its residuals back and ends
-    with ``os._exit``, writing no output and running no exit handler; they
-    count only as a complete pickle.  A failed pipe, write or fork claims
-    nothing.  A fork can raise after the worker exists, as Python 3.12's
-    warning on threads left in the parent (OpenBLAS stops its pool at a
-    fork) does under ``-W error``: its sent pid goes to ``_end_worker``.
-    The worker is reaped here.  If this process fails before that, a worker
-    that has not ended is killed first, and the failure is the exception
-    raised.
+    worker sends its pid, then one ``_RECORD`` per residual as soon as it has
+    it, and ends with ``os._exit``, writing no output and running no exit
+    handler.  A record is one write below ``PIPE_BUF``, so it arrives whole:
+    a worker that dies has sent every residual it finished.  A failed pipe,
+    write or fork claims nothing.  A fork can raise after the worker exists,
+    as Python 3.12's warning on threads left in the parent (OpenBLAS stops
+    its pool at a fork) does under ``-W error``: its sent pid goes to
+    ``_end_worker``.  The worker is reaped here.  If this process fails
+    before that, a worker that has not ended is killed first, and the
+    failure is the exception raised.
     """
     fds: list[int] = []
     try:
@@ -1385,17 +1386,15 @@ def _claim_with_worker(grid: GridSpec, indices: list[int]) -> dict[int, float]:
         return {}
     os.close(feed)
     if pid == 0:
-        code = 1
         try:
             os.write(sink, os.getpid().to_bytes(_PID_BYTES, "little"))
-            with open(sink, "wb") as out:
-                pickle.dump(_claim(grid, claims), out)
-            code = 0
+            for record in _claim(grid, claims):
+                os.write(sink, _RECORD.pack(*record))
         finally:
-            os._exit(code)
+            os._exit(0)  # the parent reads the records, not the exit status
     os.close(sink)
     try:
-        done = _claim(grid, claims)
+        done = dict(_claim(grid, claims))
         with open(results, "rb", closefd=False) as stream:
             sent = stream.read()
         try:
@@ -1403,10 +1402,7 @@ def _claim_with_worker(grid: GridSpec, indices: list[int]) -> dict[int, float]:
         except ChildProcessError:  # SIGCHLD is ignored: the kernel has reaped the worker
             pass
         pid = 0
-        try:
-            return done | pickle.loads(sent[_PID_BYTES:])
-        except (EOFError, pickle.UnpicklingError):  # the worker died before it sent them all
-            return done
+        return done | dict(_RECORD.iter_unpack(sent[_PID_BYTES:]))
     finally:
         os.close(claims)
         os.close(results)

@@ -1,11 +1,18 @@
 """``run_suite`` splits the registry between this process and a forked worker.
 
 The split must not change a residual, an error or the exit code, and no
-worker may outlive ``run_suite``.  Each test fixes the CPU count it needs by
-patching ``os.sched_getaffinity``, so it runs the same on any host.
+worker may outlive ``run_suite``.  The worker sends each residual as one
+fixed-size record as soon as it has it: the bits of nan, -0.0, inf and the
+smallest subnormal arrive unchanged, and a worker that dies has delivered
+every residual it finished, so this process evaluates only the rest.  Each
+test fixes the CPU count it needs by patching ``os.sched_getaffinity``, so
+it runs the same on any host.  CI runs this file under ``python -X dev -W
+error::ResourceWarning``, where a stream left unclosed is an error.
 """
 
+import dataclasses
 import errno
+import math
 import os
 import signal
 import subprocess
@@ -180,6 +187,56 @@ def test_killed_worker_falls_back_to_one_process(monkeypatch):
         return data
 
     _falls_back_to_one_process(monkeypatch, "read", claim_then_die)
+
+
+def test_killed_worker_keeps_the_residuals_it_delivered(monkeypatch):
+    grid = verify.GridSpec(theta_count=5, phi_count=7, mass=3.0, c=0.5)
+    _cpus(monkeypatch, ONE_CPU)
+    alone = verify.run_suite("all", grid)
+    parent, evaluated, claimed = os.getpid(), [], []
+
+    def wrapped(fn, grid):
+        if os.getpid() == parent:  # slow enough that the worker claims at least two
+            evaluated.append(1)
+            time.sleep(0.002)
+        else:
+            claimed.append(1)  # the worker's own copy of the list
+            if len(claimed) == 2:
+                os.kill(os.getpid(), signal.SIGKILL)
+        return fn(grid)
+
+    monkeypatch.setattr(verify, "REGISTRY", tuple(
+        dataclasses.replace(entry, fn=partial(wrapped, entry.fn)) for entry in verify.REGISTRY
+    ))
+    _cpus(monkeypatch, TWO_CPUS)
+    shared = verify.run_suite("all", grid)
+    # the worker finished one check and died in its second, which the loop evaluates
+    assert len(evaluated) == len(verify.REGISTRY) - 1
+    assert shared == alone
+    assert _bits(shared) == _bits(alone)
+
+
+def test_worker_residuals_keep_their_bits(monkeypatch):
+    values = [math.nan, -0.0, math.inf, 5e-324] * 2
+    indices = list(range(len(values)))
+    _cpus(monkeypatch, ONE_CPU)
+    _registry(monkeypatch, [lambda grid, value=value: value for value in values])
+    alone = verify._evaluate(verify.GridSpec(), indices)
+    parent, in_parent = os.getpid(), []
+
+    def refusing(value, grid):  # this process refuses its first claim, so the worker evaluates the rest
+        if os.getpid() == parent:
+            in_parent.append(value)
+            if len(in_parent) == 1:
+                raise RuntimeError("left to the loop")
+        return value
+
+    _registry(monkeypatch, [partial(refusing, value) for value in values])
+    _cpus(monkeypatch, TWO_CPUS)
+    shared = verify._evaluate(verify.GridSpec(), indices)
+    # at most the refused claim and the loop's evaluation of it: the worker sent each value once or twice
+    assert len(in_parent) in (0, 2)
+    assert [shared[i].hex() for i in indices] == [alone[i].hex() for i in indices] == [v.hex() for v in values]
 
 
 def _verify_child(env, patch="", preexec_fn=None):

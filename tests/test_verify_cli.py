@@ -478,6 +478,7 @@ class TestCli:
             (("density", "--c", "nan", "--p", "0,0,1"), "nan"),
             (("boost", "--eta", "0.5", "--spinor", "1,nan,0,0"), "nan"),
             (("verify", "--eta", "0.5,nan"), "nan"),
+            (("spinor", "--eta", "0.5", "--phi", "-inf"), "-inf"),
         ],
     )
     def test_non_finite_flag_exit_two(self, capsys, argv, value):
@@ -487,6 +488,23 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"expected a finite number, got {value!r}" in captured.err
+
+    @pytest.mark.parametrize(
+        "before, flag, value, err",
+        [
+            (("spinor", "--eta", "0.5", "--format", "json"), "--phi", "-1e-3", ""),
+            (("verify",), "--tol", "-1e-12", "error: tolerance must be positive and finite, got -1e-12\n"),
+            (("verify",), "--eta", "-0.5,0.3", "error: eta must lie in [0, 1), got -0.5\n"),
+            (("verify",), "--angles", "-1x2", "error: angle counts must be positive, got -1x2\n"),
+            (("spinor", "--p", "1,0,0"), "--m", "-1e3", "error: mass must be nonnegative\n"),
+        ],
+        ids=["phi", "tol", "eta-list", "angles", "mass"],
+    )
+    def test_flag_takes_a_negative_value_in_either_spelling(self, before, flag, value, err):
+        # argparse alone reads these values as unknown options: "expected one argument"
+        code, out, got = self.run(*before, flag, value)
+        assert (code, out, got) == self.run(*before, f"{flag}={value}")
+        assert (code, got, bool(out)) == ((2, err, False) if err else (0, "", True))
 
     @pytest.mark.parametrize(
         "argv, flag, count",

@@ -111,8 +111,7 @@ SUITES = ("algebra", "spinors", "covariant", "density", "fermi")
 _SEED = 20240801
 _DRAW_CHUNK = 100  # the most draws a random domain stacks at once
 _PER_ETA = 8  # strided points per eta of the sampled domains
-_PID_BYTES = 8  # the worker's pid, the first bytes it sends
-_RECORD = struct.Struct("<Bd")  # then, per residual: its registry index and its float64
+_RECORD = struct.Struct("<Bd")  # what the worker sends per residual: its registry index and its float64
 
 _POS = EnergyBranch.POSITIVE
 _NEG = EnergyBranch.NEGATIVE
@@ -475,25 +474,26 @@ def _schur_oracle(m):
 def _eig_det(state):
     """Block-determinant of the eigenproblem matrix vs its closed form.
 
-    Off-shell energies are compared relative to the closed form; the
-    on-shell zero is compared at the determinant's own rounding scale
-    (entry magnitude to the fourth power: degree-4 cancellation floor).
+    E = +R and E = -R are on shell, where the closed form is zero up to
+    rounding: the dense determinant is compared there at its own rounding
+    scale (entry magnitude to the fourth power: degree-4 cancellation
+    floor).  Off shell, at R + 0.7 mc^2 and R / 4, it is compared relative
+    to the closed form.
     """
     h = ga.hamiltonian(state)
-    for e in (state.R, -state.R, state.R + 0.7, 0.25 * state.R):
+    energies = (state.R, -state.R, state.R + 0.7 * state.rest_energy, 0.25 * state.R)
+    for k, e in enumerate(energies):
         closed = (e**2 - (state.c * state.p_abs) ** 2 - state.rest_energy**2) ** 2
         dense_matrix = h - _scaled_eye(e)
-        on_shell = closed == 0.0
-        # relative to |closed| off shell (|x - 0| / max(1, 0) = |x| on shell)
         yield _rel(sm.schur_det(dense_matrix), closed)
-        scale = np.where(on_shell, sm.max_abs_each(dense_matrix) ** 4, np.abs(closed))
+        scale = sm.max_abs_each(dense_matrix) ** 4 if k < 2 else np.abs(closed)
         yield sm.det4(dense_matrix), closed, np.maximum(1.0, scale)
 
 
 def _block_rank(state):
-    """The Schur complement of H - E vs (E - R)(E + R) / (mc^2 - E): 0 at E = -R, not one unit below."""
+    """The Schur complement of H - E vs (E - R)(E + R) / (mc^2 - E): 0 at E = -R, not mc^2 below."""
     h = ga.hamiltonian(state)
-    for e in (-state.R, -state.R - 1.0):
+    for e in (-state.R, -state.R - state.rest_energy):
         closed = (e - state.R) * (e + state.R) / (state.rest_energy - e)
         yield _rel(sm.schur_complement(h - _scaled_eye(e)), _scaled_eye(closed, 2))
 
@@ -1353,16 +1353,15 @@ def _claim_with_worker(grid: GridSpec, indices: list[int]) -> dict[int, float]:
 
     The indices go into the pipe one byte each (the registry has fewer than
     256 entries); a 1-byte read is atomic, so no entry runs twice.  The
-    worker sends its pid, then one ``_RECORD`` per residual as soon as it has
-    it, and ends with ``os._exit``, writing no output and running no exit
-    handler.  A record is one write below ``PIPE_BUF``, so it arrives whole:
-    a worker that dies has sent every residual it finished.  A failed pipe,
-    write or fork claims nothing.  A fork can raise after the worker exists,
-    as Python 3.12's warning on threads left in the parent (OpenBLAS stops
-    its pool at a fork) does under ``-W error``: its sent pid goes to
-    ``_end_worker``.  The worker is reaped here.  If this process fails
-    before that, a worker that has not ended is killed first, and the
-    failure is the exception raised.
+    worker sends one ``_RECORD`` per residual as soon as it has it, and ends
+    with ``os._exit``, writing no output and running no exit handler.  A
+    record is one write below ``PIPE_BUF``, so it arrives whole: a worker
+    that dies has sent every residual it finished.  A failed pipe, write or
+    fork claims nothing.  A fork that does not fail returns the worker's pid:
+    CPython 3.12 and later warn at a fork beside another thread, but never
+    raise, even under ``-W error``.  The worker is reaped here.  If this
+    process fails before that, a worker that has not ended is killed first,
+    and the failure is the exception raised.
     """
     fds: list[int] = []
     try:
@@ -1375,19 +1374,9 @@ def _claim_with_worker(grid: GridSpec, indices: list[int]) -> dict[int, float]:
         for fd in fds:
             os.close(fd)
         return {}
-    except Exception:  # raised once the worker may exist: end it, and the loop evaluates every entry
-        os.close(feed)
-        os.close(sink)
-        sent = os.read(results, _PID_BYTES)  # empty if no worker holds the write end
-        os.close(claims)
-        os.close(results)
-        if sent:
-            _end_worker(int.from_bytes(sent, "little"))
-        return {}
     os.close(feed)
     if pid == 0:
         try:
-            os.write(sink, os.getpid().to_bytes(_PID_BYTES, "little"))
             for record in _claim(grid, claims):
                 os.write(sink, _RECORD.pack(*record))
         finally:
@@ -1402,26 +1391,21 @@ def _claim_with_worker(grid: GridSpec, indices: list[int]) -> dict[int, float]:
         except ChildProcessError:  # SIGCHLD is ignored: the kernel has reaped the worker
             pass
         pid = 0
-        return done | dict(_RECORD.iter_unpack(sent[_PID_BYTES:]))
+        return done | dict(_RECORD.iter_unpack(sent))
     finally:
         os.close(claims)
         os.close(results)
-        if pid:  # this process failed before it reaped the worker
-            _end_worker(pid)
+        if pid:  # this process failed before it reaped the worker: kill it unless it has ended, and reap it
+            try:
+                # signal only a worker that has not ended: with SIGCHLD ignored the
+                # kernel may have reaped it already, and its pid could be reused
+                if os.waitpid(pid, os.WNOHANG) == (0, 0):
+                    import signal  # only this path needs it, so a verify run does not import it
 
-
-def _end_worker(pid: int) -> None:
-    """Kill the worker ``pid`` unless it has ended, and reap it."""
-    try:
-        # signal only a worker that has not ended: with SIGCHLD ignored the
-        # kernel may have reaped it already, and its pid could be reused
-        if os.waitpid(pid, os.WNOHANG) == (0, 0):
-            import signal  # only this path needs it, so a verify run does not import it
-
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-    except (ChildProcessError, ProcessLookupError):  # the kernel reaped it: it has ended
-        pass
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
+            except (ChildProcessError, ProcessLookupError):  # the kernel reaped it: it has ended
+                pass
 
 
 def _evaluate(grid: GridSpec, indices: list[int]) -> dict[int, float]:

@@ -184,26 +184,25 @@ def _schur_oracle(m):
 def _eig_det(state):
     """Block-determinant of the eigenproblem matrix vs its closed form.
 
-    Off-shell energies are compared relative to the closed form; the
-    on-shell zero is compared at the determinant's own rounding scale
-    (entry magnitude to the fourth power: degree-4 cancellation floor).
+    The first two energies, +R and -R, are on shell: the dense determinant
+    is compared there at its own rounding scale (entry magnitude to the
+    fourth power: degree-4 cancellation floor).  Off shell it is compared
+    relative to the closed form.
     """
-    for e in (state.R, -state.R, state.R + 0.7, 0.25 * state.R):
+    energies = (state.R, -state.R, state.R + 0.7 * state.rest_energy, 0.25 * state.R)
+    for k, e in enumerate(energies):
         closed = (e**2 - (state.c * state.p_abs) ** 2 - state.rest_energy**2) ** 2
         m = _d9_blocks(state, e)
-        got = sm.schur_det(m)
-        dense = sm.det4(m)
-        if closed == 0.0:
-            yield abs(got)
-            yield abs(dense) / max(1.0, max_abs(m) ** 4)
+        yield _rel(sm.schur_det(m), closed)
+        if k < 2:
+            yield abs(sm.det4(m) - closed) / max(1.0, max_abs(m) ** 4)
         else:
-            yield _rel(got, closed)
-            yield _rel(dense, closed)
+            yield _rel(sm.det4(m), closed)
 
 
 def _block_rank(state):
-    """The Schur complement vs (E - R)(E + R) / (mc^2 - E), entry by entry: 0 at E = -R, not one unit below."""
-    for e in (-state.R, -state.R - 1.0):
+    """The Schur complement vs (E - R)(E + R) / (mc^2 - E), entry by entry: 0 at E = -R, not mc^2 below."""
+    for e in (-state.R, -state.R - state.rest_energy):
         closed = (e - state.R) * (e + state.R) / (state.rest_energy - e)
         got = sm.schur_complement(_d9_blocks(state, e))
         for k, l in np.ndindex(2, 2):

@@ -13,7 +13,7 @@ from diracfree.cli import main
 
 CASES = {
     "verify-pass": (["verify", "--suite", "algebra", "--angles", "2x2"], 0),
-    "verify-fail": (["verify", "--suite", "algebra", "--eta", "0.97", "--angles", "2x2"], 1),
+    "verify-fail": (["verify", "--suite", "algebra", "--angles", "2x2", "--tol", "1e-30"], 1),
     "precondition": (["spinor", "--eta", "2"], 2),
     "usage": (["spinor", "--bogus"], 2),
     "version": (["--version"], 0),

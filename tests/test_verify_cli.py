@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from diracfree import verify
+from diracfree import gamma, verify
 from diracfree.cli import main, render_json
 from diracfree.errors import UnknownSuite
 
@@ -93,6 +93,14 @@ class TestRunSuite:
             assert 0.0 < block_rank.residual < 1e-6
             assert block_rank.passed == (block_rank.residual <= tol)
         assert not block_rank.passed
+
+    def test_eig_det_sees_a_wrong_hamiltonian(self, monkeypatch):
+        # det(H - E) has a double zero on shell, so an error in H shows
+        # through the off-shell energies: they must still see a 1e-6 one
+        hamiltonian = gamma.hamiltonian
+        monkeypatch.setattr(gamma, "hamiltonian", lambda state: (1 + 1e-6) * hamiltonian(state))
+        eig_det = next(e for e in verify.REGISTRY if e.id == "eig-det")
+        assert eig_det.fn(verify.GridSpec()) >= 1e-5
 
     def test_impossible_tolerance_fails_honestly(self):
         report = verify.run_suite("spinors", SMALL_GRID, tol=1e-30)

@@ -12,8 +12,10 @@ Subcommands:
   direct construction.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or precondition
-error.  Any other exception that escapes ``run_suite`` (a fault in a check,
-or ``MemoryError`` on a huge grid) also exits 2, with the one line
+error.  Every refused input, the library's and this module's own, raises
+``ValueError``, which :func:`main` prints as ``error: <message>``.  Any
+other exception that escapes ``run_suite`` (a fault in a check, or
+``MemoryError`` on a huge grid) also exits 2, with the one line
 ``error: internal error: <type>: <message>`` and no report, so exit 1
 always means a verification ran and failed.  :func:`main` returns the exit
 code (argparse usage errors and ``--version`` raise ``SystemExit`` as
@@ -46,7 +48,6 @@ from typing import NoReturn
 import numpy as np
 
 from . import __version__
-from .errors import DiracFreeError
 from .gamma import hamiltonian, helicity_operator
 from .kinematics import (
     EnergyBranch,
@@ -201,7 +202,7 @@ def _state_from_args(args) -> MomentumState:
         angles = PolarAngles(*(0.0 if a is None else a for a in (args.theta, args.phi)))
         return from_eta(args.m, args.c, args.eta, angles)
     if (args.theta, args.phi) != (None, None):
-        raise DiracFreeError("--theta and --phi apply only with --eta")
+        raise ValueError("--theta and --phi apply only with --eta")
     return MomentumState(args.m, args.p, args.c)
 
 
@@ -223,12 +224,12 @@ def _cmd_verify(args) -> int:
     grid = GridSpec(**{key: value for key, value in given.items() if value is not None})
     try:
         report = run_suite(args.suite, grid, args.tol)
-    except (DiracFreeError, ValueError):  # a precondition: main() prints its own message
+    except ValueError:  # a precondition: main() prints its own message
         raise
     except OSError as exc:  # one the engine does not absorb; run() reads OSError as a failed write
-        raise DiracFreeError(str(exc)) from exc
+        raise ValueError(str(exc)) from exc
     except Exception as exc:  # a fault in a check, or MemoryError: exit 2, as 1 means failed checks
-        raise DiracFreeError(f"internal error: {type(exc).__name__}: {exc}") from exc
+        raise ValueError(f"internal error: {type(exc).__name__}: {exc}") from exc
     if args.format == "json":
         checks = [
             {
@@ -308,7 +309,7 @@ def _dirac_residual(u, state: MomentumState, branch: EnergyBranch) -> float:
 
 def _cmd_spinor(args) -> int:
     if args.volume is not None and args.norm != "box":
-        raise DiracFreeError("--volume applies only to --norm box")
+        raise ValueError("--volume applies only to --norm box")
     state = _state_from_args(args)
     branch = _BRANCHES[args.branch]
     lam = _HELICITIES[args.lam]
@@ -342,7 +343,7 @@ def _cmd_density(args) -> int:
     if args.n is not None:
         length = scaled_norm(args.n)
         if length == 0.0:
-            raise DiracFreeError("--n must be a nonzero, finite direction vector")
+            raise ValueError("--n must be a nonzero, finite direction vector")
         n = args.n / length
     else:
         n = momentum_axis(state)
@@ -452,7 +453,7 @@ def main(argv: list[str] | None = None) -> int:
         # overflow surfaces as a non-finite output or an error line, never as a warning
         with np.errstate(all="ignore"):
             return args.fn(args)
-    except (DiracFreeError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

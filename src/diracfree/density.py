@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import IndexOutOfRange, NonUnitDirection
 from .gamma import (
     GAMMA,
     ID4,
@@ -55,7 +54,7 @@ def _check_unit(n) -> np.ndarray:
     n = np.asarray(n, dtype=float)
     # written so that a nan or infinite direction fails too
     if np.count_nonzero(~(np.abs(np.vecdot(n, n) - 1.0) <= UNIT_TOL)):
-        raise NonUnitDirection("polarization direction must be a unit vector")
+        raise ValueError("polarization direction must be a unit vector")
     return n
 
 
@@ -130,7 +129,7 @@ def density_block_form(eta: float, angles: PolarAngles, branch: EnergyBranch,
 def sigma_tensor(mu: int, nu: int) -> np.ndarray:
     """Antisymmetric tensor of matrices, half the commutator [gamma^mu, gamma^nu]."""
     if mu not in range(4) or nu not in range(4):
-        raise IndexOutOfRange("tensor indices must lie in 0..3")
+        raise ValueError("tensor indices must lie in 0..3")
     return 0.5 * commutator(GAMMA[mu], GAMMA[nu])
 
 

@@ -19,7 +19,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ZeroMomentum
 from .gamma import ALPHA, BETA, ID4, hamiltonian
 from .kinematics import MomentumState, momentum_axis
 from .smallmat import cmat, stack_last
@@ -85,7 +84,7 @@ def fermi_bispinors_original(state: MomentumState) -> list[np.ndarray]:
     feature.
     """
     if np.count_nonzero(state.p_abs == 0.0):
-        raise ZeroMomentum("the original set is singular at p = 0")
+        raise ValueError("the original set is singular at p = 0")
     u1, u2, _, _ = fermi_bispinors_corrected(state)
     n = u1[..., :1]
     nx, ny, nz = np.moveaxis(momentum_axis(state), -1, 0)

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import IndexOutOfRange, ZeroMomentum
 from .kinematics import FourVector, MomentumState, momentum_axis
 from .smallmat import block4, cmat
 
@@ -63,7 +62,7 @@ _LEVI.setflags(write=False)
 def levi_civita(q: int, r: int, s: int) -> int:
     """Totally antisymmetric symbol e(q, r, s), 1-based indices in {1, 2, 3}."""
     if not all(k in (1, 2, 3) for k in (q, r, s)):
-        raise IndexOutOfRange("Levi-Civita indices must be 1, 2, or 3")
+        raise ValueError("Levi-Civita indices must be 1, 2, or 3")
     return int(_LEVI[q - 1, r - 1, s - 1])
 
 
@@ -100,7 +99,7 @@ def hamiltonian(state: MomentumState) -> np.ndarray:
 def helicity_operator(state: MomentumState) -> np.ndarray:
     """Spin projection (1/2) Sigma.p-hat, with p-hat from ``momentum_axis``."""
     if np.count_nonzero(state.p_abs == 0.0):
-        raise ZeroMomentum("helicity is undefined at rest")
+        raise ValueError("helicity is undefined at rest")
     return 0.5 * spin_dot(momentum_axis(state))
 
 

@@ -35,7 +35,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import EtaOutOfRange, MasslessState
 from .smallmat import divide_by_power_of_two, power_of_two_scale, stack_last
 
 
@@ -103,8 +102,8 @@ def scaled_norm(v):
     """Real length sqrt(v+ v) of a real or complex vector, or of each in a stack, without overflow.
 
     The length of ``v / s``, ``s = power_of_two_scale(v, 1)``, times ``s``: a
-    finite v never overflows to inf, and as both scalings are exact, a
-    length that stays in range keeps its bits.
+    finite v gives inf only for a length past the float range, and as both
+    scalings are exact, a length that stays in range keeps its bits.
     """
     s = power_of_two_scale(v, ndim=1)
     w = divide_by_power_of_two(v, s[..., None])
@@ -212,7 +211,7 @@ def check_eta(eta: float) -> float:
     eta = np.asarray(eta, dtype=float)
     bad = ~((0.0 <= eta) & (eta < 1.0))
     if np.count_nonzero(bad):
-        raise EtaOutOfRange(f"eta must lie in [0, 1), got {eta[bad][0]}")
+        raise ValueError(f"eta must lie in [0, 1), got {eta[bad][0]}")
     return eta[()]
 
 
@@ -228,7 +227,7 @@ def from_eta(m: float, c: float, eta: float, dir: PolarAngles) -> MomentumState:
     """
     eta = check_eta(eta)
     if m <= 0:
-        raise MasslessState("eta parametrization requires m > 0")
+        raise ValueError("eta parametrization requires m > 0")
     p_abs = 2.0 * m * c * eta / one_minus_eta_squared(eta)
     return MomentumState(m, p_abs[..., None] * direction(dir), c)
 
@@ -236,12 +235,12 @@ def from_eta(m: float, c: float, eta: float, dir: PolarAngles) -> MomentumState:
 def to_eta(state: MomentumState) -> float:
     """eta = c|p| / (R + m c^2), ``state.eta``; inverse of ``from_eta`` on [0, 1)."""
     if state.m == 0:
-        raise MasslessState("eta parameter is undefined for m = 0")
+        raise ValueError("eta parameter is undefined for m = 0")
     return state.eta
 
 
 def rapidity(state: MomentumState) -> float:
     """Boost parameter th with E = m c^2 cosh th, |p| = m c sinh th."""
     if state.m == 0:
-        raise MasslessState("rapidity is undefined for m = 0")
+        raise ValueError("rapidity is undefined for m = 0")
     return np.arcsinh(state.p_abs / (state.m * state.c))

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import MasslessState
 from .gamma import GAMMA, GAMMA0, ID4, SPIN, gamma5_lower_times, gamma_slash
 from .kinematics import EnergyBranch, FourVector, MomentumState, angles_of
 from .smallmat import IMAG_TOL, divide_by_power_of_two, power_of_two_scale, stack_last
@@ -68,7 +67,7 @@ def polarization_four_vector(state: MomentumState, n) -> FourVector:
     reduces to (0, n) at rest.
     """
     if state.m == 0:
-        raise MasslessState("polarization four-vector requires m > 0")
+        raise ValueError("polarization four-vector requires m > 0")
     n = np.asarray(n, dtype=float)
     p_dot_n = np.vecdot(state.p, n)
     a0 = p_dot_n / (state.m * state.c)

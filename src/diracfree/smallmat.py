@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NonCommutingBlocks, SingularA
 
 # The tolerance policy, in one table; a verify run judges every check by one tolerance.
 DEFAULT_TOL = 1e-12  # the default bound on the ``residual`` of a verify check
@@ -58,8 +57,11 @@ def max_abs_each(x, ndim: int = 2) -> np.ndarray:
 
 
 def power_of_two_scale(x, ndim: int = 2) -> np.ndarray:
-    """The power of two that brings ``max_abs_each(x, ndim)`` into [0.5, 1) (1 for zero); exact to divide by."""
-    return np.ldexp(1.0, np.frexp(max_abs_each(x, ndim))[1])
+    """The power of two that brings ``max_abs_each(x, ndim)`` into [0.5, 1) (1 for zero); exact to divide by.
+
+    The top binade, from 2**1023 up, comes into [1, 2) instead, as 2**1024 is inf.
+    """
+    return np.ldexp(1.0, np.minimum(np.frexp(max_abs_each(x, ndim))[1], 1023))
 
 
 def divide_by_power_of_two(x, s) -> np.ndarray:
@@ -173,7 +175,7 @@ def schur_det(m: np.ndarray) -> complex:
     a, b, c, d = disassemble(m)
     ac, cd = _commute(a, c), _commute(c, d)
     if not np.all(ac | cd):
-        raise NonCommutingBlocks(
+        raise ValueError(
             "neither AC = CA nor CD = DC holds within tolerance; "
             "the Schur formulas do not apply"
         )
@@ -192,5 +194,5 @@ def schur_complement(m: np.ndarray) -> np.ndarray:
     s = power_of_two_scale(a)[..., None, None]
     a = divide_by_power_of_two(a, s)
     if np.count_nonzero(np.abs(det2(a)) <= DEFAULT_TOL):
-        raise SingularA("top-left block is singular within tolerance")
+        raise ValueError("top-left block is singular within tolerance")
     return d - c @ _inv2(a) @ divide_by_power_of_two(b, s)

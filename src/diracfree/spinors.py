@@ -58,12 +58,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    MasslessState,
-    NonPositiveVolume,
-    UnnormalizablePhi,
-    ZeroMomentum,
-)
 from .gamma import GAMMA, sigma_dot
 from .kinematics import (
     EnergyBranch,
@@ -158,7 +152,7 @@ def _normalize(raw: np.ndarray, phi: np.ndarray, state: MomentumState, norm: Nor
         return raw / np.sqrt(nsq)[..., None]
     if norm is Normalization.BOX:
         if volume is None or volume <= 0:
-            raise NonPositiveVolume("box normalization requires volume > 0")
+            raise ValueError("box normalization requires volume > 0")
         return raw / np.sqrt(volume * nsq)[..., None]
     # |u-bar u| of the block solution in closed form, |phi|^2 2mc^2 / (mc^2 + R):
     # |upper|^2 - |lower|^2 loses every digit to cancellation once c|p| >> mc^2
@@ -166,7 +160,7 @@ def _normalize(raw: np.ndarray, phi: np.ndarray, state: MomentumState, norm: Nor
     invariant = np.vecdot(phi, phi).real * (2.0 * mc2 / (mc2 + state.R))
     # an infinite R is an overflow, left to show as a non-finite result
     if np.count_nonzero((invariant == 0.0) & np.isfinite(state.R)):
-        raise UnnormalizablePhi("invariant norm vanishes; state is light-like")
+        raise ValueError("invariant norm vanishes; state is light-like")
     if norm is Normalization.INVARIANT_UNIT:
         return raw / np.sqrt(invariant)[..., None]
     target = 2.0 * state.m * state.c
@@ -177,7 +171,7 @@ def _two_spinor(phi) -> np.ndarray:
     """phi as complex two-spinors, each checked to be nonzero."""
     phi = np.asarray(phi, dtype=np.complex128)
     if not phi.any(axis=-1).all():
-        raise UnnormalizablePhi("two-spinor must be nonzero")
+        raise ValueError("two-spinor must be nonzero")
     return phi
 
 
@@ -224,7 +218,7 @@ def boost_bispinor(phi: np.ndarray, state: MomentumState) -> np.ndarray:
     direct block construction scaled so that u-bar u = phi+ phi.
     """
     if state.m == 0:
-        raise MasslessState("boost construction requires m > 0")
+        raise ValueError("boost construction requires m > 0")
     phi = _two_spinor(phi)
     half = 0.5 * rapidity(state)
     moving = (state.p_abs != 0.0)[..., None]
@@ -250,7 +244,7 @@ class HelicityBasis(NamedTuple):
 def helicity_basis(state: MomentumState) -> HelicityBasis:
     """V and V-tilde of a state, or ``(N, 4, 4)`` stacks of a stacked state."""
     if np.count_nonzero(state.p_abs == 0.0):
-        raise ZeroMomentum("helicity basis needs a momentum direction")
+        raise ValueError("helicity basis needs a momentum direction")
     phi_m = phi_matrix(angles_of(state.p))
     phi_t = phi_m * [1.0, -1.0]  # phi_tilde_matrix of the same angles, from the columns just built
     v = _block_basis(state, phi_m, state.eta[..., None, None] * phi_t)
@@ -270,7 +264,7 @@ def eta_bispinor(lam: Helicity, branch: EnergyBranch, eta: float,
     """
     eta = check_eta(eta)
     if volume <= 0:
-        raise NonPositiveVolume("volume must be positive")
+        raise ValueError("volume must be positive")
     phi = _branch_spinor(lam, branch, angles)
     signed = phi if lam is Helicity.PLUS else -phi
     e = eta[..., None]

@@ -69,6 +69,9 @@ well as normal ones.
 The registry is the machine-checkable contract of the package:
 ``run_suite`` executes a suite (or all of them) and returns a
 ``VerificationReport`` whose pass/fail verdict feeds the CLI exit code.
+It refuses an unknown suite or a tolerance that is not positive and
+finite, and ``GridSpec`` a grid it cannot build, with ``ValueError``, as
+every layer of the library refuses an input.
 Each entry reads only the grid, whose shared sample is read-only, and
 its own seeded generator, so the entries are independent: with a second
 CPU, ``run_suite`` evaluates them in this process and one forked worker,
@@ -102,7 +105,6 @@ from . import kinematics as ki
 from . import observables as ob
 from . import smallmat as sm
 from . import spinors as sp
-from .errors import UnknownSuite
 from .kinematics import EnergyBranch, MomentumState, PolarAngles
 from .smallmat import DEFAULT_TOL
 from .spinors import Helicity, Normalization
@@ -205,10 +207,6 @@ class GridSpec(ki._Frozen):
         for array in (eta, angles.theta, angles.phi, state.p_abs, state.R, state.eta):
             array.setflags(write=False)
         return eta, angles, state
-
-    def sample_points(self) -> tuple[np.ndarray, PolarAngles]:
-        """The strided ``(eta, angles)`` of the shared sample."""
-        return self._sample[:2]
 
     def sample_states(self) -> MomentumState:
         """The states of the shared sample; no domain calls it, ``perfbench/traced_cli.py`` wraps it."""
@@ -1438,7 +1436,7 @@ def run_suite(suite: str = "all", grid: GridSpec | None = None,
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tolerance must be positive and finite, got {tol}")
     if suite != "all" and suite not in SUITES:
-        raise UnknownSuite(f"unknown suite {suite!r}; expected one of {('all',) + SUITES}")
+        raise ValueError(f"unknown suite {suite!r}; expected one of {('all',) + SUITES}")
     grid = grid or GridSpec()
     selected = [(i, entry) for i, entry in enumerate(REGISTRY) if suite in ("all", entry.suite)]
     residuals = _evaluate(grid, [i for i, _ in selected])

@@ -30,6 +30,8 @@ from diracfree.kinematics import (
 from diracfree.smallmat import max_abs
 from diracfree.verify import GridSpec
 
+from scalar_sweep import sample_points
+
 POS, NEG = EnergyBranch.POSITIVE, EnergyBranch.NEGATIVE
 PLUS, MINUS = sp.Helicity.PLUS, sp.Helicity.MINUS
 
@@ -49,14 +51,8 @@ def _grid_states():
             for eta in GRID.eta_values for ang in GRID.angle_list()]
 
 
-def _sample_points():
-    """The strided grid points, one (eta, angles) pair at a time."""
-    eta, angles = GRID.sample_points()
-    return [(float(e), PolarAngles(t, p)) for e, t, p in zip(eta, angles.theta, angles.phi)]
-
-
 def _sample_states():
-    return [from_eta(GRID.mass, GRID.c, eta, ang) for eta, ang in _sample_points()]
+    return [from_eta(GRID.mass, GRID.c, eta, ang) for eta, ang in sample_points(GRID)]
 
 
 def test_criterion_01_clifford_tables_exact():
@@ -168,7 +164,7 @@ def test_criterion_05_covariant_suite():
     rng = np.random.default_rng(5)
     worst = 0.0
     angles = GRID.angle_list()
-    for i, (eta, ang) in enumerate(_sample_points()):
+    for i, (eta, ang) in enumerate(sample_points(GRID)):
         state = from_eta(GRID.mass, GRID.c, eta, ang)
         n_ang = angles[(7 * i + 3) % len(angles)]
         n = direction(n_ang)
@@ -211,7 +207,7 @@ def test_criterion_05_covariant_suite():
 
 def test_criterion_06_density_suite():
     worst = 0.0
-    for eta, ang in _sample_points():
+    for eta, ang in sample_points(GRID):
         state = from_eta(GRID.mass, GRID.c, eta, ang)
         mc2 = 2.0 * state.m * state.c
         plus = de.energy_projector(state, POS)
@@ -243,7 +239,7 @@ def test_criterion_06_density_suite():
                 - rank_one_minus(eta, ang.theta, ang.phi)
             ))
     # block factorizations through the two-level density matrix
-    for eta, ang in _sample_points():
+    for eta, ang in sample_points(GRID):
         n = direction(ang)
         e2 = eta**2
         for lam in (PLUS, MINUS):
@@ -288,7 +284,7 @@ def test_criterion_07_fermi_audit():
 
 def test_criterion_08_charge_conjugation():
     worst = 0.0
-    for eta, ang in _sample_points():
+    for eta, ang in sample_points(GRID):
         for lam in (PLUS, MINUS):
             plus = sp.eta_bispinor(lam, POS, eta, ang)
             minus = sp.eta_bispinor(lam, NEG, eta, ang)

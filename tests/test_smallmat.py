@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diracfree import smallmat as sm
-from diracfree.errors import NonCommutingBlocks, SingularA
 from diracfree.gamma import SIGMA1, SIGMA2, sigma_dot
 
 from oracles import perm_det, row_reduce_rank
@@ -154,7 +153,7 @@ class TestSchurDet:
         b = random_cmat(2)
         for scale in SCALES:
             m = sm.block4(scale * SIGMA1, b, scale * SIGMA2, scale * SIGMA1 @ SIGMA2)
-            with pytest.raises(NonCommutingBlocks):
+            with pytest.raises(ValueError, match="the Schur formulas do not apply"):
                 sm.schur_det(m)
 
 
@@ -186,14 +185,14 @@ class TestBlockRank:
 
     def test_singular_a_raises(self):
         zero = np.zeros((2, 2), dtype=complex)
-        with pytest.raises(SingularA):
+        with pytest.raises(ValueError, match="top-left block is singular"):
             sm.schur_complement(sm.block4(zero, np.eye(2), np.eye(2), zero))
 
     @pytest.mark.parametrize("scale", [1e-150, 1e-8, 1.0, 1e8])
     def test_singular_a_is_scale_free(self, scale):
         eye = np.eye(2)
         sm.schur_complement(sm.block4(scale * eye, eye, eye, eye))  # |det A| = scale^2
-        with pytest.raises(SingularA):
+        with pytest.raises(ValueError, match="top-left block is singular"):
             sm.schur_complement(sm.block4(scale * np.ones((2, 2)), eye, eye, eye))
 
     def test_tiny_a_inverts_without_underflow(self):
@@ -206,7 +205,7 @@ class TestBlockRank:
             rank_two = sm.schur_complement(sm.block4(1e-300 * eye, 1e-300 * eye, eye, eye))
             assert sm.max_abs(rank_two) <= 1e-15
 
-    @pytest.mark.parametrize("scale", [1e-310, 1e300])
+    @pytest.mark.parametrize("scale", [1e-310, 1e300, 2.0**1023])
     def test_rank_two_at_extreme_scales_is_exact(self, scale):
         # A = B = scale I, C = D = I: C A^-1 B = I, formed without leaving the float range
         eye = np.eye(2)

@@ -25,14 +25,6 @@ from diracfree import smallmat as sm
 from diracfree import spinors as sp
 from diracfree import verify
 from diracfree.cli import main
-from diracfree.errors import (
-    EtaOutOfRange,
-    NonCommutingBlocks,
-    NonUnitDirection,
-    SingularA,
-    UnnormalizablePhi,
-    ZeroMomentum,
-)
 from diracfree.kinematics import EnergyBranch, MomentumState, PolarAngles
 from diracfree.spinors import Helicity, Normalization
 
@@ -366,32 +358,32 @@ class TestStackedValidation:
         return MomentumState(1.0, p)
 
     def test_helicity_operator_rest_element(self):
-        with pytest.raises(ZeroMomentum, match="helicity is undefined at rest"):
+        with pytest.raises(ValueError, match="helicity is undefined at rest"):
             ga.helicity_operator(self._stack_with_rest())
 
     def test_helicity_basis_rest_element(self):
-        with pytest.raises(ZeroMomentum, match="helicity basis needs a momentum direction"):
+        with pytest.raises(ValueError, match="helicity basis needs a momentum direction"):
             sp.helicity_basis(self._stack_with_rest())
 
     def test_nonrel_density_non_unit_element(self):
         n = np.array([[0.0, 0.0, 1.0], [0.0, 0.6, 0.9], [1.0, 0.0, 0.0]])
         for lam in LAMBDAS:
-            with pytest.raises(NonUnitDirection, match="must be a unit vector"):
+            with pytest.raises(ValueError, match="must be a unit vector"):
                 de.nonrel_density(lam, n)
 
     def test_eta_out_of_range_element(self):
         for bad in (1.5, -0.1, math.nan):
-            with pytest.raises(EtaOutOfRange) as scalar:
+            with pytest.raises(ValueError, match=r"eta must lie in \[0, 1\)") as scalar:
                 ki.from_eta(1.0, 1.0, bad, PolarAngles(0.4))
             stacked_eta = np.array([0.2, bad, 0.3, 2.0])
-            with pytest.raises(EtaOutOfRange) as stacked:
+            with pytest.raises(ValueError, match=r"eta must lie in \[0, 1\)") as stacked:
                 ki.from_eta(1.0, 1.0, stacked_eta, PolarAngles(0.4))
-            with pytest.raises(EtaOutOfRange) as column:
+            with pytest.raises(ValueError, match=r"eta must lie in \[0, 1\)") as column:
                 sp.eta_bispinor(Helicity.PLUS, EnergyBranch.POSITIVE, stacked_eta, PolarAngles(0.4))
             assert str(stacked.value) == str(column.value) == str(scalar.value)
 
     def test_fermi_original_rest_element(self):
-        with pytest.raises(ZeroMomentum, match="the original set is singular at p = 0"):
+        with pytest.raises(ValueError, match="the original set is singular at p = 0"):
             fe.fermi_bispinors_original(self._stack_with_rest())
 
     def test_schur_non_commuting_element(self):
@@ -402,26 +394,26 @@ class TestStackedValidation:
         d = _cmats(4, 3, size=2)
         d[1] = ga.SIGMA1 @ ga.SIGMA2
         m = sm.block4(a, _cmats(5, 3, size=2), c, d)
-        with pytest.raises(NonCommutingBlocks, match="the Schur formulas do not apply"):
+        with pytest.raises(ValueError, match="the Schur formulas do not apply"):
             sm.schur_det(m)
 
     def test_boost_zero_spinor_element(self):
         state = ki.from_eta(1.0, 1.0, 0.5, PolarAngles(np.array([0.3, 1.0, 2.0]), 0.4))
         phi = np.array([[1.0, 0.5j], [0.0, 0.0], [0.2, 1.0]])
-        with pytest.raises(UnnormalizablePhi, match="two-spinor must be nonzero"):
+        with pytest.raises(ValueError, match="two-spinor must be nonzero"):
             sp.boost_bispinor(phi, state)
 
     def test_block_rank_singular_element(self):
         a = np.stack([np.eye(2), np.zeros((2, 2)), 2.0 * np.eye(2)])
         m = sm.block4(a, np.eye(2), np.eye(2), np.zeros((2, 2)))
-        with pytest.raises(SingularA, match="top-left block is singular"):
+        with pytest.raises(ValueError, match="top-left block is singular"):
             sm.schur_complement(m)
 
     def test_density_non_finite_direction_element(self):
         state = ki.from_eta(1.0, 1.0, 0.5, PolarAngles(np.array([0.3, 1.0, 2.0]), 0.4))
         for bad in ([math.nan, 0.0, 1.0], [math.inf, 0.0, 0.0], [0.0, 0.0, 0.0]):
             n = np.array([[0.0, 0.0, 1.0], bad, [1.0, 0.0, 0.0]])
-            with pytest.raises(NonUnitDirection, match="must be a unit vector"):
+            with pytest.raises(ValueError, match="must be a unit vector"):
                 de.density4(state, EnergyBranch.POSITIVE, Helicity.PLUS, n)
 
     def test_imaginary_part_message_matches_scalar(self):
@@ -736,10 +728,10 @@ def test_grid_rest_state_has_zero_momentum_bits():
 def test_grid_keeps_its_eta_values_when_the_callers_list_changes():
     etas = [0.2, 0.8]
     grid = verify.GridSpec(eta_values=etas, theta_count=2, phi_count=2)
-    grid.sample_points()  # the cached sample
+    cached = grid._sample
     etas[0] = 0.5
     assert grid.eta_values == (0.2, 0.8)
-    assert grid.sample_points()[0].tolist() == [0.2] * 4 + [0.8] * 4  # every direction of the 2x2 grid
+    assert grid._sample is cached and cached[0].tolist() == [0.2] * 4 + [0.8] * 4  # every direction of the 2x2 grid
 
 
 def test_every_swept_state_comes_from_grid_states(monkeypatch):

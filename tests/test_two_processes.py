@@ -27,7 +27,6 @@ import pytest
 
 from diracfree import verify
 from diracfree.cli import main
-from diracfree.errors import ZeroMomentum
 
 ONE_CPU, TWO_CPUS = {0}, {0, 1}
 
@@ -77,11 +76,10 @@ def test_strided_sample_is_built_once_and_read_only(monkeypatch):
     monkeypatch.setattr(verify.GridSpec, "states", lambda self, *args: calls.append(args) or states(self, *args))
     grid = verify.GridSpec()
     verify.run_suite("all", grid)
-    eta, angles = grid.sample_points()
+    eta, angles, state = grid._sample
     assert len(calls) == 20  # the grid's own range check, the strided sample, 18 per-check domains
     assert sum(np.shape(args[0]) == eta.shape and np.array_equal(args[0], eta) for args in calls) == 1
-    state = grid.sample_states()
-    assert grid.sample_states() is state and grid.sample_points()[1] is angles
+    assert grid._sample[1] is angles and grid.sample_states() is state
     cached = {name: value for name, value in vars(state).items() if isinstance(value, np.ndarray)}
     assert set(cached) == {"p", "p_abs", "R", "eta"}
     for array in (eta, angles.theta, angles.phi, *cached.values()):
@@ -404,7 +402,7 @@ def test_worker_error_is_the_one_process_error(monkeypatch):
         if k < 4:
             return float(k)
         os.write(sink, b"p" if os.getpid() == parent else b"w")
-        raise ZeroMomentum(f"entry {k}")
+        raise ValueError(f"entry {k}")
 
     # each process stops at its first raising claim, so both meet one of the
     # twelve raising entries; the loop then raises entry 4 in this process
@@ -413,7 +411,7 @@ def test_worker_error_is_the_one_process_error(monkeypatch):
     try:
         for cpus in (ONE_CPU, TWO_CPUS):
             _cpus(monkeypatch, cpus)
-            with pytest.raises(ZeroMomentum) as error:
+            with pytest.raises(ValueError, match="entry 4") as error:
                 verify.run_suite("all")
             errors.append(str(error.value))
         os.close(sink)

@@ -11,7 +11,6 @@ import pytest
 
 from diracfree import gamma, verify
 from diracfree.cli import main, render_json
-from diracfree.errors import UnknownSuite
 
 MANIFEST = json.loads(
     (Path(__file__).parent / "data" / "registry_manifest.json").read_text()
@@ -122,7 +121,7 @@ class TestRunSuite:
         assert note.residual > report.tolerance
 
     def test_unknown_suite(self):
-        with pytest.raises(UnknownSuite):
+        with pytest.raises(ValueError, match="unknown suite 'bogus'"):
             verify.run_suite("bogus")
 
     def test_bad_tolerance(self):
@@ -547,8 +546,11 @@ class TestCli:
             ("density", "--eta", "0.5", "--n", "1e200,0,0"),
             ("boost", "--eta", "0.5", "--spinor", "1e200,0,0,0"),
             ("spinor", "--p", "1e-320,0,0"),
+            ("spinor", "--p", "1e308,1e308,1e308"),
+            ("density", "--eta", "0.5", "--n", "1e308,1e308,0"),
         ],
-        ids=["spinor-p", "density-n", "boost-spinor", "spinor-subnormal-p"],
+        ids=["spinor-p", "density-n", "boost-spinor", "spinor-subnormal-p", "spinor-top-binade-p",
+             "density-top-binade-n"],
     )
     def test_huge_vector_inputs_emit_finite_output(self, argv, fmt):
         code, out, err = self.run(*argv, "--format", fmt)

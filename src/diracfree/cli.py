@@ -61,7 +61,7 @@ from .kinematics import (
     scaled_norm,
     to_eta,
 )
-from .smallmat import DEFAULT_TOL, max_abs, residual
+from .smallmat import DEFAULT_TOL, divide_by_power_of_two, max_abs, power_of_two_scale, residual
 from .spinors import (
     Helicity,
     Normalization,
@@ -341,10 +341,11 @@ def _cmd_density(args) -> int:
     branch = _BRANCHES[args.branch]
     lam = _HELICITIES[args.lam]
     if args.n is not None:
-        length = scaled_norm(args.n)
+        n = divide_by_power_of_two(args.n, power_of_two_scale(args.n, 1))  # exact, even for a subnormal n
+        length = scaled_norm(n)
         if length == 0.0:
             raise ValueError("--n must be a nonzero, finite direction vector")
-        n = args.n / length
+        n = n / length
     else:
         n = momentum_axis(state)
     rho = density4(state, branch, lam, n)
@@ -366,15 +367,17 @@ def _cmd_boost(args) -> int:
     state = _state_from_args(args)
     phi = args.spinor[0::2] + 1j * args.spinor[1::2]
     u = boost_bispinor(phi, state)
-    length = scaled_norm(phi)
-    direct = bispinor_block(phi / length, state,
+    s = power_of_two_scale(phi, 1)  # divide exactly first: a subnormal or huge phi keeps a finite length
+    phi_s, u_s = divide_by_power_of_two(phi, s), divide_by_power_of_two(u, s)
+    length = scaled_norm(phi_s)
+    direct = bispinor_block(phi_s / length, state,
                             EnergyBranch.POSITIVE, Normalization.INVARIANT_UNIT)
     inputs = {**_state_inputs(args, state), "spinor": _vector_json(phi)}
     outputs = {
         "rapidity": rapidity(state),
         "eta": to_eta(state),
         "components": _vector_json(u),
-        "direct_route_residual": _relative_residual(u / length, direct),
+        "direct_route_residual": _relative_residual(u_s / length, direct),
         "dirac_residual": _dirac_residual(u, state, EnergyBranch.POSITIVE),
     }
     _emit(args, inputs, outputs)

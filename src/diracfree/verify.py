@@ -12,7 +12,7 @@ check that reports one residual.  A registry row has the shape
   - ``_states``: all states, one batch per eta;
   - ``_sampled``: the strided states of the grid's one shared sample, at
     most ``_PER_ETA`` states per eta whatever the angle counts, which the
-    grid builds once, on first use, as read-only arrays;
+    grid builds with itself, as read-only arrays;
   - ``_eta_angles``: the strided ``(eta, angles)`` of that sample, with no
     state, for the seven checks that read none (``eta-determinant``,
     ``conjugation-plus``/``-minus``, ``explicit-rank-one-plus``/``-minus``,
@@ -75,8 +75,9 @@ every layer of the library refuses an input.
 Each entry reads only the grid, whose shared sample is read-only, and
 its own seeded generator, so the entries are independent: with a second
 CPU, ``run_suite`` evaluates them in this process and one forked worker,
-which claim them one at a time, and the report and any error are those of
-evaluating them in order here.
+which inherits the grid's sample and claims entries one at a time with
+this process, and the report and any error are those of evaluating them
+in order here.
 
 Three checks are *documented deviations*: places where a printed source
 formula disagrees with the mathematics that every other identity pins
@@ -93,7 +94,7 @@ import random
 import struct
 import sys
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import partial
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -129,22 +130,28 @@ class GridSpec(ki._Frozen):
     [0, 1), and the largest energy R of the grid stays finite at the fourth
     power, the degree of ``eig-det`` in R.  (m c^2)^2 and (m c)^2, the
     scales of E (E + m c^2) and m (R + m c^2), stay normal floats.
-    ``states`` builds every state of the grid that a check sweeps.  A plain
-    class, not a frozen dataclass, so that importing the module generates
-    and compiles no methods.
+    ``states`` builds every state of the grid that a check sweeps.
+    ``__init__`` builds the grid whole, with ``_sample``: the strided
+    ``(eta, angles, states)`` stack of the more expensive sweeps, per eta
+    every step-th direction (about ``_PER_ETA``), the start rotated by 3
+    per eta, eta-major.  The range checks read it, every check that sweeps
+    it shares it and a forked worker inherits it, so all its arrays are
+    read-only, the states' cached ``p_abs``, ``R`` and ``eta`` included.  A
+    plain class, not a frozen dataclass, so that importing the module
+    generates and compiles no methods.
     """
 
     def __init__(self, eta_values: tuple[float, ...] = (0.1, 0.3, 0.5, 0.7, 0.9), theta_count: int = 8,
                  phi_count: int = 8, mass: float = 1.0, c: float = 1.0):
-        # a tuple of its own: a caller's list changed later must not move the cached sample
-        eta_values = tuple(eta_values)
+        eta_values = tuple(eta_values)  # a tuple of its own: a caller's list changed later moves nothing
         self.__dict__.update(eta_values=eta_values, theta_count=theta_count, phi_count=phi_count,
                              mass=mass, c=c)
         if len(eta_values) == 0:
             raise ValueError("grid needs at least one eta value")
         if theta_count < 1 or phi_count < 1:
             raise ValueError(f"angle counts must be positive, got {theta_count}x{phi_count}")
-        if theta_count * phi_count > np.iinfo(np.intp).max:
+        count = theta_count * phi_count
+        if count > np.iinfo(np.intp).max:
             raise ValueError(
                 f"angle counts {theta_count}x{phi_count} give more directions than "
                 f"a numpy index holds ({np.iinfo(np.intp).max})"
@@ -152,18 +159,24 @@ class GridSpec(ki._Frozen):
         for name, value in (("mass", mass), ("c", c)):
             if not 0.0 < value < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {value}")
-        top = np.max(ki.check_eta(eta_values))
+        offsets = np.arange(0, count, max(1, count // _PER_ETA))
+        eta = np.repeat(ki.check_eta(eta_values), len(offsets))
+        angles = self.angle(((offsets + 3 * np.arange(len(eta_values))[:, None]) % count).ravel())
         with np.errstate(over="ignore", invalid="ignore"):  # an out-of-range scale is rejected below
-            state = self.states(top, PolarAngles(0.0))
-            if not np.isfinite(state.R**4):
+            state = self.states(eta, angles)
+            top = np.argmax(eta)  # the first point of the largest eta
+            if not np.isfinite(state.R[top] ** 4):
                 raise ValueError(
-                    f"energy scale out of range: R = {state.R:.3g} at eta {top:g}, and eig-det "
+                    f"energy scale out of range: R = {state.R[top]:.3g} at eta {eta[top]:g}, and eig-det "
                     "needs R^4 below the float64 maximum"
                 )
             for name, value in (("m c^2", state.rest_energy), ("m c", state.m * state.c)):
                 if value * value < np.finfo(float).tiny:
                     raise ValueError(f"energy scale out of range: {name} = {value:.3g} at m = {mass:g}, "
                                      f"c = {c:g}, and ({name})^2 underflows below the smallest normal float64")
+        for array in (eta, angles.theta, angles.phi, state.p_abs, state.R, state.eta):
+            array.setflags(write=False)
+        self.__dict__["_sample"] = (eta, angles, state)
 
     def angle(self, k) -> PolarAngles:
         """Direction ``k`` of the grid, or the stacked directions of an index array.
@@ -186,27 +199,6 @@ class GridSpec(ki._Frozen):
     def states(self, eta, angles: PolarAngles) -> MomentumState:
         """``from_eta`` at the grid's mass and c, ``eta`` broadcast against ``angles``."""
         return ki.from_eta(self.mass, self.c, eta, angles)
-
-    @cached_property
-    def _sample(self) -> tuple[np.ndarray, PolarAngles, MomentumState]:
-        """The strided ``(eta, angles, states)`` subset for the more expensive sweeps, stacked.
-
-        Per eta, every ``step``-th entry of the angle list, with the step that
-        gives about ``_PER_ETA`` entries, the start rotated by 3 entries per
-        eta; eta-major order.  Built once per grid, in the process that first
-        reads it, and shared by every check that sweeps it, so every array in
-        it is read-only, the state's cached ``p_abs``, ``R`` and ``eta``
-        included.
-        """
-        count = self.theta_count * self.phi_count
-        offsets = np.arange(0, count, max(1, count // _PER_ETA))
-        shifts = 3 * np.arange(len(self.eta_values))[:, None]
-        eta = np.repeat(np.array(self.eta_values, dtype=float), len(offsets))
-        angles = self.angle(((offsets + shifts) % count).ravel())
-        state = self.states(eta, angles)
-        for array in (eta, angles.theta, angles.phi, state.p_abs, state.R, state.eta):
-            array.setflags(write=False)
-        return eta, angles, state
 
     def sample_states(self) -> MomentumState:
         """The states of the shared sample; no domain calls it, ``perfbench/traced_cli.py`` wraps it."""
@@ -470,22 +462,21 @@ def _schur_oracle(m):
 
 
 def _eig_det(state):
-    """Block-determinant of the eigenproblem matrix vs its closed form.
+    """Block and dense determinants of the eigenproblem matrix vs its closed form.
 
-    E = +R and E = -R are on shell, where the closed form is zero up to
-    rounding: the dense determinant is compared there at its own rounding
-    scale (entry magnitude to the fourth power: degree-4 cancellation
-    floor).  Off shell, at R + 0.7 mc^2 and R / 4, it is compared relative
-    to the closed form.
+    E = +R and E = -R are on shell, where the determinant is exactly 0: both
+    are compared with 0 at their own rounding scale (entry magnitude to the
+    fourth power: degree-4 cancellation floor).  Off shell, at R + 0.7 mc^2
+    and R / 4, both are compared relative to the closed form.
     """
     h = ga.hamiltonian(state)
     energies = (state.R, -state.R, state.R + 0.7 * state.rest_energy, 0.25 * state.R)
     for k, e in enumerate(energies):
-        closed = (e**2 - (state.c * state.p_abs) ** 2 - state.rest_energy**2) ** 2
         dense_matrix = h - _scaled_eye(e)
-        yield _rel(sm.schur_det(dense_matrix), closed)
-        scale = sm.max_abs_each(dense_matrix) ** 4 if k < 2 else np.abs(closed)
-        yield sm.det4(dense_matrix), closed, np.maximum(1.0, scale)
+        want = 0.0 if k < 2 else (e**2 - (state.c * state.p_abs) ** 2 - state.rest_energy**2) ** 2
+        scale = np.maximum(1.0, sm.max_abs_each(dense_matrix) ** 4 if k < 2 else np.abs(want))
+        yield sm.schur_det(dense_matrix), want, scale
+        yield sm.det4(dense_matrix), want, scale
 
 
 def _block_rank(state):

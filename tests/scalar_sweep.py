@@ -6,7 +6,7 @@ the seeded draws (each drawn alone, one uniform at a time from
 ``random.Random``, in the order the stacked draws must reproduce) and the
 per-point residuals, each
 a plain scalar expression over the library's unstacked calls.  ``ORACLES`` maps a check id to its
-``(domain, residual)``; ``oracle(check_id, grid)`` is the max residual.
+``(domain, residual)``.
 """
 
 import math
@@ -182,22 +182,19 @@ def _schur_oracle(m):
 
 
 def _eig_det(state):
-    """Block-determinant of the eigenproblem matrix vs its closed form.
+    """Block and dense determinants of the eigenproblem matrix vs its closed form.
 
-    The first two energies, +R and -R, are on shell: the dense determinant
-    is compared there at its own rounding scale (entry magnitude to the
-    fourth power: degree-4 cancellation floor).  Off shell it is compared
-    relative to the closed form.
+    The first two energies, +R and -R, are on shell: both determinants are
+    compared there with the exact 0 at their own rounding scale (entry
+    magnitude to the fourth power: degree-4 cancellation floor).  Off shell
+    both are compared relative to the closed form.
     """
     energies = (state.R, -state.R, state.R + 0.7 * state.rest_energy, 0.25 * state.R)
     for k, e in enumerate(energies):
         closed = (e**2 - (state.c * state.p_abs) ** 2 - state.rest_energy**2) ** 2
         m = _d9_blocks(state, e)
-        yield _rel(sm.schur_det(m), closed)
-        if k < 2:
-            yield abs(sm.det4(m) - closed) / max(1.0, max_abs(m) ** 4)
-        else:
-            yield _rel(sm.det4(m), closed)
+        for det in (sm.schur_det(m), sm.det4(m)):
+            yield abs(det) / max(1.0, max_abs(m) ** 4) if k < 2 else _rel(det, closed)
 
 
 def _block_rank(state):
@@ -782,9 +779,3 @@ ORACLES = {
     "fermi-projectors": (sampled, _fermi_projectors),
     "fermi-projector-action": (sampled, _fermi_projector_action),
 }
-
-
-def oracle(check_id, grid):
-    """The max over the scalar points of the per-point residuals."""
-    domain, residual = ORACLES[check_id]
-    return max((r for point in domain(grid) for r in residual(*point)), default=0.0)

@@ -30,7 +30,7 @@ from diracfree.kinematics import (
 from diracfree.smallmat import max_abs
 from diracfree.verify import GridSpec
 
-from scalar_sweep import sample_points
+from scalar_sweep import _rank_one_minus, _rank_one_plus, sample_points
 
 POS, NEG = EnergyBranch.POSITIVE, EnergyBranch.NEGATIVE
 PLUS, MINUS = sp.Helicity.PLUS, sp.Helicity.MINUS
@@ -224,19 +224,17 @@ def test_criterion_06_density_suite():
                     - de.density4_outer(state, branch, lam, n)
                 ))
     # explicit rank-one matrices at eta = 1/2 and across the eta grid
-    from test_density import rank_one_minus, rank_one_plus
-
     for eta in (0.5,) + tuple(GRID.eta_values):
         for ang in (PolarAngles(1.23, 0.77), PolarAngles(2.6, 4.1)):
             raw = sp.eta_bispinor(PLUS, POS, eta, ang, 1.0) * math.sqrt(1 + eta**2)
             worst = max(worst, max_abs(
                 (1 - eta**2) * de.outer_with_adjoint(raw)
-                - rank_one_plus(eta, ang.theta, ang.phi)
+                - _rank_one_plus(eta, ang)
             ))
             raw = sp.eta_bispinor(MINUS, NEG, eta, ang, 1.0) * math.sqrt(1 + eta**2)
             worst = max(worst, max_abs(
                 (1 - eta**2) * de.outer_with_adjoint(raw)
-                - rank_one_minus(eta, ang.theta, ang.phi)
+                - _rank_one_minus(eta, ang)
             ))
     # block factorizations through the two-level density matrix
     for eta, ang in sample_points(GRID):

@@ -18,6 +18,8 @@ from diracfree.kinematics import (
 )
 from diracfree.smallmat import block_mul, disassemble, max_abs
 
+from scalar_sweep import _rank_one_minus, _rank_one_plus
+
 POS, NEG = EnergyBranch.POSITIVE, EnergyBranch.NEGATIVE
 PLUS, MINUS = sp.Helicity.PLUS, sp.Helicity.MINUS
 RNG = np.random.default_rng(23)
@@ -25,38 +27,6 @@ RNG = np.random.default_rng(23)
 
 def eta_state(eta, theta=0.8, phi=2.1):
     return from_eta(1.0, 1.0, eta, PolarAngles(theta, phi))
-
-
-def rank_one_plus(eta, theta, phi):
-    """Explicit positive-branch rank-one matrix, helicity +1/2, momentum (theta, phi)."""
-    ct2, st2 = math.cos(0.5 * theta) ** 2, math.sin(0.5 * theta) ** 2
-    s = 0.5 * math.sin(theta)
-    em, ep = np.exp(-1j * phi), np.exp(1j * phi)
-    e2 = eta**2
-    return (1 - e2) * np.array(
-        [
-            [ct2, s * em, -eta * ct2, -eta * s * em],
-            [s * ep, st2, -eta * s * ep, -eta * st2],
-            [eta * ct2, eta * s * em, -e2 * ct2, -e2 * s * em],
-            [eta * s * ep, eta * st2, -e2 * s * ep, -e2 * st2],
-        ]
-    )
-
-
-def rank_one_minus(eta, theta, phi):
-    """Explicit negative-branch rank-one matrix, helicity -1/2."""
-    ct2, st2 = math.cos(0.5 * theta) ** 2, math.sin(0.5 * theta) ** 2
-    s = 0.5 * math.sin(theta)
-    em, ep = np.exp(-1j * phi), np.exp(1j * phi)
-    e2 = eta**2
-    return (1 - e2) * np.array(
-        [
-            [e2 * ct2, e2 * s * em, -eta * ct2, -eta * s * em],
-            [e2 * s * ep, e2 * st2, -eta * s * ep, -eta * st2],
-            [eta * ct2, eta * s * em, -ct2, -s * em],
-            [eta * s * ep, eta * st2, -s * ep, -st2],
-        ]
-    )
 
 
 class TestNonrelDensity:
@@ -160,14 +130,14 @@ class TestDensity4:
         raw = sp.eta_bispinor(PLUS, POS, eta, PolarAngles(theta, phi), 1.0)
         raw = raw * math.sqrt(1 + eta**2)
         got = (1 - eta**2) * de.outer_with_adjoint(raw)
-        assert max_abs(got - rank_one_plus(eta, theta, phi)) <= 1e-12
+        assert max_abs(got - _rank_one_plus(eta, PolarAngles(theta, phi))) <= 1e-12
 
     def test_half_eta_explicit_minus(self):
         eta, theta, phi = 0.5, 1.23, 0.77
         raw = sp.eta_bispinor(MINUS, NEG, eta, PolarAngles(theta, phi), 1.0)
         raw = raw * math.sqrt(1 + eta**2)
         got = (1 - eta**2) * de.outer_with_adjoint(raw)
-        assert max_abs(got - rank_one_minus(eta, theta, phi)) <= 1e-12
+        assert max_abs(got - _rank_one_minus(eta, PolarAngles(theta, phi))) <= 1e-12
 
     def test_explicit_matrices_from_closed_form(self):
         # the closed-form density matrix reproduces the same explicit
@@ -177,9 +147,9 @@ class TestDensity4:
         scale = (1 - eta**2) ** 2 / (2.0 * state.m * state.c)
         n = state.p / state.p_abs
         got_p = scale * de.density4(state, POS, PLUS, n)
-        assert max_abs(got_p - rank_one_plus(eta, theta, phi)) <= 1e-12
+        assert max_abs(got_p - _rank_one_plus(eta, PolarAngles(theta, phi))) <= 1e-12
         got_m = -scale * de.density4(state, NEG, MINUS, n)
-        assert max_abs(got_m - rank_one_minus(eta, theta, phi)) <= 1e-12
+        assert max_abs(got_m - _rank_one_minus(eta, PolarAngles(theta, phi))) <= 1e-12
 
     def test_non_unit_rejected(self):
         state = eta_state(0.5)

@@ -100,9 +100,9 @@ ZERO = (
 # asserted about them.  The last six mix terms of different degree in their
 # measure, such as _rel's max(1, |want|), which switches where m^a c^b
 # crosses 1; every raw |lhs - rhs| of theirs scales.  eig-det is relative,
-# degree (0, 0): it reads the same at (1, 0), (0, 1) and (2, 2), but not at
-# (-20, 7) or (30, 30), where _rel's max(1, |closed|) switches on its
-# on-shell closed form, a rounding value.
+# degree (0, 0): it reads the same at (1, 0), (0, 1), (2, 2) and (30, 30),
+# but not at (-20, 7), where the max(1, .) of its scales switches below unit
+# scale.
 NOT_SCALING = (
     "eig-det", "adjoint-norms", "eta-rapidity", "eta-round-trip", "fermi-corrected",
     "polarization-invariants", "projector-algebra",

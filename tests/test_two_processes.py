@@ -75,9 +75,12 @@ def test_strided_sample_is_built_once_and_read_only(monkeypatch):
     states = verify.GridSpec.states
     monkeypatch.setattr(verify.GridSpec, "states", lambda self, *args: calls.append(args) or states(self, *args))
     grid = verify.GridSpec()
-    verify.run_suite("all", grid)
+    assert "_sample" in vars(grid)
     eta, angles, state = grid._sample
-    assert len(calls) == 20  # the grid's own range check, the strided sample, 18 per-check domains
+    assert len(calls) == 1  # the strided sample, which the range checks also read
+    assert calls[0][0] is eta and calls[0][1] is angles
+    verify.run_suite("all", grid)
+    assert len(calls) == 1 + 18  # 18 per-check domains; the sample is not built again
     assert sum(np.shape(args[0]) == eta.shape and np.array_equal(args[0], eta) for args in calls) == 1
     assert grid._sample[1] is angles and grid.sample_states() is state
     cached = {name: value for name, value in vars(state).items() if isinstance(value, np.ndarray)}

@@ -93,6 +93,18 @@ class TestRunSuite:
             assert block_rank.passed == (block_rank.residual <= tol)
         assert not block_rank.passed
 
+    @pytest.mark.parametrize(
+        "grid",
+        [verify.GridSpec(c=137.0), verify.GridSpec(c=3e8),
+         verify.GridSpec(mass=2.0**30, c=2.0**30, theta_count=3, phi_count=3)],
+        ids=["c137", "c3e8", "m-c-2^30"],
+    )
+    def test_eig_det_passes_on_shell_at_large_scales(self, grid):
+        # on shell det(H - E) is exactly 0, so each determinant is measured
+        # against 0 at its rounding scale, not against the rounded closed form
+        eig_det = next(c for c in verify.run_suite("algebra", grid).checks if c.id == "eig-det")
+        assert eig_det.passed, eig_det.residual
+
     def test_eig_det_sees_a_wrong_hamiltonian(self, monkeypatch):
         # det(H - E) has a double zero on shell, so an error in H shows
         # through the off-shell energies: they must still see a 1e-6 one
@@ -548,9 +560,11 @@ class TestCli:
             ("spinor", "--p", "1e-320,0,0"),
             ("spinor", "--p", "1e308,1e308,1e308"),
             ("density", "--eta", "0.5", "--n", "1e308,1e308,0"),
+            ("density", "--eta", "0.5", "--n", "1e-320,1e-320,0"),
+            ("boost", "--eta", "0.5", "--spinor", "1e-320,0,0,0"),
         ],
         ids=["spinor-p", "density-n", "boost-spinor", "spinor-subnormal-p", "spinor-top-binade-p",
-             "density-top-binade-n"],
+             "density-top-binade-n", "density-subnormal-n", "boost-subnormal-spinor"],
     )
     def test_huge_vector_inputs_emit_finite_output(self, argv, fmt):
         code, out, err = self.run(*argv, "--format", fmt)
@@ -575,13 +589,15 @@ class TestCli:
             (("spinor", "--c", "1e200", "--p", "1,0,0"), "non-finite value in output"),
             (("density", "--c", "1e200", "--eta", "0.5"), "non-finite value in output"),
             (("boost", "--c", "1e200", "--eta", "0.5"), "non-finite value in output"),
+            # the spinor divides exactly to a finite length; H u overflows in the Dirac residual
+            (("boost", "--eta", "0.5", "--spinor", "1e308,1e308,1e308,1e308"), "non-finite value in output: nan"),
             (("verify", "--m", "1e200", "--angles", "2x2"), "energy scale out of range"),
             (("verify", "--c", "1e300", "--angles", "2x2"), "energy scale out of range"),
             (("verify", "--m", "1e-200", "--angles", "2x2"), "energy scale out of range: m c^2 = 1e-200"),
             (("verify", "--c", "1e-200", "--angles", "2x2"), "energy scale out of range: m c^2 = 0"),
         ],
-        ids=["density-p", "spinor-c", "density-c", "boost-c", "verify-m", "verify-c",
-             "verify-tiny-m", "verify-tiny-c"],
+        ids=["density-p", "spinor-c", "density-c", "boost-c", "boost-top-binade-spinor", "verify-m",
+             "verify-c", "verify-tiny-m", "verify-tiny-c"],
     )
     def test_overflow_ends_in_one_error_line(self, child_env, argv, message):
         child = subprocess.run(

@@ -224,12 +224,18 @@ def from_eta(m: float, c: float, eta: float, dir: PolarAngles) -> MomentumState:
     """State with |p| = 2 m c eta / (1 - eta^2) along the given direction.
 
     ``eta`` and ``dir`` may be stacked; they broadcast to one stack of states.
+    A zero component of the direction stays that signed zero in p, also
+    where |p| overflows to inf.
     """
     eta = check_eta(eta)
     if m <= 0:
         raise ValueError("eta parametrization requires m > 0")
     p_abs = 2.0 * m * c * eta / one_minus_eta_squared(eta)
-    return MomentumState(m, p_abs[..., None] * direction(dir), c)
+    n = direction(dir)
+    with np.errstate(invalid="ignore"):  # inf * 0, replaced next
+        p = p_abs[..., None] * n
+    np.copyto(p, n, where=n == 0.0)
+    return MomentumState(m, p, c)
 
 
 def to_eta(state: MomentumState) -> float:

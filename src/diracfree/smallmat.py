@@ -3,8 +3,9 @@
 Everything in this library is carried by fixed-size complex matrices, so
 this module deliberately supports nothing else: value-semantic numpy
 arrays, 2x2-block composition of 4x4 matrices, cofactor determinants, the
-Schur block-determinant formulas, and the Schur complement, which vanishes
-exactly at rank 2.  The block kernels split 4x4 matrices with ``disassemble``.
+Schur block determinant det(AD - CB) of a matrix whose blocks have
+AC = CA, and the Schur complement, which vanishes exactly at rank 2.  The
+block kernels split 4x4 matrices with ``disassemble``.
 
 Every function also acts on stacks of matrices (leading batch axes), and a
 single matrix is the batch-of-one case.  Stacked vector products elsewhere
@@ -158,28 +159,18 @@ def _inv2(m: np.ndarray) -> np.ndarray:
     return inv / det2(m)[..., None, None]
 
 
-def _commute(x, y) -> np.ndarray:
-    """Whether xy = yx within ``DEFAULT_TOL`` per stack element, each side at its ``power_of_two_scale``."""
-    x, y = (divide_by_power_of_two(v, power_of_two_scale(v)[..., None, None]) for v in (x, y))
-    return max_abs_each(x @ y - y @ x) <= DEFAULT_TOL
-
-
 def schur_det(m: np.ndarray) -> complex:
-    """Determinant of a 4x4 matrix via the Schur reduction formulas of its 2x2 blocks.
+    """Determinant of a 4x4 matrix ``[[A, B], [C, D]]`` with AC = CA, as det(AD - CB).
 
-    With ``m = [[A, B], [C, D]]``, uses det(AD - CB) when AC = CA, else
-    det(AD - BC) when CD = DC; the AC = CA route is preferred when both
-    apply.  The commutators are tested by ``_commute``, so at any scale of
-    the blocks, and the route is chosen per stack element.
+    AC = CA is tested per stack element with A and C each at its
+    ``power_of_two_scale``, so at any scale of the blocks; a nan commutator
+    fails the test.
     """
     a, b, c, d = disassemble(m)
-    ac, cd = _commute(a, c), _commute(c, d)
-    if not np.all(ac | cd):
-        raise ValueError(
-            "neither AC = CA nor CD = DC holds within tolerance; "
-            "the Schur formulas do not apply"
-        )
-    return np.where(ac, det2(a @ d - c @ b), det2(a @ d - b @ c))[()]
+    a_unit, c_unit = (divide_by_power_of_two(v, power_of_two_scale(v)[..., None, None]) for v in (a, c))
+    if not np.all(max_abs_each(a_unit @ c_unit - c_unit @ a_unit) <= DEFAULT_TOL):
+        raise ValueError("AC = CA does not hold within tolerance; the Schur formula does not apply")
+    return det2(a @ d - c @ b)
 
 
 def schur_complement(m: np.ndarray) -> np.ndarray:

@@ -217,7 +217,6 @@ class IdentityCheck(NamedTuple):
 
 class VerificationReport(NamedTuple):
     suite: str
-    grid: GridSpec
     tolerance: float
     checks: list[IdentityCheck]
 
@@ -1442,4 +1441,4 @@ def run_suite(suite: str = "all", grid: GridSpec | None = None,
         for i, entry in selected
     ]
     checks.sort(key=lambda c: c.id)
-    return VerificationReport(suite=suite, grid=grid, tolerance=tol, checks=checks)
+    return VerificationReport(suite=suite, tolerance=tol, checks=checks)

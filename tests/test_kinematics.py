@@ -63,6 +63,12 @@ class TestEtaParametrization:
         assert abs(state.p_abs - 4.0 / 3.0) <= 1e-15
         assert abs(state.R - 5.0 / 3.0) <= 1e-15
 
+    def test_overflowing_momentum_keeps_zero_components(self):
+        # |p| overflows to inf; a zero component of the direction stays 0, not inf * 0 = nan
+        with np.errstate(over="ignore", invalid="raise"):
+            state = ki.from_eta(1e308, 1.0, 0.5, ki.PolarAngles(0.0))
+        assert state.p.tolist() == [0.0, 0.0, math.inf]
+
     def test_to_eta_frozen(self):
         state = ki.MomentumState(1.0, np.array([0.0, 0.0, 4.0 / 3.0]))
         assert abs(ki.to_eta(state) - 0.5) <= 1e-15
@@ -202,7 +208,7 @@ def _immutable_instances():
         "HelicityBasis": (helicity_basis(state), "V"),
         "FermiProjectors": (fermi_projectors(state), "P"),
         "IdentityCheck": (check, "residual"),
-        "VerificationReport": (VerificationReport("all", GridSpec(), 1e-12, [check]), "tolerance"),
+        "VerificationReport": (VerificationReport("all", 1e-12, [check]), "tolerance"),
         "GridSpec": (GridSpec(), "mass"),
     }
 

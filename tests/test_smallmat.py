@@ -131,14 +131,14 @@ class TestSchurDet:
             want = sm.det4(m)
             assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
-    def test_second_formula_route(self):
-        # blocks where only CD = DC holds
+    def test_cd_commuting_blocks_are_refused(self):
+        # only CD = DC holds: det(AD - BC) would apply, but schur_det forms det(AD - CB) alone
         d = random_cmat(2)
         c = 0.4 * d + 0.9 * np.eye(2)
         m = sm.block4(random_cmat(2), random_cmat(2), c, d)
-        got = sm.schur_det(m)
-        want = sm.det4(m)
-        assert abs(got - want) <= 1e-11 * max(1.0, abs(want))
+        with pytest.raises(ValueError, match="AC = CA does not hold within tolerance; "
+                                             "the Schur formula does not apply"):
+            sm.schur_det(m)
 
     @pytest.mark.parametrize("scale", SCALES)
     def test_commuting_blocks_at_any_scale(self, scale):
@@ -153,8 +153,15 @@ class TestSchurDet:
         b = random_cmat(2)
         for scale in SCALES:
             m = sm.block4(scale * SIGMA1, b, scale * SIGMA2, scale * SIGMA1 @ SIGMA2)
-            with pytest.raises(ValueError, match="the Schur formulas do not apply"):
+            with pytest.raises(ValueError, match="the Schur formula does not apply"):
                 sm.schur_det(m)
+
+    @pytest.mark.parametrize("block", [0, 2], ids=["A", "C"])
+    def test_nan_commutator_raises(self, block):
+        blocks = [np.eye(2, dtype=complex) for _ in range(4)]
+        blocks[block] = np.full((2, 2), np.nan, dtype=complex)
+        with pytest.raises(ValueError, match="the Schur formula does not apply"):
+            sm.schur_det(sm.block4(*blocks))
 
 
 class TestBlockRank:

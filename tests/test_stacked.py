@@ -394,7 +394,7 @@ class TestStackedValidation:
         d = _cmats(4, 3, size=2)
         d[1] = ga.SIGMA1 @ ga.SIGMA2
         m = sm.block4(a, _cmats(5, 3, size=2), c, d)
-        with pytest.raises(ValueError, match="the Schur formulas do not apply"):
+        with pytest.raises(ValueError, match="the Schur formula does not apply"):
             sm.schur_det(m)
 
     def test_boost_zero_spinor_element(self):

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from diracfree import gamma, verify
+from diracfree import gamma, spinors, verify
 from diracfree.cli import main, render_json
 
 MANIFEST = json.loads(
@@ -112,6 +112,18 @@ class TestRunSuite:
         monkeypatch.setattr(gamma, "hamiltonian", lambda state: (1 + 1e-6) * hamiltonian(state))
         eig_det = next(e for e in verify.REGISTRY if e.id == "eig-det")
         assert eig_det.fn(verify.GridSpec()) >= 1e-5
+
+    @pytest.mark.parametrize(
+        "error, reading",
+        [(lambda c: 1e-3, 1.0), (lambda c: 5.0 / c, 0.2)],
+        ids=["deficit-plateaus", "deficit-slower-than-3-over-c"],
+    )
+    def test_nonrel_limit_sees_a_slow_approach(self, monkeypatch, error, reading):
+        # a deficit that stops shrinking reads 1; one above 3/c reads its excess, 2/c at c = 10
+        rest = np.diag([1.0, 1.0, -1.0, -1.0])
+        monkeypatch.setattr(spinors, "spin_basis_matrix", lambda state: rest + error(state.c))
+        nonrel_limit = next(e for e in verify.REGISTRY if e.id == "nonrel-limit")
+        assert nonrel_limit.fn(verify.GridSpec()) == pytest.approx(reading, rel=1e-15)
 
     def test_impossible_tolerance_fails_honestly(self):
         report = verify.run_suite("spinors", SMALL_GRID, tol=1e-30)
@@ -595,9 +607,12 @@ class TestCli:
             (("verify", "--c", "1e300", "--angles", "2x2"), "energy scale out of range"),
             (("verify", "--m", "1e-200", "--angles", "2x2"), "energy scale out of range: m c^2 = 1e-200"),
             (("verify", "--c", "1e-200", "--angles", "2x2"), "energy scale out of range: m c^2 = 0"),
+            # |p| overflows to inf along the z axis, where p's x and y components stay 0
+            (("verify", "--m", "1e308", "--angles", "1x1"), "energy scale out of range: R = inf "),
+            (("spinor", "--m", "1e308", "--eta", "0.5"), "non-finite value in output: inf\n"),
         ],
         ids=["density-p", "spinor-c", "density-c", "boost-c", "boost-top-binade-spinor", "verify-m",
-             "verify-c", "verify-tiny-m", "verify-tiny-c"],
+             "verify-c", "verify-tiny-m", "verify-tiny-c", "verify-inf-p-on-axis", "spinor-inf-p-on-axis"],
     )
     def test_overflow_ends_in_one_error_line(self, child_env, argv, message):
         child = subprocess.run(

@@ -28,9 +28,11 @@ each) and ``--spinor`` (4) included; a wrong count is a usage error.
 ``--theta`` must lie in [0, pi], and an emit whose output is not finite
 fails with exit 2 in either format.  The library makes every decision:
 ``verify`` gives ``GridSpec`` only the grid flags the user gave,
-``run_suite`` rejects an unknown ``--suite`` (naming the suites) and a
-``--tol`` that is not positive and finite, and ``helicity_operator``
-refuses a ``spinor`` at rest ("helicity is undefined at rest").  JSON output
+``MomentumState`` rejects an ``--m`` or ``--c`` that is not positive and
+finite in every command, ``run_suite`` rejects an unknown ``--suite``
+(naming the suites) and a ``--tol`` that is not positive and finite, and
+``helicity_operator`` refuses a ``spinor`` at rest ("helicity is undefined
+at rest").  JSON output
 is deterministic byte for byte on one CPU dispatch target and BLAS kernel
 (either can move a residual's last digits): keys keep insertion order,
 floats are printed with 17 significant digits, complex numbers as [re, im]
@@ -59,7 +61,6 @@ from .kinematics import (
     momentum_axis,
     rapidity,
     scaled_norm,
-    to_eta,
 )
 from .smallmat import DEFAULT_TOL, divide_by_power_of_two, max_abs, power_of_two_scale, residual
 from .spinors import (
@@ -375,7 +376,7 @@ def _cmd_boost(args) -> int:
     inputs = {**_state_inputs(args, state), "spinor": _vector_json(phi)}
     outputs = {
         "rapidity": rapidity(state),
-        "eta": to_eta(state),
+        "eta": state.eta,
         "components": _vector_json(u),
         "direct_route_residual": _relative_residual(u_s / length, direct),
         "dirac_residual": _dirac_residual(u, state, EnergyBranch.POSITIVE),

@@ -11,14 +11,15 @@ supported and kept mutually consistent:
 
 Units have hbar = 1 throughout; c is an explicit field of
 ``MomentumState``, 1 by default, so dimensional factors can be exercised
-with c != 1.  The mass and c are stored as numpy float64, so a product or
-power beyond the float range is inf rather than an ``OverflowError``.
+with c != 1.  ``MomentumState`` refuses an m or c that is not positive and
+finite, and stores both as numpy float64, so a product or power beyond the
+float range is inf rather than an ``OverflowError``.
 ``verify`` builds every state it sweeps through ``GridSpec.states``, which
 stacks ``from_eta``.  ``momentum_axis`` is the one home of the direction
 p/|p| (the z axis at rest), and ``mirrored`` of the state with momentum -p.
 Each factor of the eta parametrization is formed in one function:
-``MomentumState.eta`` is eta of a state (``to_eta`` adds the m > 0 guard),
-and ``one_minus_eta_squared`` is 1 - eta^2.
+``MomentumState.eta`` is eta of a state, and ``one_minus_eta_squared`` is
+1 - eta^2.
 
 Angles, directions, four-vectors and momenta may be stacked: ``theta`` and
 ``phi`` of shape ``(N,)``, ``p`` of shape ``(N, 3)``.  Every quantity then
@@ -70,13 +71,14 @@ class PolarAngles(_Frozen):
     """Spherical direction (theta, phi); theta in [0, pi], phi taken mod 2 pi.
 
     Either angle may be an ``(N,)`` array; the two are broadcast to one shape.
-    A theta below 0 or above pi raises ``ValueError`` naming the first one.
+    A theta outside [0, pi], nan included, raises ``ValueError`` naming the
+    first one.
     """
 
     def __init__(self, theta: float, phi: float = 0.0):
         theta = np.array(theta, dtype=float)
         phi = np.array(phi, dtype=float)[()] % (2.0 * math.pi)
-        bad = (theta < 0.0) | (theta > math.pi)
+        bad = ~((0.0 <= theta) & (theta <= math.pi))
         if np.count_nonzero(bad):
             raise ValueError(f"theta must lie in [0, pi], got {theta[bad][0]}")
         theta = theta[()]
@@ -115,6 +117,9 @@ def angles_of(v) -> PolarAngles:
     # a copy: numpy's arccos and arctan2 may round a reversed view differently
     # from the same entries in order, and a stack entry must equal the single call
     v = np.array(v, dtype=float)
+    inf = np.isinf(v)
+    if inf.any():  # an overflowed vector points along its infinite entries
+        v = np.where(inf.any(axis=-1, keepdims=True), np.copysign(inf, v), v)
     r = scaled_norm(v)
     if np.count_nonzero(r == 0.0):
         raise ValueError("zero vector has no direction")
@@ -144,24 +149,29 @@ def minkowski_dot(a: FourVector, b: FourVector) -> float:
     return a.t * b.t - np.vecdot(a.r, b.r)
 
 
+def _check_mass_and_c(m: float, c: float) -> None:
+    """Raise ``ValueError`` unless m and c are each positive and finite, naming m first."""
+    for name, value in (("mass", m), ("c", c)):
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
 class MomentumState(_Frozen):
     """Mass, momentum and speed of light of a free particle, in units with hbar = 1.
 
-    m >= 0 and c > 0, each stored as numpy float64: their powers and
-    products overflow to inf, which an emit then reports as a non-finite
-    output, instead of raising ``OverflowError`` as Python's ``float ** 2``
-    does.  ``p`` of shape ``(N, 3)`` stacks N momenta of one mass and unit
-    system; ``p_abs``, ``R`` and ``energy`` then return ``(N,)`` arrays.
+    m and c are positive and finite, each stored as numpy float64: their
+    powers and products overflow to inf, which an emit then reports as a
+    non-finite output, instead of raising ``OverflowError`` as Python's
+    ``float ** 2`` does.  ``p`` of shape ``(N, 3)`` stacks N momenta of one
+    mass and unit system; ``p_abs``, ``R`` and ``energy`` then return
+    ``(N,)`` arrays.
     """
 
     def __init__(self, m: float, p: np.ndarray, c: float = 1.0):
-        if not c > 0:
-            raise ValueError("physical constants must be strictly positive")
+        _check_mass_and_c(m, c)
         p = np.array(p, dtype=float)
         if p.shape[-1:] != (3,):
             raise ValueError("momentum must be a 3-vector")
-        if m < 0:
-            raise ValueError("mass must be nonnegative")
         p.setflags(write=False)
         self.__dict__.update(m=np.float64(m), p=p, c=np.float64(c))
 
@@ -181,7 +191,7 @@ class MomentumState(_Frozen):
 
     @cached_property
     def eta(self) -> float:
-        """Speed parameter c|p| / (R + m c^2); 1 at m = 0, where ``to_eta`` raises instead."""
+        """Speed parameter c|p| / (R + m c^2); inverse of ``from_eta`` on [0, 1)."""
         return self.c * self.p_abs / (self.R + self.rest_energy)
 
     def energy(self, branch: EnergyBranch = EnergyBranch.POSITIVE) -> float:
@@ -228,8 +238,7 @@ def from_eta(m: float, c: float, eta: float, dir: PolarAngles) -> MomentumState:
     where |p| overflows to inf.
     """
     eta = check_eta(eta)
-    if m <= 0:
-        raise ValueError("eta parametrization requires m > 0")
+    _check_mass_and_c(m, c)  # before |p|: an infinite m times eta = 0 is nan
     p_abs = 2.0 * m * c * eta / one_minus_eta_squared(eta)
     n = direction(dir)
     with np.errstate(invalid="ignore"):  # inf * 0, replaced next
@@ -238,15 +247,6 @@ def from_eta(m: float, c: float, eta: float, dir: PolarAngles) -> MomentumState:
     return MomentumState(m, p, c)
 
 
-def to_eta(state: MomentumState) -> float:
-    """eta = c|p| / (R + m c^2), ``state.eta``; inverse of ``from_eta`` on [0, 1)."""
-    if state.m == 0:
-        raise ValueError("eta parameter is undefined for m = 0")
-    return state.eta
-
-
 def rapidity(state: MomentumState) -> float:
     """Boost parameter th with E = m c^2 cosh th, |p| = m c sinh th."""
-    if state.m == 0:
-        raise ValueError("rapidity is undefined for m = 0")
     return np.arcsinh(state.p_abs / (state.m * state.c))

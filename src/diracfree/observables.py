@@ -66,8 +66,6 @@ def polarization_four_vector(state: MomentumState, n) -> FourVector:
     unit n and an on-shell state it satisfies p.a = 0 and a.a = -1, and it
     reduces to (0, n) at rest.
     """
-    if state.m == 0:
-        raise ValueError("polarization four-vector requires m > 0")
     n = np.asarray(n, dtype=float)
     p_dot_n = np.vecdot(state.p, n)
     a0 = p_dot_n / (state.m * state.c)

@@ -53,6 +53,7 @@ compares them with ``smallmat.residual``.
 
 from __future__ import annotations
 
+import math
 from enum import Enum
 from typing import NamedTuple
 
@@ -151,7 +152,7 @@ def _normalize(raw: np.ndarray, phi: np.ndarray, state: MomentumState, norm: Nor
     if norm is Normalization.UNIT:
         return raw / np.sqrt(nsq)[..., None]
     if norm is Normalization.BOX:
-        if volume is None or volume <= 0:
+        if volume is None or not 0.0 < volume < math.inf:
             raise ValueError("box normalization requires volume > 0")
         return raw / np.sqrt(volume * nsq)[..., None]
     # |u-bar u| of the block solution in closed form, |phi|^2 2mc^2 / (mc^2 + R):
@@ -217,8 +218,6 @@ def boost_bispinor(phi: np.ndarray, state: MomentumState) -> np.ndarray:
     ``cosh(th/2) (phi, (sigma.l) tanh(th/2) phi)`` with l = p/|p|; equals the
     direct block construction scaled so that u-bar u = phi+ phi.
     """
-    if state.m == 0:
-        raise ValueError("boost construction requires m > 0")
     phi = _two_spinor(phi)
     half = 0.5 * rapidity(state)
     moving = (state.p_abs != 0.0)[..., None]
@@ -263,7 +262,7 @@ def eta_bispinor(lam: Helicity, branch: EnergyBranch, eta: float,
     columns describe waves with physical momentum opposite to (theta, phi).
     """
     eta = check_eta(eta)
-    if volume <= 0:
+    if not 0.0 < volume < math.inf:
         raise ValueError("volume must be positive")
     phi = _branch_spinor(lam, branch, angles)
     signed = phi if lam is Helicity.PLUS else -phi

@@ -156,9 +156,6 @@ class GridSpec(ki._Frozen):
                 f"angle counts {theta_count}x{phi_count} give more directions than "
                 f"a numpy index holds ({np.iinfo(np.intp).max})"
             )
-        for name, value in (("mass", mass), ("c", c)):
-            if not 0.0 < value < math.inf:
-                raise ValueError(f"{name} must be positive and finite, got {value}")
         offsets = np.arange(0, count, max(1, count // _PER_ETA))
         eta = np.repeat(ki.check_eta(eta_values), len(offsets))
         angles = self.angle(((offsets + 3 * np.arange(len(eta_values))[:, None]) % count).ravel())
@@ -577,13 +574,13 @@ def _on_shell(state):
 
 def _eta_rapidity(state):
     th = ki.rapidity(state)
-    yield ki.to_eta(state), np.tanh(0.5 * th)
+    yield state.eta, np.tanh(0.5 * th)
     yield state.R, state.rest_energy * np.cosh(th)
     yield np.cosh(0.5 * th), np.sqrt((state.R + state.rest_energy) / (2.0 * state.rest_energy))
 
 
 def _eta_round_trip(eta, ang, state):
-    yield ki.to_eta(state), eta
+    yield state.eta, eta
     yield _rel(state.rest_energy * (1.0 + eta**2) / ki.one_minus_eta_squared(eta), state.R)
 
 

@@ -134,11 +134,6 @@ def _rel(got, want) -> float:
     return abs(got - want) / max(1.0, abs(want))
 
 
-def _outer(x, y):
-    """x y+ over the last axis."""
-    return np.asarray(x)[..., :, None] * np.conjugate(y)[..., None, :]
-
-
 def _rest_spin(phi: np.ndarray) -> np.ndarray:
     """Rest-frame spin vector 0.5 phi+ sigma phi of a two-spinor."""
     return sm.stack_last([0.5 * np.vecdot(phi, np.matvec(s, phi)).real for s in ga.PAULI])
@@ -253,7 +248,7 @@ def _on_shell(state):
 
 def _eta_rapidity(state):
     th = ki.rapidity(state)
-    yield abs(ki.to_eta(state) - math.tanh(0.5 * th))
+    yield abs(state.eta - math.tanh(0.5 * th))
     yield abs(state.R - state.rest_energy * math.cosh(th))
     yield abs(
         math.cosh(0.5 * th)
@@ -262,7 +257,7 @@ def _eta_rapidity(state):
 
 
 def _eta_round_trip(eta, ang, state):
-    yield abs(ki.to_eta(state) - eta)
+    yield abs(state.eta - eta)
     yield _rel(state.rest_energy * (1.0 + eta**2) / (1.0 - eta**2), state.R)
 
 

@@ -42,7 +42,7 @@ class TestMomentumState:
     @pytest.mark.parametrize("field", ["c"])
     @pytest.mark.parametrize("value", [0.0, -1.0, math.nan])
     def test_non_positive_constant_rejected(self, field, value):
-        with pytest.raises(ValueError, match="^physical constants must be strictly positive$"):
+        with pytest.raises(ValueError, match=f"^c must be positive and finite, got {value}$"):
             ki.MomentumState(1.0, np.zeros(3), **{field: value})
 
     def test_rest_energy_forms_m_c_first(self):
@@ -71,16 +71,16 @@ class TestEtaParametrization:
 
     def test_to_eta_frozen(self):
         state = ki.MomentumState(1.0, np.array([0.0, 0.0, 4.0 / 3.0]))
-        assert abs(ki.to_eta(state) - 0.5) <= 1e-15
+        assert abs(state.eta - 0.5) <= 1e-15
 
     def test_to_eta_rest(self):
-        assert ki.to_eta(ki.MomentumState(1.0, np.zeros(3))) == 0.0
+        assert ki.MomentumState(1.0, np.zeros(3)).eta == 0.0
 
     @given(st.floats(0.0, 0.95), st.floats(0.01, 3.1), st.floats(0.0, 6.2))
     @settings(max_examples=60, deadline=None)
     def test_round_trip(self, eta, theta, phi):
         state = ki.from_eta(1.0, 1.0, eta, ki.PolarAngles(theta, phi))
-        assert abs(ki.to_eta(state) - eta) <= 1e-12
+        assert abs(state.eta - eta) <= 1e-12
         # the closed-form energy matches R
         e = (1.0 + eta**2) / (1.0 - eta**2)
         assert abs(e - state.R) <= 1e-12 * max(1.0, e)
@@ -89,10 +89,6 @@ class TestEtaParametrization:
         for eta in (-0.1, 1.0, 1.5):
             with pytest.raises(ValueError, match=r"eta must lie in \[0, 1\)"):
                 ki.from_eta(1.0, 1.0, eta, ki.PolarAngles(0.0, 0.0))
-
-    def test_massless_rejected(self):
-        with pytest.raises(ValueError, match="eta parameter is undefined for m = 0"):
-            ki.to_eta(ki.MomentumState(0.0, np.array([0.0, 0.0, 1.0])))
 
 
 class TestRapidity:
@@ -104,7 +100,7 @@ class TestRapidity:
         th = ki.rapidity(state)
         cosh_half = math.sqrt((state.R + state.rest_energy) / (2.0 * state.rest_energy))
         assert abs(math.cosh(0.5 * th) - cosh_half) <= 1e-13
-        assert abs(math.tanh(0.5 * th) - ki.to_eta(state)) <= 1e-13
+        assert abs(math.tanh(0.5 * th) - state.eta) <= 1e-13
 
     def test_energy_momentum_form(self):
         state = ki.MomentumState(2.0, np.array([1.0, 2.0, -2.0]))
@@ -112,9 +108,34 @@ class TestRapidity:
         assert abs(state.rest_energy * math.cosh(th) - state.R) <= 1e-12
         assert abs(state.m * state.c * math.sinh(th) - state.p_abs) <= 1e-12
 
-    def test_massless_rejected(self):
-        with pytest.raises(ValueError, match="rapidity is undefined for m = 0"):
-            ki.rapidity(ki.MomentumState(0.0, np.array([1.0, 0.0, 0.0])))
+
+_BAD_MASS_OR_C = [(field, value) for field in ("mass", "c") for value in (0.0, -1.0, math.nan, math.inf)]
+
+
+class TestMassAndC:
+    """MomentumState owns the rule that m and c are each positive and finite."""
+
+    @staticmethod
+    def _m_and_c(field, value):
+        return (value, 1.0) if field == "mass" else (1.0, value)
+
+    @pytest.mark.parametrize("field, value", _BAD_MASS_OR_C)
+    def test_momentum_state_rejects(self, field, value):
+        m, c = self._m_and_c(field, value)
+        with pytest.raises(ValueError, match=f"^{field} must be positive and finite, got {value}$"):
+            ki.MomentumState(m, np.array([0.0, 0.0, 1.0]), c)
+
+    @pytest.mark.parametrize("eta", [0.0, 0.5])
+    @pytest.mark.parametrize("field, value", _BAD_MASS_OR_C)
+    def test_from_eta_rejects_before_forming_p(self, field, value, eta):
+        # at eta = 0 an infinite m or c times eta is nan, with a RuntimeWarning, unless refused first
+        m, c = self._m_and_c(field, value)
+        with pytest.raises(ValueError, match=f"^{field} must be positive and finite, got {value}$"):
+            ki.from_eta(m, c, eta, ki.PolarAngles(0.0))
+
+    def test_mass_is_named_first(self):
+        with pytest.raises(ValueError, match="^mass must be positive and finite, got 0.0$"):
+            ki.MomentumState(0.0, np.zeros(3), 0.0)
 
 
 class TestDirection:
@@ -140,13 +161,17 @@ class TestDirection:
         )
         assert max_abs(sigma_dot(ki.direction(ang)) - target) <= 1e-15
 
+    def test_overflowed_vector_points_along_its_infinite_entries(self):
+        got = ki.angles_of([[0.0, 0.0, math.inf], [-math.inf, 1.0, math.inf]])
+        want = ki.angles_of([[0.0, 0.0, 1.0], [-1.0, 0.0, 1.0]])
+        assert (got.theta.tolist(), got.phi.tolist()) == (want.theta.tolist(), want.phi.tolist())
+
     def test_angle_normalization(self):
-        # theta outside [0, pi] is an error, not a clamp; -0.0 and nan pass as given
-        for theta in (4.0, -0.5):
-            with pytest.raises(ValueError, match=rf"theta must lie in \[0, pi\], got {theta}"):
+        # theta outside [0, pi] is an error, not a clamp, and so is nan; -0.0 passes as given
+        for theta, shown in ((4.0, "4.0"), (-0.5, "-0.5"), (math.nan, "nan"), ([0.5, math.nan], "nan")):
+            with pytest.raises(ValueError, match=rf"theta must lie in \[0, pi\], got {shown}$"):
                 ki.PolarAngles(theta, -1.0)
         assert math.copysign(1.0, ki.PolarAngles(-0.0).theta) == -1.0
-        assert math.isnan(ki.PolarAngles(math.nan).theta)
         ang = ki.PolarAngles(math.pi, -1.0)
         assert ang.theta == math.pi
         assert 0.0 <= ang.phi < 2.0 * math.pi

@@ -177,7 +177,7 @@ class TestStackedKernels:
         state = ki.from_eta(m, c, eta, angles)
         scalars = [ki.from_eta(m, c, e, a) for e, a in singles]
         assert_stacks(state.p, [s.p for s in scalars])
-        assert_stacks(ki.to_eta(state), [ki.to_eta(s) for s in scalars])
+        assert_stacks(state.eta, [s.eta for s in scalars])
         assert_stacks(ki.rapidity(state), [ki.rapidity(s) for s in scalars])
         for branch in BRANCHES:
             for lam in LAMBDAS:

@@ -166,6 +166,11 @@ class TestRunSuite:
         with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
             verify.GridSpec(**{field: value})
 
+    def test_grid_reports_a_bad_eta_before_a_bad_mass(self):
+        # the eta list is checked before from_eta builds a state, and MomentumState checks the mass
+        with pytest.raises(ValueError, match=r"^eta must lie in \[0, 1\), got 2.0$"):
+            verify.GridSpec(eta_values=(2.0,), mass=0.0)
+
     @pytest.mark.parametrize("counts", [(10**20, 1), (1, 10**20), (2**32, 2**32)])
     def test_grid_rejects_more_directions_than_an_index_holds(self, counts):
         with pytest.raises(ValueError, match=f"^angle counts {counts[0]}x{counts[1]} give more directions"):
@@ -334,6 +339,12 @@ class TestCli:
         doc = json.loads(out)
         assert doc["outputs"]["energy"] < 0
         assert doc["outputs"]["dirac_residual"] <= 1e-12
+
+    @pytest.mark.parametrize("command", ["spinor", "density", "boost"])
+    def test_massless_exit_two(self, command):
+        # MomentumState refuses m = 0 for every command, with one message
+        code, out, err = self.run(command, "--m", "0", "--p", "0,0,1")
+        assert (code, out, err) == (2, "", "error: mass must be positive and finite, got 0.0\n")
 
     def test_spinor_zero_momentum_exit_two(self):
         code, _, err = self.run("spinor", "--p", "0,0,0", "--branch", "pos")
@@ -527,7 +538,7 @@ class TestCli:
             (("verify",), "--tol", "-1e-12", "error: tolerance must be positive and finite, got -1e-12\n"),
             (("verify",), "--eta", "-0.5,0.3", "error: eta must lie in [0, 1), got -0.5\n"),
             (("verify",), "--angles", "-1x2", "error: angle counts must be positive, got -1x2\n"),
-            (("spinor", "--p", "1,0,0"), "--m", "-1e3", "error: mass must be nonnegative\n"),
+            (("spinor", "--p", "1,0,0"), "--m", "-1e3", "error: mass must be positive and finite, got -1000.0\n"),
         ],
         ids=["phi", "tol", "eta-list", "angles", "mass"],
     )
